@@ -3,7 +3,8 @@
 Module arguments are either paths to module files or library names
 (trivial, free:g, jordan:u, klein-Mn:n / klein-MN); library constructors
 other than the Klein family take the algebra from --p/--r/--flavors.
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input error.
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input error,
+4 internal error.
 """
 
 import argparse
@@ -300,6 +301,8 @@ def run_command(argv):
         return 3, "", f"error: {type(exc).__name__}: {exc}\n"
     except (FileNotFoundError, ValueError, KeyError, OSError) as exc:
         return 3, "", f"error: {type(exc).__name__}: {exc}\n"
+    except Exception as exc:  # a bug or resource failure, never a verdict
+        return 4, "", f"error: InternalError: {type(exc).__name__}: {exc}\n"
     text = "\n".join(out)
     if text:
         text += "\n"

@@ -190,10 +190,6 @@ class FieldDescriptor:
             code //= self.p
         return tuple(digits)
 
-    def all_scalars(self):
-        for code in range(self.order):
-            yield self.sfrom_code(code)
-
 
 @lru_cache(maxsize=None)
 def _reduction_rows(desc):

@@ -299,22 +299,39 @@ def to_block_int(mat):
     return blockify(coeff_array(mat), mat.desc), mat.desc.deg
 
 
+def from_coeff_array(desc, coeffs):
+    """Matrix of interned elements from an (n, m, e) coordinate array."""
+    return Matrix(desc, [[fields.interned(desc, tuple(x)) for x in row]
+                         for row in coeffs.tolist()])
+
+
 def from_block_int(desc, block, rows, cols):
+    """Inverse of to_block_int: entry (i, j) is read off the first column of
+    its e x e block."""
     e = desc.deg
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            scalar = tuple(int(c) for c in block[i * e : (i + 1) * e, j * e])
-            row.append(fields.interned(desc, scalar))
-        out.append(row)
-    return Matrix(desc, out)
+    coeffs = block[:, ::e].reshape(rows, e, cols).transpose(0, 2, 1)
+    return from_coeff_array(desc, coeffs)
 
 
-def int_rank(a, p, stop_at=None):
-    """Rank of an integer matrix mod p by Gaussian elimination."""
+def embedding_matrix(src, dst):
+    """(src.deg, dst.deg) F_p matrix of the embedding of src's finite part
+    into dst: row c holds the image of the c-th power basis element."""
+    emb = fields._scalar_embedding(src, dst)
+    units = np.eye(src.deg, dtype=np.int64).tolist()
+    return np.array([emb(tuple(u)) for u in units], dtype=np.int64)
+
+
+def int_row_reduce(a, p, stop_at=None):
+    """Row echelon form of an integer matrix mod p: the only mod-p pivot loop.
+
+    Forward elimination below each pivot, with pivots scaled to 1 and taken
+    as the first nonzero entry of each column.  Returns (rank, pivot
+    columns, echelon).  With ``stop_at`` the loop ends as soon as the rank
+    reaches it, leaving the rows below unreduced.
+    """
     a = np.array(a, dtype=np.int64) % p
     rows, cols = a.shape
+    pivots = []
     r = 0
     for c in range(cols):
         if r == rows or (stop_at is not None and r >= stop_at):
@@ -331,8 +348,26 @@ def int_rank(a, p, stop_at=None):
         mask = rest != 0
         if mask.any():
             a[r + 1 :][mask] = (a[r + 1 :][mask] - np.outer(rest[mask], a[r])) % p
+        pivots.append(c)
         r += 1
-    return r
+    return r, pivots, a
+
+
+def int_rank(a, p, stop_at=None):
+    """Rank of an integer matrix mod p."""
+    return int_row_reduce(a, p, stop_at)[0]
+
+
+def int_solve(a, rhs, p):
+    """Solve a x = rhs mod p for square invertible a; ValueError if singular."""
+    n = a.shape[0]
+    _, pivots, ech = int_row_reduce(np.concatenate([a, rhs], axis=1), p)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular system")
+    x = ech[:, n:]
+    for c in range(n - 1, 0, -1):
+        x[:c] = (x[:c] - np.outer(ech[:c, c], x[c])) % p
+    return x
 
 
 def int_matpow(a, k, p):
@@ -411,30 +446,6 @@ def rank(mat) -> int:
         assert r % e == 0
         return r // e
     return bareiss_rank(_poly_rows(mat))
-
-
-def rank_naive(mat) -> int:
-    """Division-based elimination on FieldElements; cross-check for rank()."""
-    rows = [list(r) for r in mat.entries]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 def kernel_basis(mat):

@@ -109,11 +109,6 @@ def _take(block, key, lineno_hint=0):
     return block.pop(key)
 
 
-def _scalar_value(item):
-    lineno, value = item
-    return lineno, value
-
-
 def _parse_int(item, what):
     lineno, value = item
     try:

@@ -22,14 +22,13 @@ from .fields import FieldElement, embed
 class PiPoint:
     """A certified-flat point; construct via make_linear / make_general."""
 
-    __slots__ = ("spec", "K", "linear", "higher", "flat")
+    __slots__ = ("spec", "K", "linear", "higher")
 
-    def __init__(self, spec, K, linear, higher, flat):
+    def __init__(self, spec, K, linear, higher):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "linear", tuple(linear))
         object.__setattr__(self, "higher", dict(higher))
-        object.__setattr__(self, "flat", flat)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiPoint is immutable")
@@ -119,7 +118,7 @@ def make_linear(spec, K, coeffs) -> PiPoint:
         raise AllCoefficientsZero("linear image must be nonzero")
     if not flatness_certificate(spec, K, coeffs, {}):
         raise FlatnessFailure("nonzero linear image failed its certificate")
-    return PiPoint(spec, K, coeffs, {}, True)
+    return PiPoint(spec, K, coeffs, {})
 
 
 def make_general(spec, K, image) -> PiPoint:
@@ -130,11 +129,12 @@ def make_general(spec, K, image) -> PiPoint:
     linear, higher = _split_image(spec, K, image)
     if not flatness_certificate(spec, K, linear, higher):
         raise NotFlat("image fails the flatness certificate")
-    return PiPoint(spec, K, linear, higher, True)
+    return PiPoint(spec, K, linear, higher)
 
 
 def is_flat(point) -> bool:
-    return point.flat
+    """Re-run the flatness certificate on the point's own image."""
+    return flatness_certificate(point.spec, point.K, point.linear, point.higher)
 
 
 def restrict(point, mod) -> linalg.Matrix:
@@ -185,7 +185,7 @@ def base_extend(point, target) -> PiPoint:
     higher = {e: embed(c, target) for e, c in point.higher.items()}
     if not flatness_certificate(point.spec, target, linear, higher):
         raise FlatnessFailure("flatness lost under base extension")
-    return PiPoint(point.spec, target, linear, higher, True)
+    return PiPoint(point.spec, target, linear, higher)
 
 
 def generic_point(spec, names=None) -> PiPoint:

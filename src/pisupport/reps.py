@@ -245,26 +245,6 @@ def base_change(mod, target) -> ModuleRep:
 # Coinduction
 
 
-def _int_solve(a, rhs, p):
-    """Solve a x = rhs mod p for square invertible a (Gauss-Jordan)."""
-    n = a.shape[0]
-    aug = np.concatenate([a % p, rhs % p], axis=1).astype(np.int64)
-    for c in range(n):
-        nz = np.nonzero(aug[c:, c])[0]
-        if nz.size == 0:
-            raise ValueError("singular system")
-        piv = c + int(nz[0])
-        if piv != c:
-            aug[[c, piv]] = aug[[piv, c]]
-        inv = pow(int(aug[c, c]), -1, p)
-        aug[c] = (aug[c] * inv) % p
-        others = np.nonzero(aug[:, c])[0]
-        for i in others:
-            if i != c:
-                aug[i] = (aug[i] - aug[i, c] * aug[c]) % p
-    return aug[:, n:]
-
-
 def coinduced(mod, target) -> ModuleRep:
     """The module of base-linear maps target -> mod, as a module over the
     extended field.
@@ -292,50 +272,28 @@ def coinduced(mod, target) -> ModuleRep:
                          [Matrix.zero(target, 0, 0)] * mod.spec.r,
                          name=mod.name, _checked=True)
 
-    iota = fields._scalar_embedding(base, target)
-    # images of the base power basis 1, w, ..., w^{eb-1} inside target
-    wb = []
-    power = target.sone()
-    gen = iota(base.sfrom_code(base.p)) if eb > 1 else None
-    for t in range(eb):
-        wb.append(power)
-        if eb > 1:
-            power = target.smul(power, gen)
-
-    # greedy basis of target over the embedded base field
-    cols = []
-    basis = []
-    for j in range(eK):
-        cand = tuple(1 if t == j else 0 for t in range(eK))
-        trial = cols + [target.smul(w, cand) for w in wb]
-        m = np.array(trial, dtype=np.int64).T
-        if linalg.int_rank(m, p) == len(trial):
-            basis.append(cand)
-            cols = trial
-        if len(basis) == d:
-            break
-    assert len(basis) == d
-
-    # B: coordinates of iota(w^c) * b_u, columns ordered (u, c)
-    bcols = []
-    for u in range(d):
-        for c in range(eb):
-            bcols.append(target.smul(wb[c], basis[u]))
-    B = np.array(bcols, dtype=np.int64).T  # eK x eK
+    # stack[:, j*eb + c] holds the F_p coordinates of w^c x^j, with w^c the
+    # embedded base power basis and x^j the power basis of target.  Each
+    # base line through x^j is independent of the span of the earlier lines
+    # or inside it, so pivots come in whole blocks and the pivot columns
+    # with c = 0 pick a basis b_0 = 1, ..., b_{d-1} of target over the base.
+    wb = linalg.embedding_matrix(base, target).T  # eK x eb
+    xpow = linalg.companion_powers(target)
+    stack = np.concatenate([xpow[j] @ wb for j in range(eK)], axis=1) % p
+    _, pivots, _ = linalg.int_row_reduce(stack, p)
+    basis = [tuple(int(t == c // eb) for t in range(eK))
+             for c in pivots if c % eb == 0]
+    # B: coordinates of w^c b_u, columns ordered (u, c)
+    B = stack[:, pivots]
+    B_inv = linalg.int_solve(B, np.eye(eK, dtype=np.int64), p)
 
     def base_coords(x):
         """k'-coordinates (length eb*d ordered (u,c)) of x in the basis b."""
-        sol = _int_solve(B, np.array(x, dtype=np.int64).reshape(-1, 1), p)
-        return sol[:, 0]
+        return (B_inv @ np.array(x, dtype=np.int64)) % p
 
     # multiplication data: mu[s][t][u] in k' with b_s b_t = sum_u mu b_u
-    mu = [[None] * d for _ in range(d)]
-    for s in range(d):
-        for t in range(d):
-            coords = base_coords(target.smul(basis[s], basis[t]))
-            mu[s][t] = [
-                tuple(int(coords[u * eb + c]) for c in range(eb)) for u in range(d)
-            ]
+    mu = [[base_coords(target.smul(bs, bt)).reshape(d, eb) for bt in basis]
+          for bs in basis]
 
     # relative trace of each basis element, as a k'-scalar
     q0 = base.order
@@ -347,9 +305,8 @@ def coinduced(mod, target) -> ModuleRep:
             acc = target.sadd(acc, cur)
             cur = target.spow(cur, q0)
         coords = base_coords(acc)
-        if d > 1:
-            assert not coords[eb:].any(), "trace left the base field"
-        tr.append(tuple(int(coords[c]) for c in range(eb)))
+        assert not coords[eb:].any(), "trace left the base field"
+        tr.append(coords[:eb])
 
     # F_p coordinates of Hom(target, mod): index ((t*n + j)*eb + c)
     dim = d * n * eb
@@ -392,27 +349,15 @@ def coinduced(mod, target) -> ModuleRep:
                 col += 1
 
     rhs = np.concatenate([(z @ hvec) % p for z in z_h], axis=1)
-    sol = _int_solve(big, rhs, p)  # may raise; trace pairing keeps it regular
+    sol = linalg.int_solve(big, rhs, p)  # the trace pairing keeps it regular
 
+    # entry (q, j) of generator i is sum over (s, c) of
+    # sol[(s*n + q)*eb + c, i*n + j] * w^c b_s, and w^c b_s is column (s, c) of B
     mats = []
     for i in range(mod.spec.r):
-        x = sol[:, i * n : (i + 1) * n]
-        grid = []
-        for q in range(n):
-            row = []
-            for j in range(n):
-                acc = target.szero()
-                for s in range(d):
-                    for c in range(eb):
-                        coeff = int(x[(s * n + q) * eb + c, j])
-                        if coeff:
-                            term = target.smul(wb[c], basis[s])
-                            acc = target.sadd(
-                                acc, tuple((coeff * v) % p for v in term)
-                            )
-                row.append(FieldElement.from_scalar(target, acc))
-            grid.append(row)
-        mats.append(Matrix(target, grid))
+        x = sol[:, i * n : (i + 1) * n].reshape(d, n, eb, n)
+        x = x.transpose(1, 3, 0, 2).reshape(n, n, d * eb)
+        mats.append(linalg.from_coeff_array(target, (x @ B.T) % p))
     spec = mod.spec.with_base(target)
     return ModuleRep(spec, mats, name=mod.name)
 

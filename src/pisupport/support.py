@@ -162,19 +162,12 @@ def _point_tester(mod, K):
     linear points by construction of the block representation (and is
     cross-checked in the test suite).
     """
-    base = mod.spec.base
     p = mod.spec.p
     n = mod.n
     e = K.deg
-    emb = fields._scalar_embedding(base, K)
+    emb = linalg.embedding_matrix(mod.spec.base, K)
     powers = linalg.companion_powers(K)
-    carr = []
-    for m in mod.Z:
-        arr = np.zeros((n, n, e), dtype=np.int64)
-        for i, row in enumerate(m.entries):
-            for j, x in enumerate(row):
-                arr[i, j, :] = emb(x.as_scalar())
-        carr.append(arr)
+    carr = [linalg.coeff_array(m) @ emb % p for m in mod.Z]
     target = None if n % p else e * (n // p)
 
     def tester(coord_scalars):
@@ -185,7 +178,7 @@ def _point_tester(mod, K):
             if any(a):
                 bmat = np.tensordot(np.array(a, dtype=np.int64), powers, axes=(0, 0))
                 acc += np.einsum("ab,uvb->uva", bmat, c)
-        block = np.einsum("uvj,jab->uavb", acc % p, powers).reshape(n * e, n * e) % p
+        block = linalg.blockify(acc % p, K)
         op = int_matpow(block, p - 1, p) if p > 2 else block
         return int_rank(op, p, stop_at=target) != target
 

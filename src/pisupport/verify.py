@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg, modfile, pipoints, randmod, reps, support
-from .errors import AllCoefficientsZero, NotFlat
-from .fields import FieldElement, canonical_extension
+from .errors import AllCoefficientsZero, FlatnessFailure, NotFlat
+from .fields import FieldElement, canonical_extension, to_literal
 
 E_MAX = 2
 SUITE_NAMES = ("dade", "tensor", "hom", "endo", "flat", "perturb")
@@ -122,8 +122,14 @@ def suite_flat(rng, spec, trials) -> SuiteResult:
     res = SuiteResult("flat")
     for trial in range(trials):
         K = _random_field(rng, spec)
-        point = pipoints.make_linear(spec, K, _random_linear_coeffs(rng, spec, K))
-        res.record(trial, pipoints.is_flat(point))
+        coeffs = _random_linear_coeffs(rng, spec, K)
+        try:
+            pipoints.make_linear(spec, K, coeffs)
+        except FlatnessFailure as exc:
+            literals = ", ".join(to_literal(a) for a in coeffs)
+            res.record(trial, False, f"linear point [{literals}]: {exc}")
+        else:
+            res.record(trial, True)
     # rejection cases run once per suite invocation
     try:
         pipoints.make_linear(spec, spec.base, [0] * spec.r)

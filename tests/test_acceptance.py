@@ -18,6 +18,7 @@ from pisupport import (
     dual,
     free_module,
     hom,
+    is_flat,
     is_free,
     make_general,
     make_linear,
@@ -239,7 +240,7 @@ def test_criterion_09_flatness():
                 coeffs = [FieldElement.from_scalar(K, K.sfrom_code(c))
                           for c in codes]
                 point = make_linear(spec, K, coeffs)
-                assert point.flat
+                assert is_flat(point)
         with pytest.raises(NotFlat):
             make_general(KLEIN, KLEIN.base, {(1, 1): 1})
         with pytest.raises((NotFlat, AllCoefficientsZero)):

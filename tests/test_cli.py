@@ -142,6 +142,35 @@ def test_input_error_exit_three():
     assert code == 3 and "AllCoefficientsZero" in err
 
 
+def test_internal_error_exit_four(monkeypatch):
+    from pisupport import cli
+
+    def broken(args, out):
+        raise AssertionError("rank not a multiple of the degree")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", broken)
+    code, out, err = run("check", "klein-M2")
+    assert code == 4 and out == ""
+    assert err == ("error: InternalError: AssertionError: "
+                   "rank not a multiple of the degree\n")
+
+
+def test_flat_suite_records_certificate_failures(monkeypatch):
+    from pisupport import pipoints
+    from pisupport.verify import verify_suites
+
+    monkeypatch.setattr(pipoints, "flatness_certificate",
+                        lambda spec, K, linear, higher: False)
+    code, lines = verify_suites(1, 2, 2, 2, suite="flat")
+    assert code == 1
+    assert "suite flat: 2 passed, 2 failed" in lines
+    failures = [line for line in lines if line.startswith("counterexample")]
+    assert [line.split(":")[0] for line in failures] == [
+        "counterexample trial=0", "counterexample trial=1"]
+    assert all("failed its certificate" in line for line in failures)
+    assert lines[-1] == "RESULT: FAIL (1 suites, 2 failures)"
+
+
 def test_counterexample_replay_format(tmp_path):
     # the mechanism: a failing trial serializes its module; replaying the file
     # reproduces the same verdicts

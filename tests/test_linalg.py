@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pisupport import (
@@ -11,13 +12,18 @@ from pisupport import (
 )
 from pisupport.errors import NonPolynomialEntry, NotPNilpotent
 from pisupport.fields import Polynomial
-from pisupport.linalg import bareiss_rank, rank_naive
+from pisupport.linalg import bareiss_rank, int_rank, int_row_reduce, int_solve
 
 from conftest import F2, F3, F5, F4, F2S, F3S, F2SU
 
 
 def var(desc, name):
     return FieldElement.variable(desc, name)
+
+
+def rank_naive(mat):
+    """Reference rank from division-based Gauss-Jordan on FieldElements."""
+    return mat.cols - len(kernel_basis(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +100,71 @@ def test_fraction_free_matches_naive_elimination(rng):
             a = _random_matrix(rng, desc, rng.randrange(1, 5), rng.randrange(1, 5),
                                maker)
             assert rank(a) == rank_naive(a)
+
+
+# ---------------------------------------------------------------------------
+# mod-p row reduction
+
+
+def _random_int_matrix(gen, p, rows, cols, rank_cap):
+    """Random rows x cols matrix mod p of rank at most rank_cap."""
+    left = gen.integers(0, p, size=(rows, rank_cap))
+    right = gen.integers(0, p, size=(rank_cap, cols))
+    return (left @ right) % p
+
+
+def _random_invertible(gen, p, n):
+    while True:
+        a = gen.integers(0, p, size=(n, n))
+        if int_rank(a, p) == n:
+            return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 4])
+def test_int_solve_round_trip(p, k):
+    gen = np.random.default_rng(1000 * p + k)
+    for n in (1, 2, 5, 8):
+        a = _random_invertible(gen, p, n)
+        rhs = gen.integers(0, p, size=(n, k))
+        x = int_solve(a, rhs, p)
+        assert x.shape == (n, k)
+        assert ((a @ x - rhs) % p == 0).all()
+
+
+def test_int_solve_singular_raises():
+    a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    with pytest.raises(ValueError):
+        int_solve(a, np.eye(3, dtype=np.int64), 5)
+    with pytest.raises(ValueError):
+        int_solve(np.zeros((2, 2), dtype=np.int64), np.ones((2, 1)), 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_row_reduce_pivots_match_prefix_rank_oracle(p):
+    gen = np.random.default_rng(p)
+    for _ in range(12):
+        rows, cols = gen.integers(1, 7, size=2)
+        a = _random_int_matrix(gen, p, rows, cols, int(gen.integers(1, 5)))
+        rank, pivots, ech = int_row_reduce(a, p)
+        oracle = [c for c in range(cols)
+                  if int_rank(a[:, : c + 1], p) > int_rank(a[:, :c], p)]
+        assert pivots == oracle and rank == len(oracle) == int_rank(a, p)
+        for r, c in enumerate(pivots):
+            assert ech[r, c] == 1 and not ech[r + 1 :, c].any()
+            assert not ech[r, :c].any()
+        assert not ech[rank:].any()
+
+
+def test_int_row_reduce_stop_at_leaves_rows_unreduced():
+    gen = np.random.default_rng(7)
+    a = _random_invertible(gen, 3, 6)
+    full_rank, full_pivots, _ = int_row_reduce(a, 3)
+    rank, pivots, ech = int_row_reduce(a, 3, stop_at=2)
+    assert full_rank == 6
+    assert rank == 2 and pivots == full_pivots[:2]
+    # the four rows below the stopping point still carry rank 4
+    assert int_rank(ech[2:], 3) == 4
 
 
 # ---------------------------------------------------------------------------

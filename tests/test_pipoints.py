@@ -131,7 +131,7 @@ def test_linear_part_strips_higher_terms():
 def test_linear_part_rejects_zero_linear():
     point = make_linear(KLEIN, F2, [1, 0])
     bare = type(point)(point.spec, point.K, [FieldElement.zero(F2)] * 2,
-                       {(1, 1): FieldElement.one(F2)}, True)
+                       {(1, 1): FieldElement.one(F2)})
     with pytest.raises(ZeroLinearPart):
         linear_part(bare)
 
