@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields, linalg, pipoints, reps
-from .errors import BudgetExceeded, DimensionTooLarge, NotARefinement
+from .errors import (
+    BudgetExceeded,
+    DimensionTooLarge,
+    NonPolynomialEntry,
+    NotARefinement,
+)
 from .fields import FieldElement
 from .linalg import int_matpow, int_rank
 
@@ -202,13 +207,23 @@ def _proper_subfield_degrees(e):
     return [d for d in range(1, e) if e % d == 0]
 
 
+def enumeration_size(base, r, e_max):
+    """Coordinate tuples enumerate_points visits: |P^{r-1}(F_{q^e})| =
+    (q^{er} - 1)/(q^e - 1) for each e <= e_max, q the order of the base,
+    including the tuples it then skips as rational over a subfield."""
+    q = base.order
+    return sum((q ** (e * r) - 1) // (q**e - 1) for e in range(1, e_max + 1))
+
+
 def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     """Canonical representatives of P^{r-1}(F_{q^e}) for e <= e_max, new
     points only (nothing already rational over a proper subfield).  Yields
-    (ProjPoint, scalar coordinate tuple, field)."""
-    if r * base.p ** (e_max * r) > budget:
+    (ProjPoint, scalar coordinate tuple, field).  Raises BudgetExceeded on
+    the first step when more than ``budget`` tuples would be visited."""
+    size = enumeration_size(base, r, e_max)
+    if size > budget:
         raise BudgetExceeded(
-            f"enumeration size r*p^(e_max*r) exceeds budget {budget}"
+            f"enumeration of {size} coordinate tuples exceeds budget {budget}"
         )
     q0 = base.order
     for e in range(1, e_max + 1):
@@ -301,31 +316,94 @@ def generic_in_support(mod) -> bool:
 
 def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     """Homogeneous generators of the support locus: the nonzero (n/p)-minors
-    of N(s)^{p-1} where N(s) = s_1 Z_1 + ... + s_r Z_r."""
-    n, p, r = mod.n, mod.spec.p, mod.spec.r
+    of N(s)^{p-1} where N(s) = s_1 Z_1 + ... + s_r Z_r.
+
+    Only the minors of the pivot submatrix op[I, J] (see _pivot_submatrix)
+    are taken, and a minor that is a nonzero scalar multiple of one already
+    kept is dropped.  Both generate the same ideal as the full list, of
+    which the result is a subsequence.
+    """
+    n, p = mod.n, mod.spec.p
     if n > max_dim:
         raise DimensionTooLarge(f"ideal mode limited to dimension {max_dim}")
     desc = SupportDescription(module=mod)
     if n % p:
         desc.ideal = EVERYTHING
         return desc
+    op = ideal_operator(mod)
+    K = op.desc
+    sub = _pivot_submatrix(op)
+    desc.ideal = []
+    if min(sub.rows, sub.cols) < n // p:
+        return desc  # every (n/p)-minor vanishes: the zero ideal
+    seen = set()
+    for minor in linalg.minors(sub, n // p):
+        if minor.is_zero():
+            continue
+        _, lead = minor.leading_term()
+        monic = minor.scale(K.sinv(lead))
+        if monic not in seen:
+            seen.add(monic)
+            desc.ideal.append(minor)
+    return desc
+
+
+def ideal_operator(mod):
+    """N(s)^{p-1} with N(s) = s_1 Z_1 + ... + s_r Z_r, over the base with
+    the variables s_1..s_r appended."""
+    n, p, r = mod.n, mod.spec.p, mod.spec.r
     base = mod.spec.base
     names = tuple(f"s{i}" for i in range(1, r + 1))
     if set(names) & set(base.vars):
         raise ValueError("ideal variable names collide with the base field")
     K = fields.make_field(p, base.ext, base.vars + names)
-    gens = []
     acc = linalg.Matrix.zero(K, n, n)
     for i, name in enumerate(names):
         s = FieldElement.variable(K, name)
         zk = mod.Z[i].map_entries(lambda x: fields.embed(x, K), K)
         acc = acc + zk.scale(s)
-    op = acc.power(p - 1)
-    for minor in linalg.minors(op, n // p):
-        if not minor.is_zero():
-            gens.append(minor)
-    desc.ideal = gens
-    return desc
+    return acc.power(p - 1)
+
+
+def _pivot_submatrix(op):
+    """The submatrix op[I, J] that has the same ideal of k-minors as op.
+
+    Write op = sum_b m_b C_b with monomials m_b in the transcendentals and
+    constant matrices C_b over the finite part.  J, the pivot columns of the
+    stack [C_b1; C_b2; ...], spans the columns of every C_b, so
+    op = op[:, J] R for a constant R containing an identity block; I, the
+    pivot columns of the stack of transposes, gives op = L^T op[I, :] in the
+    same way.  So op = L^T op[I, J] R, and by Cauchy-Binet every k-minor of
+    op is a constant combination of k-minors of op[I, J], which are
+    themselves k-minors of op.
+    """
+    K = op.desc
+    fin = _finite_part(K)
+    n, e = op.rows, fin.deg
+    terms = {}
+    for i, row in enumerate(op.entries):
+        for j, x in enumerate(row):
+            if not x.is_polynomial():
+                raise NonPolynomialEntry("matrix entry has a denominator")
+            for exps, coeff in x.num.terms.items():
+                if exps not in terms:
+                    terms[exps] = np.zeros((n, n, e), dtype=np.int64)
+                terms[exps][i, j] = coeff
+    if not terms:
+        return linalg.Matrix(K, [])
+    rows = _pivot_lines([c.transpose(1, 0, 2) for c in terms.values()], fin)
+    cols = _pivot_lines(list(terms.values()), fin)
+    return linalg.Matrix(K, [[op.entries[i][j] for j in cols] for i in rows])
+
+
+def _pivot_lines(coeffs, fin):
+    """Pivot columns of the vertical stack of (n, n, e) coefficient arrays
+    over the finite field ``fin``.  The F_p columns of column j span the
+    fin-line through it, so F_p pivots come in whole blocks of e."""
+    e = fin.deg
+    block = linalg.blockify(np.concatenate(coeffs, axis=0), fin)
+    _, pivots, _ = linalg.int_row_reduce(block, fin.p)
+    return [c // e for c in pivots if c % e == 0]
 
 
 def ideal_vanishes_at(gens, pt: ProjPoint) -> bool:

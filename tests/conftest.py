@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from pisupport import FieldElement, Polynomial, make_field
+from pisupport import FieldElement, Matrix, Polynomial, make_field, reps
 
 settings.register_profile(
     "suite",
@@ -45,6 +45,29 @@ def elements(draw, desc):
     num = draw(polynomials(desc))
     den = draw(polynomials(desc).filter(lambda q: not q.is_zero()))
     return FieldElement(desc, num, den)
+
+
+def conjugated(mod, rng, scale=None):
+    """The module in a seeded basis Z -> P Z P^-1, P = I + L with L strictly
+    lower triangular, so that entries leave the prime field when the base is
+    larger.  With ``scale`` the entries of L are multiplied by it; P^-1 is
+    the finite sum of the (-L)^j, so polynomial entries stay polynomial."""
+    base, n = mod.spec.base, mod.n
+    zero = FieldElement.zero(base)
+
+    def entry():
+        x = FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
+        return x if scale is None else x * scale
+
+    lower = Matrix(base, [[entry() if j < i else zero for j in range(n)]
+                          for i in range(n)])
+    ident = Matrix.identity(base, n)
+    p_inv, term = ident, ident
+    for _ in range(n - 1):
+        term = -(term @ lower)
+        p_inv = p_inv + term
+    mats = [(ident + lower) @ z @ p_inv for z in mod.Z]
+    return reps.ModuleRep(mod.spec, mats, name=mod.name)
 
 
 @pytest.fixture

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from pisupport import FieldElement, Matrix, fields, modfile, randmod, reps
+from pisupport import fields, modfile, randmod, reps
 from pisupport.cli import run_command
+
+from conftest import conjugated
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,24 +49,6 @@ def _cli_text(name):
     return f"exit {code}\n{out}"
 
 
-def _conjugated(mod, rng):
-    """The module in a seeded basis Z -> P Z P^-1, P = I + L unitriangular,
-    so that entries leave the prime field when the base is larger."""
-    base, n = mod.spec.base, mod.n
-    lower = Matrix(base, [
-        [FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
-         if j < i else FieldElement.zero(base) for j in range(n)]
-        for i in range(n)
-    ])
-    ident = Matrix.identity(base, n)
-    p_inv, term = ident, ident
-    for _ in range(n - 1):
-        term = -(term @ lower)
-        p_inv = p_inv + term
-    mats = [(ident + lower) @ z @ p_inv for z in mod.Z]
-    return reps.ModuleRep(mod.spec, mats, name=mod.name)
-
-
 def _coinduced_text(name):
     p, base_deg, rel, max_dim = COINDUCED_CASES[name]
     base = fields.canonical_extension(p, base_deg)
@@ -74,7 +58,7 @@ def _coinduced_text(name):
     while mod.n < 3:
         mod = randmod.random_module(rng, spec, max_dim=max_dim)
     target = fields.canonical_extension(p, base_deg * rel)
-    return modfile.emit_module_file(reps.coinduced(_conjugated(mod, rng), target))
+    return modfile.emit_module_file(reps.coinduced(conjugated(mod, rng), target))
 
 
 def _render(name):

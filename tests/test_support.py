@@ -1,9 +1,14 @@
+import random
+import time
+
 import pytest
+import sympy
 
 from pisupport import (
     EVERYTHING,
     FieldElement,
     ProjPoint,
+    base_change,
     cosupport_sample,
     direct_sum,
     dual,
@@ -13,8 +18,10 @@ from pisupport import (
     in_cosupport,
     in_support,
     is_projective,
+    make_field,
     make_linear,
     make_spec,
+    minors,
     point_pi,
     support_ideal,
     support_sample,
@@ -29,8 +36,14 @@ from pisupport.errors import BudgetExceeded, DimensionTooLarge
 from pisupport.fields import Polynomial, poly_str
 from pisupport.library import klein_truncation
 from pisupport.randmod import random_module
+from pisupport.support import (
+    enumerate_points,
+    enumeration_size,
+    ideal_operator,
+    ideal_vanishes_at,
+)
 
-from conftest import F2, F4
+from conftest import F2, F4, F9, conjugated
 
 KLEIN = make_spec(2, 2)
 P3R2 = make_spec(3, 2)
@@ -174,6 +187,23 @@ def test_budget_guard():
         support_sample(trivial_module(KLEIN), 30)
 
 
+def test_enumeration_size_counts_points_over_extension_base():
+    assert enumeration_size(F9, 3, 2) == 91 + 6643
+    assert sum(1 for _ in enumerate_points(F9, 3, 2)) == 6643
+    gen = enumerate_points(F9, 3, 3)
+    assert enumeration_size(F9, 3, 3) == 538_905
+    with pytest.raises(BudgetExceeded):
+        next(gen)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumeration_size_over_prime_base_within_old_estimate(p):
+    base = make_field(p)
+    for r in range(1, 6):
+        for e_max in range(1, 6):
+            assert enumeration_size(base, r, e_max) <= r * p ** (e_max * r)
+
+
 def test_cosupport_sample_equals_support_sample():
     m = klein_truncation(3)
     s = support_sample(m, 2)
@@ -233,8 +263,6 @@ def test_ideal_free_module_zero_locus_empty_over_f4():
     desc = support_ideal(free_module(KLEIN, 1))
     gens = desc.ideal
     assert gens
-    from pisupport.support import enumerate_points, ideal_vanishes_at
-
     for pt, scalars, K in enumerate_points(F2, 2, 2):
         assert not ideal_vanishes_at(gens, pt)
 
@@ -251,8 +279,6 @@ def test_ideal_sample_consistency(rng):
         m = random_module(rng, KLEIN, max_dim=8)
         ideal = support_ideal(m).ideal
         sample = support_sample(m, 2)
-        from pisupport.support import ideal_vanishes_at
-
         for pt, verdict in sample.sampled.items():
             if ideal == EVERYTHING:
                 assert verdict
@@ -277,6 +303,115 @@ def test_ideal_generic_consistency(rng):
 def test_ideal_dimension_guard():
     with pytest.raises(DimensionTooLarge):
         support_ideal(free_module(KLEIN, 4))
+
+
+def _exhaustive_ideal(mod):
+    """Reference route: every nonzero (n/p)-minor of the full N(s)^{p-1}."""
+    op = ideal_operator(mod)
+    return [m for m in minors(op, mod.n // mod.spec.p) if not m.is_zero()]
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(x == y for y in rest) for x in short)
+
+
+def _groebner(gens, p):
+    """Reduced Groebner basis over F_p of the ideal of polynomials with
+    prime-field coefficients, in all their variables."""
+    syms = sympy.symbols(gens[0].desc.vars)
+    exprs = [
+        sum(int(c[0]) * sympy.Mul(*(x**k for x, k in zip(syms, exps)))
+            for exps, c in g.terms.items())
+        for g in gens
+    ]
+    return list(sympy.groebner(exprs, *syms, modulus=p, order="grevlex").exprs)
+
+
+def _oracle_modules(rng, spec, count, scale=None):
+    """Seeded random modules over spec's base of dimension <= 8 divisible
+    by p, in a seeded basis so that N(s)^{p-1} is dense."""
+    prime = make_spec(spec.p, spec.r)
+    out = []
+    while len(out) < count:
+        m = random_module(rng, prime, max_dim=8)
+        if m.n % spec.p == 0:
+            out.append(conjugated(base_change(m, spec.base), rng, scale))
+    return out
+
+
+def _assert_same_ideal(mod, p):
+    compressed = support_ideal(mod).ideal
+    exhaustive = _exhaustive_ideal(mod)
+    assert _is_subsequence(compressed, exhaustive)
+    if not exhaustive:
+        assert compressed == []
+    else:
+        assert _groebner(compressed, p) == _groebner(exhaustive, p)
+    return exhaustive
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [2, 3])
+def test_ideal_compression_matches_all_minors(p, r):
+    rng = random.Random(f"ideal-oracle:{p}:{r}")
+    nonzero = 0
+    for mod in _oracle_modules(rng, make_spec(p, r), 6):
+        nonzero += bool(_assert_same_ideal(mod, p))
+    assert nonzero  # the comparison saw at least one proper ideal
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ideal_compression_matches_all_minors_transcendental_base(p):
+    base = make_field(p, vars=("t",))
+    spec = make_spec(p, 2, base=base)
+    t = FieldElement.variable(base, "t")
+    rng = random.Random(f"ideal-oracle-t:{p}")
+    nonzero = 0
+    for mod in _oracle_modules(rng, spec, 4, scale=t):
+        nonzero += bool(_assert_same_ideal(mod, p))
+    assert nonzero
+
+
+@pytest.mark.parametrize("r, count", [(2, 6), (3, 4)])
+def test_ideal_compression_matches_zero_locus_over_f4(r, count):
+    spec = make_spec(2, r, base=F4)
+    rng = random.Random(f"ideal-oracle-f4:{r}")
+    points = list(enumerate_points(F4, r, 2))
+    for mod in _oracle_modules(rng, spec, count):
+        compressed = support_ideal(mod).ideal
+        exhaustive = _exhaustive_ideal(mod)
+        assert _is_subsequence(compressed, exhaustive)
+        for pt, _, _ in points:
+            assert ideal_vanishes_at(compressed, pt) == ideal_vanishes_at(exhaustive, pt)
+
+
+@pytest.mark.parametrize("spec", [KLEIN, make_spec(2, 2, base=F4)],
+                         ids=["f2", "f4"])
+def test_ideal_compression_drops_scalar_multiples(spec):
+    for mod in _oracle_modules(random.Random("ideal-dedup"), spec, 6):
+        gens = support_ideal(mod).ideal
+        monic = {g.scale(g.desc.sinv(g.leading_term()[1])) for g in gens}
+        assert len(monic) == len(gens)
+
+
+@pytest.mark.parametrize("mod", [
+    direct_sum(trivial_module(KLEIN), trivial_module(KLEIN)),
+    direct_sum(direct_sum(trivial_module(P3R2), trivial_module(P3R2)),
+               trivial_module(P3R2)),
+], ids=["klein-trivial2", "p3-trivial3"])
+def test_ideal_zero_when_compressed_matrix_too_small(mod):
+    desc = support_ideal(mod)
+    assert desc.ideal == []
+    assert generic_in_support(mod)
+
+
+def test_ideal_klein_m6_is_one_determinant():
+    start = time.perf_counter()
+    (gen,) = support_ideal(klein_truncation(6)).ideal
+    assert time.perf_counter() - start < 5.0
+    s1 = Polynomial.variable(gen.desc, "s1")
+    assert gen == s1**6
 
 
 # ---------------------------------------------------------------------------
