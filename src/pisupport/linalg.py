@@ -1,13 +1,15 @@
 """Exact dense linear algebra over field towers.
 
-Rank over a finite tower member goes through the regular representation of
-F_{p^e} on F_p-coordinates: a matrix over F_{p^e} expands to an integer
-block matrix over F_p whose rank is e times the original rank, and Gaussian
-elimination mod p runs on numpy integer arrays.  Rank in the presence of
-transcendentals uses fraction-free (Bareiss) elimination on polynomial
-entries, so no multivariate gcd is ever needed.  Pivoting always takes the
-first nonzero entry in column order, which keeps intermediate polynomials,
-and therefore all reports, reproducible.
+A matrix over a finite tower member F_{p^e} is an (n, m, e) integer array of
+entry coordinates over F_p, and its arithmetic is numpy arithmetic mod p in
+the regular representation: multiplication by a scalar is an e x e matrix
+over F_p, so a matrix expands to an integer block matrix over F_p whose rank
+is e times the original rank.  FieldElement entries are built from the array
+only when something reads them.  Rank in the presence of transcendentals
+uses fraction-free (Bareiss) elimination on polynomial entries, so no
+multivariate gcd is ever needed.  Pivoting always takes the first nonzero
+entry in column order, which keeps intermediate polynomials, and therefore
+all reports, reproducible.
 """
 
 import itertools
@@ -26,9 +28,17 @@ from .fields import FieldElement, Polynomial, poly_exact_div
 
 
 class Matrix:
-    """Immutable dense matrix of FieldElements sharing one descriptor."""
+    """Immutable dense matrix over one field descriptor.
 
-    __slots__ = ("desc", "rows", "cols", "entries")
+    Over a finite descriptor a matrix is a read-only (rows, cols, e) int64
+    array of entry coordinates over F_p (see coeff_array), and arithmetic
+    runs on that array in the regular representation of F_{p^e}; the
+    FieldElement entries are built only when read.  Over a function field
+    the boxed entries are the only representation.  A matrix with no rows
+    has no columns either.
+    """
+
+    __slots__ = ("desc", "rows", "cols", "_entries", "_coeffs")
 
     def __init__(self, desc, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -43,7 +53,8 @@ class Matrix:
         object.__setattr__(self, "desc", desc)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_coeffs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -51,12 +62,35 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_coeffs(cls, desc, coeffs):
+        """Matrix over the finite ``desc`` that takes ownership of
+        ``coeffs``, an (rows, cols, e) int64 array reduced mod p that no
+        caller writes to afterwards."""
+        if not coeffs.shape[0]:
+            coeffs = np.zeros((0, 0, desc.deg), dtype=np.int64)
+        coeffs.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "rows", coeffs.shape[0])
+        object.__setattr__(self, "cols", coeffs.shape[1])
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_coeffs", coeffs)
+        return self
+
+    @classmethod
     def zero(cls, desc, rows, cols):
+        if desc.is_finite:
+            return cls._from_coeffs(
+                desc, np.zeros((rows, cols, desc.deg), dtype=np.int64))
         z = FieldElement.zero(desc)
         return cls(desc, [[z] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, desc, n):
+        if desc.is_finite:
+            coeffs = np.zeros((n, n, desc.deg), dtype=np.int64)
+            coeffs[range(n), range(n), 0] = 1
+            return cls._from_coeffs(desc, coeffs)
         z = FieldElement.zero(desc)
         o = FieldElement.one(desc)
         return cls(desc, [[o if i == j else z for j in range(n)] for i in range(n)])
@@ -67,32 +101,48 @@ class Matrix:
             desc, [[FieldElement.from_int(desc, c) for c in row] for row in rows]
         )
 
+    @property
+    def entries(self):
+        """Rows of FieldElements, built on first use from the coefficients."""
+        if self._entries is None:
+            desc = self.desc
+            object.__setattr__(self, "_entries", tuple(
+                tuple(fields.interned(desc, tuple(x)) for x in row)
+                for row in self._coeffs.tolist()
+            ))
+        return self._entries
+
     # -- basic operations ----------------------------------------------------
 
     def _check(self, other):
         if not isinstance(other, Matrix) or other.desc != self.desc:
             raise FieldMismatch("matrix descriptor mismatch")
 
+    def _check_shape(self, other):
+        self._check(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.desc == other.desc
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b for ra, rb in zip(self.entries, other.entries)
-                for a, b in zip(ra, rb)
-            )
+        if (self.desc, self.rows, self.cols) != (other.desc, other.rows, other.cols):
+            return False
+        if self.desc.is_finite:
+            return np.array_equal(coeff_array(self), coeff_array(other))
+        return all(
+            a == b for ra, rb in zip(self.entries, other.entries)
+            for a, b in zip(ra, rb)
         )
 
     def __hash__(self):
         return hash((self.desc, self.rows, self.cols))
 
     def __add__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+        self._check_shape(other)
+        if self.desc.is_finite:
+            return Matrix._from_coeffs(
+                self.desc, (coeff_array(self) + coeff_array(other)) % self.desc.p)
         return Matrix(
             self.desc,
             [
@@ -102,9 +152,10 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+        self._check_shape(other)
+        if self.desc.is_finite:
+            return Matrix._from_coeffs(
+                self.desc, (coeff_array(self) - coeff_array(other)) % self.desc.p)
         return Matrix(
             self.desc,
             [
@@ -114,40 +165,51 @@ class Matrix:
         )
 
     def __neg__(self):
+        if self.desc.is_finite:
+            return Matrix._from_coeffs(self.desc, -coeff_array(self) % self.desc.p)
         return Matrix(self.desc, [[-a for a in row] for row in self.entries])
 
     def scale(self, x):
-        return Matrix(self.desc, [[x * a for a in row] for row in self.entries])
+        """Every entry multiplied by the FieldElement ``x``."""
+        desc = self.desc
+        if desc.is_finite:
+            if x.desc != desc:
+                raise FieldMismatch("scalar over the wrong field")
+            mult = scalar_matrix(desc, x.as_scalar())
+            return Matrix._from_coeffs(desc, coeff_array(self) @ mult.T % desc.p)
+        return Matrix(desc, [[x * a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if self.desc.is_finite and self.rows and other.cols and self.cols:
-            a, e = to_block_int(self)
-            b, _ = to_block_int(other)
-            return from_block_int(self.desc, (a @ b) % self.desc.p,
-                                  self.rows, other.cols)
-        z = FieldElement.zero(self.desc)
+        desc = self.desc
+        if desc.is_finite:
+            # the e x e blocks of self act on the coordinate columns of other
+            n, m, e = self.rows, self.cols, desc.deg
+            coords = coeff_array(other).transpose(0, 2, 1).reshape(m * e, other.cols)
+            prod = blockify(coeff_array(self), desc) @ coords % desc.p
+            return Matrix._from_coeffs(
+                desc, prod.reshape(n, e, other.cols).transpose(0, 2, 1))
+        z = FieldElement.zero(desc)
+        other_cols = list(zip(*other.entries))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
+        for row in self.entries:
+            new = []
+            for col in other_cols:
                 acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
+                for a, b in zip(row, col):
                     if a and b:
                         acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.desc, out)
+                new.append(acc)
+            out.append(new)
+        return Matrix(desc, out)
 
     def power(self, k):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        if self.desc.is_finite and self.rows:
-            block, _ = to_block_int(self)
+        if self.desc.is_finite:
+            block = blockify(coeff_array(self), self.desc)
             return from_block_int(
                 self.desc, int_matpow(block, k, self.desc.p), self.rows, self.rows
             )
@@ -157,16 +219,17 @@ class Matrix:
         return out
 
     def transpose(self):
-        return Matrix(
-            self.desc,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        if self.desc.is_finite:
+            return Matrix._from_coeffs(self.desc, coeff_array(self).transpose(1, 0, 2))
+        return Matrix(self.desc, zip(*self.entries))
 
     def map_entries(self, f, desc=None):
         desc = desc if desc is not None else self.desc
         return Matrix(desc, [[f(a) for a in row] for row in self.entries])
 
     def is_zero(self):
+        if self.desc.is_finite:
+            return not coeff_array(self).any()
         return all(not a for row in self.entries for a in row)
 
     def __repr__(self):
@@ -177,51 +240,35 @@ def kron(a, b):
     """Kronecker product; index (i,j) of the result is i*b.rows + j."""
     a._check(b)
     desc = a.desc
-    if desc.is_finite and desc.deg == 1 and a.rows and b.rows:
-        ai = np.array([[x.as_scalar()[0] for x in row] for row in a.entries])
-        bi = np.array([[x.as_scalar()[0] for x in row] for row in b.entries])
-        prod = np.kron(ai, bi) % desc.p
-        return Matrix(
-            desc,
-            [[fields.interned(desc, (int(c),)) for c in row] for row in prod],
-        )
-    if desc.is_finite and a.rows and b.rows:
-        sa = [[x.as_scalar() for x in row] for row in a.entries]
-        sb = [[x.as_scalar() for x in row] for row in b.entries]
-        out = []
-        for i in range(a.rows):
-            for j in range(b.rows):
-                row = []
-                for k in range(a.cols):
-                    aik = sa[i][k]
-                    row.extend(
-                        fields.interned(desc, desc.smul(aik, sb[j][l]))
-                        for l in range(b.cols)
-                    )
-                out.append(row)
-        return Matrix(desc, out)
-    out = []
-    for i in range(a.rows):
-        for j in range(b.rows):
-            row = []
-            for k in range(a.cols):
-                aik = a.entries[i][k]
-                row.extend(aik * b.entries[j][l] for l in range(b.cols))
-            out.append(row)
-    return Matrix(a.desc, out)
+    if desc.is_finite:
+        # coordinates of a_ik * b_jl = (sum_c a_ikc W^c) b_jl
+        prod = np.einsum("ikc,cab,jlb->ijkla", coeff_array(a),
+                         companion_powers(desc), coeff_array(b)) % desc.p
+        return Matrix._from_coeffs(
+            desc, prod.reshape(a.rows * b.rows, a.cols * b.cols, desc.deg))
+    return Matrix(desc, [[x * y for x in ra for y in rb]
+                         for ra in a.entries for rb in b.entries])
 
 
 def block_diag(blocks):
     desc = blocks[0].desc
+    for b in blocks:
+        blocks[0]._check(b)
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
+    r0 = c0 = 0
+    if desc.is_finite:
+        out = np.zeros((rows, cols, desc.deg), dtype=np.int64)
+        for b in blocks:
+            out[r0 : r0 + b.rows, c0 : c0 + b.cols] = coeff_array(b)
+            r0 += b.rows
+            c0 += b.cols
+        return Matrix._from_coeffs(desc, out)
     z = FieldElement.zero(desc)
     out = [[z] * cols for _ in range(rows)]
-    r0 = c0 = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.entries[i][j]
+            out[r0 + i][c0 : c0 + b.cols] = b.entries[i]
         r0 += b.rows
         c0 += b.cols
     return Matrix(desc, out)
@@ -230,10 +277,15 @@ def block_diag(blocks):
 def hstack(blocks):
     desc = blocks[0].desc
     rows = blocks[0].rows
-    out = [[] for _ in range(rows)]
     for b in blocks:
+        blocks[0]._check(b)
         if b.rows != rows:
             raise ValueError("row count mismatch")
+    if desc.is_finite:
+        return Matrix._from_coeffs(
+            desc, np.concatenate([coeff_array(b) for b in blocks], axis=1))
+    out = [[] for _ in range(rows)]
+    for b in blocks:
         for i in range(rows):
             out[i].extend(b.entries[i])
     return Matrix(desc, out)
@@ -241,16 +293,18 @@ def hstack(blocks):
 
 def vstack(blocks):
     desc = blocks[0].desc
-    out = []
     for b in blocks:
+        blocks[0]._check(b)
         if b.cols != blocks[0].cols:
             raise ValueError("column count mismatch")
-        out.extend(b.entries)
-    return Matrix(desc, out)
+    if desc.is_finite:
+        return Matrix._from_coeffs(
+            desc, np.concatenate([coeff_array(b) for b in blocks], axis=0))
+    return Matrix(desc, [row for b in blocks for row in b.entries])
 
 
 # ---------------------------------------------------------------------------
-# Finite-field fast path: F_p block representation on numpy integer arrays
+# Finite fields: coordinate arrays and the F_p block representation
 
 
 @lru_cache(maxsize=None)
@@ -270,19 +324,32 @@ def companion_powers(desc):
     for j in range(e):
         powers[j] = cur
         cur = (w @ cur) % p
+    powers.flags.writeable = False
     return powers
 
 
 def coeff_array(mat):
-    """(rows, cols, e) integer array of entry coordinates; entries must be
-    finite-part scalars (denominator 1, constant numerator)."""
+    """Read-only (rows, cols, e) int64 array of the entries' coordinates
+    over F_p, for a matrix over a finite descriptor.  Matrices built by
+    arithmetic store it; for one built from entries it is computed on the
+    first call and kept."""
+    if mat._coeffs is not None:
+        return mat._coeffs
     desc = mat.desc
-    e = desc.deg
-    out = np.zeros((mat.rows, mat.cols, e), dtype=np.int64)
-    for i, row in enumerate(mat.entries):
-        for j, x in enumerate(row):
-            out[i, j, :] = x.as_scalar()
+    if not desc.is_finite:
+        raise ValueError("coefficient arrays need a finite descriptor")
+    out = np.array(
+        [[x.as_scalar() for x in row] for row in mat.entries], dtype=np.int64
+    ).reshape(mat.rows, mat.cols, desc.deg)
+    out.flags.writeable = False
+    object.__setattr__(mat, "_coeffs", out)
     return out
+
+
+def scalar_matrix(desc, scalar):
+    """(e, e) F_p matrix of multiplication by a finite-part scalar."""
+    a = np.asarray(scalar, dtype=np.int64)
+    return np.tensordot(a, companion_powers(desc), axes=(0, 0)) % desc.p
 
 
 def blockify(coeffs, desc):
@@ -294,15 +361,16 @@ def blockify(coeffs, desc):
 
 
 def to_block_int(mat):
-    if not mat.desc.is_finite:
-        raise ValueError("block representation needs a finite descriptor")
     return blockify(coeff_array(mat), mat.desc), mat.desc.deg
 
 
 def from_coeff_array(desc, coeffs):
-    """Matrix of interned elements from an (n, m, e) coordinate array."""
-    return Matrix(desc, [[fields.interned(desc, tuple(x)) for x in row]
-                         for row in coeffs.tolist()])
+    """Matrix over the finite ``desc`` from an (n, m, e) coordinate array,
+    which is copied reduced mod p."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if not desc.is_finite or coeffs.ndim != 3 or coeffs.shape[2] != desc.deg:
+        raise ValueError(f"coordinate array of shape {coeffs.shape} over {desc}")
+    return Matrix._from_coeffs(desc, coeffs % desc.p)
 
 
 def from_block_int(desc, block, rows, cols):
@@ -377,8 +445,9 @@ def int_matpow(a, k, p):
     while k:
         if k & 1:
             out = (out @ base) % p
-        base = (base @ base) % p
         k >>= 1
+        if k:
+            base = (base @ base) % p
     return out
 
 
@@ -489,10 +558,10 @@ def kernel_basis(mat):
 # Minors
 
 
-def _poly_det(rows):
-    """Fraction-free determinant (Bareiss), tracking row-swap signs."""
+def _poly_det(rows, desc):
+    """Fraction-free determinant (Bareiss), tracking row-swap signs; the
+    empty determinant is 1."""
     n = len(rows)
-    desc = rows[0][0].desc
     if n == 0:
         return Polynomial.const(desc, desc.sone())
     rows = [list(r) for r in rows]
@@ -539,7 +608,7 @@ def minors(mat, size):
         for rset in itertools.combinations(range(mat.rows), size):
             for cset in itertools.combinations(range(mat.cols), size):
                 sub = [[grid[i][j] for j in cset] for i in rset]
-                yield _poly_det(sub)
+                yield _poly_det(sub, mat.desc)
 
     return generate()
 

@@ -102,16 +102,6 @@ def validate(mod):
     each as (kind, index-or-pair).  Empty list means the module is valid."""
     spec = mod.spec
     out = []
-    if spec.base.is_finite and mod.n:
-        blocks = [linalg.to_block_int(m)[0] for m in mod.Z]
-        p = spec.p
-        for i, j in itertools.combinations(range(spec.r), 2):
-            if (((blocks[i] @ blocks[j]) - (blocks[j] @ blocks[i])) % p).any():
-                out.append(("commutativity", (i + 1, j + 1)))
-        for i, b in enumerate(blocks):
-            if linalg.int_matpow(b, p, p).any():
-                out.append(("nilpotence", i + 1))
-        return out
     for i, j in itertools.combinations(range(spec.r), 2):
         if mod.Z[i] @ mod.Z[j] != mod.Z[j] @ mod.Z[i]:
             out.append(("commutativity", (i + 1, j + 1)))
@@ -136,23 +126,14 @@ def free_module(spec, g) -> ModuleRep:
     if g < 0:
         raise ValueError("rank must be nonnegative")
     p, r = spec.p, spec.r
-    size = p**r
-    n = g * size
-    exps = list(itertools.product(range(p), repeat=r))
-    index = {e: k for k, e in enumerate(exps)}
-    zero = FieldElement.zero(spec.base)
-    one = FieldElement.one(spec.base)
-    mats = []
-    for i in range(r):
-        grid = [[zero] * n for _ in range(n)]
-        for copy in range(g):
-            for e, k in index.items():
-                if e[i] == p - 1:
-                    continue
-                target = list(e)
-                target[i] += 1
-                grid[copy * size + index[tuple(target)]][copy * size + k] = one
-        mats.append(Matrix(spec.base, grid))
+    # z_i = I_{g p^i} (x) N (x) I_{p^(r-1-i)} with N the shift e -> e + 1
+    shift = Matrix.from_ints(spec.base, [[int(a == b + 1) for b in range(p)]
+                                         for a in range(p)])
+    mats = [
+        linalg.kron(linalg.kron(Matrix.identity(spec.base, g * p**i), shift),
+                    Matrix.identity(spec.base, p ** (r - 1 - i)))
+        for i in range(r)
+    ]
     return ModuleRep(spec, mats, name=f"free:{g}", _checked=True)
 
 
@@ -237,7 +218,12 @@ def base_change(mod, target) -> ModuleRep:
     if not fields.refines(target, mod.spec.base):
         raise NotARefinement(f"{target} does not refine {mod.spec.base}")
     spec = mod.spec.with_base(target)
-    mats = [m.map_entries(lambda x: embed(x, target), target) for m in mod.Z]
+    if target.is_finite:
+        emb = linalg.embedding_matrix(mod.spec.base, target)
+        mats = [linalg.from_coeff_array(target, linalg.coeff_array(m) @ emb)
+                for m in mod.Z]
+    else:
+        mats = [m.map_entries(lambda x: embed(x, target), target) for m in mod.Z]
     return ModuleRep(spec, mats, name=mod.name, _checked=True)
 
 
@@ -313,17 +299,13 @@ def coinduced(mod, target) -> ModuleRep:
     zb = [linalg.to_block_int(m)[0] for m in mod.Z]  # (n*eb, n*eb)
     z_h = [np.kron(np.eye(d, dtype=np.int64), b) % p for b in zb]
 
-    def mult_mat(scalar):
-        """eb x eb matrix of multiplication by a base scalar."""
-        powers = linalg.companion_powers(base)
-        return sum(int(ci) * powers[i] for i, ci in enumerate(scalar)) % p
-
     t_s = []
     for s in range(d):
         op = np.zeros((dim, dim), dtype=np.int64)
         for t in range(d):
             for u in range(d):
-                blockm = np.kron(np.eye(n, dtype=np.int64), mult_mat(mu[s][t][u]))
+                blockm = np.kron(np.eye(n, dtype=np.int64),
+                                 linalg.scalar_matrix(base, mu[s][t][u]))
                 op[t * n * eb : (t + 1) * n * eb, u * n * eb : (u + 1) * n * eb] = blockm
         t_s.append(op % p)
 
@@ -336,11 +318,8 @@ def coinduced(mod, target) -> ModuleRep:
     # columns (s, q, c): scalar w^c times (T_{b_s} h_q)
     big = np.zeros((dim, dim), dtype=np.int64)
     col = 0
-    wmats = [
-        np.kron(np.eye(d * n, dtype=np.int64),
-                mult_mat(tuple(1 if t == c else 0 for t in range(eb))))
-        for c in range(eb)
-    ]
+    wmats = [np.kron(np.eye(d * n, dtype=np.int64), w)
+             for w in linalg.companion_powers(base)]
     tsh = [np.array((t_s[s] @ hvec) % p) for s in range(d)]
     for s in range(d):
         for q in range(n):

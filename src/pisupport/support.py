@@ -171,7 +171,6 @@ def _point_tester(mod, K):
     n = mod.n
     e = K.deg
     emb = linalg.embedding_matrix(mod.spec.base, K)
-    powers = linalg.companion_powers(K)
     carr = [linalg.coeff_array(m) @ emb % p for m in mod.Z]
     target = None if n % p else e * (n // p)
 
@@ -181,8 +180,7 @@ def _point_tester(mod, K):
         acc = np.zeros((n, n, e), dtype=np.int64)
         for a, c in zip(coord_scalars, carr):
             if any(a):
-                bmat = np.tensordot(np.array(a, dtype=np.int64), powers, axes=(0, 0))
-                acc += np.einsum("ab,uvb->uva", bmat, c)
+                acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
         block = linalg.blockify(acc % p, K)
         op = int_matpow(block, p - 1, p) if p > 2 else block
         return int_rank(op, p, stop_at=target) != target
@@ -262,7 +260,7 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
         if K not in testers:
             testers[K] = _point_tester(mod, K)
         desc.sampled[pt] = testers[K](scalars)
-    desc.generic = generic_in_support(mod)
+    desc.generic = generic_in_support(mod, budget)
     return desc
 
 
@@ -276,17 +274,18 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
         if K not in testers:
             testers[K] = _point_tester(reps.coinduced(mod, K), K)
         desc.sampled[pt] = testers[K](scalars)
-    desc.generic = generic_in_support(mod)  # finite-dimensional fallback
+    desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
 
 
-def generic_in_support(mod) -> bool:
+def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     """Verdict at the generic point of P^{r-1} (chart a_1 = 1).
 
     Exact finite decision: rank of N(s)^{p-1} over the function field equals
     the maximum specialization rank over a grid S^{r-1} once |S| exceeds the
     per-variable degree (p-1)n/p of the deciding minors.  The scan exits at
-    the first specialization of full rank n/p.
+    the first specialization of full rank n/p.  Raises BudgetExceeded before
+    scanning when the grid has more than ``budget`` points.
     """
     n, p, r = mod.n, mod.spec.p, mod.spec.r
     if n == 0:
@@ -300,6 +299,9 @@ def generic_in_support(mod) -> bool:
     e = 1
     while base.order**e < bound:
         e += 1
+    size = base.order ** (e * (r - 1))
+    if size > budget:
+        raise BudgetExceeded(f"generic scan of {size} points exceeds budget {budget}")
     K = _sampling_field(base, e)
     tester = _point_tester(mod, K)
     one = K.sone()
@@ -501,8 +503,8 @@ def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaRep
             )
         tt, tm, tn = testers[K]
         rows.append((str(pt), tt(scalars), tm(scalars) and tn(scalars)))
-    g_lhs = generic_in_support(t)
-    g_rhs = generic_in_support(m) and generic_in_support(n)
+    g_lhs = generic_in_support(t, budget)
+    g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport("tensor", rows, g_lhs, g_rhs)
 
 
@@ -527,8 +529,8 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
             )
         th, tm, tn = testers[K]
         rows.append((str(pt), th(scalars), tm(scalars) and tn(scalars)))
-    g_lhs = generic_in_support(h)
-    g_rhs = generic_in_support(m) and generic_in_support(n)
+    g_lhs = generic_in_support(h, budget)
+    g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport("hom", rows, g_lhs, g_rhs)
 
 

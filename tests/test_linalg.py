@@ -233,6 +233,11 @@ def test_minors_identity():
     assert det == Polynomial.const(F2, F2.sone())
 
 
+def test_minors_order_zero_is_the_empty_determinant():
+    for mat in (Matrix.identity(F2S, 2), Matrix.zero(F2S, 0, 0)):
+        assert list(minors(mat, 0)) == [Polynomial.const(F2S, F2S.sone())]
+
+
 def test_minors_reject_denominators():
     s = var(F2S, "s")
     a = Matrix(F2S, [[1 / s]])

@@ -32,6 +32,7 @@ from pisupport import (
     verify_jordan_hom_table,
     verify_tensor_formula,
 )
+from pisupport import support
 from pisupport.errors import BudgetExceeded, DimensionTooLarge
 from pisupport.fields import Polynomial, poly_str
 from pisupport.library import klein_truncation
@@ -187,6 +188,19 @@ def test_budget_guard():
         support_sample(trivial_module(KLEIN), 30)
 
 
+def test_generic_scan_budget_fires_from_grid_size(monkeypatch):
+    # free:1 with p=2, r=3 scans F_8^2: 64 points, 7 sampled over F_2
+    free = free_module(make_spec(2, 3), 1)
+    with monkeypatch.context() as m:
+        m.setattr(support, "_point_tester", None)  # the scan never starts
+        with pytest.raises(BudgetExceeded, match="64 points"):
+            generic_in_support(free, budget=63)
+    for sample in (support_sample, cosupport_sample):
+        with pytest.raises(BudgetExceeded, match="64 points"):
+            sample(free, 1, budget=10)
+    assert not generic_in_support(free, budget=64)
+
+
 def test_enumeration_size_counts_points_over_extension_base():
     assert enumeration_size(F9, 3, 2) == 91 + 6643
     assert sum(1 for _ in enumerate_points(F9, 3, 2)) == 6643
@@ -257,6 +271,15 @@ def test_ideal_klein_truncation_is_s1_squared():
 def test_ideal_everything_when_p_does_not_divide_dim():
     desc = support_ideal(trivial_module(KLEIN))
     assert desc.ideal == EVERYTHING
+
+
+def test_ideal_of_zero_module_is_unit_ideal():
+    zero = free_module(KLEIN, 0)
+    desc = support_ideal(zero)
+    assert desc.ideal == [Polynomial.const(desc.ideal[0].desc, (1,))]
+    assert desc.report_lines() == ["ideal-generator 1"]
+    # the empty locus agrees with the sampled and generic verdicts
+    assert support_sample(zero, 2).is_empty()
 
 
 def test_ideal_free_module_zero_locus_empty_over_f4():
