@@ -426,18 +426,6 @@ def int_rank(a, p, stop_at=None):
     return int_row_reduce(a, p, stop_at)[0]
 
 
-def int_solve(a, rhs, p):
-    """Solve a x = rhs mod p for square invertible a; ValueError if singular."""
-    n = a.shape[0]
-    _, pivots, ech = int_row_reduce(np.concatenate([a, rhs], axis=1), p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular system")
-    x = ech[:, n:]
-    for c in range(n - 1, 0, -1):
-        x[:c] = (x[:c] - np.outer(ech[:c, c], x[c])) % p
-    return x
-
-
 def int_matpow(a, k, p):
     n = a.shape[0]
     out = np.eye(n, dtype=np.int64)

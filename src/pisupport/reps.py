@@ -10,8 +10,6 @@ and antipode z -> -z.  Mixed flavors give the quasi-elementary algebras.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fields, linalg
 from .errors import (
     BlockTooBig,
@@ -232,113 +230,26 @@ def base_change(mod, target) -> ModuleRep:
 
 
 def coinduced(mod, target) -> ModuleRep:
-    """The module of base-linear maps target -> mod, as a module over the
-    extended field.
+    """Hom_k(K, M), the k-linear maps from K = target to M = mod with k the
+    base, as a module over K: K acts by precomposition,
+    (lambda f)(x) = f(lambda x), and the generators by post-composition.
 
-    Realized concretely: maps are coordinatized by their values on a basis
-    of the extension, the generators act by post-composition, the extension
-    field acts by precomposition with multiplication, and the K-structure is
-    read off in the basis of maps (x -> Tr(x) m_j) coming from the trace
-    pairing (valid since finite fields are separable).  For finite
-    dimensional inputs the result is isomorphic to base change.
+    This is the base change of M to K.  Let h_j = (x -> Tr(x) m_j), with
+    Tr = Tr_{K/k} and m_j the basis of M.  Finite fields are separable, so
+    the trace pairing (x, y) -> Tr(xy) is nondegenerate: every k-linear map
+    K -> k is x -> Tr(lambda x) for a unique lambda in K, every f is
+    sum_j lambda_j h_j for unique lambda_j, and the h_j are a K-basis.  For
+    c in k, c h_q = (x -> Tr(cx) m_q) = (x -> c Tr(x) m_q) because Tr is
+    k-linear, so z_i h_j = (x -> Tr(x) z_i m_j) = sum_q (Z_i)_{qj} h_q with
+    every coefficient in k.  In the basis h_j, z_i is Z_i with its entries
+    embedded into K.
     """
     base = mod.spec.base
     if not base.is_finite or not target.is_finite:
         raise InfiniteExtension("coinduction requires finite fields")
     if not fields.refines(target, base):
         raise NotARefinement(f"{target} does not refine {base}")
-    p = mod.spec.p
-    eb, eK = base.deg, target.deg
-    if eK % eb:
-        raise NotARefinement("incompatible extension degrees")
-    d = eK // eb
-    n = mod.n
-    if n == 0:
-        return ModuleRep(mod.spec.with_base(target),
-                         [Matrix.zero(target, 0, 0)] * mod.spec.r,
-                         name=mod.name, _checked=True)
-
-    # stack[:, j*eb + c] holds the F_p coordinates of w^c x^j, with w^c the
-    # embedded base power basis and x^j the power basis of target.  Each
-    # base line through x^j is independent of the span of the earlier lines
-    # or inside it, so pivots come in whole blocks and the pivot columns
-    # with c = 0 pick a basis b_0 = 1, ..., b_{d-1} of target over the base.
-    wb = linalg.embedding_matrix(base, target).T  # eK x eb
-    xpow = linalg.companion_powers(target)
-    stack = np.concatenate([xpow[j] @ wb for j in range(eK)], axis=1) % p
-    _, pivots, _ = linalg.int_row_reduce(stack, p)
-    basis = [tuple(int(t == c // eb) for t in range(eK))
-             for c in pivots if c % eb == 0]
-    # B: coordinates of w^c b_u, columns ordered (u, c)
-    B = stack[:, pivots]
-    B_inv = linalg.int_solve(B, np.eye(eK, dtype=np.int64), p)
-
-    def base_coords(x):
-        """k'-coordinates (length eb*d ordered (u,c)) of x in the basis b."""
-        return (B_inv @ np.array(x, dtype=np.int64)) % p
-
-    # multiplication data: mu[s][t][u] in k' with b_s b_t = sum_u mu b_u
-    mu = [[base_coords(target.smul(bs, bt)).reshape(d, eb) for bt in basis]
-          for bs in basis]
-
-    # relative trace of each basis element, as a k'-scalar
-    q0 = base.order
-    tr = []
-    for t in range(d):
-        acc = target.szero()
-        cur = basis[t]
-        for _ in range(d):
-            acc = target.sadd(acc, cur)
-            cur = target.spow(cur, q0)
-        coords = base_coords(acc)
-        assert not coords[eb:].any(), "trace left the base field"
-        tr.append(coords[:eb])
-
-    # F_p coordinates of Hom(target, mod): index ((t*n + j)*eb + c)
-    dim = d * n * eb
-    zb = [linalg.to_block_int(m)[0] for m in mod.Z]  # (n*eb, n*eb)
-    z_h = [np.kron(np.eye(d, dtype=np.int64), b) % p for b in zb]
-
-    t_s = []
-    for s in range(d):
-        op = np.zeros((dim, dim), dtype=np.int64)
-        for t in range(d):
-            for u in range(d):
-                blockm = np.kron(np.eye(n, dtype=np.int64),
-                                 linalg.scalar_matrix(base, mu[s][t][u]))
-                op[t * n * eb : (t + 1) * n * eb, u * n * eb : (u + 1) * n * eb] = blockm
-        t_s.append(op % p)
-
-    hvec = np.zeros((dim, n), dtype=np.int64)
-    for j in range(n):
-        for t in range(d):
-            for c in range(eb):
-                hvec[(t * n + j) * eb + c, j] = tr[t][c]
-
-    # columns (s, q, c): scalar w^c times (T_{b_s} h_q)
-    big = np.zeros((dim, dim), dtype=np.int64)
-    col = 0
-    wmats = [np.kron(np.eye(d * n, dtype=np.int64), w)
-             for w in linalg.companion_powers(base)]
-    tsh = [np.array((t_s[s] @ hvec) % p) for s in range(d)]
-    for s in range(d):
-        for q in range(n):
-            for c in range(eb):
-                big[:, col] = (wmats[c] @ tsh[s][:, q]) % p
-                col += 1
-
-    rhs = np.concatenate([(z @ hvec) % p for z in z_h], axis=1)
-    sol = linalg.int_solve(big, rhs, p)  # the trace pairing keeps it regular
-
-    # entry (q, j) of generator i is sum over (s, c) of
-    # sol[(s*n + q)*eb + c, i*n + j] * w^c b_s, and w^c b_s is column (s, c) of B
-    mats = []
-    for i in range(mod.spec.r):
-        x = sol[:, i * n : (i + 1) * n].reshape(d, n, eb, n)
-        x = x.transpose(1, 3, 0, 2).reshape(n, n, d * eb)
-        mats.append(linalg.from_coeff_array(target, (x @ B.T) % p))
-    spec = mod.spec.with_base(target)
-    return ModuleRep(spec, mats, name=mod.name)
+    return base_change(mod, target)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,7 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
         raise BudgetExceeded(
             f"enumeration of {size} coordinate tuples exceeds budget {budget}"
         )
+    _check_degree(base, e_max, "sampling")
     q0 = base.order
     for e in range(1, e_max + 1):
         K = _sampling_field(base, e)
@@ -250,16 +251,35 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
                 yield ProjPoint(K, coords), scalars, K
 
 
+def _check_degree(base, e, what):
+    """BudgetExceeded when F_{q^e}, q the order of the base, is past the cap
+    on extension degrees, so that nothing is tested before the failure."""
+    degree = base.deg * e
+    if degree > fields.MAX_EXTENSION_DEGREE:
+        raise BudgetExceeded(
+            f"{what} needs extension degree {degree} over F_{base.p}, "
+            f"past the cap {fields.MAX_EXTENSION_DEGREE}"
+        )
+
+
+def _sampled(spec, e_max, budget, make_testers):
+    """The points of enumerate_points over the base of spec, each with what
+    make_testers(K) returned for its field K, built once per field."""
+    testers = {}
+    for pt, scalars, K in enumerate_points(spec.base, spec.r, e_max, budget):
+        if K not in testers:
+            testers[K] = make_testers(K)
+        yield pt, scalars, testers[K]
+
+
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
     """Verdicts at every sampled closed point plus the generic verdict."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
-    testers = {}
-    for pt, scalars, K in enumerate_points(mod.spec.base, mod.spec.r, e_max, budget):
-        if K not in testers:
-            testers[K] = _point_tester(mod, K)
-        desc.sampled[pt] = testers[K](scalars)
+    points = _sampled(mod.spec, e_max, budget, lambda K: _point_tester(mod, K))
+    for pt, scalars, tester in points:
+        desc.sampled[pt] = tester(scalars)
     desc.generic = generic_in_support(mod, budget)
     return desc
 
@@ -269,11 +289,10 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
-    testers = {}
-    for pt, scalars, K in enumerate_points(mod.spec.base, mod.spec.r, e_max, budget):
-        if K not in testers:
-            testers[K] = _point_tester(reps.coinduced(mod, K), K)
-        desc.sampled[pt] = testers[K](scalars)
+    points = _sampled(mod.spec, e_max, budget,
+                      lambda K: _point_tester(reps.coinduced(mod, K), K))
+    for pt, scalars, tester in points:
+        desc.sampled[pt] = tester(scalars)
     desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
 
@@ -302,6 +321,7 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     size = base.order ** (e * (r - 1))
     if size > budget:
         raise BudgetExceeded(f"generic scan of {size} points exceeds budget {budget}")
+    _check_degree(base, e, "generic scan")
     K = _sampling_field(base, e)
     tester = _point_tester(mod, K)
     one = K.sone()
@@ -360,10 +380,8 @@ def ideal_operator(mod):
         raise ValueError("ideal variable names collide with the base field")
     K = fields.make_field(p, base.ext, base.vars + names)
     acc = linalg.Matrix.zero(K, n, n)
-    for i, name in enumerate(names):
-        s = FieldElement.variable(K, name)
-        zk = mod.Z[i].map_entries(lambda x: fields.embed(x, K), K)
-        acc = acc + zk.scale(s)
+    for name, zk in zip(names, reps.base_change(mod, K).Z):
+        acc = acc + zk.scale(FieldElement.variable(K, name))
     return acc.power(p - 1)
 
 
@@ -493,15 +511,9 @@ def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaRep
         raise ValueError("modules over different algebras")
     t = reps.tensor(m, n)
     rows = []
-    testers = {}
-    for pt, scalars, K in enumerate_points(m.spec.base, m.spec.r, e_max, budget):
-        if K not in testers:
-            testers[K] = (
-                _point_tester(t, K),
-                _point_tester(m, K),
-                _point_tester(n, K),
-            )
-        tt, tm, tn = testers[K]
+    points = _sampled(m.spec, e_max, budget, lambda K: (
+        _point_tester(t, K), _point_tester(m, K), _point_tester(n, K)))
+    for pt, scalars, (tt, tm, tn) in points:
         rows.append((str(pt), tt(scalars), tm(scalars) and tn(scalars)))
     g_lhs = generic_in_support(t, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
@@ -519,15 +531,12 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
         raise ValueError("modules over different algebras")
     h = reps.hom(m, n)
     rows = []
-    testers = {}
-    for pt, scalars, K in enumerate_points(m.spec.base, m.spec.r, e_max, budget):
-        if K not in testers:
-            testers[K] = (
-                _point_tester(reps.coinduced(h, K), K),
-                _point_tester(m, K),
-                _point_tester(reps.coinduced(n, K), K),
-            )
-        th, tm, tn = testers[K]
+    points = _sampled(m.spec, e_max, budget, lambda K: (
+        _point_tester(reps.coinduced(h, K), K),
+        _point_tester(m, K),
+        _point_tester(reps.coinduced(n, K), K),
+    ))
+    for pt, scalars, (th, tm, tn) in points:
         rows.append((str(pt), th(scalars), tm(scalars) and tn(scalars)))
     g_lhs = generic_in_support(h, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)

@@ -164,7 +164,6 @@ def suite_perturb(rng, spec, trials, panel_size=10) -> SuiteResult:
     """Adding higher-order terms to a flat linear point never changes a
     projectivity verdict."""
     res = SuiteResult("perturb")
-    _, pair_dim = _max_dims(spec)
     panel = [
         randmod.random_module(rng, spec, max_dim=12, force_free=(k % 5 == 0))
         for k in range(panel_size)

@@ -12,9 +12,10 @@ from pisupport import (
 )
 from pisupport.errors import NonPolynomialEntry, NotPNilpotent
 from pisupport.fields import Polynomial
-from pisupport.linalg import bareiss_rank, int_rank, int_row_reduce, int_solve
+from pisupport.linalg import bareiss_rank, int_rank, int_row_reduce
 
 from conftest import F2, F3, F5, F4, F2S, F3S, F2SU
+from test_reps import int_solve  # the solve of the coinduction oracle
 
 
 def var(desc, name):

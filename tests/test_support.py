@@ -201,6 +201,22 @@ def test_generic_scan_budget_fires_from_grid_size(monkeypatch):
     assert not generic_in_support(free, budget=64)
 
 
+def test_sampling_past_degree_cap_fails_before_any_point(monkeypatch):
+    # F_{2^9} is past the cap of 8: no point over F_2..F_{2^8} is tested first
+    monkeypatch.setattr(support, "_point_tester", None)
+    with pytest.raises(BudgetExceeded, match="degree 9"):
+        support_sample(klein_truncation(2), 9)
+    with pytest.raises(BudgetExceeded, match="degree 10"):
+        next(enumerate_points(F4, 2, 5))
+
+
+def test_generic_scan_past_degree_cap_fails_before_any_point(monkeypatch):
+    # free:128 over the Klein group has n = 512, so the grid needs |S| > 256
+    monkeypatch.setattr(support, "_point_tester", None)
+    with pytest.raises(BudgetExceeded, match="degree 9"):
+        generic_in_support(free_module(KLEIN, 128))
+
+
 def test_enumeration_size_counts_points_over_extension_base():
     assert enumeration_size(F9, 3, 2) == 91 + 6643
     assert sum(1 for _ in enumerate_points(F9, 3, 2)) == 6643
