@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
@@ -244,6 +246,102 @@ def canonical_extension(p, n):
         if _is_irreducible_over_prime(list(coeffs), p):
             return make_field(p, coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# Zech logarithms of the finite part
+
+_TABLE_CHUNK = 1 << 16  # powers of g computed per numpy step
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def primitive_element(desc):
+    """Code of the first element, in code order, that generates the
+    multiplicative group of the finite part.  The class of x need not: it
+    has order 4 of 8 in F_3[x]/(x^2+1), the canonical F_9."""
+    m = desc.order - 1
+    one = desc.sone()
+    factors = _prime_factors(m)
+    for code in range(1, desc.order):
+        x = desc.sfrom_code(code)
+        if all(desc.spow(x, m // f) != one for f in factors):
+            return code
+    raise AssertionError("no primitive element")  # unreachable
+
+
+def _mult_matrix(desc, scalar):
+    """(e, e) matrix over F_p of multiplication by ``scalar`` acting on
+    coordinate rows: row(x) @ M = row(scalar * x)."""
+    units = [desc.sfrom_code(desc.p**j) for j in range(desc.deg)]
+    return np.array([desc.smul(u, scalar) for u in units], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def zech_tables(desc):
+    """Read-only int32 arrays (exp, log, zech) of length q = |finite part|
+    for a primitive element g (see primitive_element), over element codes
+    (see sto_code).  Zero has the log q-1, so for every code c and every
+    k < q-1:
+
+      exp[log[c]] = c,   exp[k] = code of g^k,   exp[q-1] = 0,
+      zech[k] = log(1 + g^k),   zech[q-1] = log 1 = 0.
+
+    The powers of g are built in chunks of _TABLE_CHUNK coordinate rows,
+    each the previous one times g^chunk, so no step holds more than one
+    chunk of coordinates; F_{7^8} has q-1 = 5,764,800 powers."""
+    p, e, q = desc.p, desc.deg, desc.order
+    m = q - 1
+    g = desc.sfrom_code(primitive_element(desc))
+    weights = p ** np.arange(e, dtype=np.int64)
+    size = min(m, _TABLE_CHUNK)
+    rows = np.zeros((size, e), dtype=np.int64)
+    rows[0, 0] = 1
+    done = 1
+    while done < size:  # doubling: rows[done:2*done] = rows[:done] * g^done
+        step = desc.smul(tuple(rows[done - 1].tolist()), g)
+        take = min(done, size - done)
+        rows[done:done + take] = rows[:take] @ _mult_matrix(desc, step) % p
+        done += take
+    shift = _mult_matrix(desc, desc.smul(tuple(rows[size - 1].tolist()), g))
+    exp = np.zeros(q, dtype=np.int32)
+    for start in range(0, m, size):
+        stop = min(start + size, m)
+        exp[start:stop] = (rows[:stop - start] @ weights)
+        rows = rows @ shift % p
+    log = np.empty(q, dtype=np.int32)
+    log[exp[:m]] = np.arange(m, dtype=np.int32)
+    log[0] = m
+    zech = np.zeros(q, dtype=np.int32)
+    for start in range(0, m, size):
+        codes = exp[start:min(start + size, m)]
+        low = codes % p  # the F_p coordinate, the one 1 is added to
+        zech[start:start + codes.size] = log[codes - low + (low + 1) % p]
+    for table in (exp, log, zech):
+        table.flags.writeable = False
+    return exp, log, zech
+
+
+@lru_cache(maxsize=None)
+def subfield_mask(desc, order):
+    """Read-only boolean array over element codes: True exactly at the
+    elements of the subfield with ``order`` elements, which must divide
+    the finite part.  x lies in it iff x = 0 or (q-1)/(order-1) divides
+    log x, q the order of the finite part."""
+    _, log, _ = zech_tables(desc)
+    mask = log % ((desc.order - 1) // (order - 1)) == 0
+    mask[0] = True
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------

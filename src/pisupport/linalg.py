@@ -5,7 +5,11 @@ entry coordinates over F_p, and its arithmetic is numpy arithmetic mod p in
 the regular representation: multiplication by a scalar is an e x e matrix
 over F_p, so a matrix expands to an integer block matrix over F_p whose rank
 is e times the original rank.  FieldElement entries are built from the array
-only when something reads them.  Rank in the presence of transcendentals
+only when something reads them.  The point tester of the support module
+does not expand: fq_rank eliminates over F_q itself on the Zech logarithms
+of the entries (fields.zech_tables), about e^3 times less work than the
+block matrix, which rank and the tests keep as the reference.  Rank in the
+presence of transcendentals
 uses fraction-free (Bareiss) elimination on polynomial entries, so no
 multivariate gcd is ever needed.  Pivoting always takes the first nonzero
 entry in column order, which keeps intermediate polynomials, and therefore
@@ -437,6 +441,105 @@ def int_matpow(a, k, p):
         if k:
             base = (base @ base) % p
     return out
+
+
+# ---------------------------------------------------------------------------
+# Elimination over F_q on Zech logarithms
+
+
+def coeff_power(coeffs, k, desc):
+    """(n, n, e) coordinate array of the k-th power, k >= 1, of the square
+    matrix with coordinates ``coeffs``: k - 1 products of its F_p block
+    matrix with the (n*e, n) coordinate columns of the current power."""
+    if k == 1:
+        return coeffs
+    n, _, e = coeffs.shape
+    block = blockify(coeffs, desc)
+    out = coeffs.transpose(0, 2, 1).reshape(n * e, n)
+    for _ in range(k - 1):
+        out = block @ out % desc.p
+    return out.reshape(n, e, n).transpose(0, 2, 1)
+
+
+def log_codes(coeffs, desc):
+    """(n, m) array of the Zech logs (fields.zech_tables) of the entries of
+    an (n, m, e) coordinate array; zero has the log q - 1."""
+    _, log, _ = fields.zech_tables(desc)
+    return log[coeffs @ desc.p ** np.arange(desc.deg, dtype=np.int64)]
+
+
+@lru_cache(maxsize=None)
+def _zech_kernel(desc):
+    """Lookup tables that let fq_rank update a row without branching on
+    zero.  With m = q - 1, a row entry is its log in [0, m) or ZERO = 2m.
+
+    * shift[f + l] for a multiplier log f in [0, m) and an entry l of the
+      pivot row is t + 2m, t the log of the product, or 5m when l = ZERO.
+    * With a = an entry of the row being reduced and i = shift[..] - a:
+        i in [m+1, 3m-1]: both nonzero, i - 2m = t - a, and
+                          add[i] = log(1 + g^(t-a)), or 2m if that is 0;
+        i in [0, m):      a = ZERO, add[i] = i - 2m, so a + add[i] = t;
+        i in [3m, 5m]:    the product is 0, add[i] = 0, so a stays.
+      so wrap[a + add[i]] is the log of the sum: wrap reduces [0, 2m)
+      mod m and sends [2m, 3m) to ZERO.
+
+    The three tables hold 11(q - 1) int64 entries, built once per field.
+    """
+    _, _, zech = fields.zech_tables(desc)
+    m = desc.order - 1
+    logs = np.arange(m, dtype=np.int64)
+    wrap = np.concatenate([logs, logs, np.full(m, 2 * m, dtype=np.int64)])
+    shift = np.concatenate([logs + 2 * m, logs + 2 * m,
+                            np.full(m, 5 * m, dtype=np.int64)])
+    add = np.zeros(5 * m + 1, dtype=np.int64)
+    add[:m] = logs - 2 * m
+    add[m + 1:2 * m] = zech[1:m]  # t - a = i - 2m < 0, taken mod m
+    add[2 * m:3 * m] = zech[:m]
+    both = add[m + 1:3 * m]  # a view
+    both[both == m] = 2 * m  # the sum is 0
+    for table in (wrap, shift, add):
+        table.flags.writeable = False
+    return wrap, shift, add
+
+
+def fq_rank(logs, desc, stop_at=None):
+    """Rank over the finite field ``desc`` of a matrix given by the Zech
+    logs of its entries (see log_codes); with ``stop_at`` the elimination
+    ends once the rank reaches it.
+
+    Gaussian elimination over F_q itself, pivots taken first nonzero in
+    column order: a product adds logs mod q - 1, and a - c*b becomes
+    a + c*b*(-1), whose log goes through the Zech table, with the log of
+    -1 (q - 1)/2 for odd p and 0 for p = 2.  Over a prime field the log
+    route is slower than residues, so there the matrix goes to int_rank.
+    """
+    exp, _, _ = fields.zech_tables(desc)
+    logs = np.asarray(logs, dtype=np.int64)
+    if desc.deg == 1:
+        return int_rank(exp[logs], desc.p, stop_at)
+    m = desc.order - 1
+    minus_one = m // 2 if desc.p > 2 else 0
+    zero = 2 * m
+    wrap, shift, add = _zech_kernel(desc)
+    a = np.where(logs == m, zero, logs)
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows or (stop_at is not None and r >= stop_at):
+            break
+        nz = np.flatnonzero(a[r:, c] != zero)
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        hit = r + nz[1:]  # rows below with a nonzero in column c
+        if hit.size:
+            f = (a[hit, c] - (a[r, c] - minus_one)) % m
+            t = shift[f[:, None] + a[r, c + 1:]]
+            below = a[hit, c + 1:]
+            a[hit, c + 1:] = wrap[below + add[t - below]]
+        r += 1
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ The ambient space is P^{r-1} with coordinates dual to the generators
 z_1..z_r.  A closed point [a_1 : ... : a_r] is in the support when the
 operator (sum a_i Z_i)^{p-1} has rank below n/p (or p does not divide n);
 it is in the cosupport when the same test fails on the coinduced module
-over the point's field.  Sampling enumerates one canonical representative
-(first nonzero coordinate scaled to 1) of every point rational over each
-extension of the base of relative degree <= e_max, skipping points already
-defined over a proper subfield; Galois orbits are listed per rational
-representative, not merged.
+over the point's field.  in_support and in_cosupport decide this from the
+definition, on the block matrix over F_p; sampling and the generic scan use
+_point_tester, which eliminates N(a)^{p-1} over the point's field F_q on
+Zech logarithms (linalg.fq_rank).  Sampling enumerates one canonical
+representative (first nonzero coordinate scaled to 1) of every point
+rational over each extension of the base of relative degree <= e_max,
+skipping points already defined over a proper subfield (read off the
+logarithms, fields.subfield_mask); Galois orbits are listed per rational
+representative, not merged.  Every sampler checks the enumeration and then
+the generic scan against the budget and the degree cap before it tests a
+point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field
@@ -33,7 +39,6 @@ from .errors import (
     NotARefinement,
 )
 from .fields import FieldElement
-from .linalg import int_matpow, int_rank
 
 DEFAULT_ENUM_BUDGET = 200_000
 DEFAULT_IDEAL_MAX_DIM = 12
@@ -156,34 +161,35 @@ def point_pi(spec, pt: ProjPoint) -> pipoints.PiPoint:
 
 
 # ---------------------------------------------------------------------------
-# Fast finite-field tester: one closed point == one integer rank computation
+# Fast finite-field tester: one closed point == one rank computation over K
 
 
 def _point_tester(mod, K):
     """Callable deciding in-support for coordinate tuples of K-scalars.
 
-    Precomputes the embedded coordinate arrays of the generator matrices so
-    that each point costs a few numpy operations.  Agrees with in_support on
-    linear points by construction of the block representation (and is
-    cross-checked in the test suite).
+    Precomputes the embedded coordinate arrays of the generator matrices.
+    A point a accumulates N(a) = sum a_i Z_i as an (n, n, e) coordinate
+    array, raises it to the power p - 1 by p - 2 products with its F_p
+    block matrix (linalg.coeff_power), and decides rank N(a)^{p-1} < n/p
+    by elimination over K itself on Zech logarithms (linalg.fq_rank),
+    stopping at rank n/p.  Agrees with in_support on linear points; the
+    test suite checks it against elimination of the ne x ne block matrix
+    over F_p at every sampled point.
     """
-    p = mod.spec.p
-    n = mod.n
-    e = K.deg
+    p, n = mod.spec.p, mod.n
     emb = linalg.embedding_matrix(mod.spec.base, K)
     carr = [linalg.coeff_array(m) @ emb % p for m in mod.Z]
-    target = None if n % p else e * (n // p)
+    target = n // p
 
     def tester(coord_scalars):
-        if target is None:
+        if n % p:
             return True
-        acc = np.zeros((n, n, e), dtype=np.int64)
+        acc = np.zeros((n, n, K.deg), dtype=np.int64)
         for a, c in zip(coord_scalars, carr):
             if any(a):
                 acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
-        block = linalg.blockify(acc % p, K)
-        op = int_matpow(block, p - 1, p) if p > 2 else block
-        return int_rank(op, p, stop_at=target) != target
+        op = linalg.coeff_power(acc % p, p - 1, K)
+        return linalg.fq_rank(linalg.log_codes(op, K), K, stop_at=target) != target
 
     return tester
 
@@ -218,35 +224,40 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     points only (nothing already rational over a proper subfield).  Yields
     (ProjPoint, scalar coordinate tuple, field).  Raises BudgetExceeded on
     the first step when more than ``budget`` tuples would be visited."""
+    _check_enumeration(base, r, e_max, budget)
+    yield from _points(base, r, e_max)
+
+
+def _check_enumeration(base, r, e_max, budget):
     size = enumeration_size(base, r, e_max)
     if size > budget:
         raise BudgetExceeded(
             f"enumeration of {size} coordinate tuples exceeds budget {budget}"
         )
     _check_degree(base, e_max, "sampling")
+
+
+def _points(base, r, e_max):
+    """enumerate_points without its checks.  A tuple lies in the subfield
+    F_{q0^d} when each of its codes does (fields.subfield_mask)."""
     q0 = base.order
     for e in range(1, e_max + 1):
+        if e > 1 and r == 1:
+            return  # the one point of P^0 is rational over the base
         K = _sampling_field(base, e)
         one = K.sone()
-        sub_degrees = _proper_subfield_degrees(e)
-
-        def in_proper_subfield(scalars):
-            for d in sub_degrees:
-                power = q0**d
-                if all(K.spow(x, power) == x for x in scalars):
-                    return True
-            return False
-
+        masks = [fields.subfield_mask(K, q0**d).tolist()
+                 for d in _proper_subfield_degrees(e)]
         for lead in range(r):
             tail = r - lead - 1
             for codes in itertools.product(range(K.order), repeat=tail):
+                if any(all(mask[c] for c in codes) for mask in masks):
+                    continue
                 scalars = (
                     (K.szero(),) * lead
                     + (one,)
                     + tuple(K.sfrom_code(c) for c in codes)
                 )
-                if e > 1 and in_proper_subfield(scalars):
-                    continue
                 coords = tuple(FieldElement.from_scalar(K, s) for s in scalars)
                 yield ProjPoint(K, coords), scalars, K
 
@@ -262,11 +273,17 @@ def _check_degree(base, e, what):
         )
 
 
-def _sampled(spec, e_max, budget, make_testers):
+def _sampled(spec, e_max, budget, make_testers, scanned):
     """The points of enumerate_points over the base of spec, each with what
-    make_testers(K) returned for its field K, built once per field."""
+    make_testers(K) returned for its field K, built once per field.  Before
+    the first point is tested, the enumeration and then the generic scan of
+    each module in ``scanned`` are checked against the budget and the
+    degree cap."""
+    _check_enumeration(spec.base, spec.r, e_max, budget)
+    for mod in scanned:
+        _generic_scan_degree(mod, budget)
     testers = {}
-    for pt, scalars, K in enumerate_points(spec.base, spec.r, e_max, budget):
+    for pt, scalars, K in _points(spec.base, spec.r, e_max):
         if K not in testers:
             testers[K] = make_testers(K)
         yield pt, scalars, testers[K]
@@ -277,7 +294,8 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
-    points = _sampled(mod.spec, e_max, budget, lambda K: _point_tester(mod, K))
+    points = _sampled(mod.spec, e_max, budget, lambda K: _point_tester(mod, K),
+                      [mod])
     for pt, scalars, tester in points:
         desc.sampled[pt] = tester(scalars)
     desc.generic = generic_in_support(mod, budget)
@@ -290,27 +308,21 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
     points = _sampled(mod.spec, e_max, budget,
-                      lambda K: _point_tester(reps.coinduced(mod, K), K))
+                      lambda K: _point_tester(reps.coinduced(mod, K), K), [mod])
     for pt, scalars, tester in points:
         desc.sampled[pt] = tester(scalars)
     desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
 
 
-def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
-    """Verdict at the generic point of P^{r-1} (chart a_1 = 1).
-
-    Exact finite decision: rank of N(s)^{p-1} over the function field equals
-    the maximum specialization rank over a grid S^{r-1} once |S| exceeds the
-    per-variable degree (p-1)n/p of the deciding minors.  The scan exits at
-    the first specialization of full rank n/p.  Raises BudgetExceeded before
-    scanning when the grid has more than ``budget`` points.
-    """
+def _generic_scan_degree(mod, budget):
+    """Relative degree e of the field F_{q^e} whose grid decides the generic
+    verdict of mod, or None when no scan is needed (n = 0 or p does not
+    divide n).  Raises BudgetExceeded when the grid has more than
+    ``budget`` points or F_{q^e} is past the degree cap."""
     n, p, r = mod.n, mod.spec.p, mod.spec.r
-    if n == 0:
-        return False
-    if n % p:
-        return True
+    if n == 0 or n % p:
+        return None
     base = mod.spec.base
     if not base.is_finite:
         raise ValueError("generic sampling needs a finite base field")
@@ -322,10 +334,25 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     if size > budget:
         raise BudgetExceeded(f"generic scan of {size} points exceeds budget {budget}")
     _check_degree(base, e, "generic scan")
-    K = _sampling_field(base, e)
+    return e
+
+
+def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
+    """Verdict at the generic point of P^{r-1} (chart a_1 = 1).
+
+    Exact finite decision: rank of N(s)^{p-1} over the function field equals
+    the maximum specialization rank over a grid S^{r-1} once |S| exceeds the
+    per-variable degree (p-1)n/p of the deciding minors.  The scan exits at
+    the first specialization of full rank n/p.  Raises BudgetExceeded before
+    scanning when the grid has more than ``budget`` points.
+    """
+    e = _generic_scan_degree(mod, budget)
+    if e is None:
+        return mod.n % mod.spec.p != 0  # the zero module has empty support
+    K = _sampling_field(mod.spec.base, e)
     tester = _point_tester(mod, K)
     one = K.sone()
-    for codes in itertools.product(range(K.order), repeat=r - 1):
+    for codes in itertools.product(range(K.order), repeat=mod.spec.r - 1):
         scalars = (one,) + tuple(K.sfrom_code(c) for c in codes)
         if not tester(scalars):
             return False
@@ -512,7 +539,8 @@ def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaRep
     t = reps.tensor(m, n)
     rows = []
     points = _sampled(m.spec, e_max, budget, lambda K: (
-        _point_tester(t, K), _point_tester(m, K), _point_tester(n, K)))
+        _point_tester(t, K), _point_tester(m, K), _point_tester(n, K)),
+        [t, m, n])
     for pt, scalars, (tt, tm, tn) in points:
         rows.append((str(pt), tt(scalars), tm(scalars) and tn(scalars)))
     g_lhs = generic_in_support(t, budget)
@@ -535,7 +563,7 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
         _point_tester(reps.coinduced(h, K), K),
         _point_tester(m, K),
         _point_tester(reps.coinduced(n, K), K),
-    ))
+    ), [h, m, n])
     for pt, scalars, (th, tm, tn) in points:
         rows.append((str(pt), th(scalars), tm(scalars) and tn(scalars)))
     g_lhs = generic_in_support(h, budget)

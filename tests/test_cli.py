@@ -142,6 +142,18 @@ def test_input_error_exit_three():
     assert code == 3 and "AllCoefficientsZero" in err
 
 
+def test_support_generic_degree_cap_fails_before_sampling(monkeypatch):
+    # free:128 over the Klein group needs a generic field F_{2^9}; no point
+    # of the sample is tested before the failure
+    from pisupport import support
+
+    monkeypatch.setattr(support, "_point_tester", None)
+    code, out, err = run("support", "free:128")
+    assert code == 3 and out == ""
+    assert err == ("error: BudgetExceeded: generic scan needs extension "
+                   "degree 9 over F_2, past the cap 8\n")
+
+
 def test_internal_error_exit_four(monkeypatch):
     from pisupport import cli
 

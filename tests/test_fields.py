@@ -1,5 +1,7 @@
 import itertools
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,9 @@ from pisupport.errors import (
     NotARefinement,
     ReduciblePolynomial,
 )
+from pisupport import fields
 from pisupport.fields import parse_literal, to_literal, univariate_gcd
+from pisupport.linalg import scalar_matrix
 
 from conftest import F2, F3, F4, F5, F9, F2S, F3S, F2SU, TOWERS, elements
 
@@ -287,3 +291,72 @@ def test_hash_matches_equality_up_to_one_variable():
     assert hash(a) == hash(s)
     with pytest.raises(TypeError):
         hash(FieldElement.variable(F2SU, "s"))
+
+
+# ---------------------------------------------------------------------------
+# Zech logarithm tables
+
+
+def _small_fields(limit):
+    """Every canonical extension with at most ``limit`` elements."""
+    out = []
+    for p in range(2, limit + 1):
+        if fields.is_prime(p):
+            n = 1
+            while p**n <= limit and n <= fields.MAX_EXTENSION_DEGREE:
+                out.append(canonical_extension(p, n))
+                n += 1
+    return out
+
+
+def _coords(desc, codes):
+    return codes[:, None] // desc.p ** np.arange(desc.deg) % desc.p
+
+
+def _check_tables(desc):
+    """exp runs through the powers of g, each one g times the last (by the
+    companion-matrix product of linalg), and hits every nonzero code once;
+    log inverts it; zech[k] is the log of 1 + g^k."""
+    p, q, m = desc.p, desc.order, desc.order - 1
+    exp, log, zech = fields.zech_tables(desc)
+    assert all(not t.flags.writeable and t.dtype == np.int32 and t.size == q
+               for t in (exp, log, zech))
+    assert sorted(exp[:m]) == list(range(1, q)) and exp[m] == 0
+    assert exp[0] == 1 and (log[exp] == np.arange(q)).all()
+    g = desc.sfrom_code(int(exp[1 % m]))
+    times_g = _coords(desc, exp[:m].astype(np.int64)) @ scalar_matrix(desc, g).T % p
+    assert (times_g @ p ** np.arange(desc.deg) == np.roll(exp[:m], -1)).all()
+    plus_one = _coords(desc, exp[:m].astype(np.int64))
+    plus_one[:, 0] = (plus_one[:, 0] + 1) % p
+    assert (exp[zech[:m]] == plus_one @ p ** np.arange(desc.deg)).all()
+    assert zech[m] == 0
+
+
+def test_zech_tables_of_every_small_field():
+    small = _small_fields(6561)
+    assert len(small) > 800 and canonical_extension(3, 8) in small
+    for desc in small:
+        _check_tables(desc)
+
+
+def test_zech_tables_search_a_primitive_element():
+    # x has order 5 of 15 here, and order 4 of 8 in the canonical F_9
+    f16 = make_field(2, (1, 1, 1, 1, 1))
+    x = (0, 1, 0, 0)
+    assert f16.spow(x, 5) == f16.sone()
+    _check_tables(f16)
+    assert fields.zech_tables(f16)[1][f16.sto_code(x)] % 3 == 0
+    f9 = canonical_extension(3, 2)
+    assert f9.spow((0, 1), 4) == f9.sone()
+    assert fields.primitive_element(f9) != f9.sto_code((0, 1))
+
+
+def test_zech_tables_of_f_5_8_build_in_under_two_seconds():
+    desc = canonical_extension(5, 8)
+    fields.zech_tables.cache_clear()
+    start = time.perf_counter()
+    exp, log, _ = fields.zech_tables(desc)
+    assert time.perf_counter() - start < 2.0
+    assert sorted(exp[:-1]) == list(range(1, 5**8))
+    assert (log[exp] == np.arange(5**8)).all()
+

@@ -11,8 +11,17 @@ from pisupport import (
     rank,
 )
 from pisupport.errors import NonPolynomialEntry, NotPNilpotent
-from pisupport.fields import Polynomial
-from pisupport.linalg import bareiss_rank, int_rank, int_row_reduce
+from pisupport.fields import Polynomial, canonical_extension
+from pisupport.linalg import (
+    bareiss_rank,
+    blockify,
+    coeff_array,
+    fq_rank,
+    from_coeff_array,
+    int_rank,
+    int_row_reduce,
+    log_codes,
+)
 
 from conftest import F2, F3, F5, F4, F2S, F3S, F2SU
 from test_reps import int_solve  # the solve of the coinduction oracle
@@ -166,6 +175,44 @@ def test_int_row_reduce_stop_at_leaves_rows_unreduced():
     assert rank == 2 and pivots == full_pivots[:2]
     # the four rows below the stopping point still carry rank 4
     assert int_rank(ech[2:], 3) == 4
+
+
+# ---------------------------------------------------------------------------
+# elimination over F_q on Zech logarithms
+
+
+def _sparse_coeffs(gen, desc, rows, cols, zeros):
+    """Random (rows, cols, e) coordinates with a share ``zeros`` of zero
+    entries."""
+    coeffs = gen.integers(0, desc.p, size=(rows, cols, desc.deg))
+    return coeffs * (gen.random((rows, cols, 1)) >= zeros)
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                  (3, 3), (7, 2), (3, 4)],
+                         ids=["F2", "F4", "F8", "F9", "F25", "F27", "F49", "F81"])
+def test_fq_rank_matches_block_rank(p, e):
+    desc = canonical_extension(p, e)
+    gen = np.random.default_rng(100 * p + e)
+    seen = set()
+    for _ in range(40):
+        rows, cols = (int(x) for x in gen.integers(1, 10, size=2))
+        inner = int(gen.integers(1, min(rows, cols) + 1))
+        zeros = float(gen.choice([0.0, 0.5, 0.8]))
+        left = from_coeff_array(desc, _sparse_coeffs(gen, desc, rows, inner, zeros))
+        right = from_coeff_array(desc, _sparse_coeffs(gen, desc, inner, cols, zeros))
+        coeffs = coeff_array(left @ right)
+        block = blockify(coeffs, desc)
+        logs = log_codes(coeffs, desc)
+        full = int_row_reduce(block, p)[0]
+        assert full % e == 0 and fq_rank(logs, desc) == full // e
+        seen.add(full // e == min(rows, cols))
+        for stop in range(min(rows, cols) + 1):
+            assert fq_rank(logs, desc, stop_at=stop) == (
+                int_row_reduce(block, p, stop_at=e * stop)[0] // e)
+    assert seen == {True, False}  # full-rank and rank-deficient products
+    zero = np.full((3, 4), desc.order - 1)
+    assert fq_rank(zero, desc) == 0 and fq_rank(zero[:0], desc) == 0
 
 
 # ---------------------------------------------------------------------------

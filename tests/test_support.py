@@ -1,12 +1,17 @@
 import random
 import time
 
+import itertools
+
+import numpy as np
 import pytest
 import sympy
 
 from pisupport import (
     EVERYTHING,
     FieldElement,
+    Matrix,
+    ModuleRep,
     ProjPoint,
     base_change,
     cosupport_sample,
@@ -32,7 +37,7 @@ from pisupport import (
     verify_jordan_hom_table,
     verify_tensor_formula,
 )
-from pisupport import support
+from pisupport import fields, linalg, support
 from pisupport.errors import BudgetExceeded, DimensionTooLarge
 from pisupport.fields import Polynomial, poly_str
 from pisupport.library import klein_truncation
@@ -44,7 +49,7 @@ from pisupport.support import (
     ideal_vanishes_at,
 )
 
-from conftest import F2, F4, F9, conjugated
+from conftest import F2, F3, F4, F5, F9, conjugated
 
 KLEIN = make_spec(2, 2)
 P3R2 = make_spec(3, 2)
@@ -100,6 +105,119 @@ def test_dual_klein_cosupport():
     d = dual(klein_truncation(2))
     assert in_cosupport(d, make_linear(KLEIN, F2, [0, 1]))
     assert not in_cosupport(d, make_linear(KLEIN, F2, [1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the point tester against elimination of the F_p block matrix
+
+
+def _block_point_tester(mod, K):
+    """The oracle of support._point_tester: N(a) expanded into its ne x ne
+    block matrix over F_p, raised to the power p - 1 there, and eliminated
+    mod p; the point is in the support when the rank is below e*n/p."""
+    p, n, e = mod.spec.p, mod.n, K.deg
+    emb = linalg.embedding_matrix(mod.spec.base, K)
+    carr = [linalg.coeff_array(m) @ emb % p for m in mod.Z]
+    target = None if n % p else e * (n // p)
+
+    def tester(coord_scalars):
+        if target is None:
+            return True
+        acc = np.zeros((n, n, e), dtype=np.int64)
+        for a, c in zip(coord_scalars, carr):
+            if any(a):
+                acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
+        block = linalg.blockify(acc % p, K)
+        op = linalg.int_matpow(block, p - 1, p) if p > 2 else block
+        return linalg.int_rank(op, p, stop_at=target) != target
+
+    return tester
+
+
+def _shift_block(spec, v, rng):
+    """Module of dimension p*v on which z_i acts as sum_{d >= v} c_{i,d} N^d
+    for the nilpotent shift N, with coefficients from the base.  Its support
+    is the hyperplane sum_i a_i c_{i,v} = 0."""
+    base, q = spec.base, spec.p * v
+
+    def scalar():
+        return FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
+
+    shift = Matrix(base, [[FieldElement.from_int(base, int(i == j + 1))
+                           for j in range(q)] for i in range(q)])
+    powers = [Matrix.identity(base, q)]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ shift)
+    lead = [scalar() for _ in range(spec.r)]
+    while not any(lead):
+        lead = [scalar() for _ in range(spec.r)]
+    mats = []
+    for c in lead:
+        acc = powers[v].scale(c)
+        for d in range(v + 1, q):
+            acc = acc + powers[d].scale(scalar())
+        mats.append(acc)
+    return ModuleRep(spec, mats)
+
+
+def _mixed(mod, rng):
+    """The module in a dense seeded basis: conjugated by a lower, then,
+    after reversing the basis, by an upper unitriangular matrix, so that
+    N(a)^{p-1} is not a corner block and its rows mix."""
+    mod = conjugated(mod, rng)
+    flip = [Matrix(z.desc, [row[::-1] for row in z.entries[::-1]]) for z in mod.Z]
+    return conjugated(ModuleRep(mod.spec, flip, name=mod.name), rng)
+
+
+def _agreement_cases():
+    """(module, e_max), seeded, over the bases F_2, F_3, F_4, F_5 and F_9
+    at r = 2, 3: a random module, one shift block, and a sum of two, in a
+    dense basis whose entries leave the prime field of the base."""
+    rng = random.Random("tester-agreement")
+    cases = []
+    for base, e_max2, e_max3 in [(F2, 4, 3), (F3, 3, 2), (F4, 2, 2), (F5, 2, 2),
+                                 (F9, 2, 1)]:
+        for r, e_max in ((2, e_max2), (3, e_max3)):
+            spec = make_spec(base.p, r, base=base)
+            mods = [random_module(rng, spec, max_dim=10),
+                    _shift_block(spec, 1, rng),
+                    direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng))]
+            cases += [(_mixed(mod, rng), e_max) for mod in mods]
+    cases.append((klein_truncation(6), 6))
+    return cases
+
+
+def test_point_tester_agrees_with_block_route():
+    verdicts = {}
+    for mod, e_max in _agreement_cases():
+        testers = {}
+        for _, scalars, K in enumerate_points(mod.spec.base, mod.spec.r, e_max):
+            if K not in testers:
+                testers[K] = (support._point_tester(mod, K),
+                              _block_point_tester(mod, K))
+            fast, block = testers[K]
+            verdict = fast(scalars)
+            assert verdict == block(scalars), (mod.name, K, scalars)
+            verdicts.setdefault((mod.spec.p, K.deg > 1), set()).add(verdict)
+    # both verdicts occur over extension fields for every p
+    assert all(verdicts[p, True] == {True, False} for p in (2, 3, 5))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_point_tester_agrees_with_block_route_on_generic_grids(k):
+    # trivial^2 + free:k at p = 2, r = 3: every grid point is in the support
+    spec = make_spec(2, 3)
+    mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
+                     free_module(spec, k))
+    K = support._sampling_field(spec.base, support._generic_scan_degree(mod, 10**6))
+    assert K.deg >= 3
+    fast, block = support._point_tester(mod, K), _block_point_tester(mod, K)
+    for codes in itertools.product(range(K.order), repeat=2):
+        scalars = (K.sone(),) + tuple(K.sfrom_code(c) for c in codes)
+        assert fast(scalars) == block(scalars)
+    # off the chart a_1 = 1, the free summand makes some points full rank
+    scalars = [(K.szero(), K.sone(), K.sfrom_code(c)) for c in range(K.order)]
+    assert [fast(s) for s in scalars] == [block(s) for s in scalars]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +357,50 @@ def test_cosupport_sample_equals_support_sample():
     s = support_sample(m, 2)
     c = cosupport_sample(m, 2)
     assert s.sampled == c.sampled
+
+
+def test_enumeration_subfield_test_matches_frobenius_oracle():
+    # the skip test of enumerate_points before the code masks: x lies in
+    # F_{q0^d} iff x^(q0^d) = x
+    def oracle(base, r, e_max):
+        q0 = base.order
+        for e in range(1, e_max + 1):
+            K = support._sampling_field(base, e)
+            subs = [d for d in range(1, e) if e % d == 0]
+            for lead in range(r):
+                for codes in itertools.product(range(K.order), repeat=r - lead - 1):
+                    scalars = ((K.szero(),) * lead + (K.sone(),)
+                               + tuple(K.sfrom_code(c) for c in codes))
+                    if any(all(K.spow(x, q0**d) == x for x in scalars)
+                           for d in subs):
+                        continue
+                    yield scalars, K
+
+    for base, r, e_max in [(F2, 3, 4), (F2, 2, 6), (F3, 2, 4), (F4, 2, 3),
+                           (F9, 2, 2), (F2, 1, 3)]:
+        got = [(scalars, K) for _, scalars, K in enumerate_points(base, r, e_max)]
+        assert got == list(oracle(base, r, e_max))
+
+
+SAMPLERS = {
+    "support": support_sample,
+    "cosupport": cosupport_sample,
+    "tensor": lambda mod, *args: verify_tensor_formula(
+        trivial_module(mod.spec), mod, *args),
+    "hom": lambda mod, *args: verify_hom_formula(
+        trivial_module(mod.spec), mod, *args),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_samplers_check_the_generic_scan_before_any_point(sampler, monkeypatch):
+    # free:1 with p=2, r=3: 7 points over F_2, a generic grid of 64 points
+    monkeypatch.setattr(support, "_point_tester", None)
+    free = free_module(make_spec(2, 3), 1)
+    with pytest.raises(BudgetExceeded, match="generic scan of 64 points"):
+        SAMPLERS[sampler](free, 1, 10)
+    with pytest.raises(BudgetExceeded, match="enumeration of 28 coordinate tuples"):
+        SAMPLERS[sampler](free, 2, 10)  # the enumeration is checked first
 
 
 # ---------------------------------------------------------------------------
