@@ -210,13 +210,14 @@ class Matrix:
         return Matrix(desc, out)
 
     def power(self, k):
+        """self^k for k >= 0; over a finite field by coeff_power."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        if self.desc.is_finite:
-            block = blockify(coeff_array(self), self.desc)
-            return from_block_int(
-                self.desc, int_matpow(block, k, self.desc.p), self.rows, self.rows
-            )
+        if k < 0:
+            raise ValueError("negative matrix power")
+        if self.desc.is_finite and k:
+            return Matrix._from_coeffs(
+                self.desc, coeff_power(coeff_array(self), k, self.desc))
         out = Matrix.identity(self.desc, self.rows)
         for _ in range(k):
             out = out @ self

@@ -24,6 +24,12 @@ nonzero minor cannot vanish on a full grid S^{r-1} with |S| > (p-1)n/p, and
 specialization can only drop rank.  Scanning such a grid over a single
 finite extension is therefore an exact decision, and it agrees with the
 direct transcendental computation (tested).
+
+The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
+polynomial ring in s_1..s_r.  Its monomial coefficients C_b are formed as
+coordinate arrays by a word expansion of the power, and only the pivot
+submatrix op[I, J], which has the same ideal of minors (Cauchy-Binet), is
+built as polynomials for the Bareiss minors.
 """
 
 import itertools
@@ -38,7 +44,7 @@ from .errors import (
     NonPolynomialEntry,
     NotARefinement,
 )
-from .fields import FieldElement
+from .fields import FieldElement, Polynomial
 
 DEFAULT_ENUM_BUDGET = 200_000
 DEFAULT_IDEAL_MAX_DIM = 12
@@ -367,10 +373,12 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     """Homogeneous generators of the support locus: the nonzero (n/p)-minors
     of N(s)^{p-1} where N(s) = s_1 Z_1 + ... + s_r Z_r.
 
-    Only the minors of the pivot submatrix op[I, J] (see _pivot_submatrix)
-    are taken, and a minor that is a nonzero scalar multiple of one already
-    kept is dropped.  Both generate the same ideal as the full list, of
-    which the result is a subsequence.
+    The monomial coefficients C_b of N(s)^{p-1} are formed as coordinate
+    arrays (_operator_coeffs).  Only the minors of the pivot submatrix
+    op[I, J] (see _pivot_submatrix) are taken, and only its entries are
+    built as polynomials; a minor that is a nonzero scalar multiple of one
+    already kept is dropped.  Both generate the same ideal as the full
+    list, of which the result is a subsequence.
     """
     n, p = mod.n, mod.spec.p
     if n > max_dim:
@@ -379,9 +387,12 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     if n % p:
         desc.ideal = EVERYTHING
         return desc
-    op = ideal_operator(mod)
-    K = op.desc
-    sub = _pivot_submatrix(op)
+    base = mod.spec.base
+    names = tuple(f"s{i}" for i in range(1, mod.spec.r + 1))
+    if set(names) & set(base.vars):
+        raise ValueError("ideal variable names collide with the base field")
+    K = fields.make_field(p, base.ext, base.vars + names)
+    sub = _pivot_submatrix(K, _operator_coeffs(mod))
     desc.ideal = []
     if min(sub.rows, sub.cols) < n // p:
         return desc  # every (n/p)-minor vanishes: the zero ideal
@@ -397,50 +408,64 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     return desc
 
 
-def ideal_operator(mod):
-    """N(s)^{p-1} with N(s) = s_1 Z_1 + ... + s_r Z_r, over the base with
-    the variables s_1..s_r appended."""
-    n, p, r = mod.n, mod.spec.p, mod.spec.r
-    base = mod.spec.base
-    names = tuple(f"s{i}" for i in range(1, r + 1))
-    if set(names) & set(base.vars):
-        raise ValueError("ideal variable names collide with the base field")
-    K = fields.make_field(p, base.ext, base.vars + names)
-    acc = linalg.Matrix.zero(K, n, n)
-    for name, zk in zip(names, reps.base_change(mod, K).Z):
-        acc = acc + zk.scale(FieldElement.variable(K, name))
-    return acc.power(p - 1)
+def _operator_coeffs(mod):
+    """The nonzero C_b of N(s)^{p-1} = sum_b m_b C_b as (n, n, e) coordinate
+    arrays, keyed by the exponents of m_b in the base's variables and s.
 
-
-def _pivot_submatrix(op):
-    """The submatrix op[I, J] that has the same ideal of k-minors as op.
-
-    Write op = sum_b m_b C_b with monomials m_b in the transcendentals and
-    constant matrices C_b over the finite part.  J, the pivot columns of the
-    stack [C_b1; C_b2; ...], spans the columns of every C_b, so
-    op = op[:, J] R for a constant R containing an identity block; I, the
-    pivot columns of the stack of transposes, gives op = L^T op[I, :] in the
-    same way.  So op = L^T op[I, J] R, and by Cauchy-Binet every k-minor of
-    op is a constant combination of k-minors of op[I, J], which are
-    themselves k-minors of op.
+    P_0 = {0: I} and P_{j+1}[a + e_i] sums the Z_i P_j[a]; this uses only
+    N^{j+1} = N N^j, so the Z_i need not commute.  Over a finite base the
+    products run on coordinate arrays; over a base with transcendentals on
+    boxed entries, which are then split by monomials in the base's
+    variables (NonPolynomialEntry for an entry with a denominator).
     """
-    K = op.desc
-    fin = _finite_part(K)
-    n, e = op.rows, fin.deg
-    terms = {}
-    for i, row in enumerate(op.entries):
-        for j, x in enumerate(row):
-            if not x.is_polynomial():
-                raise NonPolynomialEntry("matrix entry has a denominator")
-            for exps, coeff in x.num.terms.items():
-                if exps not in terms:
-                    terms[exps] = np.zeros((n, n, e), dtype=np.int64)
-                terms[exps][i, j] = coeff
-    if not terms:
+    n, r, base = mod.n, mod.spec.r, mod.spec.base
+    words = {(0,) * r: linalg.Matrix.identity(base, n)}
+    for _ in range(mod.spec.p - 1):
+        nxt = {}
+        for alpha, c in words.items():
+            for i, z in enumerate(mod.Z):
+                beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                prod = z @ c
+                nxt[beta] = nxt[beta] + prod if beta in nxt else prod
+        words = nxt
+    if base.is_finite:
+        return {alpha: linalg.coeff_array(c) for alpha, c in words.items()
+                if not c.is_zero()}
+    coeffs = {}
+    for alpha, c in words.items():
+        for i, row in enumerate(c.entries):
+            for j, x in enumerate(row):
+                if not x.is_polynomial():
+                    raise NonPolynomialEntry("matrix entry has a denominator")
+                for exps, coeff in x.num.terms.items():
+                    coeffs.setdefault(exps + alpha, np.zeros(
+                        (n, n, base.deg), dtype=np.int64))[i, j] = coeff
+    return coeffs
+
+
+def _pivot_submatrix(K, coeffs):
+    """The submatrix op[I, J] over K that has the same ideal of k-minors as
+    op = sum_b m_b C_b, given the C_b by monomial (_operator_coeffs).
+
+    J, the pivot columns of the stack [C_b1; C_b2; ...], spans the columns
+    of every C_b, so op = op[:, J] R for a constant R containing an identity
+    block; I, the pivot columns of the stack of transposes, gives
+    op = L^T op[I, :] in the same way.  So op = L^T op[I, J] R, and by
+    Cauchy-Binet every k-minor of op is a constant combination of k-minors
+    of op[I, J], which are themselves k-minors of op.  Pivot columns depend
+    only on the row space of a stack, not on the order of its blocks.
+    """
+    if not coeffs:
         return linalg.Matrix(K, [])
-    rows = _pivot_lines([c.transpose(1, 0, 2) for c in terms.values()], fin)
-    cols = _pivot_lines(list(terms.values()), fin)
-    return linalg.Matrix(K, [[op.entries[i][j] for j in cols] for i in rows])
+    fin = _finite_part(K)
+    rows = _pivot_lines([c.transpose(1, 0, 2) for c in coeffs.values()], fin)
+    cols = _pivot_lines(list(coeffs.values()), fin)
+    subs = [(exps, c[np.ix_(rows, cols)].tolist()) for exps, c in coeffs.items()]
+    return linalg.Matrix(K, [
+        [FieldElement(K, Polynomial(K, {exps: sub[a][b] for exps, sub in subs}))
+         for b in range(len(cols))]
+        for a in range(len(rows))
+    ])
 
 
 def _pivot_lines(coeffs, fin):

@@ -133,6 +133,21 @@ def test_power(desc, n, born):
         ref = _ref_matmul(ref, ra, desc, n)
 
 
+@pytest.mark.parametrize("desc", [F2, F4, F9, canonical_extension(5, 2)],
+                         ids=["F2", "F4", "F9", "F25"])
+def test_power_matches_repeated_matmul(desc, born):
+    # Matrix.power runs on coeff_power; the reference multiplies k times
+    rng = random.Random(f"power-matmul:{desc}:{born}")
+    for n in (0, 1, 4, 6):
+        a, _ = _operand(desc, n, n, rng, born)
+        ref = Matrix.identity(desc, n)
+        for k in range(desc.p + 2):
+            assert a.power(k) == ref, (n, k)
+            ref = ref @ a
+    with pytest.raises(ValueError):
+        a.power(-1)
+
+
 @pytest.mark.parametrize("desc", FIELDS, ids=IDS)
 @pytest.mark.parametrize("shapes", [((0, 0), (2, 2)), ((2, 2), (0, 0)),
                                     ((1, 1), (1, 1)), ((2, 3), (3, 2))])

@@ -23,8 +23,7 @@ from pisupport.linalg import (
     log_codes,
 )
 
-from conftest import F2, F3, F5, F4, F2S, F3S, F2SU
-from test_reps import int_solve  # the solve of the coinduction oracle
+from conftest import F2, F3, F5, F4, F2S, F3S, F2SU, int_solve
 
 
 def var(desc, name):

@@ -38,18 +38,17 @@ from pisupport import (
     verify_tensor_formula,
 )
 from pisupport import fields, linalg, support
-from pisupport.errors import BudgetExceeded, DimensionTooLarge
+from pisupport.errors import BudgetExceeded, DimensionTooLarge, NonPolynomialEntry
 from pisupport.fields import Polynomial, poly_str
 from pisupport.library import klein_truncation
 from pisupport.randmod import random_module
 from pisupport.support import (
     enumerate_points,
     enumeration_size,
-    ideal_operator,
     ideal_vanishes_at,
 )
 
-from conftest import F2, F3, F4, F5, F9, conjugated
+from conftest import F2, F3, F4, F5, F9, _coinduced_by_trace_pairing, conjugated
 
 KLEIN = make_spec(2, 2)
 P3R2 = make_spec(3, 2)
@@ -357,6 +356,25 @@ def test_cosupport_sample_equals_support_sample():
     s = support_sample(m, 2)
     c = cosupport_sample(m, 2)
     assert s.sampled == c.sampled
+    # an independent check at the points of degree 2: the tester run on the
+    # coinduced module built from the trace pairing, not by base change.
+    # The p = 3 module is a shift block over F_9 read as a module over F_3,
+    # so its support is a Galois orbit of two points of degree 2.
+    rng = random.Random("cosupport-oracle:0")
+    block = _shift_block(make_spec(3, 2, base=F9), 1, rng)
+    p3 = conjugated(ModuleRep(P3R2, [
+        Matrix.from_ints(F3, linalg.to_block_int(z)[0].tolist()) for z in block.Z
+    ], name="f9-shift-block"), rng)
+    verdicts = []
+    for mod in (m, p3):
+        c = cosupport_sample(mod, 2)
+        K = support._sampling_field(mod.spec.base, 2)
+        tester = support._point_tester(_coinduced_by_trace_pairing(mod, K), K)
+        for pt, verdict in c.sampled.items():
+            if pt.desc == K:
+                assert tester(pt.scalar_coords()) == verdict, (mod.name, pt)
+                verdicts.append(verdict)
+    assert len(verdicts) == 2 + 6 and verdicts.count(True) == 2
 
 
 def test_enumeration_subfield_test_matches_frobenius_oracle():
@@ -506,9 +524,89 @@ def test_ideal_dimension_guard():
         support_ideal(free_module(KLEIN, 4))
 
 
+def _ideal_operator(mod):
+    """The oracle of support._operator_coeffs: N(s)^{p-1} with
+    N(s) = s_1 Z_1 + ... + s_r Z_r in boxed arithmetic over the base with
+    the variables s_1..s_r appended."""
+    n, p, r = mod.n, mod.spec.p, mod.spec.r
+    base = mod.spec.base
+    names = tuple(f"s{i}" for i in range(1, r + 1))
+    K = make_field(p, base.ext, base.vars + names)
+    acc = Matrix.zero(K, n, n)
+    for name, zk in zip(names, base_change(mod, K).Z):
+        acc = acc + zk.scale(FieldElement.variable(K, name))
+    return acc.power(p - 1)
+
+
+def _monomial_split(op):
+    """{exponent vector: (n, n, e) coordinate array of its coefficients}
+    for a matrix of polynomials, read entry by entry."""
+    fin = support._finite_part(op.desc)
+    n = op.rows
+    terms = {}
+    for i, row in enumerate(op.entries):
+        for j, x in enumerate(row):
+            if not x.is_polynomial():
+                raise NonPolynomialEntry("matrix entry has a denominator")
+            for exps, coeff in x.num.terms.items():
+                if exps not in terms:
+                    terms[exps] = np.zeros((n, n, fin.deg), dtype=np.int64)
+                terms[exps][i, j] = coeff
+    return terms
+
+
+def _operator_cases():
+    """Modules whose N(s)^{p-1} is split both ways: Klein M2, M4, M6, seeded
+    random modules at (p, r) = (2, 3), (3, 2), (3, 3), (5, 2) in a dense
+    basis, modules over F_4, and modules over F_p(t) with t in their
+    entries."""
+    rng = random.Random("operator-coeffs")
+    mods = [klein_truncation(k) for k in (2, 4, 6)]
+    for p, r in ((2, 3), (3, 2), (3, 3), (5, 2)):
+        mods += [conjugated(random_module(rng, make_spec(p, r), max_dim=10), rng)
+                 for _ in range(3)]
+    mods += _oracle_modules(rng, make_spec(2, 3, base=F4), 2)
+    for p in (2, 3):
+        base = make_field(p, vars=("t",))
+        mods += _oracle_modules(rng, make_spec(p, 2, base=base), 2,
+                                scale=FieldElement.variable(base, "t"))
+    return mods
+
+
+def test_operator_coeffs_match_boxed_split():
+    for mod in _operator_cases():
+        op = _ideal_operator(mod)
+        split = _monomial_split(op)
+        coeffs = support._operator_coeffs(mod)
+        assert coeffs.keys() == split.keys(), mod.name
+        for exps, c in coeffs.items():
+            assert np.array_equal(c, split[exps]), (mod.name, exps)
+        if not coeffs:
+            continue
+        # the pivot submatrix holds the boxed operator's entries
+        fin = support._finite_part(op.desc)
+        rows = support._pivot_lines([c.transpose(1, 0, 2) for c in split.values()], fin)
+        cols = support._pivot_lines(list(split.values()), fin)
+        sub = support._pivot_submatrix(op.desc, coeffs)
+        assert [list(row) for row in sub.entries] == [
+            [op.entries[i][j] for j in cols] for i in rows]
+
+
+def test_ideal_of_entries_with_denominators_raises():
+    # klein-M2 over F_2(t) in the basis of I + L/t: N(s) has 1/t in it
+    base = make_field(2, vars=("t",))
+    mod = conjugated(base_change(klein_truncation(2), base), random.Random(0),
+                     scale=FieldElement.variable(base, "t").inv())
+    assert not all(x.is_polynomial() for z in mod.Z for row in z.entries for x in row)
+    with pytest.raises(NonPolynomialEntry):
+        _monomial_split(_ideal_operator(mod))
+    with pytest.raises(NonPolynomialEntry):
+        support_ideal(mod)
+
+
 def _exhaustive_ideal(mod):
     """Reference route: every nonzero (n/p)-minor of the full N(s)^{p-1}."""
-    op = ideal_operator(mod)
+    op = _ideal_operator(mod)
     return [m for m in minors(op, mod.n // mod.spec.p) if not m.is_zero()]
 
 
