@@ -13,7 +13,10 @@ presence of transcendentals
 uses fraction-free (Bareiss) elimination on polynomial entries, so no
 multivariate gcd is ever needed.  Pivoting always takes the first nonzero
 entry in column order, which keeps intermediate polynomials, and therefore
-all reports, reproducible.
+all reports, reproducible.  Minors are taken by a division-free Laplace
+expansion on the monomial coefficients of the entries (PolyMatrix); they
+and the support ideal's pivot columns (int_pivots) work on lists of Python
+integers, since their matrices have a few hundred entries at most.
 """
 
 import itertools
@@ -365,6 +368,19 @@ def blockify(coeffs, desc):
     return block.reshape(n * e, m * e) % desc.p
 
 
+def blockify_lists(coeffs, desc):
+    """Rows of blockify(coeffs) for an (n, m, e) coordinate array given as
+    nested lists, in Python integers: for the few small matrices of the
+    support ideal this is cheaper than a round trip through numpy."""
+    p, e = desc.p, desc.deg
+    if e == 1:
+        return [[x[0] % p for x in row] for row in coeffs]
+    powers = companion_powers(desc).tolist()
+    return [[sum(c * powers[j][a][b] for j, c in enumerate(x)) % p
+             for x in row for b in range(e)]
+            for row in coeffs for a in range(e)]
+
+
 def to_block_int(mat):
     return blockify(coeff_array(mat), mat.desc), mat.desc.deg
 
@@ -395,7 +411,8 @@ def embedding_matrix(src, dst):
 
 
 def int_row_reduce(a, p, stop_at=None):
-    """Row echelon form of an integer matrix mod p: the only mod-p pivot loop.
+    """Row echelon form of an integer matrix mod p: the numpy mod-p pivot
+    loop (int_pivots is its twin on Python lists for small matrices).
 
     Forward elimination below each pivot, with pivots scaled to 1 and taken
     as the first nonzero entry of each column.  Returns (rank, pivot
@@ -424,6 +441,32 @@ def int_row_reduce(a, p, stop_at=None):
         pivots.append(c)
         r += 1
     return r, pivots, a
+
+
+def int_pivots(rows, p):
+    """Pivot columns mod p of a small integer matrix given as a list of
+    rows, taking the first nonzero entry of each column as in
+    int_row_reduce, in plain Python integers: on a few hundred entries one
+    numpy call costs more than the arithmetic it does."""
+    rows = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        top = [v * inv % p for v in rows[r][c + 1:]]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            if row[c]:
+                f = row[c]
+                row[c + 1:] = [(v - f * t) % p for v, t in zip(row[c + 1:], top)]
+        pivots.append(c)
+    return pivots
 
 
 def int_rank(a, p, stop_at=None):
@@ -650,59 +693,113 @@ def kernel_basis(mat):
 # Minors
 
 
-def _poly_det(rows, desc):
-    """Fraction-free determinant (Bareiss), tracking row-swap signs; the
-    empty determinant is 1."""
-    n = len(rows)
-    if n == 0:
-        return Polynomial.const(desc, desc.sone())
-    rows = [list(r) for r in rows]
-    prev = Polynomial.const(desc, desc.sone())
-    sign = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            return Polynomial.zero(desc)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        for i in range(c + 1, n):
-            head = rows[i][c]
-            for j in range(c + 1, n):
-                num = pivot * rows[i][j] - head * rows[c][j]
-                rows[i][j] = poly_exact_div(num, prev)
-            rows[i][c] = Polynomial.zero(desc)
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+@dataclass(frozen=True, eq=False)
+class PolyMatrix:
+    """rows x cols matrix of polynomials sum_b m_b C_b over a descriptor:
+    the monomial m_b in its transcendentals has exponent vector exps[b], and
+    coeffs[b] is the constant matrix C_b over the finite part as nested
+    lists [row][col][coordinate] of integers mod p."""
+
+    desc: object
+    rows: int
+    cols: int
+    exps: tuple
+    coeffs: list
+
+    @classmethod
+    def from_matrix(cls, mat):
+        """Split a Matrix entry by entry into its monomial coefficients;
+        NonPolynomialEntry for an entry with a denominator."""
+        desc = mat.desc
+        if desc.is_finite:
+            return cls(desc, mat.rows, mat.cols, ((),), [coeff_array(mat).tolist()])
+        split = {}
+        for i, row in enumerate(mat.entries):
+            for j, x in enumerate(row):
+                if not x.is_polynomial():
+                    raise NonPolynomialEntry("matrix entry has a denominator")
+                for exps, coeff in x.num.terms.items():
+                    split.setdefault(exps, [[[0] * desc.deg for _ in range(mat.cols)]
+                                            for _ in range(mat.rows)])[i][j] = list(coeff)
+        return cls(desc, mat.rows, mat.cols, tuple(split), list(split.values()))
 
 
 def minors(mat, size):
-    """Lazily yield every size x size minor as a Polynomial.
+    """Lazily yield every size x size minor of a Matrix or PolyMatrix of
+    polynomials, as a Polynomial.
 
-    Submatrices are visited in lexicographic order of (row set, column set),
-    so consumers can stop at the first witness without paying for the rest.
-    Entries must be polynomial (denominator 1).
+    Row sets are visited in lexicographic order and, within one, column sets
+    in lexicographic order, so consumers can stop at the first witness
+    without paying for later row sets.  Entries must be polynomial
+    (denominator 1).
+
+    The generator w of the finite part F_p[w]/(f) is carried as one more
+    variable, so the minors are taken over F_p; reduction mod f is a ring
+    map, so it commutes with determinants and is applied to the finished
+    minors only.  The minors of one row set come from a single Laplace
+    expansion over all column subsets (_expand_row) on dense lists of
+    integers, whose cost depends on the shape and the monomials of the
+    entries but not on their values.
     """
     if size > min(mat.rows, mat.cols):
         raise ValueError("minor size exceeds matrix dimensions")
-    grid = []
-    for row in mat.entries:
-        prow = []
-        for x in row:
-            if not x.is_polynomial():
-                raise NonPolynomialEntry("matrix entry has a denominator")
-            prow.append(x.num)
-        grid.append(prow)
+    if not isinstance(mat, PolyMatrix):
+        mat = PolyMatrix.from_matrix(mat)
+    desc, p, e = mat.desc, mat.desc.p, mat.desc.deg
+    fin = fields.FieldDescriptor(p, desc.ext, ())
+    # entry (r, c) as a dense list over the monomials b + (a,) = m_b w^a
+    exps = [b + (a,) for b in mat.exps for a in range(e)]
+    grid = [[[x for cb in mat.coeffs for x in cb[r][c]] for c in range(mat.cols)]
+            for r in range(mat.rows)]
+    # levels[j]: monomials of the j x j minors; lands[j][u][v]: position in
+    # levels[j + 1] of levels[j][u] times exps[v]
+    levels, lands = [[(0,) * (desc.nvars + 1)]], []
+    for _ in range(size):
+        sums = [[tuple(map(sum, zip(u, v))) for v in exps] for u in levels[-1]]
+        nxt = sorted({m for row in sums for m in row})
+        where = {m: i for i, m in enumerate(nxt)}
+        lands.append([[where[m] for m in row] for row in sums])
+        levels.append(nxt)
+    w = tuple(int(i == 1) for i in range(e))
+    wpow = [fin.sone()]
+    for _ in range(size * (e - 1)):
+        wpow.append(fin.smul(wpow[-1], w))
 
     def generate():
         for rset in itertools.combinations(range(mat.rows), size):
+            level = {(): [1]}
+            for j, r in enumerate(rset):
+                level = _expand_row(grid[r], level, lands[j], len(levels[j + 1]),
+                                    mat.cols, j, p)
             for cset in itertools.combinations(range(mat.cols), size):
-                sub = [[grid[i][j] for j in cset] for i in rset]
-                yield _poly_det(sub, mat.desc)
+                terms = {}
+                for m, c in zip(levels[size], level[cset]):
+                    acc = terms.setdefault(m[:-1], [0] * e)
+                    for a, x in enumerate(wpow[m[-1]]):
+                        acc[a] += c * x
+                yield Polynomial(desc, {b: [x % p for x in acc]
+                                        for b, acc in terms.items()})
 
     return generate()
+
+
+def _expand_row(row, level, lands, width, cols, j, p):
+    """Minors on rows r_0..r_j of every (j+1)-subset of columns, from those
+    on rows r_0..r_{j-1} (``level``, keyed by column subset) and the entries
+    ``row`` of r_j, by expansion along r_j.  Every term is computed,
+    whatever its value."""
+    out = {}
+    for cset in itertools.combinations(range(cols), j + 1):
+        acc = [0] * width
+        for pos, c in enumerate(cset):
+            x = row[c]
+            sign = -1 if (j + pos) % 2 else 1
+            for y, targets in zip(level[cset[:pos] + cset[pos + 1:]], lands):
+                y *= sign
+                for xv, t in zip(x, targets):
+                    acc[t] += y * xv
+        out[cset] = [v % p for v in acc]
+    return out
 
 
 # ---------------------------------------------------------------------------

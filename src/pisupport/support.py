@@ -26,13 +26,17 @@ finite extension is therefore an exact decision, and it agrees with the
 direct transcendental computation (tested).
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
-polynomial ring in s_1..s_r.  Its monomial coefficients C_b are formed as
-coordinate arrays by a word expansion of the power, and only the pivot
-submatrix op[I, J], which has the same ideal of minors (Cauchy-Binet), is
-built as polynomials for the Bareiss minors.
+polynomial ring in s_1..s_r.  Its monomial coefficients C_b are formed by a
+word expansion of the power, the pivot submatrix op[I, J] has the same
+ideal of minors (Cauchy-Binet), and its minors are taken by Laplace
+expansion on coefficient lists (linalg.minors).  The matrices of this path
+are at most 12 x 12, so it runs on lists of Python integers: numpy's fixed
+cost per call outweighs the arithmetic, and over a finite base every step
+does the same work for every module of a given n, p and r.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +48,7 @@ from .errors import (
     NonPolynomialEntry,
     NotARefinement,
 )
-from .fields import FieldElement, Polynomial
+from .fields import FieldElement
 
 DEFAULT_ENUM_BUDGET = 200_000
 DEFAULT_IDEAL_MAX_DIM = 12
@@ -374,10 +378,10 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     of N(s)^{p-1} where N(s) = s_1 Z_1 + ... + s_r Z_r.
 
     The monomial coefficients C_b of N(s)^{p-1} are formed as coordinate
-    arrays (_operator_coeffs).  Only the minors of the pivot submatrix
-    op[I, J] (see _pivot_submatrix) are taken, and only its entries are
-    built as polynomials; a minor that is a nonzero scalar multiple of one
-    already kept is dropped.  Both generate the same ideal as the full
+    lists (_operator_coeffs).  Only the minors of the pivot submatrix
+    op[I, J] (see _pivot_submatrix) are taken, on its coefficients
+    (linalg.PolyMatrix), and a minor that is a nonzero scalar multiple of
+    one already kept is dropped.  Both generate the same ideal as the full
     list, of which the result is a subsequence.
     """
     n, p = mod.n, mod.spec.p
@@ -409,28 +413,47 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
 
 
 def _operator_coeffs(mod):
-    """The nonzero C_b of N(s)^{p-1} = sum_b m_b C_b as (n, n, e) coordinate
-    arrays, keyed by the exponents of m_b in the base's variables and s.
+    """The C_b of N(s)^{p-1} = sum_b m_b C_b as (n, n, e) nested lists of
+    coordinates over the finite part, keyed by the exponents of m_b in the
+    base's variables and s.
 
-    P_0 = {0: I} and P_{j+1}[a + e_i] sums the Z_i P_j[a]; this uses only
-    N^{j+1} = N N^j, so the Z_i need not commute.  Over a finite base the
-    products run on coordinate arrays; over a base with transcendentals on
-    boxed entries, which are then split by monomials in the base's
-    variables (NonPolynomialEntry for an entry with a denominator).
+    P_1 = {e_i: Z_i} and P_{j+1}[a + e_i] sums the Z_i P_j[a]; this uses
+    only N^{j+1} = N N^j, so the Z_i need not commute.  Over a finite base
+    the products run on the F_p block matrices (blockify) as lists of
+    Python integers, every monomial of degree p - 1 in s keeps its C_b, zero
+    or not, and the work depends on n, p and r only.  Over a base with
+    transcendentals the products run on boxed entries, which are then split
+    by monomials in the base's variables (NonPolynomialEntry for an entry
+    with a denominator); only monomials that occur are kept.
     """
     n, r, base = mod.n, mod.spec.r, mod.spec.base
-    words = {(0,) * r: linalg.Matrix.identity(base, n)}
-    for _ in range(mod.spec.p - 1):
+    p, e = base.p, base.deg
+    if base.is_finite:
+        zs = [linalg.blockify_lists(linalg.coeff_array(z).tolist(), base) for z in mod.Z]
+
+        def product(a, b):
+            cols = list(zip(*b))
+            return [[sum(map(operator.mul, row, col)) % p for col in cols]
+                    for row in a]
+
+        def add(a, b):
+            return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    else:
+        zs, product, add = mod.Z, operator.matmul, operator.add
+    words = {tuple(int(j == i) for j in range(r)): z for i, z in enumerate(zs)}
+    for _ in range(p - 2):
         nxt = {}
         for alpha, c in words.items():
-            for i, z in enumerate(mod.Z):
+            for i, z in enumerate(zs):
                 beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                prod = z @ c
-                nxt[beta] = nxt[beta] + prod if beta in nxt else prod
+                prod = product(z, c)
+                nxt[beta] = add(nxt[beta], prod) if beta in nxt else prod
         words = nxt
     if base.is_finite:
-        return {alpha: linalg.coeff_array(c) for alpha, c in words.items()
-                if not c.is_zero()}
+        # the coordinates of entry (u, v) are the first column of its block
+        return {alpha: [[[blk[u * e + a][v * e] for a in range(e)] for v in range(n)]
+                        for u in range(n)]
+                for alpha, blk in words.items()}
     coeffs = {}
     for alpha, c in words.items():
         for i, row in enumerate(c.entries):
@@ -438,8 +461,8 @@ def _operator_coeffs(mod):
                 if not x.is_polynomial():
                     raise NonPolynomialEntry("matrix entry has a denominator")
                 for exps, coeff in x.num.terms.items():
-                    coeffs.setdefault(exps + alpha, np.zeros(
-                        (n, n, base.deg), dtype=np.int64))[i, j] = coeff
+                    coeffs.setdefault(exps + alpha, [[[0] * e for _ in range(n)]
+                                                     for _ in range(n)])[i][j] = list(coeff)
     return coeffs
 
 
@@ -456,26 +479,22 @@ def _pivot_submatrix(K, coeffs):
     only on the row space of a stack, not on the order of its blocks.
     """
     if not coeffs:
-        return linalg.Matrix(K, [])
+        return linalg.PolyMatrix(K, 0, 0, (), [])
     fin = _finite_part(K)
-    rows = _pivot_lines([c.transpose(1, 0, 2) for c in coeffs.values()], fin)
-    cols = _pivot_lines(list(coeffs.values()), fin)
-    subs = [(exps, c[np.ix_(rows, cols)].tolist()) for exps, c in coeffs.items()]
-    return linalg.Matrix(K, [
-        [FieldElement(K, Polynomial(K, {exps: sub[a][b] for exps, sub in subs}))
-         for b in range(len(cols))]
-        for a in range(len(rows))
-    ])
+    mats = list(coeffs.values())
+    rows = _pivot_lines([list(zip(*c)) for c in mats], fin)
+    cols = _pivot_lines(mats, fin)
+    return linalg.PolyMatrix(K, len(rows), len(cols), tuple(coeffs),
+                             [[[c[i][j] for j in cols] for i in rows] for c in mats])
 
 
-def _pivot_lines(coeffs, fin):
-    """Pivot columns of the vertical stack of (n, n, e) coefficient arrays
+def _pivot_lines(mats, fin):
+    """Pivot columns of the vertical stack of (rows, n, e) coordinate lists
     over the finite field ``fin``.  The F_p columns of column j span the
     fin-line through it, so F_p pivots come in whole blocks of e."""
     e = fin.deg
-    block = linalg.blockify(np.concatenate(coeffs, axis=0), fin)
-    _, pivots, _ = linalg.int_row_reduce(block, fin.p)
-    return [c // e for c in pivots if c % e == 0]
+    block = [row for c in mats for row in linalg.blockify_lists(c, fin)]
+    return [c // e for c in linalg.int_pivots(block, fin.p) if c % e == 0]
 
 
 def ideal_vanishes_at(gens, pt: ProjPoint) -> bool:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from pisupport import (
     rank,
 )
 from pisupport.errors import NonPolynomialEntry, NotPNilpotent
-from pisupport.fields import Polynomial, canonical_extension
+from pisupport.fields import Polynomial, canonical_extension, make_field
 from pisupport.linalg import (
     bareiss_rank,
     blockify,
@@ -324,6 +326,40 @@ def test_minor_determinant_against_cofactor_expansion(rng):
         (bareiss,) = list(minors(a, n))
         expected = det_cofactor(a)
         assert FieldElement(F5, bareiss) == expected
+
+
+def _cofactor_det(rows, desc):
+    """Determinant by cofactor expansion along the first row, in boxed
+    arithmetic; the empty determinant is 1."""
+    if not rows:
+        return FieldElement.one(desc)
+    acc = FieldElement.zero(desc)
+    for j, x in enumerate(rows[0]):
+        rest = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = x * _cofactor_det(rest, desc)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+@pytest.mark.parametrize("finite", [(3, None), (2, (1, 1, 1)), (3, (2, 2, 1))],
+                         ids=["f3", "f4", "f9"])
+def test_minors_of_polynomial_entries_against_cofactor_expansion(rng, finite):
+    p, ext = finite
+    desc = make_field(p, ext, ("t", "s1", "s2"))
+    scalars = [tuple(rng.randrange(p) for _ in range(desc.deg)) for _ in range(6)]
+    exps = [(0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, 0), (0, 2, 1)]
+    for _ in range(6):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        grid = [[FieldElement(desc, Polynomial(desc, {
+            e: rng.choice(scalars) for e in rng.sample(exps, rng.randrange(3))}))
+            for _ in range(cols)] for _ in range(rows)]
+        for size in range(min(rows, cols) + 1):
+            expected = [
+                _cofactor_det([[grid[i][j] for j in cset] for i in rset], desc).num
+                for rset in itertools.combinations(range(rows), size)
+                for cset in itertools.combinations(range(cols), size)
+            ]
+            assert list(minors(Matrix(desc, grid), size)) == expected
 
 
 # ---------------------------------------------------------------------------
