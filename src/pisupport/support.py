@@ -4,10 +4,12 @@ The ambient space is P^{r-1} with coordinates dual to the generators
 z_1..z_r.  A closed point [a_1 : ... : a_r] is in the support when the
 operator (sum a_i Z_i)^{p-1} has rank below n/p (or p does not divide n);
 it is in the cosupport when the same test fails on the coinduced module
-over the point's field.  in_support and in_cosupport decide this from the
-definition, on the block matrix over F_p; sampling and the generic scan use
-_point_tester, which eliminates N(a)^{p-1} over the point's field F_q on
-Zech logarithms (linalg.fq_rank).  Sampling enumerates one canonical
+over the point's field.  Every such rank is taken over the point's field
+F_q on Zech logarithms (linalg.fq_rank): in_support and in_cosupport decide
+from the definition, through the restricted operator and its Jordan type,
+and sampling and the generic scan use _point_tester, which forms only
+N(a)^{p-1}.  The ne x ne block matrix over F_p is eliminated only in the
+tests, as the oracle.  Sampling enumerates one canonical
 representative (first nonzero coordinate scaled to 1) of every point
 rational over each extension of the base of relative degree <= e_max,
 skipping points already defined over a proper subfield (read off the
@@ -154,14 +156,14 @@ def in_support(mod, point) -> bool:
 
 
 def in_cosupport(mod, point) -> bool:
-    """Cosupport verdict.  Over a finite extension this is computed directly
-    on the coinduced module.  At a transcendental point it falls back to the
-    support verdict, which agrees for finite-dimensional modules (coinduction
-    is then a finite direct sum of base changes)."""
+    """Cosupport verdict.  At a point over a finite field K this is the
+    support verdict of the coinduced module Hom_k(K, M), which is already
+    over K, so in_support does not embed it again.  At a transcendental
+    point it falls back to the support verdict of M, which agrees for
+    finite-dimensional modules (coinduction is then a finite direct sum of
+    base changes)."""
     if point.K.is_finite:
-        co = reps.coinduced(mod, point.K)
-        op = pipoints.restrict(point, co)
-        return not linalg.is_full(op, mod.spec.p)
+        return in_support(reps.coinduced(mod, point.K), point)
     return in_support(mod, point)
 
 
@@ -177,18 +179,18 @@ def point_pi(spec, pt: ProjPoint) -> pipoints.PiPoint:
 def _point_tester(mod, K):
     """Callable deciding in-support for coordinate tuples of K-scalars.
 
-    Precomputes the embedded coordinate arrays of the generator matrices.
-    A point a accumulates N(a) = sum a_i Z_i as an (n, n, e) coordinate
-    array, raises it to the power p - 1 by p - 2 products with its F_p
-    block matrix (linalg.coeff_power), and decides rank N(a)^{p-1} < n/p
-    by elimination over K itself on Zech logarithms (linalg.fq_rank),
-    stopping at rank n/p.  Agrees with in_support on linear points; the
-    test suite checks it against elimination of the ne x ne block matrix
-    over F_p at every sampled point.
+    Precomputes the coordinate arrays of the generator matrices of the
+    base change of mod to K (reps.base_change, the identity on a module
+    already over K, such as a coinduced one).  A point a accumulates
+    N(a) = sum a_i Z_i as an (n, n, e) coordinate array, raises it to the
+    power p - 1 by p - 2 products with its F_p block matrix
+    (linalg.coeff_power), and decides rank N(a)^{p-1} < n/p with
+    linalg.fq_rank, stopping at rank n/p.  Agrees with in_support on linear
+    points; the test suite checks it against elimination of the ne x ne
+    block matrix over F_p at every sampled point.
     """
     p, n = mod.spec.p, mod.n
-    emb = linalg.embedding_matrix(mod.spec.base, K)
-    carr = [linalg.coeff_array(m) @ emb % p for m in mod.Z]
+    carr = [linalg.coeff_array(m) for m in reps.base_change(mod, K).Z]
     target = n // p
 
     def tester(coord_scalars):
@@ -199,7 +201,7 @@ def _point_tester(mod, K):
             if any(a):
                 acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
         op = linalg.coeff_power(acc % p, p - 1, K)
-        return linalg.fq_rank(linalg.log_codes(op, K), K, stop_at=target) != target
+        return linalg.fq_rank(op, K, stop_at=target) != target
 
     return tester
 
@@ -503,7 +505,7 @@ def ideal_vanishes_at(gens, pt: ProjPoint) -> bool:
     coords = pt.scalar_coords()
     for gen in gens:
         emb = fields._scalar_embedding(_finite_part(gen.desc), K)
-        value = gen.evaluate_scalars(K, coords, lambda c: emb(c))
+        value = gen.evaluate_scalars(K, coords, emb)
         if any(value):
             return False
     return True

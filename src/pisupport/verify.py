@@ -150,7 +150,7 @@ def _random_higher_terms(rng, spec, K, count=2):
     candidates = [
         e
         for e in itertools.product(range(spec.p), repeat=spec.r)
-        if 2 <= sum(e) and all(x <= spec.p - 1 for x in e)
+        if 2 <= sum(e)
     ]
     out = {}
     for _ in range(count):

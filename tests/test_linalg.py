@@ -22,10 +22,10 @@ from pisupport.linalg import (
     from_coeff_array,
     int_rank,
     int_row_reduce,
-    log_codes,
 )
+from pisupport.reps import ModuleRep, make_spec
 
-from conftest import F2, F3, F5, F4, F2S, F3S, F2SU, int_solve
+from conftest import F2, F3, F5, F4, F9, F2S, F3S, F2SU, conjugated, int_solve
 
 
 def var(desc, name):
@@ -202,17 +202,18 @@ def test_fq_rank_matches_block_rank(p, e):
         zeros = float(gen.choice([0.0, 0.5, 0.8]))
         left = from_coeff_array(desc, _sparse_coeffs(gen, desc, rows, inner, zeros))
         right = from_coeff_array(desc, _sparse_coeffs(gen, desc, inner, cols, zeros))
-        coeffs = coeff_array(left @ right)
+        product = left @ right
+        coeffs = coeff_array(product)
         block = blockify(coeffs, desc)
-        logs = log_codes(coeffs, desc)
         full = int_row_reduce(block, p)[0]
-        assert full % e == 0 and fq_rank(logs, desc) == full // e
+        assert full % e == 0 and fq_rank(coeffs, desc) == full // e
+        assert rank(product) == full // e
         seen.add(full // e == min(rows, cols))
         for stop in range(min(rows, cols) + 1):
-            assert fq_rank(logs, desc, stop_at=stop) == (
+            assert fq_rank(coeffs, desc, stop_at=stop) == (
                 int_row_reduce(block, p, stop_at=e * stop)[0] // e)
     assert seen == {True, False}  # full-rank and rank-deficient products
-    zero = np.full((3, 4), desc.order - 1)
+    zero = np.zeros((3, 4, e), dtype=np.int64)
     assert fq_rank(zero, desc) == 0 and fq_rank(zero[:0], desc) == 0
 
 
@@ -406,8 +407,9 @@ def test_is_full_examples():
 
 
 def _random_nilpotent(rng, desc, p, n):
-    """Strictly upper triangular conjugated by a random invertible matrix,
-    then truncated to p-nilpotence by taking the (p..)-th power pattern."""
+    """A p-nilpotent operator with random Jordan blocks of sizes <= p, in a
+    dense seeded basis: the block-diagonal Jordan form conjugated by
+    P = I + L (conftest.conjugated).  Returns it and its partition."""
     from pisupport.linalg import block_diag
 
     parts = []
@@ -422,11 +424,12 @@ def _random_nilpotent(rng, desc, p, n):
         for i in range(u - 1):
             grid[i + 1][i] = 1
         blocks.append(Matrix.from_ints(desc, grid))
-    t = block_diag(blocks)
+    spec = make_spec(p, 1, base=desc)
+    t = conjugated(ModuleRep(spec, [block_diag(blocks)]), rng).Z[0]
     return t, sorted(parts, reverse=True)
 
 
-@pytest.mark.parametrize("desc,p", [(F2, 2), (F3, 3), (F5, 5)])
+@pytest.mark.parametrize("desc,p", [(F2, 2), (F3, 3), (F5, 5), (F4, 2), (F9, 3)])
 def test_jordan_type_against_kernel_chain_oracle(desc, p, rng):
     for _ in range(10):
         n = rng.randrange(1, 9)
