@@ -8,15 +8,17 @@ over F_p, and a product multiplies the F_p block matrix of one factor
 are built from the array only when something reads them.  Every rank over a
 finite field is fq_rank: elimination over F_q itself on the Zech logarithms
 of the entries (fields.zech_tables), about e^3 times less work than the
-ne x ne block matrix over F_p, whose elimination is kept only in the tests
-as the oracle.  Rank in the presence of transcendentals uses fraction-free
-(Bareiss) elimination on polynomial entries, so no multivariate gcd is ever
-needed.  Pivoting always takes the first nonzero entry in column order,
-which keeps intermediate polynomials, and therefore all reports,
-reproducible.  Minors are taken by a division-free Laplace expansion on the
-monomial coefficients of the entries (PolyMatrix); they and the support
-ideal's pivot columns (int_pivots) work on lists of Python integers, since
-their matrices have a few hundred entries at most.
+ne x ne block matrix over F_p.  fq_rank eliminates the block matrix only
+past ZECH_MAX_ORDER, where the tables would outweigh the elimination; below
+it the block elimination is kept only in the tests, as the oracle.  Rank in
+the presence of transcendentals uses fraction-free (Bareiss) elimination on
+polynomial entries, so no multivariate gcd is ever needed.  Pivoting always
+takes the first nonzero entry in column order, which keeps intermediate
+polynomials, and therefore all reports, reproducible.  Minors are taken by
+a division-free Laplace expansion on the monomial coefficients of the
+entries (PolyMatrix); they and the support ideal's pivot columns
+(int_pivots) work on lists of Python integers, since their matrices have a
+few hundred entries at most.
 """
 
 import itertools
@@ -551,6 +553,12 @@ def _zech_kernel(desc):
     return wrap, shift, add
 
 
+#: largest field order whose Zech tables fq_rank builds: 3q int32 and
+#: 11(q - 1) int64 entries, about 26 MB at the bound.  Every field that a
+#: sample at r >= 2 reaches within support.DEFAULT_ENUM_BUDGET is below it.
+ZECH_MAX_ORDER = 1 << 18
+
+
 def fq_rank(coeffs, desc, stop_at=None):
     """Rank over the finite field ``desc`` of the matrix with the (n, m, e)
     coordinate array ``coeffs``; with ``stop_at`` the elimination ends once
@@ -561,10 +569,15 @@ def fq_rank(coeffs, desc, stop_at=None):
     logs mod q - 1, and a - c*b becomes a + c*b*(-1), whose log goes through
     the Zech table, with the log of -1 (q - 1)/2 for odd p and 0 for p = 2.
     Over a prime field the log route is slower than residues, so there the
-    coordinates go to int_rank.
+    coordinates go to int_rank.  Past ZECH_MAX_ORDER the tables would cost
+    more than the elimination they save, so there int_rank takes the
+    ne x ne block matrix over F_p, whose rank is e times the rank over F_q.
     """
     if desc.deg == 1:
         return int_rank(coeffs[:, :, 0], desc.p, stop_at)
+    if desc.order > ZECH_MAX_ORDER:
+        stop = None if stop_at is None else stop_at * desc.deg
+        return int_rank(blockify(coeffs, desc), desc.p, stop) // desc.deg
     m = desc.order - 1
     minus_one = m // 2 if desc.p > 2 else 0
     zero = 2 * m

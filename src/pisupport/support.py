@@ -8,15 +8,15 @@ over the point's field.  Every such rank is taken over the point's field
 F_q on Zech logarithms (linalg.fq_rank): in_support and in_cosupport decide
 from the definition, through the restricted operator and its Jordan type,
 and sampling and the generic scan use _point_tester, which forms only
-N(a)^{p-1}.  The ne x ne block matrix over F_p is eliminated only in the
-tests, as the oracle.  Sampling enumerates one canonical
-representative (first nonzero coordinate scaled to 1) of every point
-rational over each extension of the base of relative degree <= e_max,
-skipping points already defined over a proper subfield (read off the
-logarithms, fields.subfield_mask); Galois orbits are listed per rational
-representative, not merged.  Every sampler checks the enumeration and then
-the generic scan against the budget and the degree cap before it tests a
-point.
+N(a)^{p-1}.  The ne x ne block matrix over F_p is eliminated in the tests,
+as the oracle, and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling
+enumerates one canonical representative (first nonzero coordinate scaled
+to 1) of every point rational over each extension of the base of relative
+degree <= e_max, skipping points already defined over a proper subfield
+(read off the logarithms, fields.subfield_mask); Galois orbits are listed
+per rational representative, not merged.  Every sampler checks the
+enumeration and then the generic scan against the budget and the degree cap
+before it tests a point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field

@@ -5,6 +5,7 @@ import pytest
 
 from pisupport import (
     FieldElement,
+    fields,
     Matrix,
     is_full,
     jordan_type,
@@ -15,6 +16,7 @@ from pisupport import (
 from pisupport.errors import NonPolynomialEntry, NotPNilpotent
 from pisupport.fields import Polynomial, canonical_extension, make_field
 from pisupport.linalg import (
+    ZECH_MAX_ORDER,
     bareiss_rank,
     blockify,
     coeff_array,
@@ -215,6 +217,33 @@ def test_fq_rank_matches_block_rank(p, e):
     assert seen == {True, False}  # full-rank and rank-deficient products
     zero = np.zeros((3, 4, e), dtype=np.int64)
     assert fq_rank(zero, desc) == 0 and fq_rank(zero[:0], desc) == 0
+
+
+def test_rank_past_the_zech_bound_builds_no_tables(monkeypatch, rng):
+    """Over F_{101^3}, past ZECH_MAX_ORDER, rank, jordan_type and is_full
+    agree with the boxed kernel_basis oracle without building the Zech
+    tables of a field of a million elements."""
+    def refuse(desc):
+        raise AssertionError(f"Zech tables built for {desc}")
+
+    monkeypatch.setattr(fields, "zech_tables", refuse)
+    desc = canonical_extension(101, 3)
+    assert desc.order > ZECH_MAX_ORDER
+    gen = np.random.default_rng(101)
+    for _ in range(6):
+        rows, cols = (int(x) for x in gen.integers(1, 7, size=2))
+        inner = int(gen.integers(1, min(rows, cols) + 1))
+        left = from_coeff_array(desc, _sparse_coeffs(gen, desc, rows, inner, 0.5))
+        right = from_coeff_array(desc, _sparse_coeffs(gen, desc, inner, cols, 0.5))
+        product = left @ right
+        full = rank_naive(product)
+        assert rank(product) == full
+        for stop in range(min(rows, cols) + 1):
+            assert fq_rank(coeff_array(product), desc, stop_at=stop) == min(stop, full)
+    for n in (4, 7):
+        t, parts = _random_nilpotent(rng, desc, 101, n)
+        assert list(jordan_type(t, 101).parts) == parts
+        assert not is_full(t, 101)
 
 
 # ---------------------------------------------------------------------------
