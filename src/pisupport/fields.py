@@ -771,6 +771,8 @@ class FieldElement:
 def _canonicalize(desc, num, den):
     if num.is_zero():
         return Polynomial.zero(desc), Polynomial.const(desc, desc.sone())
+    if den.terms == {(0,) * desc.nvars: desc.sone()}:
+        return num, den  # already canonical, as from int and scalar constructors
     m = desc.nvars
     if m == 0:
         q = desc.smul(num.constant_scalar(), desc.sinv(den.constant_scalar()))

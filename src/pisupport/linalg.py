@@ -847,27 +847,25 @@ class JordanType:
         return "[" + ",".join(str(part) for part in self.parts) + "]"
 
 
-def _power_ranks(mat, p):
-    """Ranks of T^0..T^p; raises unless T^p = 0."""
+def _powers(mat, p):
+    """T^1..T^{p-1}; raises unless T^p = 0."""
     if mat.rows != mat.cols:
         raise NotPNilpotent("operator matrix must be square")
-    ranks = [mat.rows]
-    cur = mat
-    for j in range(1, p + 1):
-        if j > 1:
-            cur = cur @ mat
-        ranks.append(rank(cur))
-    if not cur.is_zero():
+    powers = [mat]
+    for _ in range(p - 2):
+        powers.append(powers[-1] @ mat)
+    if not (powers[-1] @ mat).is_zero():
         raise NotPNilpotent(f"T^{p} != 0")
-    return ranks
+    return powers
 
 
 def jordan_type(mat, p) -> JordanType:
     """Block-size partition of a p-nilpotent operator.
 
-    The number of parts of size >= j equals rank(T^{j-1}) - rank(T^j).
+    The number of parts of size >= j equals rank(T^{j-1}) - rank(T^j),
+    where rank(T^p) = 0.
     """
-    ranks = _power_ranks(mat, p)
+    ranks = [mat.rows] + [rank(t) for t in _powers(mat, p)] + [0]
     at_least = [ranks[j - 1] - ranks[j] for j in range(1, p + 1)]
     parts = []
     for j in range(p, 0, -1):
@@ -883,5 +881,5 @@ def is_full(mat, p) -> bool:
     """True iff the p-nilpotent operator has all Jordan blocks of size p,
     i.e. p divides n and rank(T^{p-1}) = n/p."""
     n = mat.rows
-    ranks = _power_ranks(mat, p)
-    return n % p == 0 and ranks[p - 1] == n // p
+    top = _powers(mat, p)[-1]
+    return n % p == 0 and rank(top) == n // p

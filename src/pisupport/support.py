@@ -14,9 +14,10 @@ enumerates one canonical representative (first nonzero coordinate scaled
 to 1) of every point rational over each extension of the base of relative
 degree <= e_max, skipping points already defined over a proper subfield
 (read off the logarithms, fields.subfield_mask); Galois orbits are listed
-per rational representative, not merged.  Every sampler checks the
-enumeration and then the generic scan against the budget and the degree cap
-before it tests a point.
+per rational representative, not merged.  A point is carried as its
+element codes (ProjPoint.codes) from enumeration to report.  Every sampler
+checks the enumeration and then the generic scan against the budget and
+the degree cap before it tests a point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field
@@ -50,7 +51,6 @@ from .errors import (
     NonPolynomialEntry,
     NotARefinement,
 )
-from .fields import FieldElement
 
 DEFAULT_ENUM_BUDGET = 200_000
 DEFAULT_IDEAL_MAX_DIM = 12
@@ -61,39 +61,48 @@ EVERYTHING = "everything"
 
 
 class ProjPoint:
-    """Point of P^{r-1} over a finite tower member, canonicalized so the
-    first nonzero coordinate is 1."""
+    """Point of P^{r-1} over a finite tower member, held as the element
+    codes (FieldDescriptor.sto_code) of its coordinates, scaled so that the
+    first nonzero code is 1.  Equality, hashing and the report order read
+    the codes; the FieldElement coordinates are built only when read."""
 
-    __slots__ = ("desc", "coords")
+    __slots__ = ("desc", "codes")
 
     def __init__(self, desc, coords):
         coords = tuple(coords)
         if not any(coords):
             raise ValueError("all coordinates zero")
-        lead = next(x for x in coords if x)
-        inv = lead.inv()
-        coords = tuple(inv * x for x in coords)
+        inv = next(x for x in coords if x).inv()
         object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "codes", tuple(
+            desc.sto_code((inv * x).as_scalar()) for x in coords))
+
+    @classmethod
+    def _from_codes(cls, desc, codes):  # the first nonzero code must be 1
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "desc", desc)
+        object.__setattr__(pt, "codes", codes)
+        return pt
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
-    def scalar_coords(self):
-        return tuple(x.as_scalar() for x in self.coords)
+    @property
+    def coords(self):
+        desc = self.desc
+        return tuple(fields.interned(desc, desc.sfrom_code(c)) for c in self.codes)
 
     def sort_key(self):
-        codes = tuple(self.desc.sto_code(s) for s in self.scalar_coords())
-        lead = next(i for i, c in enumerate(codes) if c)
-        return (self.desc.deg, lead, codes)
+        lead = next(i for i, c in enumerate(self.codes) if c)
+        return (self.desc.deg, lead, self.codes)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return self.desc == other.desc and self.coords == other.coords
+        return self.desc == other.desc and self.codes == other.codes
 
     def __hash__(self):
-        return hash((self.desc, self.coords))
+        return hash((self.desc, self.codes))
 
     def __str__(self):
         return "[" + ":".join(fields.to_literal(x) for x in self.coords) + "]"
@@ -177,30 +186,34 @@ def point_pi(spec, pt: ProjPoint) -> pipoints.PiPoint:
 
 
 def _point_tester(mod, K):
-    """Callable deciding in-support for coordinate tuples of K-scalars.
+    """Callable deciding in-support for a point of P^{r-1}(K) given by its
+    element codes (ProjPoint.codes).
 
-    Precomputes the coordinate arrays of the generator matrices of the
-    base change of mod to K (reps.base_change, the identity on a module
-    already over K, such as a coinduced one).  A point a accumulates
-    N(a) = sum a_i Z_i as an (n, n, e) coordinate array, raises it to the
-    power p - 1 by p - 2 products with its F_p block matrix
-    (linalg.coeff_power), and decides rank N(a)^{p-1} < n/p with
-    linalg.fq_rank, stopping at rank n/p.  Agrees with in_support on linear
-    points; the test suite checks it against elimination of the ne x ne
-    block matrix over F_p at every sampled point.
+    The generators of the base change of mod to K (reps.base_change, the
+    identity on a module already over K, such as a coinduced one) are one
+    (n, n, r*e) coordinate array.  The F_p digits of the codes times the
+    powers of the generator of K (linalg.companion_powers) are the F_p
+    matrices of multiplication by the coordinates a_i, and one more product
+    gives N(a) = sum a_i Z_i.  N(a)^{p-1} takes p - 2 products with its F_p
+    block matrix (linalg.coeff_power), and linalg.fq_rank decides
+    rank < n/p, stopping at n/p.  The tests check it against elimination of
+    the ne x ne block matrix over F_p at every sampled point.
     """
-    p, n = mod.spec.p, mod.n
-    carr = [linalg.coeff_array(m) for m in reps.base_change(mod, K).Z]
+    p, n, e = mod.spec.p, mod.n, K.deg
+    # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
+    # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
+    gens = np.stack([linalg.coeff_array(m) for m in reps.base_change(mod, K).Z],
+                    axis=2).reshape(n, n, mod.spec.r * e)
+    powers = linalg.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
+    place = p ** np.arange(e, dtype=np.int64)
     target = n // p
 
-    def tester(coord_scalars):
+    def tester(codes):
         if n % p:
             return True
-        acc = np.zeros((n, n, K.deg), dtype=np.int64)
-        for a, c in zip(coord_scalars, carr):
-            if any(a):
-                acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
-        op = linalg.coeff_power(acc % p, p - 1, K)
+        digits = np.array(codes, dtype=np.int64)[:, None] // place % p
+        acc = gens @ (digits @ powers).reshape(-1, e) % p
+        op = linalg.coeff_power(acc, p - 1, K)
         return linalg.fq_rank(op, K, stop_at=target) != target
 
     return tester
@@ -219,10 +232,6 @@ def _sampling_field(base, e):
     return K
 
 
-def _proper_subfield_degrees(e):
-    return [d for d in range(1, e) if e % d == 0]
-
-
 def enumeration_size(base, r, e_max):
     """Coordinate tuples enumerate_points visits: |P^{r-1}(F_{q^e})| =
     (q^{er} - 1)/(q^e - 1) for each e <= e_max, q the order of the base,
@@ -233,9 +242,9 @@ def enumeration_size(base, r, e_max):
 
 def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     """Canonical representatives of P^{r-1}(F_{q^e}) for e <= e_max, new
-    points only (nothing already rational over a proper subfield).  Yields
-    (ProjPoint, scalar coordinate tuple, field).  Raises BudgetExceeded on
-    the first step when more than ``budget`` tuples would be visited."""
+    points only (nothing already rational over a proper subfield), as
+    ProjPoints whose field is pt.desc.  Raises BudgetExceeded on the first
+    step when more than ``budget`` tuples would be visited."""
     _check_enumeration(base, r, e_max, budget)
     yield from _points(base, r, e_max)
 
@@ -257,21 +266,14 @@ def _points(base, r, e_max):
         if e > 1 and r == 1:
             return  # the one point of P^0 is rational over the base
         K = _sampling_field(base, e)
-        one = K.sone()
         masks = [fields.subfield_mask(K, q0**d).tolist()
-                 for d in _proper_subfield_degrees(e)]
+                 for d in range(1, e) if e % d == 0]
         for lead in range(r):
-            tail = r - lead - 1
-            for codes in itertools.product(range(K.order), repeat=tail):
+            head = (0,) * lead + (1,)
+            for codes in itertools.product(range(K.order), repeat=r - lead - 1):
                 if any(all(mask[c] for c in codes) for mask in masks):
                     continue
-                scalars = (
-                    (K.szero(),) * lead
-                    + (one,)
-                    + tuple(K.sfrom_code(c) for c in codes)
-                )
-                coords = tuple(FieldElement.from_scalar(K, s) for s in scalars)
-                yield ProjPoint(K, coords), scalars, K
+                yield ProjPoint._from_codes(K, head + codes)
 
 
 def _check_degree(base, e, what):
@@ -287,18 +289,18 @@ def _check_degree(base, e, what):
 
 def _sampled(spec, e_max, budget, make_testers, scanned):
     """The points of enumerate_points over the base of spec, each with what
-    make_testers(K) returned for its field K, built once per field.  Before
-    the first point is tested, the enumeration and then the generic scan of
-    each module in ``scanned`` are checked against the budget and the
-    degree cap."""
+    make_testers(K) returned for its field K = pt.desc, built once per
+    field.  Before the first point is tested, the enumeration and then the
+    generic scan of each module in ``scanned`` are checked against the
+    budget and the degree cap."""
     _check_enumeration(spec.base, spec.r, e_max, budget)
     for mod in scanned:
         _generic_scan_degree(mod, budget)
     testers = {}
-    for pt, scalars, K in _points(spec.base, spec.r, e_max):
-        if K not in testers:
-            testers[K] = make_testers(K)
-        yield pt, scalars, testers[K]
+    for pt in _points(spec.base, spec.r, e_max):
+        if pt.desc not in testers:
+            testers[pt.desc] = make_testers(pt.desc)
+        yield pt, testers[pt.desc]
 
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
@@ -308,8 +310,8 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
     desc = SupportDescription(module=mod, e_max=e_max)
     points = _sampled(mod.spec, e_max, budget, lambda K: _point_tester(mod, K),
                       [mod])
-    for pt, scalars, tester in points:
-        desc.sampled[pt] = tester(scalars)
+    for pt, tester in points:
+        desc.sampled[pt] = tester(pt.codes)
     desc.generic = generic_in_support(mod, budget)
     return desc
 
@@ -321,8 +323,8 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
     desc = SupportDescription(module=mod, e_max=e_max)
     points = _sampled(mod.spec, e_max, budget,
                       lambda K: _point_tester(reps.coinduced(mod, K), K), [mod])
-    for pt, scalars, tester in points:
-        desc.sampled[pt] = tester(scalars)
+    for pt, tester in points:
+        desc.sampled[pt] = tester(pt.codes)
     desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
 
@@ -363,10 +365,8 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
         return mod.n % mod.spec.p != 0  # the zero module has empty support
     K = _sampling_field(mod.spec.base, e)
     tester = _point_tester(mod, K)
-    one = K.sone()
     for codes in itertools.product(range(K.order), repeat=mod.spec.r - 1):
-        scalars = (one,) + tuple(K.sfrom_code(c) for c in codes)
-        if not tester(scalars):
+        if not tester((1,) + codes):
             return False
     return True
 
@@ -502,7 +502,7 @@ def _pivot_lines(mats, fin):
 def ideal_vanishes_at(gens, pt: ProjPoint) -> bool:
     """Spot-check helper: do all generators vanish at the closed point?"""
     K = pt.desc
-    coords = pt.scalar_coords()
+    coords = tuple(K.sfrom_code(c) for c in pt.codes)
     for gen in gens:
         emb = fields._scalar_embedding(_finite_part(gen.desc), K)
         value = gen.evaluate_scalars(K, coords, emb)
@@ -587,8 +587,8 @@ def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaRep
     points = _sampled(m.spec, e_max, budget, lambda K: (
         _point_tester(t, K), _point_tester(m, K), _point_tester(n, K)),
         [t, m, n])
-    for pt, scalars, (tt, tm, tn) in points:
-        rows.append((str(pt), tt(scalars), tm(scalars) and tn(scalars)))
+    for pt, (tt, tm, tn) in points:
+        rows.append((str(pt), tt(pt.codes), tm(pt.codes) and tn(pt.codes)))
     g_lhs = generic_in_support(t, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport("tensor", rows, g_lhs, g_rhs)
@@ -610,8 +610,8 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
         _point_tester(m, K),
         _point_tester(reps.coinduced(n, K), K),
     ), [h, m, n])
-    for pt, scalars, (th, tm, tn) in points:
-        rows.append((str(pt), th(scalars), tm(scalars) and tn(scalars)))
+    for pt, (th, tm, tn) in points:
+        rows.append((str(pt), th(pt.codes), tm(pt.codes) and tn(pt.codes)))
     g_lhs = generic_in_support(h, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport("hom", rows, g_lhs, g_rhs)

@@ -96,7 +96,7 @@ def test_criterion_02_support_ideal_of_m2():
         assert gen == s1 * s1
         base = make_spec(2, 2).base
         locus = []
-        for pt, scalars, K in enumerate_points(base, 2, 2):
+        for pt in enumerate_points(base, 2, 2):
             if ideal_vanishes_at(desc.ideal, pt):
                 locus.append(str(pt))
         assert locus == ["[0:1]"]

@@ -112,19 +112,20 @@ def test_dual_klein_cosupport():
 
 
 def _block_point_tester(mod, K):
-    """The oracle of support._point_tester: N(a) expanded into its ne x ne
-    block matrix over F_p, raised to the power p - 1 there, and eliminated
-    mod p; the point is in the support when the rank is below e*n/p."""
+    """The oracle of support._point_tester, taking the same element codes:
+    N(a) expanded into its ne x ne block matrix over F_p, raised to the
+    power p - 1 there, and eliminated mod p; the point is in the support
+    when the rank is below e*n/p."""
     p, n, e = mod.spec.p, mod.n, K.deg
     emb = linalg.embedding_matrix(mod.spec.base, K)
     carr = [linalg.coeff_array(m) @ emb % p for m in mod.Z]
     target = None if n % p else e * (n // p)
 
-    def tester(coord_scalars):
+    def tester(codes):
         if target is None:
             return True
         acc = np.zeros((n, n, e), dtype=np.int64)
-        for a, c in zip(coord_scalars, carr):
+        for a, c in zip(map(K.sfrom_code, codes), carr):
             if any(a):
                 acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
         block = linalg.blockify(acc % p, K)
@@ -191,13 +192,14 @@ def test_point_tester_agrees_with_block_route():
     verdicts = {}
     for mod, e_max in _agreement_cases():
         testers = {}
-        for _, scalars, K in enumerate_points(mod.spec.base, mod.spec.r, e_max):
+        for pt in enumerate_points(mod.spec.base, mod.spec.r, e_max):
+            K = pt.desc
             if K not in testers:
                 testers[K] = (support._point_tester(mod, K),
                               _block_point_tester(mod, K))
             fast, block = testers[K]
-            verdict = fast(scalars)
-            assert verdict == block(scalars), (mod.name, K, scalars)
+            verdict = fast(pt.codes)
+            assert verdict == block(pt.codes), (mod.name, K, pt.codes)
             verdicts.setdefault((mod.spec.p, K.deg > 1), set()).add(verdict)
     # both verdicts occur over extension fields for every p
     assert all(verdicts[p, True] == {True, False} for p in (2, 3, 5))
@@ -213,11 +215,10 @@ def test_point_tester_agrees_with_block_route_on_generic_grids(k):
     assert K.deg >= 3
     fast, block = support._point_tester(mod, K), _block_point_tester(mod, K)
     for codes in itertools.product(range(K.order), repeat=2):
-        scalars = (K.sone(),) + tuple(K.sfrom_code(c) for c in codes)
-        assert fast(scalars) == block(scalars)
+        assert fast((1,) + codes) == block((1,) + codes)
     # off the chart a_1 = 1, the free summand makes some points full rank
-    scalars = [(K.szero(), K.sone(), K.sfrom_code(c)) for c in range(K.order)]
-    assert [fast(s) for s in scalars] == [block(s) for s in scalars]
+    points = [(0, 1, c) for c in range(K.order)]
+    assert [fast(a) for a in points] == [block(a) for a in points]
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def test_cosupport_sample_equals_support_sample():
         tester = support._point_tester(_coinduced_by_trace_pairing(mod, K), K)
         for pt, verdict in c.sampled.items():
             if pt.desc == K:
-                assert tester(pt.scalar_coords()) == verdict, (mod.name, pt)
+                assert tester(pt.codes) == verdict, (mod.name, pt)
                 verdicts.append(verdict)
     assert len(verdicts) == 2 + 6 and verdicts.count(True) == 2
 
@@ -393,11 +394,11 @@ def test_enumeration_subfield_test_matches_frobenius_oracle():
                     if any(all(K.spow(x, q0**d) == x for x in scalars)
                            for d in subs):
                         continue
-                    yield scalars, K
+                    yield K, tuple(K.sto_code(x) for x in scalars)
 
     for base, r, e_max in [(F2, 3, 4), (F2, 2, 6), (F3, 2, 4), (F4, 2, 3),
                            (F9, 2, 2), (F2, 1, 3)]:
-        got = [(scalars, K) for _, scalars, K in enumerate_points(base, r, e_max)]
+        got = [(pt.desc, pt.codes) for pt in enumerate_points(base, r, e_max)]
         assert got == list(oracle(base, r, e_max))
 
 
@@ -483,7 +484,7 @@ def test_ideal_free_module_zero_locus_empty_over_f4():
     desc = support_ideal(free_module(KLEIN, 1))
     gens = desc.ideal
     assert gens
-    for pt, scalars, K in enumerate_points(F2, 2, 2):
+    for pt in enumerate_points(F2, 2, 2):
         assert not ideal_vanishes_at(gens, pt)
 
 
@@ -689,7 +690,7 @@ def test_ideal_compression_matches_zero_locus_over_f4(r, count):
         compressed = support_ideal(mod).ideal
         exhaustive = _exhaustive_ideal(mod)
         assert _is_subsequence(compressed, exhaustive)
-        for pt, _, _ in points:
+        for pt in points:
             assert ideal_vanishes_at(compressed, pt) == ideal_vanishes_at(exhaustive, pt)
 
 
@@ -858,6 +859,46 @@ def test_projpoint_canonicalization():
 def test_projpoint_rejects_zero():
     with pytest.raises(ValueError):
         ProjPoint(F2, (FieldElement.zero(F2), FieldElement.zero(F2)))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("base", [F4, F9], ids=["f4", "f9"])
+def test_projpoint_from_boxed_coordinates_equals_enumerated_point(base, r):
+    # every point of P^{r-1}(K), rebuilt from its FieldElement coordinates
+    # scaled by each nonzero scalar
+    points = list(enumerate_points(base, r, 1))
+    q = base.order
+    assert len(points) == (q**r - 1) // (q - 1)
+    for pt in points:
+        K = pt.desc
+        for c in range(1, K.order):
+            scale = FieldElement.from_scalar(K, K.sfrom_code(c))
+            rebuilt = ProjPoint(K, [scale * x for x in pt.coords])
+            assert rebuilt == pt
+            assert hash(rebuilt) == hash(pt)
+            assert str(rebuilt) == str(pt)
+            assert rebuilt.sort_key() == pt.sort_key()
+
+
+def test_sampling_builds_no_field_element(monkeypatch):
+    # a module over F_4 with p | n, so that the generic scan runs
+    spec = make_spec(2, 3, base=F4)
+    rng = random.Random("unboxed-sampling")
+    mod = _mixed(direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng)),
+                 rng)
+
+    def boxed(*args, **kwargs):
+        raise AssertionError("a FieldElement was built")
+
+    monkeypatch.setattr(FieldElement, "__init__", boxed)
+    desc = support_sample(mod, 2)
+    generic = generic_in_support(mod)
+    monkeypatch.undo()
+    expected = support_sample(mod, 2)
+    assert desc.e_max == 2 and len(desc.sampled) == 21 + 252
+    assert desc.sampled == expected.sampled
+    assert generic == desc.generic == expected.generic
+    assert any(desc.sampled.values()) and not all(desc.sampled.values())
 
 
 def test_report_lines_deterministic():
