@@ -344,6 +344,19 @@ def subfield_mask(desc, order):
     return mask
 
 
+@lru_cache(maxsize=None)
+def frobenius(desc, order):
+    """Read-only int32 array over element codes: the code of x^order at the
+    code of x, for ``order`` the order of a subfield of the finite part, so
+    that x -> x^order generates the automorphisms of the finite part over
+    that subfield.  log(x^order) = order * log x mod q-1, and 0 -> 0."""
+    exp, log, _ = zech_tables(desc)
+    frob = exp[log.astype(np.int64) * order % (desc.order - 1)]
+    frob[0] = 0
+    frob.flags.writeable = False
+    return frob
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials over the finite part of the tower
 

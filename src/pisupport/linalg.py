@@ -358,8 +358,9 @@ def coeff_array(mat):
 
 def scalar_matrix(desc, scalar):
     """(e, e) F_p matrix of multiplication by a finite-part scalar."""
+    e = desc.deg
     a = np.asarray(scalar, dtype=np.int64)
-    return np.tensordot(a, companion_powers(desc), axes=(0, 0)) % desc.p
+    return (a @ companion_powers(desc).reshape(e, e * e)).reshape(e, e) % desc.p
 
 
 def blockify(coeffs, desc):
@@ -591,7 +592,7 @@ def fq_rank(coeffs, desc, stop_at=None):
     for c in range(cols):
         if r == rows or (stop_at is not None and r >= stop_at):
             break
-        nz = np.flatnonzero(a[r:, c] != zero)
+        nz = (a[r:, c] != zero).nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:

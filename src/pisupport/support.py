@@ -13,11 +13,15 @@ as the oracle, and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling
 enumerates one canonical representative (first nonzero coordinate scaled
 to 1) of every point rational over each extension of the base of relative
 degree <= e_max, skipping points already defined over a proper subfield
-(read off the logarithms, fields.subfield_mask); Galois orbits are listed
-per rational representative, not merged.  A point is carried as its
-element codes (ProjPoint.codes) from enumeration to report.  Every sampler
-checks the enumeration and then the generic scan against the budget and
-the degree cap before it tests a point.
+(read off the logarithms, fields.subfield_mask); Galois orbits are
+listed per rational point, decided once per orbit.  The Z_i have entries
+in the base k, of order q0, so for the Frobenius s: x -> x^q0 of the
+point's field N(s a) = s(N(a)) entry by entry, and s keeps every rank:
+the verdicts at a and at its conjugates agree.  A point is carried as its
+element codes (ProjPoint.codes) from enumeration to report, and repeated
+enumerations share the same points.  Every sampler checks the enumeration
+and then the generic scan against the budget and the degree cap before it
+tests a point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field
@@ -41,6 +45,7 @@ does the same work for every module of a given n, p and r.
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -259,21 +264,55 @@ def _check_enumeration(base, r, e_max, budget):
 
 
 def _points(base, r, e_max):
-    """enumerate_points without its checks.  A tuple lies in the subfield
-    F_{q0^d} when each of its codes does (fields.subfield_mask)."""
-    q0 = base.order
+    """enumerate_points without its checks."""
     for e in range(1, e_max + 1):
-        if e > 1 and r == 1:
-            return  # the one point of P^0 is rational over the base
-        K = _sampling_field(base, e)
-        masks = [fields.subfield_mask(K, q0**d).tolist()
-                 for d in range(1, e) if e % d == 0]
-        for lead in range(r):
-            head = (0,) * lead + (1,)
-            for codes in itertools.product(range(K.order), repeat=r - lead - 1):
-                if any(all(mask[c] for c in codes) for mask in masks):
-                    continue
-                yield ProjPoint._from_codes(K, head + codes)
+        yield from _new_points(base, r, e)
+
+
+@lru_cache(maxsize=32)
+def _new_points(base, r, e):
+    """The points of P^{r-1}(F_{q0^e}) not rational over a proper subfield,
+    q0 the order of the base, as a tuple in enumeration order, so that
+    repeated samples share the same immutable ProjPoints.  A tuple lies in
+    the subfield F_{q0^d} when each of its codes does (fields.subfield_mask)."""
+    if e > 1 and r == 1:
+        return ()  # the one point of P^0 is rational over the base
+    K = _sampling_field(base, e)
+    masks = [fields.subfield_mask(K, base.order**d).tolist()
+             for d in range(1, e) if e % d == 0]
+    points = []
+    for lead in range(r):
+        head = (0,) * lead + (1,)
+        for codes in itertools.product(range(K.order), repeat=r - lead - 1):
+            if not any(all(mask[c] for c in codes) for mask in masks):
+                points.append(ProjPoint._from_codes(K, head + codes))
+    return tuple(points)
+
+
+def _orbit(codes, frob, e):
+    """The code tuples codes, s(codes), ..., s^{e-1}(codes) for the
+    Frobenius s over the base, given by its code table ``frob``
+    (fields.frobenius), of a field of relative degree e."""
+    yield codes
+    for _ in range(e - 1):
+        codes = tuple([frob[c] for c in codes])
+        yield codes
+
+
+def _per_orbit(tester, frob, e):
+    """The tester with its verdicts kept per Frobenius orbit.  Conjugate
+    points have the same zeros, so the first of an orbit that the
+    enumeration reaches is its least code tuple, and the memo holds one
+    entry per orbit, keyed by that tuple."""
+    memo = {}
+
+    def decide(codes):
+        key = min(_orbit(codes, frob, e))
+        if key not in memo:
+            memo[key] = tester(codes)
+        return memo[key]
+
+    return decide
 
 
 def _check_degree(base, e, what):
@@ -288,9 +327,13 @@ def _check_degree(base, e, what):
 
 
 def _sampled(spec, e_max, budget, make_testers, scanned):
-    """The points of enumerate_points over the base of spec, each with what
-    make_testers(K) returned for its field K = pt.desc, built once per
-    field.  Before the first point is tested, the enumeration and then the
+    """The points of enumerate_points over the base of spec, each with the
+    tuple of testers make_testers(K) returned for its field K = pt.desc,
+    built once per field.  Over a proper extension of the base each tester
+    decides once per Frobenius orbit (_per_orbit) and repeats that verdict
+    at the conjugates; the Frobenius is taken over the base of spec, not
+    over that of the tester's module, which is K itself for a coinduced
+    one.  Before the first point is tested, the enumeration and then the
     generic scan of each module in ``scanned`` are checked against the
     budget and the degree cap."""
     _check_enumeration(spec.base, spec.r, e_max, budget)
@@ -298,9 +341,15 @@ def _sampled(spec, e_max, budget, make_testers, scanned):
         _generic_scan_degree(mod, budget)
     testers = {}
     for pt in _points(spec.base, spec.r, e_max):
-        if pt.desc not in testers:
-            testers[pt.desc] = make_testers(pt.desc)
-        yield pt, testers[pt.desc]
+        K = pt.desc
+        if K not in testers:
+            made = make_testers(K)
+            e = K.deg // spec.base.deg
+            if e > 1:
+                frob = fields.frobenius(K, spec.base.order).tolist()
+                made = tuple(_per_orbit(t, frob, e) for t in made)
+            testers[K] = made
+        yield pt, testers[K]
 
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
@@ -308,9 +357,9 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
-    points = _sampled(mod.spec, e_max, budget, lambda K: _point_tester(mod, K),
+    points = _sampled(mod.spec, e_max, budget, lambda K: (_point_tester(mod, K),),
                       [mod])
-    for pt, tester in points:
+    for pt, (tester,) in points:
         desc.sampled[pt] = tester(pt.codes)
     desc.generic = generic_in_support(mod, budget)
     return desc
@@ -322,8 +371,8 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
     points = _sampled(mod.spec, e_max, budget,
-                      lambda K: _point_tester(reps.coinduced(mod, K), K), [mod])
-    for pt, tester in points:
+                      lambda K: (_point_tester(reps.coinduced(mod, K), K),), [mod])
+    for pt, (tester,) in points:
         desc.sampled[pt] = tester(pt.codes)
     desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
@@ -357,15 +406,27 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     Exact finite decision: rank of N(s)^{p-1} over the function field equals
     the maximum specialization rank over a grid S^{r-1} once |S| exceeds the
     per-variable degree (p-1)n/p of the deciding minors.  The scan exits at
-    the first specialization of full rank n/p.  Raises BudgetExceeded before
-    scanning when the grid has more than ``budget`` points.
+    the first specialization of full rank n/p.  The Frobenius over the base
+    maps the grid to itself and keeps every rank (see the module
+    docstring), so over a proper extension a grid point is tested only
+    when its codes are the least of their conjugates, and the scan keeps no
+    memo.  The code table of the Frobenius is built only for a grid of more
+    than one point over a field whose Zech tables fq_rank builds anyway.
+    Raises BudgetExceeded before scanning when the grid has more than
+    ``budget`` points.
     """
     e = _generic_scan_degree(mod, budget)
     if e is None:
         return mod.n % mod.spec.p != 0  # the zero module has empty support
-    K = _sampling_field(mod.spec.base, e)
+    base, r = mod.spec.base, mod.spec.r
+    K = _sampling_field(base, e)
     tester = _point_tester(mod, K)
-    for codes in itertools.product(range(K.order), repeat=mod.spec.r - 1):
+    grid = itertools.product(range(K.order), repeat=r - 1)
+    if e > 1 and r > 1 and K.order <= linalg.ZECH_MAX_ORDER:
+        frob = fields.frobenius(K, base.order).tolist()
+        grid = (codes for codes in grid
+                if all(codes <= c for c in _orbit(codes, frob, e)))
+    for codes in grid:
         if not tester((1,) + codes):
             return False
     return True

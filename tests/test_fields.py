@@ -360,3 +360,20 @@ def test_zech_tables_of_f_5_8_build_in_under_two_seconds():
     assert sorted(exp[:-1]) == list(range(1, 5**8))
     assert (log[exp] == np.arange(5**8)).all()
 
+
+
+@pytest.mark.parametrize("p, deg", [(2, 4), (2, 6), (3, 4), (5, 2), (7, 3)])
+def test_frobenius_codes_are_the_powers(p, deg):
+    # x -> x^(p^d) for every subfield F_{p^d}, against spow; it fixes
+    # exactly the subfield, and x -> x^q is the identity
+    desc = canonical_extension(p, deg)
+    for d in range(1, deg + 1):
+        if deg % d:
+            continue
+        order = p**d
+        frob = fields.frobenius(desc, order)
+        assert not frob.flags.writeable and frob.size == desc.order
+        assert frob.tolist() == [desc.sto_code(desc.spow(desc.sfrom_code(c), order))
+                                 for c in range(desc.order)]
+        fixed = frob == np.arange(desc.order)
+        assert (fixed == fields.subfield_mask(desc, order)).all()

@@ -38,7 +38,7 @@ from pisupport import (
     verify_jordan_hom_table,
     verify_tensor_formula,
 )
-from pisupport import fields, linalg, support
+from pisupport import fields, linalg, reps, support
 from pisupport.errors import BudgetExceeded, DimensionTooLarge, NonPolynomialEntry
 from pisupport.fields import Polynomial, poly_str
 from pisupport.library import klein_truncation
@@ -135,10 +135,11 @@ def _block_point_tester(mod, K):
     return tester
 
 
-def _shift_block(spec, v, rng):
+def _shift_block(spec, v, rng, lead=None):
     """Module of dimension p*v on which z_i acts as sum_{d >= v} c_{i,d} N^d
-    for the nilpotent shift N, with coefficients from the base.  Its support
-    is the hyperplane sum_i a_i c_{i,v} = 0."""
+    for the nilpotent shift N, with coefficients from the base, seeded
+    apart from the leads c_{i,v} when ``lead`` gives them.  Its support is
+    the hyperplane sum_i a_i c_{i,v} = 0."""
     base, q = spec.base, spec.p * v
 
     def scalar():
@@ -149,8 +150,7 @@ def _shift_block(spec, v, rng):
     powers = [Matrix.identity(base, q)]
     for _ in range(q - 1):
         powers.append(powers[-1] @ shift)
-    lead = [scalar() for _ in range(spec.r)]
-    while not any(lead):
+    while lead is None or not any(lead):
         lead = [scalar() for _ in range(spec.r)]
     mats = []
     for c in lead:
@@ -400,6 +400,123 @@ def test_enumeration_subfield_test_matches_frobenius_oracle():
                            (F9, 2, 2), (F2, 1, 3)]:
         got = [(pt.desc, pt.codes) for pt in enumerate_points(base, r, e_max)]
         assert got == list(oracle(base, r, e_max))
+
+
+# ---------------------------------------------------------------------------
+# one verdict per Frobenius orbit
+
+
+#: leads of a shift block over F_9 at r = 3: its support hyperplane
+#: 2 a_1 + (2+x) a_2 + (1+2x) a_3 = 0 is not rational over F_3
+UNRATIONAL_LEADS = ((2, 0), (2, 1), (1, 2))
+
+
+def _unrational_block(rng):
+    lead = [FieldElement.from_scalar(F9, c) for c in UNRATIONAL_LEADS]
+    return _shift_block(make_spec(3, 3, base=F9), 1, rng, lead)
+
+
+def test_unrational_leads_are_not_proportional_to_a_prime_field_vector():
+    # a memo over x -> x^3 in place of x -> x^9 passes on F_3-rational
+    # supports, so the module that catches it must not have one; the
+    # elements of F_3 are those with coordinate 0 at x
+    lead = [FieldElement.from_scalar(F9, c) for c in UNRATIONAL_LEADS]
+    assert any((x / lead[0]).as_scalar()[1] for x in lead)
+
+
+def test_orbit_memo_agrees_with_every_point():
+    # the agreement cases cover the bases F_2, F_3, F_4, F_5 and F_9 at
+    # r = 2, 3; the block of UNRATIONAL_LEADS adds F_81 over F_9 at r = 3
+    rng = random.Random("orbit-memo")
+    cases = _agreement_cases() + [(_mixed(_unrational_block(rng), rng), 2)]
+    for mod, e_max in cases:
+        spec = mod.spec
+        sample, cosample = support_sample(mod, e_max), cosupport_sample(mod, e_max)
+        points = list(enumerate_points(spec.base, spec.r, e_max))
+        assert len(sample.sampled) == len(cosample.sampled) == len(points)
+        testers = {}
+        for pt in points:
+            K = pt.desc
+            if K not in testers:
+                testers[K] = (support._point_tester(mod, K),
+                              support._point_tester(reps.coinduced(mod, K), K))
+            sup, co = testers[K]
+            assert sample.sampled[pt] == sup(pt.codes), (mod.name, pt)
+            assert cosample.sampled[pt] == co(pt.codes), (mod.name, pt)
+        e = support._generic_scan_degree(mod, support.DEFAULT_ENUM_BUDGET)
+        if e is not None:
+            K = support._sampling_field(spec.base, e)
+            tester = support._point_tester(mod, K)
+            grid = itertools.product(range(K.order), repeat=spec.r - 1)
+            assert sample.generic == all(tester((1,) + codes) for codes in grid)
+
+
+def test_orbit_memo_agrees_on_the_formulas():
+    # over F_4 at r = 3, with a support hyperplane a_1 + w a_2 = 0 that is
+    # not rational over F_2
+    rng = random.Random("orbit-formulas")
+    spec = make_spec(2, 3, base=F4)
+    w = FieldElement.from_scalar(F4, (0, 1))
+    lead = [FieldElement.one(F4), w, FieldElement.zero(F4)]
+    m = _mixed(direct_sum(_shift_block(spec, 1, rng, lead), _shift_block(spec, 1, rng)),
+               rng)
+    n = _mixed(_shift_block(spec, 2, rng), rng)
+    h = reps.hom(m, n)
+    K = support._sampling_field(F4, 2)
+    points = list(enumerate_points(F4, 3, 2))[21:]  # past P^2(F_4)
+    assert {pt.desc for pt in points} == {K}
+    tm = support._point_tester(m, K)
+    for report, lhs, rhs in (
+            (verify_tensor_formula(m, n, 2), tensor(m, n), n),
+            (verify_hom_formula(m, n, 2), reps.coinduced(h, K), reps.coinduced(n, K))):
+        lhs, tn = support._point_tester(lhs, K), support._point_tester(rhs, K)
+        assert len(report.points) == 21 + len(points) == 273
+        for pt, (label, got_lhs, got_rhs) in zip(points, report.points[21:]):
+            assert label == str(pt)
+            assert got_lhs == lhs(pt.codes), (report.kind, pt)
+            assert got_rhs == (tm(pt.codes) and tn(pt.codes)), (report.kind, pt)
+        assert {row[1] for row in report.points[21:]} == {True, False}
+
+
+def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
+    ranked = []
+    fq_rank = linalg.fq_rank
+
+    def counted(coeffs, desc, stop_at=None):
+        ranked.append(desc.deg)
+        return fq_rank(coeffs, desc, stop_at)
+
+    monkeypatch.setattr(linalg, "fq_rank", counted)
+    spec = make_spec(2, 3)
+    # trivial^2 + free:2 is in the support everywhere: the scan of the F_16
+    # grid ranks one point of each of its 70 orbits, not all 256
+    mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
+                     free_module(spec, 2))
+    assert generic_in_support(mod)
+    assert ranked == [4] * 70
+    ranked.clear()
+    # over F_4 at r = 2 the orbits of x -> x^4 on the F_16 line: the 4
+    # points of F_4 and 6 pairs
+    spec4 = make_spec(2, 2, base=F4)
+    mod = direct_sum(direct_sum(trivial_module(spec4), trivial_module(spec4)),
+                     free_module(spec4, 2))
+    assert generic_in_support(mod)
+    assert ranked == [4] * 10
+    ranked.clear()
+    rng = random.Random("orbit-count")
+    mod = _mixed(direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng)), rng)
+    monkeypatch.setattr(support, "generic_in_support", lambda mod, budget: None)
+    desc = support_sample(mod, 3)
+    assert len(desc.sampled) == 7 + 14 + 66
+    assert [ranked.count(d) for d in (1, 2, 3)] == [7, 7, 22]
+    assert any(desc.sampled.values()) and not all(desc.sampled.values())
+
+
+def test_repeated_enumerations_share_their_points():
+    first = list(enumerate_points(F4, 3, 2))
+    second = list(enumerate_points(F4, 3, 2))
+    assert len(first) == 21 + 252
+    assert all(a is b for a, b in zip(first, second, strict=True))
 
 
 SAMPLERS = {
