@@ -251,7 +251,8 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     ProjPoints whose field is pt.desc.  Raises BudgetExceeded on the first
     step when more than ``budget`` tuples would be visited."""
     _check_enumeration(base, r, e_max, budget)
-    yield from _points(base, r, e_max)
+    for e in range(1, e_max + 1):
+        yield from _new_points(base, r, e)
 
 
 def _check_enumeration(base, r, e_max, budget):
@@ -261,12 +262,6 @@ def _check_enumeration(base, r, e_max, budget):
             f"enumeration of {size} coordinate tuples exceeds budget {budget}"
         )
     _check_degree(base, e_max, "sampling")
-
-
-def _points(base, r, e_max):
-    """enumerate_points without its checks."""
-    for e in range(1, e_max + 1):
-        yield from _new_points(base, r, e)
 
 
 @lru_cache(maxsize=32)
@@ -299,22 +294,6 @@ def _orbit(codes, frob, e):
         yield codes
 
 
-def _per_orbit(tester, frob, e):
-    """The tester with its verdicts kept per Frobenius orbit.  Conjugate
-    points have the same zeros, so the first of an orbit that the
-    enumeration reaches is its least code tuple, and the memo holds one
-    entry per orbit, keyed by that tuple."""
-    memo = {}
-
-    def decide(codes):
-        key = min(_orbit(codes, frob, e))
-        if key not in memo:
-            memo[key] = tester(codes)
-        return memo[key]
-
-    return decide
-
-
 def _check_degree(base, e, what):
     """BudgetExceeded when F_{q^e}, q the order of the base, is past the cap
     on extension degrees, so that nothing is tested before the failure."""
@@ -326,30 +305,37 @@ def _check_degree(base, e, what):
         )
 
 
-def _sampled(spec, e_max, budget, make_testers, scanned):
-    """The points of enumerate_points over the base of spec, each with the
-    tuple of testers make_testers(K) returned for its field K = pt.desc,
-    built once per field.  Over a proper extension of the base each tester
-    decides once per Frobenius orbit (_per_orbit) and repeats that verdict
-    at the conjugates; the Frobenius is taken over the base of spec, not
-    over that of the tester's module, which is K itself for a coinduced
-    one.  Before the first point is tested, the enumeration and then the
-    generic scan of each module in ``scanned`` are checked against the
-    budget and the degree cap."""
+def _sampled(spec, e_max, budget, make_decider, scanned):
+    """The points of enumerate_points over the base of spec, each with its
+    verdict decide(pt.codes), decide = make_decider(K) built once for each
+    field K = pt.desc.  Over a proper extension of the base, decide runs
+    once per Frobenius orbit and the conjugates repeat its verdict: the
+    memo of each field is keyed by the orbit's least code tuple, which,
+    as conjugate points have the same zeros, is the first member the
+    enumeration reaches.  The Frobenius is taken over the base of spec, not
+    over that of the module decide tests, which is K itself for a
+    coinduced one.  Before the first point is tested, the enumeration and
+    then the generic scan of each module in ``scanned`` are checked
+    against the budget and the degree cap."""
     _check_enumeration(spec.base, spec.r, e_max, budget)
     for mod in scanned:
         _generic_scan_degree(mod, budget)
-    testers = {}
-    for pt in _points(spec.base, spec.r, e_max):
-        K = pt.desc
-        if K not in testers:
-            made = make_testers(K)
-            e = K.deg // spec.base.deg
-            if e > 1:
-                frob = fields.frobenius(K, spec.base.order).tolist()
-                made = tuple(_per_orbit(t, frob, e) for t in made)
-            testers[K] = made
-        yield pt, testers[K]
+    for e in range(1, e_max + 1):
+        points = _new_points(spec.base, spec.r, e)
+        if not points:
+            continue
+        decide = make_decider(points[0].desc)
+        if e == 1:
+            for pt in points:
+                yield pt, decide(pt.codes)
+            continue
+        frob = fields.frobenius(points[0].desc, spec.base.order).tolist()
+        memo = {}
+        for pt in points:
+            key = min(_orbit(pt.codes, frob, e))
+            if key not in memo:
+                memo[key] = decide(pt.codes)
+            yield pt, memo[key]
 
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
@@ -357,10 +343,8 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
-    points = _sampled(mod.spec, e_max, budget, lambda K: (_point_tester(mod, K),),
-                      [mod])
-    for pt, (tester,) in points:
-        desc.sampled[pt] = tester(pt.codes)
+    desc.sampled.update(_sampled(mod.spec, e_max, budget,
+                                 lambda K: _point_tester(mod, K), [mod]))
     desc.generic = generic_in_support(mod, budget)
     return desc
 
@@ -370,10 +354,9 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     desc = SupportDescription(module=mod, e_max=e_max)
-    points = _sampled(mod.spec, e_max, budget,
-                      lambda K: (_point_tester(reps.coinduced(mod, K), K),), [mod])
-    for pt, (tester,) in points:
-        desc.sampled[pt] = tester(pt.codes)
+    desc.sampled.update(_sampled(mod.spec, e_max, budget,
+                                 lambda K: _point_tester(reps.coinduced(mod, K), K),
+                                 [mod]))
     desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
 
@@ -410,9 +393,7 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     maps the grid to itself and keeps every rank (see the module
     docstring), so over a proper extension a grid point is tested only
     when its codes are the least of their conjugates, and the scan keeps no
-    memo.  The code table of the Frobenius is built only for a grid of more
-    than one point over a field whose Zech tables fq_rank builds anyway.
-    Raises BudgetExceeded before scanning when the grid has more than
+    memo.  Raises BudgetExceeded before scanning when the grid has more than
     ``budget`` points.
     """
     e = _generic_scan_degree(mod, budget)
@@ -422,7 +403,9 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     K = _sampling_field(base, e)
     tester = _point_tester(mod, K)
     grid = itertools.product(range(K.order), repeat=r - 1)
-    if e > 1 and r > 1 and K.order <= linalg.ZECH_MAX_ORDER:
+    # the Frobenius table is read off Zech tables: build it only where
+    # fq_rank builds those anyway, and rank every grid point past that
+    if e > 1 and K.order <= linalg.ZECH_MAX_ORDER:
         frob = fields.frobenius(K, base.order).tolist()
         grid = (codes for codes in grid
                 if all(codes <= c for c in _orbit(codes, frob, e)))
@@ -639,17 +622,24 @@ class FormulaReport:
         return out
 
 
+def _formula_rows(m, e_max, budget, left, right, scanned):
+    """Rows (label, lhs, rhs) at the sampled points of a formula comparing
+    the support of left(K) with supp(m) /\\ supp(right(K)), where left(K) and
+    right(K) are modules over the field K of the point."""
+    def make_decider(K):
+        tl, tm, tr = (_point_tester(x, K) for x in (left(K), m, right(K)))
+        return lambda codes: (tl(codes), tm(codes) and tr(codes))
+
+    return [(str(pt), lhs, rhs) for pt, (lhs, rhs)
+            in _sampled(m.spec, e_max, budget, make_decider, scanned)]
+
+
 def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:
     """Pointwise comparison of supp(M (x) N) with supp(M) /\\ supp(N)."""
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
     t = reps.tensor(m, n)
-    rows = []
-    points = _sampled(m.spec, e_max, budget, lambda K: (
-        _point_tester(t, K), _point_tester(m, K), _point_tester(n, K)),
-        [t, m, n])
-    for pt, (tt, tm, tn) in points:
-        rows.append((str(pt), tt(pt.codes), tm(pt.codes) and tn(pt.codes)))
+    rows = _formula_rows(m, e_max, budget, lambda K: t, lambda K: n, [t, m, n])
     g_lhs = generic_in_support(t, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport("tensor", rows, g_lhs, g_rhs)
@@ -665,14 +655,8 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
     h = reps.hom(m, n)
-    rows = []
-    points = _sampled(m.spec, e_max, budget, lambda K: (
-        _point_tester(reps.coinduced(h, K), K),
-        _point_tester(m, K),
-        _point_tester(reps.coinduced(n, K), K),
-    ), [h, m, n])
-    for pt, (th, tm, tn) in points:
-        rows.append((str(pt), th(pt.codes), tm(pt.codes) and tn(pt.codes)))
+    rows = _formula_rows(m, e_max, budget, lambda K: reps.coinduced(h, K),
+                         lambda K: reps.coinduced(n, K), [h, m, n])
     g_lhs = generic_in_support(h, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport("hom", rows, g_lhs, g_rhs)

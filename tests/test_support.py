@@ -512,6 +512,31 @@ def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
     assert any(desc.sampled.values()) and not all(desc.sampled.values())
 
 
+def test_generic_scan_past_the_zech_bound_ranks_every_grid_point(monkeypatch):
+    # past linalg.ZECH_MAX_ORDER fq_rank builds no Zech tables, so the scan
+    # builds no Frobenius table either and ranks all 256 points of the F_16
+    # grid of trivial^2 + free:2
+    ranked = []
+    fq_rank = linalg.fq_rank
+
+    def counted(coeffs, desc, stop_at=None):
+        ranked.append(desc.deg)
+        return fq_rank(coeffs, desc, stop_at)
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(linalg, "fq_rank", counted)
+    monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
+    monkeypatch.setattr(fields, "zech_tables", refuse)
+    monkeypatch.setattr(fields, "frobenius", refuse)
+    spec = make_spec(2, 3)
+    mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
+                     free_module(spec, 2))
+    assert generic_in_support(mod)
+    assert ranked == [4] * 256
+
+
 def test_repeated_enumerations_share_their_points():
     first = list(enumerate_points(F4, 3, 2))
     second = list(enumerate_points(F4, 3, 2))
@@ -1007,6 +1032,8 @@ def test_sampling_builds_no_field_element(monkeypatch):
     def boxed(*args, **kwargs):
         raise AssertionError("a FieldElement was built")
 
+    # enumerations are shared across calls: rebuild them under the patch
+    support._new_points.cache_clear()
     monkeypatch.setattr(FieldElement, "__init__", boxed)
     desc = support_sample(mod, 2)
     generic = generic_in_support(mod)
