@@ -183,10 +183,7 @@ def _cmd_cosupport(args, out):
     return 0
 
 
-def _cmd_binary(args, out, op):
-    left = _load_module(args.left, args)
-    right = _load_module(args.right, args)
-    result = op(left, right)
+def _write_module(result, args, out):
     text = modfile.emit_module_file(result)
     with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
@@ -194,13 +191,16 @@ def _cmd_binary(args, out, op):
     return 0
 
 
+def _cmd_binary(args, out, op):
+    left = _load_module(args.left, args)
+    right = _load_module(args.right, args)
+    return _write_module(op(left, right), args, out)
+
+
 def _cmd_dual(args, out):
     mod = _load_module(args.target, args)
     result = reps.dual(mod).renamed(f"dual:{mod.name}" if mod.name else None)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(modfile.emit_module_file(result))
-    out.append(f"wrote {args.output} (dim {result.n})")
-    return 0
+    return _write_module(result, args, out)
 
 
 def _cmd_is_projective(args, out):
@@ -274,6 +274,9 @@ _COMMANDS = {
     "jordan": _cmd_jordan,
     "support": _cmd_support,
     "cosupport": _cmd_cosupport,
+    "tensor": lambda args, out: _cmd_binary(args, out, reps.tensor),
+    "hom": lambda args, out: _cmd_binary(args, out, reps.hom),
+    "dual": _cmd_dual,
     "is-projective": _cmd_is_projective,
     "verify": _cmd_verify,
     "demo": _cmd_demo,
@@ -289,14 +292,7 @@ def run_command(argv):
     except _UsageError as exc:
         return 2, "", f"error: UsageError: {exc}\n"
     try:
-        if args.command == "tensor":
-            code = _cmd_binary(args, out, reps.tensor)
-        elif args.command == "hom":
-            code = _cmd_binary(args, out, reps.hom)
-        elif args.command == "dual":
-            code = _cmd_dual(args, out)
-        else:
-            code = _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
     except ExactAlgebraError as exc:
         return 3, "", f"error: {type(exc).__name__}: {exc}\n"
     except (FileNotFoundError, ValueError, KeyError, OSError) as exc:

@@ -332,19 +332,6 @@ def zech_tables(desc):
 
 
 @lru_cache(maxsize=None)
-def subfield_mask(desc, order):
-    """Read-only boolean array over element codes: True exactly at the
-    elements of the subfield with ``order`` elements, which must divide
-    the finite part.  x lies in it iff x = 0 or (q-1)/(order-1) divides
-    log x, q the order of the finite part."""
-    _, log, _ = zech_tables(desc)
-    mask = log % ((desc.order - 1) // (order - 1)) == 0
-    mask[0] = True
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=None)
 def frobenius(desc, order):
     """Read-only int32 array over element codes: the code of x^order at the
     code of x, for ``order`` the order of a subfield of the finite part, so

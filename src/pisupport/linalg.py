@@ -40,11 +40,11 @@ class Matrix:
     """Immutable dense matrix over one field descriptor.
 
     Over a finite descriptor a matrix is a read-only (rows, cols, e) int64
-    array of entry coordinates over F_p (see coeff_array), and arithmetic
-    runs on that array in the regular representation of F_{p^e}; the
-    FieldElement entries are built only when read.  Over a function field
-    the boxed entries are the only representation.  A matrix with no rows
-    has no columns either.
+    array of entry coordinates over F_p (see coeff_array), stored when the
+    matrix is built, and arithmetic runs on that array in the regular
+    representation of F_{p^e}; the FieldElement entries are built only when
+    read.  Over a function field the boxed entries are the only
+    representation.  A matrix with no rows has no columns either.
     """
 
     __slots__ = ("desc", "rows", "cols", "_entries", "_coeffs")
@@ -59,11 +59,16 @@ class Matrix:
             for x in row:
                 if not isinstance(x, FieldElement) or x.desc != desc:
                     raise FieldMismatch("entry descriptor mismatch")
+        coeffs = None
+        if desc.is_finite:
+            coeffs = np.array([[x.as_scalar() for x in row] for row in entries],
+                              dtype=np.int64).reshape(rows, cols, desc.deg)
+            coeffs.flags.writeable = False
         object.__setattr__(self, "desc", desc)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_coeffs", None)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -340,20 +345,10 @@ def companion_powers(desc):
 
 def coeff_array(mat):
     """Read-only (rows, cols, e) int64 array of the entries' coordinates
-    over F_p, for a matrix over a finite descriptor.  Matrices built by
-    arithmetic store it; for one built from entries it is computed on the
-    first call and kept."""
-    if mat._coeffs is not None:
-        return mat._coeffs
-    desc = mat.desc
-    if not desc.is_finite:
+    over F_p, which every matrix over a finite descriptor stores."""
+    if mat._coeffs is None:
         raise ValueError("coefficient arrays need a finite descriptor")
-    out = np.array(
-        [[x.as_scalar() for x in row] for row in mat.entries], dtype=np.int64
-    ).reshape(mat.rows, mat.cols, desc.deg)
-    out.flags.writeable = False
-    object.__setattr__(mat, "_coeffs", out)
-    return out
+    return mat._coeffs
 
 
 def scalar_matrix(desc, scalar):

@@ -12,16 +12,17 @@ N(a)^{p-1}.  The ne x ne block matrix over F_p is eliminated in the tests,
 as the oracle, and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling
 enumerates one canonical representative (first nonzero coordinate scaled
 to 1) of every point rational over each extension of the base of relative
-degree <= e_max, skipping points already defined over a proper subfield
-(read off the logarithms, fields.subfield_mask); Galois orbits are
-listed per rational point, decided once per orbit.  The Z_i have entries
-in the base k, of order q0, so for the Frobenius s: x -> x^q0 of the
-point's field N(s a) = s(N(a)) entry by entry, and s keeps every rank:
-the verdicts at a and at its conjugates agree.  A point is carried as its
-element codes (ProjPoint.codes) from enumeration to report, and repeated
-enumerations share the same points.  Every sampler checks the enumeration
-and then the generic scan against the budget and the degree cap before it
-tests a point.
+degree <= e_max.  The Z_i have entries in the base k, of order q0, so for
+the Frobenius s: x -> x^q0 of the point's field N(s a) = s(N(a)) entry by
+entry, and s keeps every rank: the verdicts at a and at its conjugates
+agree.  One code table of s (fields.frobenius) decides both steps of the
+enumeration (_new_points): a point fixed by s^j, 0 < j < e, is rational
+over a proper subfield and skipped, and every other point is grouped with
+its conjugates, so that each closed point is decided once.  A point is
+carried as its element codes (ProjPoint.codes) from enumeration to
+report, and repeated enumerations share the same points and orbits.
+Every sampler checks the enumeration and then the generic scan against
+the budget and the degree cap before it tests a point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field
@@ -248,11 +249,13 @@ def enumeration_size(base, r, e_max):
 def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     """Canonical representatives of P^{r-1}(F_{q^e}) for e <= e_max, new
     points only (nothing already rational over a proper subfield), as
-    ProjPoints whose field is pt.desc.  Raises BudgetExceeded on the first
-    step when more than ``budget`` tuples would be visited."""
+    ProjPoints whose field is pt.desc, in the order of _new_points: by
+    degree, then by the position of the leading 1, then by codes.  Raises
+    BudgetExceeded on the first step when more than ``budget`` tuples would
+    be visited."""
     _check_enumeration(base, r, e_max, budget)
     for e in range(1, e_max + 1):
-        yield from _new_points(base, r, e)
+        yield from _new_points(base, r, e)[0]
 
 
 def _check_enumeration(base, r, e_max, budget):
@@ -267,27 +270,35 @@ def _check_enumeration(base, r, e_max, budget):
 @lru_cache(maxsize=32)
 def _new_points(base, r, e):
     """The points of P^{r-1}(F_{q0^e}) not rational over a proper subfield,
-    q0 the order of the base, as a tuple in enumeration order, so that
-    repeated samples share the same immutable ProjPoints.  A tuple lies in
-    the subfield F_{q0^d} when each of its codes does (fields.subfield_mask)."""
+    q0 the order of the base, in enumeration order, and their Frobenius
+    orbits: (points, first), where first[i] is the index of the first point
+    of the orbit of point i.  A tuple is rational over a proper subfield
+    when a conjugate s^j(codes), 0 < j < e, equals it (s: x -> x^q0).
+    Conjugates share their zeros, so the first point of an orbit is its
+    least code tuple.  Both are tuples, so that repeated samples share the
+    same immutable ProjPoints and the orbits are found once."""
     if e > 1 and r == 1:
-        return ()  # the one point of P^0 is rational over the base
+        return (), ()  # the one point of P^0 is rational over the base
     K = _sampling_field(base, e)
-    masks = [fields.subfield_mask(K, base.order**d).tolist()
-             for d in range(1, e) if e % d == 0]
-    points = []
+    frob = fields.frobenius(K, base.order).tolist() if e > 1 else None
+    points, first, index = [], [], {}
     for lead in range(r):
         head = (0,) * lead + (1,)
-        for codes in itertools.product(range(K.order), repeat=r - lead - 1):
-            if not any(all(mask[c] for c in codes) for mask in masks):
-                points.append(ProjPoint._from_codes(K, head + codes))
-    return tuple(points)
+        for tail in itertools.product(range(K.order), repeat=r - lead - 1):
+            codes = head + tail
+            orbit = list(_orbit(codes, frob, e))
+            if codes in orbit[1:]:
+                continue
+            first.append(index.setdefault(min(orbit), len(points)))
+            points.append(ProjPoint._from_codes(K, codes))
+    return tuple(points), tuple(first)
 
 
 def _orbit(codes, frob, e):
     """The code tuples codes, s(codes), ..., s^{e-1}(codes) for the
     Frobenius s over the base, given by its code table ``frob``
-    (fields.frobenius), of a field of relative degree e."""
+    (fields.frobenius, unread and None at e = 1), of a field of relative
+    degree e."""
     yield codes
     for _ in range(e - 1):
         codes = tuple([frob[c] for c in codes])
@@ -308,34 +319,26 @@ def _check_degree(base, e, what):
 def _sampled(spec, e_max, budget, make_decider, scanned):
     """The points of enumerate_points over the base of spec, each with its
     verdict decide(pt.codes), decide = make_decider(K) built once for each
-    field K = pt.desc.  Over a proper extension of the base, decide runs
-    once per Frobenius orbit and the conjugates repeat its verdict: the
-    memo of each field is keyed by the orbit's least code tuple, which,
-    as conjugate points have the same zeros, is the first member the
-    enumeration reaches.  The Frobenius is taken over the base of spec, not
-    over that of the module decide tests, which is K itself for a
-    coinduced one.  Before the first point is tested, the enumeration and
-    then the generic scan of each module in ``scanned`` are checked
-    against the budget and the degree cap."""
+    field K = pt.desc.  decide runs once per Frobenius orbit of
+    _new_points, at its first point, and the conjugates repeat its
+    verdict.  The Frobenius is taken over the base of spec, not over that
+    of the module decide tests, which is K itself for a coinduced one.
+    Before the first point is tested, the enumeration and then the generic
+    scan of each module in ``scanned`` are checked against the budget and
+    the degree cap."""
     _check_enumeration(spec.base, spec.r, e_max, budget)
     for mod in scanned:
         _generic_scan_degree(mod, budget)
     for e in range(1, e_max + 1):
-        points = _new_points(spec.base, spec.r, e)
+        points, first = _new_points(spec.base, spec.r, e)
         if not points:
             continue
         decide = make_decider(points[0].desc)
-        if e == 1:
-            for pt in points:
-                yield pt, decide(pt.codes)
-            continue
-        frob = fields.frobenius(points[0].desc, spec.base.order).tolist()
         memo = {}
-        for pt in points:
-            key = min(_orbit(pt.codes, frob, e))
-            if key not in memo:
-                memo[key] = decide(pt.codes)
-            yield pt, memo[key]
+        for pt, i in zip(points, first):
+            if i not in memo:
+                memo[i] = decide(pt.codes)
+            yield pt, memo[i]
 
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:

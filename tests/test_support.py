@@ -380,8 +380,8 @@ def test_cosupport_sample_equals_support_sample():
 
 
 def test_enumeration_subfield_test_matches_frobenius_oracle():
-    # the skip test of enumerate_points before the code masks: x lies in
-    # F_{q0^d} iff x^(q0^d) = x
+    # the skip test of enumerate_points written out on the scalars: x lies
+    # in F_{q0^d} iff x^(q0^d) = x
     def oracle(base, r, e_max):
         q0 = base.order
         for e in range(1, e_max + 1):
@@ -400,6 +400,32 @@ def test_enumeration_subfield_test_matches_frobenius_oracle():
                            (F9, 2, 2), (F2, 1, 3)]:
         got = [(pt.desc, pt.codes) for pt in enumerate_points(base, r, e_max)]
         assert got == list(oracle(base, r, e_max))
+
+
+def test_new_points_group_each_orbit_from_its_least_point():
+    # the orbits of _new_points against those of x -> x^q0 taken by spow:
+    # a grouping that merged two orbits of equal verdicts would pass every
+    # verdict check
+    for base, r, e_max in [(F2, 3, 4), (F3, 2, 4), (F4, 2, 3), (F9, 2, 2)]:
+        q0 = base.order
+        for e in range(1, e_max + 1):
+            K = support._sampling_field(base, e)
+            points, first = support._new_points(base, r, e)
+            assert len(points) == len(first) > 0
+            groups = {}
+            for pt, i in zip(points, first):
+                groups.setdefault(i, []).append(pt.codes)
+            oracle = set()
+            for pt in points:
+                orbit = [pt.codes]
+                for _ in range(e - 1):
+                    orbit.append(tuple(K.sto_code(K.spow(K.sfrom_code(c), q0))
+                                       for c in orbit[-1]))
+                oracle.add(frozenset(orbit))
+            for i, group in groups.items():
+                assert len(group) == e, (base, r, e, group)
+                assert group[0] == points[i].codes == min(group)
+            assert {frozenset(group) for group in groups.values()} == oracle
 
 
 # ---------------------------------------------------------------------------
