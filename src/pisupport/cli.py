@@ -210,6 +210,8 @@ def _cmd_is_projective(args, out):
 
 
 def _cmd_verify(args, out):
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     code, lines = verify.verify_suites(args.seed, args.trials, args.p, args.r,
                                        suite=args.suite)
     out.extend(lines)

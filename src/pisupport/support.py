@@ -26,12 +26,15 @@ the budget and the degree cap before it tests a point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field
-in s_2..s_r.  Engines decide it by a finite specialization scan: the
-relevant (n/p)-minors have degree at most (p-1)n/p in each variable, so a
-nonzero minor cannot vanish on a full grid S^{r-1} with |S| > (p-1)n/p, and
-specialization can only drop rank.  Scanning such a grid over a single
-finite extension is therefore an exact decision, and it agrees with the
-direct transcendental computation (tested).
+in s_2..s_r.  A support is closed, so the generic point is in it exactly
+when every closed point is, and finitely many closed points decide that:
+the relevant (n/p)-minors are homogeneous of degree (p-1)n/p, so a nonzero
+minor cannot vanish on every chart point (1, t) of a grid S^{r-1} with
+|S| > (p-1)n/p, and specialization can only drop rank.  With q^e > (p-1)n/p
+the points of P^{r-1}(F_{q^e}) therefore decide it exactly, and the scan
+ranks them on the sampling enumeration, over F_{q^d} for each d | e, one
+rank per Frobenius orbit.  It agrees with the direct transcendental
+computation (tested).
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  Its monomial coefficients C_b are formed by a
@@ -239,11 +242,18 @@ def _sampling_field(base, e):
 
 
 def enumeration_size(base, r, e_max):
-    """Coordinate tuples enumerate_points visits: |P^{r-1}(F_{q^e})| =
-    (q^{er} - 1)/(q^e - 1) for each e <= e_max, q the order of the base,
-    including the tuples it then skips as rational over a subfield."""
+    """Coordinate tuples enumerate_points visits: _tuple_count over the
+    relative degrees 1..e_max."""
+    return _tuple_count(base, r, range(1, e_max + 1))
+
+
+def _tuple_count(base, r, degrees):
+    """Coordinate tuples _new_points visits for each relative degree d in
+    ``degrees``: |P^{r-1}(F_{q^d})| = (q^{dr} - 1)/(q^d - 1), q the order of
+    the base, including the tuples it then skips as rational over a
+    subfield."""
     q = base.order
-    return sum((q ** (e * r) - 1) // (q**e - 1) for e in range(1, e_max + 1))
+    return sum((q ** (d * r) - 1) // (q**d - 1) for d in degrees)
 
 
 def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
@@ -258,13 +268,18 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
         yield from _new_points(base, r, e)[0]
 
 
-def _check_enumeration(base, r, e_max, budget):
+def _check_enumeration(base, r, e_max, budget, scanned=()):
+    """Check the enumeration for e <= e_max and then the generic scan of
+    each module in ``scanned`` against the budget and the degree cap, so
+    that a sampler fails before it tests a point."""
     size = enumeration_size(base, r, e_max)
     if size > budget:
         raise BudgetExceeded(
             f"enumeration of {size} coordinate tuples exceeds budget {budget}"
         )
     _check_degree(base, e_max, "sampling")
+    for mod in scanned:
+        _generic_scan_degree(mod, budget)
 
 
 @lru_cache(maxsize=32)
@@ -286,23 +301,14 @@ def _new_points(base, r, e):
         head = (0,) * lead + (1,)
         for tail in itertools.product(range(K.order), repeat=r - lead - 1):
             codes = head + tail
-            orbit = list(_orbit(codes, frob, e))
+            orbit = [codes]  # codes, s(codes), ..., s^{e-1}(codes)
+            for _ in range(e - 1):
+                orbit.append(tuple([frob[c] for c in orbit[-1]]))
             if codes in orbit[1:]:
                 continue
             first.append(index.setdefault(min(orbit), len(points)))
             points.append(ProjPoint._from_codes(K, codes))
     return tuple(points), tuple(first)
-
-
-def _orbit(codes, frob, e):
-    """The code tuples codes, s(codes), ..., s^{e-1}(codes) for the
-    Frobenius s over the base, given by its code table ``frob``
-    (fields.frobenius, unread and None at e = 1), of a field of relative
-    degree e."""
-    yield codes
-    for _ in range(e - 1):
-        codes = tuple([frob[c] for c in codes])
-        yield codes
 
 
 def _check_degree(base, e, what):
@@ -316,20 +322,16 @@ def _check_degree(base, e, what):
         )
 
 
-def _sampled(spec, e_max, budget, make_decider, scanned):
-    """The points of enumerate_points over the base of spec, each with its
-    verdict decide(pt.codes), decide = make_decider(K) built once for each
-    field K = pt.desc.  decide runs once per Frobenius orbit of
-    _new_points, at its first point, and the conjugates repeat its
-    verdict.  The Frobenius is taken over the base of spec, not over that
-    of the module decide tests, which is K itself for a coinduced one.
-    Before the first point is tested, the enumeration and then the generic
-    scan of each module in ``scanned`` are checked against the budget and
-    the degree cap."""
-    _check_enumeration(spec.base, spec.r, e_max, budget)
-    for mod in scanned:
-        _generic_scan_degree(mod, budget)
-    for e in range(1, e_max + 1):
+def _sampled(spec, degrees, make_decider):
+    """The points of _new_points over the base of spec for each relative
+    degree in ``degrees``, in that order, each with its verdict
+    decide(pt.codes), decide = make_decider(K) built once for each field
+    K = pt.desc.  decide runs once per Frobenius orbit, at its first point,
+    and the conjugates repeat its verdict.  The Frobenius is taken over the
+    base of spec, not over that of the module decide tests, which is K
+    itself for a coinduced one.  The callers check the budget and the
+    degree cap first (_check_enumeration)."""
+    for e in degrees:
         points, first = _new_points(spec.base, spec.r, e)
         if not points:
             continue
@@ -345,9 +347,10 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
     """Verdicts at every sampled closed point plus the generic verdict."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
+    _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
     desc = SupportDescription(module=mod, e_max=e_max)
-    desc.sampled.update(_sampled(mod.spec, e_max, budget,
-                                 lambda K: _point_tester(mod, K), [mod]))
+    desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
+                                 lambda K: _point_tester(mod, K)))
     desc.generic = generic_in_support(mod, budget)
     return desc
 
@@ -356,19 +359,21 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
     """Cosupport verdicts over the same sample, via coinduction per field."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
+    _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
     desc = SupportDescription(module=mod, e_max=e_max)
-    desc.sampled.update(_sampled(mod.spec, e_max, budget,
-                                 lambda K: _point_tester(reps.coinduced(mod, K), K),
-                                 [mod]))
+    desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
+                                 lambda K: _point_tester(reps.coinduced(mod, K), K)))
     desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
     return desc
 
 
 def _generic_scan_degree(mod, budget):
-    """Relative degree e of the field F_{q^e} whose grid decides the generic
-    verdict of mod, or None when no scan is needed (n = 0 or p does not
-    divide n).  Raises BudgetExceeded when the grid has more than
-    ``budget`` points or F_{q^e} is past the degree cap."""
+    """Relative degree e of the field F_{q^e}, q the order of the base, whose
+    closed points decide the generic verdict of mod: the least e with
+    q^e > (p-1)n/p.  None when no scan is needed (n = 0 or p does not
+    divide n).  The scan visits the tuples of _new_points for every d | e;
+    raises BudgetExceeded when they are more than ``budget`` or F_{q^e} is
+    past the degree cap."""
     n, p, r = mod.n, mod.spec.p, mod.spec.r
     if n == 0 or n % p:
         return None
@@ -379,43 +384,33 @@ def _generic_scan_degree(mod, budget):
     e = 1
     while base.order**e < bound:
         e += 1
-    size = base.order ** (e * (r - 1))
+    size = _tuple_count(base, r, _divisors(e))
     if size > budget:
         raise BudgetExceeded(f"generic scan of {size} points exceeds budget {budget}")
     _check_degree(base, e, "generic scan")
     return e
 
 
+def _divisors(e):
+    return [d for d in range(1, e + 1) if e % d == 0]
+
+
 def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     """Verdict at the generic point of P^{r-1} (chart a_1 = 1).
 
-    Exact finite decision: rank of N(s)^{p-1} over the function field equals
-    the maximum specialization rank over a grid S^{r-1} once |S| exceeds the
-    per-variable degree (p-1)n/p of the deciding minors.  The scan exits at
-    the first specialization of full rank n/p.  The Frobenius over the base
-    maps the grid to itself and keeps every rank (see the module
-    docstring), so over a proper extension a grid point is tested only
-    when its codes are the least of their conjugates, and the scan keeps no
-    memo.  Raises BudgetExceeded before scanning when the grid has more than
-    ``budget`` points.
+    In exactly when every closed point of P^{r-1}(F_{q^e}) is in, with
+    e = _generic_scan_degree(mod) (see the module docstring).  Each such
+    point is new over F_{q^d} for exactly one d | e, and rank does not
+    change under field extension, so the scan is _sampled over the
+    divisors of e, smallest field first, and it stops at the first point
+    out.  Raises BudgetExceeded before any point is ranked when the scan
+    visits more than ``budget`` tuples.
     """
     e = _generic_scan_degree(mod, budget)
     if e is None:
         return mod.n % mod.spec.p != 0  # the zero module has empty support
-    base, r = mod.spec.base, mod.spec.r
-    K = _sampling_field(base, e)
-    tester = _point_tester(mod, K)
-    grid = itertools.product(range(K.order), repeat=r - 1)
-    # the Frobenius table is read off Zech tables: build it only where
-    # fq_rank builds those anyway, and rank every grid point past that
-    if e > 1 and K.order <= linalg.ZECH_MAX_ORDER:
-        frob = fields.frobenius(K, base.order).tolist()
-        grid = (codes for codes in grid
-                if all(codes <= c for c in _orbit(codes, frob, e)))
-    for codes in grid:
-        if not tester((1,) + codes):
-            return False
-    return True
+    return all(verdict for _, verdict in _sampled(
+        mod.spec, _divisors(e), lambda K: _point_tester(mod, K)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +628,9 @@ def _formula_rows(m, e_max, budget, left, right, scanned):
         tl, tm, tr = (_point_tester(x, K) for x in (left(K), m, right(K)))
         return lambda codes: (tl(codes), tm(codes) and tr(codes))
 
+    _check_enumeration(m.spec.base, m.spec.r, e_max, budget, scanned)
     return [(str(pt), lhs, rhs) for pt, (lhs, rhs)
-            in _sampled(m.spec, e_max, budget, make_decider, scanned)]
+            in _sampled(m.spec, range(1, e_max + 1), make_decider)]
 
 
 def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:

@@ -1,3 +1,5 @@
+import pytest
+
 from pisupport.cli import run_command
 from pisupport.library import klein_truncation
 from pisupport.modfile import emit_module_file, parse_module_file
@@ -116,6 +118,13 @@ def test_verify_all_suites_small():
     assert code == 0
     for name in ("dade", "tensor", "hom", "endo", "flat", "perturb"):
         assert f"suite {name}:" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(trials):
+    code, out, err = run("verify", "--trials", trials)
+    assert code == 3 and out == ""
+    assert err == "error: ValueError: --trials must be >= 1\n"
 
 
 def test_demo_klein():

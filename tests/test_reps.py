@@ -29,6 +29,7 @@ from pisupport import make_linear, restrict
 from pisupport.errors import (
     BlockTooBig,
     InfiniteExtension,
+    NotARefinement,
     SpecMismatch,
     ValidationError,
 )
@@ -378,6 +379,19 @@ def test_coinduced_rejects_transcendentals():
     K = make_field(2, vars=("s",))
     with pytest.raises(InfiniteExtension):
         coinduced(trivial_module(KLEIN), K)
+
+
+def test_coinduced_rejects_non_refinements_and_function_field_bases():
+    # F_8 does not contain F_4: base_change raises, with its own message
+    F8 = canonical_extension(2, 3)
+    m = base_change(trivial_module(KLEIN), F4)
+    with pytest.raises(NotARefinement) as exc:
+        coinduced(m, F8)
+    assert str(exc.value) == f"{F8} does not refine {F4}"
+    # a module over F_2(s) has no finite coinduction, even to a finite field
+    m = base_change(trivial_module(KLEIN), make_field(2, vars=("s",)))
+    with pytest.raises(InfiniteExtension):
+        coinduced(m, F4)
 
 
 @pytest.mark.parametrize("rel", [1, 2, 3, 4])

@@ -308,16 +308,17 @@ def test_budget_guard():
 
 
 def test_generic_scan_budget_fires_from_grid_size(monkeypatch):
-    # free:1 with p=2, r=3 scans F_8^2: 64 points, 7 sampled over F_2
+    # free:1 with p=2, r=3 is decided by P^2(F_8): the scan visits the 7
+    # tuples over F_2 and the 73 over F_8, 80 in all
     free = free_module(make_spec(2, 3), 1)
     with monkeypatch.context() as m:
         m.setattr(support, "_point_tester", None)  # the scan never starts
-        with pytest.raises(BudgetExceeded, match="64 points"):
-            generic_in_support(free, budget=63)
+        with pytest.raises(BudgetExceeded, match="80 points"):
+            generic_in_support(free, budget=79)
     for sample in (support_sample, cosupport_sample):
-        with pytest.raises(BudgetExceeded, match="64 points"):
+        with pytest.raises(BudgetExceeded, match="80 points"):
             sample(free, 1, budget=10)
-    assert not generic_in_support(free, budget=64)
+    assert not generic_in_support(free, budget=80)
 
 
 def test_sampling_past_degree_cap_fails_before_any_point(monkeypatch):
@@ -504,7 +505,8 @@ def test_orbit_memo_agrees_on_the_formulas():
         assert {row[1] for row in report.points[21:]} == {True, False}
 
 
-def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
+def _count_ranks(monkeypatch):
+    """The degree of the field of every fq_rank call from now on."""
     ranked = []
     fq_rank = linalg.fq_rank
 
@@ -513,21 +515,27 @@ def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
         return fq_rank(coeffs, desc, stop_at)
 
     monkeypatch.setattr(linalg, "fq_rank", counted)
+    return ranked
+
+
+def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
+    ranked = _count_ranks(monkeypatch)
     spec = make_spec(2, 3)
-    # trivial^2 + free:2 is in the support everywhere: the scan of the F_16
-    # grid ranks one point of each of its 70 orbits, not all 256
+    # trivial^2 + free:2 is in the support everywhere: the scan of P^2(F_16)
+    # ranks one point of each closed point, over its own field: the 7 of
+    # P^2(F_2), 7 orbits of new points over F_4 and 63 over F_16
     mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
                      free_module(spec, 2))
     assert generic_in_support(mod)
-    assert ranked == [4] * 70
+    assert ranked == [1] * 7 + [2] * 7 + [4] * 63
     ranked.clear()
-    # over F_4 at r = 2 the orbits of x -> x^4 on the F_16 line: the 4
-    # points of F_4 and 6 pairs
+    # over F_4 at r = 2: the 5 points of P^1(F_4), then the orbits of
+    # x -> x^4 on the 12 new points of the F_16 line, 6 pairs
     spec4 = make_spec(2, 2, base=F4)
     mod = direct_sum(direct_sum(trivial_module(spec4), trivial_module(spec4)),
                      free_module(spec4, 2))
     assert generic_in_support(mod)
-    assert ranked == [4] * 10
+    assert ranked == [2] * 5 + [4] * 6
     ranked.clear()
     rng = random.Random("orbit-count")
     mod = _mixed(direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng)), rng)
@@ -538,29 +546,43 @@ def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
     assert any(desc.sampled.values()) and not all(desc.sampled.values())
 
 
-def test_generic_scan_past_the_zech_bound_ranks_every_grid_point(monkeypatch):
-    # past linalg.ZECH_MAX_ORDER fq_rank builds no Zech tables, so the scan
-    # builds no Frobenius table either and ranks all 256 points of the F_16
-    # grid of trivial^2 + free:2
-    ranked = []
-    fq_rank = linalg.fq_rank
-
-    def counted(coeffs, desc, stop_at=None):
-        ranked.append(desc.deg)
-        return fq_rank(coeffs, desc, stop_at)
-
-    def refuse(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(linalg, "fq_rank", counted)
-    monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
-    monkeypatch.setattr(fields, "zech_tables", refuse)
-    monkeypatch.setattr(fields, "frobenius", refuse)
+def test_generic_scan_past_the_zech_bound_ranks_as_below_it(monkeypatch):
+    # past linalg.ZECH_MAX_ORDER fq_rank eliminates block matrices instead
+    # of Zech logs; the scan of trivial^2 + free:2 still ranks one point per
+    # closed point of P^2(F_16), with the same verdict
     spec = make_spec(2, 3)
     mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
                      free_module(spec, 2))
-    assert generic_in_support(mod)
-    assert ranked == [4] * 256
+    with monkeypatch.context() as m:
+        below = _count_ranks(m)
+        verdict = generic_in_support(mod)
+    ranked = _count_ranks(monkeypatch)
+    monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
+    assert generic_in_support(mod) == verdict
+    assert [ranked.count(d) for d in (1, 2, 4)] == [below.count(d) for d in (1, 2, 4)]
+    assert len(ranked) == len(below) == 77
+
+
+@pytest.mark.parametrize("summand, verdict", [(None, True), (2, False)])
+def test_generic_scan_at_r1_ranks_one_point_over_the_base(summand, verdict, monkeypatch):
+    # trivial^4 and free:2 at p = 2, r = 1: P^0 has one point, over F_2, so
+    # the scan builds no Frobenius and no Zech table although 4 > 2 = (p-1)n/p
+    # asks for F_4
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    ranked = _count_ranks(monkeypatch)
+    monkeypatch.setattr(fields, "frobenius", refuse)
+    monkeypatch.setattr(fields, "zech_tables", refuse)
+    spec = make_spec(2, 1)
+    if summand is None:
+        mod = trivial_module(spec)
+        mod = direct_sum(direct_sum(mod, mod), direct_sum(mod, mod))
+    else:
+        mod = free_module(spec, summand)
+    assert mod.n == 4 and support._generic_scan_degree(mod, 10) == 2
+    assert generic_in_support(mod) is verdict
+    assert ranked == [1]
 
 
 def test_repeated_enumerations_share_their_points():
@@ -582,10 +604,11 @@ SAMPLERS = {
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_samplers_check_the_generic_scan_before_any_point(sampler, monkeypatch):
-    # free:1 with p=2, r=3: 7 points over F_2, a generic grid of 64 points
+    # free:1 with p=2, r=3: 7 points over F_2, a generic scan of the 7 + 73
+    # tuples of P^2(F_2) and P^2(F_8)
     monkeypatch.setattr(support, "_point_tester", None)
     free = free_module(make_spec(2, 3), 1)
-    with pytest.raises(BudgetExceeded, match="generic scan of 64 points"):
+    with pytest.raises(BudgetExceeded, match="generic scan of 80 points"):
         SAMPLERS[sampler](free, 1, 10)
     with pytest.raises(BudgetExceeded, match="enumeration of 28 coordinate tuples"):
         SAMPLERS[sampler](free, 2, 10)  # the enumeration is checked first
