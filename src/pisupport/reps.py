@@ -10,6 +10,8 @@ and antipode z -> -z.  Mixed flavors give the quasi-elementary algebras.
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fields, linalg
 from .errors import (
     BlockTooBig,
@@ -60,11 +62,12 @@ def make_spec(p, r, flavors=None, base=None):
 
 
 class ModuleRep:
-    """A finite-dimensional module: r commuting p-nilpotent matrices."""
+    """A finite-dimensional module: r commuting p-nilpotent matrices.  Its
+    partition into blocks (see blocks) is kept once found."""
 
-    __slots__ = ("spec", "n", "Z", "name")
+    __slots__ = ("spec", "n", "Z", "name", "_blocks")
 
-    def __init__(self, spec, Z, name=None, _checked=False):
+    def __init__(self, spec, Z, name=None, _checked=False, _blocks=None):
         Z = tuple(Z)
         if len(Z) != spec.r:
             raise ValidationError(f"expected {spec.r} generator matrices")
@@ -78,6 +81,7 @@ class ModuleRep:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_blocks", _blocks)
         if not _checked:
             violations = validate(self)
             if violations:
@@ -92,7 +96,8 @@ class ModuleRep:
         return f"ModuleRep({label}, dim={self.n}, p={self.spec.p}, r={self.spec.r})"
 
     def renamed(self, name):
-        return ModuleRep(self.spec, self.Z, name=name, _checked=True)
+        return ModuleRep(self.spec, self.Z, name=name, _checked=True,
+                         _blocks=self._blocks)
 
 
 def validate(mod):
@@ -155,6 +160,50 @@ def direct_sum(a, b) -> ModuleRep:
         raise SpecMismatch("direct sum needs matching algebra specs")
     mats = [linalg.block_diag([x, y]) for x, y in zip(a.Z, b.Z)]
     return ModuleRep(a.spec, mats, _checked=True)
+
+
+def blocks(mod):
+    """The connected components of the union of the nonzero patterns of
+    Z_1..Z_r, as tuples of basis indices, each sorted, in the order of their
+    least index.  Every Z_i maps the span of a block into itself, so the
+    module is the direct sum of its restrictions to the blocks (summand),
+    and N(a) = sum a_i Z_i is block diagonal on them at every point a.
+    Found on first use and kept on the module."""
+    if mod._blocks is None:
+        n = mod.n
+        linked = np.eye(n, dtype=bool)
+        for z in mod.Z:
+            if z.desc.is_finite:
+                nonzero = linalg.coeff_array(z).any(axis=2)
+            else:
+                nonzero = np.array([[bool(x) for x in row] for row in z.entries],
+                                   dtype=bool).reshape(n, n)
+            linked |= nonzero | nonzero.T
+        # label propagation: each index takes the least label among its
+        # neighbours, then the label of that label; labels only fall, each
+        # stays an index of the same component, and at the fixed point every
+        # index carries the least index of its component
+        label = np.arange(n)
+        while True:
+            low = np.where(linked, label, n).min(axis=1, initial=n)
+            low = low[low]
+            if (low == label).all():
+                break
+            label = low
+        comps = {}
+        for i, c in enumerate(label.tolist()):
+            comps.setdefault(c, []).append(i)
+        object.__setattr__(mod, "_blocks", tuple(map(tuple, comps.values())))
+    return mod._blocks
+
+
+def summand(mod, block):
+    """The direct summand of mod, over a finite base, on one of its blocks,
+    with the one-block partition."""
+    idx = np.ix_(block, block)
+    mats = [linalg.from_coeff_array(mod.spec.base, linalg.coeff_array(z)[idx])
+            for z in mod.Z]
+    return ModuleRep(mod.spec, mats, _checked=True, _blocks=(tuple(range(len(block))),))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +271,8 @@ def base_change(mod, target) -> ModuleRep:
                 for m in mod.Z]
     else:
         mats = [m.map_entries(lambda x: embed(x, target), target) for m in mod.Z]
-    return ModuleRep(spec, mats, name=mod.name, _checked=True)
+    # embedding keeps the nonzero pattern, and with it the blocks
+    return ModuleRep(spec, mats, name=mod.name, _checked=True, _blocks=mod._blocks)
 
 
 # ---------------------------------------------------------------------------

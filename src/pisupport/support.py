@@ -36,14 +36,32 @@ ranks them on the sampling enumeration, over F_{q^d} for each d | e, one
 rank per Frobenius orbit.  It agrees with the direct transcendental
 computation (tested).
 
+Direct sums are decided block by block.  The blocks of a module
+(reps.blocks) are the connected components of the union of the nonzero
+patterns of the Z_i, so N(a) is block diagonal on them at every point and
+its rank is the sum of the blocks' ranks, each at most floor(n_c/p) on a
+block of dimension n_c.  A block with p not dividing n_c therefore puts
+every point, and the generic point, in the support, and nothing is ranked.
+Otherwise the point tester still ranks the whole operator, once per point:
+one pipeline of numpy calls costs less than one per block.  The generic
+verdict uses supp(M + N) = supp M u supp N: the generic point is in
+exactly when it is in for some block, and a block needs only the field
+with q^e > (p-1)n_c/p.  A module of several blocks is first scanned whole
+over the points of degree 1, as a point out of the whole support is out
+for every block; if all are in, each block is scanned over its own field,
+up to the first block that is generically in.
+
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
-polynomial ring in s_1..s_r.  Its monomial coefficients C_b are formed by a
-word expansion of the power, the pivot submatrix op[I, J] has the same
-ideal of minors (Cauchy-Binet), and its minors are taken by Laplace
-expansion on coefficient lists (linalg.minors).  The matrices of this path
-are at most 12 x 12, so it runs on lists of Python integers: numpy's fixed
-cost per call outweighs the arithmetic, and over a finite base every step
-does the same work for every module of a given n, p and r.
+polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
+rank is at most the sum of the floor(n_c/p), below n/p, so every such minor
+vanishes and the list is empty.  Otherwise the monomial coefficients C_b of
+the whole operator are formed by a word expansion of the power, the pivot
+submatrix op[I, J] has the same ideal of minors (Cauchy-Binet), and its
+minors are taken by Laplace expansion on coefficient lists (linalg.minors).
+The matrices of this path are at most 12 x 12, so it runs on lists of
+Python integers: numpy's fixed cost per call outweighs the arithmetic, and
+over a finite base every step does the same work for every module of a
+given n, p and r.
 """
 
 import itertools
@@ -198,17 +216,23 @@ def _point_tester(mod, K):
     """Callable deciding in-support for a point of P^{r-1}(K) given by its
     element codes (ProjPoint.codes).
 
-    The generators of the base change of mod to K (reps.base_change, the
-    identity on a module already over K, such as a coinduced one) are one
-    (n, n, r*e) coordinate array.  The F_p digits of the codes times the
-    powers of the generator of K (linalg.companion_powers) are the F_p
-    matrices of multiplication by the coordinates a_i, and one more product
-    gives N(a) = sum a_i Z_i.  N(a)^{p-1} takes p - 2 products with its F_p
-    block matrix (linalg.coeff_power), and linalg.fq_rank decides
-    rank < n/p, stopping at n/p.  The tests check it against elimination of
-    the ne x ne block matrix over F_p at every sampled point.
+    A module with a block (reps.blocks) of dimension prime to p has that
+    block as a direct summand, which is in the support everywhere, so the
+    tester is constant and ranks nothing.  Otherwise it ranks the whole
+    operator: the generators of the base change of mod to K
+    (reps.base_change, the identity on a module already over K, such as a
+    coinduced one) are one (n, n, r*e) coordinate array.  The F_p digits of
+    the codes times the powers of the generator of K
+    (linalg.companion_powers) are the F_p matrices of multiplication by the
+    coordinates a_i, and one more product gives N(a) = sum a_i Z_i.
+    N(a)^{p-1} takes p - 2 products with its F_p block matrix
+    (linalg.coeff_power), and linalg.fq_rank decides rank < n/p, stopping at
+    n/p.  The tests check it against elimination of the ne x ne block matrix
+    over F_p at every sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
+    if n % p or _has_block_prime_to_p(mod):
+        return lambda codes: True
     # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
     # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
     gens = np.stack([linalg.coeff_array(m) for m in reps.base_change(mod, K).Z],
@@ -218,14 +242,19 @@ def _point_tester(mod, K):
     target = n // p
 
     def tester(codes):
-        if n % p:
-            return True
         digits = np.array(codes, dtype=np.int64)[:, None] // place % p
         acc = gens @ (digits @ powers).reshape(-1, e) % p
         op = linalg.coeff_power(acc, p - 1, K)
         return linalg.fq_rank(op, K, stop_at=target) != target
 
     return tester
+
+
+def _has_block_prime_to_p(mod):
+    """Does some block of mod (reps.blocks) have dimension prime to p?  Such
+    a block is a direct summand that is in the support everywhere."""
+    p = mod.spec.p
+    return any(len(block) % p for block in reps.blocks(mod))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +308,7 @@ def _check_enumeration(base, r, e_max, budget, scanned=()):
         )
     _check_degree(base, e_max, "sampling")
     for mod in scanned:
-        _generic_scan_degree(mod, budget)
+        _generic_scan(mod, budget)
 
 
 @lru_cache(maxsize=32)
@@ -367,50 +396,84 @@ def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescripti
     return desc
 
 
-def _generic_scan_degree(mod, budget):
+def _generic_scan_degree(base, p, n):
     """Relative degree e of the field F_{q^e}, q the order of the base, whose
-    closed points decide the generic verdict of mod: the least e with
-    q^e > (p-1)n/p.  None when no scan is needed (n = 0 or p does not
-    divide n).  The scan visits the tuples of _new_points for every d | e;
-    raises BudgetExceeded when they are more than ``budget`` or F_{q^e} is
-    past the degree cap."""
+    closed points decide the generic verdict of a module of dimension n
+    divisible by p: the least e with q^e > (p-1)n/p."""
+    bound = (p - 1) * (n // p) + 1
+    e = 1
+    while base.order**e < bound:
+        e += 1
+    return e
+
+
+def _generic_scan(mod, budget):
+    """The scans that decide the generic verdict of mod, as the pairs
+    (block, e) of its blocks (reps.blocks) and their degrees
+    _generic_scan_degree.  None when no scan is needed: n = 0, or some
+    block has dimension prime to p.  A module of one block is scanned over
+    the divisors of e; a module of more blocks is first scanned whole over
+    P^{r-1}(F_q), then block by block over the divisors of its own e.
+    Raises BudgetExceeded when all these scans visit more than ``budget``
+    tuples, or some F_{q^e} is past the degree cap.  It reads the block
+    sizes only and builds no summand."""
     n, p, r = mod.n, mod.spec.p, mod.spec.r
     if n == 0 or n % p:
         return None
     base = mod.spec.base
     if not base.is_finite:
         raise ValueError("generic sampling needs a finite base field")
-    bound = (p - 1) * (n // p) + 1
-    e = 1
-    while base.order**e < bound:
-        e += 1
-    size = _tuple_count(base, r, _divisors(e))
+    if _has_block_prime_to_p(mod):
+        return None
+    scans = [(block, _generic_scan_degree(base, p, len(block)))
+             for block in reps.blocks(mod)]
+    size = _tuple_count(base, r, [1]) if len(scans) > 1 else 0
+    size += sum(_tuple_count(base, r, _divisors(e)) for _, e in scans)
     if size > budget:
         raise BudgetExceeded(f"generic scan of {size} points exceeds budget {budget}")
-    _check_degree(base, e, "generic scan")
-    return e
+    _check_degree(base, max(e for _, e in scans), "generic scan")
+    return scans
 
 
 def _divisors(e):
     return [d for d in range(1, e + 1) if e % d == 0]
 
 
+def _all_in(mod, degrees):
+    """Is every point of _new_points over the base of mod, for the relative
+    degrees in ``degrees``, in the support of mod?  Stops at the first point
+    out."""
+    return all(verdict for _, verdict in _sampled(
+        mod.spec, degrees, lambda K: _point_tester(mod, K)))
+
+
 def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     """Verdict at the generic point of P^{r-1} (chart a_1 = 1).
 
-    In exactly when every closed point of P^{r-1}(F_{q^e}) is in, with
-    e = _generic_scan_degree(mod) (see the module docstring).  Each such
-    point is new over F_{q^d} for exactly one d | e, and rank does not
-    change under field extension, so the scan is _sampled over the
-    divisors of e, smallest field first, and it stops at the first point
-    out.  Raises BudgetExceeded before any point is ranked when the scan
-    visits more than ``budget`` tuples.
+    In exactly when every closed point of P^{r-1}(F_{q^e}) is in, with e
+    from _generic_scan_degree (see the module docstring).  Each such point
+    is new over F_{q^d} for exactly one d | e, and rank does not change
+    under field extension, so the scan is _sampled over the divisors of e,
+    smallest field first, and it stops at the first point out.
+
+    The support of a direct sum is the union of the supports of its
+    summands, so the generic point is in exactly when it is in for some
+    block (_generic_scan).  A block of dimension prime to p puts it in with
+    no scan.  A module of several blocks is first scanned whole over the
+    points of degree 1: a point out of the whole support is out for every
+    block, so "out" takes no more ranks than a scan of the whole module.
+    Then each block is scanned over its own, smaller field, up to the first
+    block that is generically in.  Raises BudgetExceeded before any point is
+    ranked when the scans visit more than ``budget`` tuples.
     """
-    e = _generic_scan_degree(mod, budget)
-    if e is None:
-        return mod.n % mod.spec.p != 0  # the zero module has empty support
-    return all(verdict for _, verdict in _sampled(
-        mod.spec, _divisors(e), lambda K: _point_tester(mod, K)))
+    scans = _generic_scan(mod, budget)
+    if scans is None:
+        return mod.n > 0  # the zero module has empty support
+    if len(scans) == 1:
+        return _all_in(mod, _divisors(scans[0][1]))
+    if not _all_in(mod, [1]):
+        return False
+    return any(_all_in(reps.summand(mod, block), _divisors(e)) for block, e in scans)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +489,8 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     op[I, J] (see _pivot_submatrix) are taken, on its coefficients
     (linalg.PolyMatrix), and a minor that is a nonzero scalar multiple of
     one already kept is dropped.  Both generate the same ideal as the full
-    list, of which the result is a subsequence.
+    list, of which the result is a subsequence.  A block (reps.blocks) of
+    dimension prime to p makes every minor vanish, and nothing is formed.
     """
     n, p = mod.n, mod.spec.p
     if n > max_dim:
@@ -439,9 +503,13 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     names = tuple(f"s{i}" for i in range(1, mod.spec.r + 1))
     if set(names) & set(base.vars):
         raise ValueError("ideal variable names collide with the base field")
+    desc.ideal = []
+    if _has_block_prime_to_p(mod):
+        # rank N(s)^{p-1} is the sum over the blocks of at most
+        # floor(n_c/p), which falls short of n/p: the zero ideal
+        return desc
     K = fields.make_field(p, base.ext, base.vars + names)
     sub = _pivot_submatrix(K, _operator_coeffs(mod))
-    desc.ideal = []
     if min(sub.rows, sub.cols) < n // p:
         return desc  # every (n/p)-minor vanishes: the zero ideal
     seen = set()

@@ -152,15 +152,23 @@ def test_input_error_exit_three():
 
 
 def test_support_generic_degree_cap_fails_before_sampling(monkeypatch):
-    # free:128 over the Klein group needs a generic field F_{2^9}; no point
-    # of the sample is tested before the failure
-    from pisupport import support
+    # klein-M4 is one block of dimension 8 and needs a generic field F_{2^3},
+    # past a cap of 2; no point of the sample is tested before the failure
+    from pisupport import fields, support
 
-    monkeypatch.setattr(support, "_point_tester", None)
-    code, out, err = run("support", "free:128")
+    with monkeypatch.context() as m:
+        m.setattr(fields, "MAX_EXTENSION_DEGREE", 2)
+        m.setattr(support, "_point_tester", None)
+        code, out, err = run("support", "klein-M4")
     assert code == 3 and out == ""
     assert err == ("error: BudgetExceeded: generic scan needs extension "
-                   "degree 9 over F_2, past the cap 8\n")
+                   "degree 3 over F_2, past the cap 2\n")
+    # free:128 (n = 512, whose whole scan would need F_{2^9}) is 128 blocks
+    # of dimension 4, each decided over F_4: the first point of P^1(F_2) is
+    # out of the support, so the generic point is out
+    code, out, err = run("support", "free:128")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "generic out"
 
 
 def test_internal_error_exit_four(monkeypatch):

@@ -207,18 +207,23 @@ def test_point_tester_agrees_with_block_route():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_point_tester_agrees_with_block_route_on_generic_grids(k):
-    # trivial^2 + free:k at p = 2, r = 3: every grid point is in the support
+    # trivial^2 + free:k at p = 2, r = 3: every grid point is in the support.
+    # In its monomial basis the tester is constant (blocks of dimension 1);
+    # in a dense basis it ranks every point
     spec = make_spec(2, 3)
-    mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
-                     free_module(spec, k))
-    K = support._sampling_field(spec.base, support._generic_scan_degree(mod, 10**6))
+    plain = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
+                       free_module(spec, k))
+    dense = _dense_full_support(spec, k, random.Random(f"generic-grids:{k}"))
+    e = support._generic_scan_degree(spec.base, 2, plain.n)
+    K = support._sampling_field(spec.base, e)
     assert K.deg >= 3
-    fast, block = support._point_tester(mod, K), _block_point_tester(mod, K)
-    for codes in itertools.product(range(K.order), repeat=2):
-        assert fast((1,) + codes) == block((1,) + codes)
-    # off the chart a_1 = 1, the free summand makes some points full rank
-    points = [(0, 1, c) for c in range(K.order)]
-    assert [fast(a) for a in points] == [block(a) for a in points]
+    for mod in (plain, dense):
+        fast, block = support._point_tester(mod, K), _block_point_tester(mod, K)
+        for codes in itertools.product(range(K.order), repeat=2):
+            assert fast((1,) + codes) == block((1,) + codes)
+        # off the chart a_1 = 1, the free summand makes some points full rank
+        points = [(0, 1, c) for c in range(K.order)]
+        assert [fast(a) for a in points] == [block(a) for a in points]
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +336,34 @@ def test_sampling_past_degree_cap_fails_before_any_point(monkeypatch):
 
 
 def test_generic_scan_past_degree_cap_fails_before_any_point(monkeypatch):
-    # free:128 over the Klein group has n = 512, so the grid needs |S| > 256
+    # klein-M4 is one block of n = 8, so the grid needs |S| > 4: F_8, past a
+    # cap of 2
+    monkeypatch.setattr(fields, "MAX_EXTENSION_DEGREE", 2)
     monkeypatch.setattr(support, "_point_tester", None)
-    with pytest.raises(BudgetExceeded, match="degree 9"):
-        generic_in_support(free_module(KLEIN, 128))
+    mod = klein_truncation(4)
+    assert len(reps.blocks(mod)) == 1
+    with pytest.raises(BudgetExceeded, match="degree 3"):
+        generic_in_support(mod)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_generic_scan_guards_count_every_block_before_any_point(flip, monkeypatch):
+    # klein-M4 + free:1, in either order, is two blocks, of e = 3 and e = 2:
+    # the scan visits the 3 points of P^1(F_2) for the whole module, then
+    # 3 + 9 tuples for klein-M4 and 3 + 5 for free:1.  Every check runs
+    # before any rank
+    parts = [klein_truncation(4), free_module(KLEIN, 1)]
+    mod = direct_sum(*parts[::-1] if flip else parts)
+    assert sorted(len(block) for block in reps.blocks(mod)) == [4, 8]
+    with monkeypatch.context() as m:
+        m.setattr(support, "_point_tester", None)
+        m.setattr(reps, "summand", None)
+        with pytest.raises(BudgetExceeded, match="generic scan of 23 points"):
+            generic_in_support(mod, budget=22)
+        m.setattr(fields, "MAX_EXTENSION_DEGREE", 2)
+        with pytest.raises(BudgetExceeded, match="degree 3 over F_2, past the cap 2"):
+            generic_in_support(mod)
+    assert generic_in_support(mod, budget=23) is False
 
 
 def test_enumeration_size_counts_points_over_extension_base():
@@ -470,8 +499,8 @@ def test_orbit_memo_agrees_with_every_point():
             sup, co = testers[K]
             assert sample.sampled[pt] == sup(pt.codes), (mod.name, pt)
             assert cosample.sampled[pt] == co(pt.codes), (mod.name, pt)
-        e = support._generic_scan_degree(mod, support.DEFAULT_ENUM_BUDGET)
-        if e is not None:
+        if mod.n and mod.n % spec.p == 0:
+            e = support._generic_scan_degree(spec.base, spec.p, mod.n)
             K = support._sampling_field(spec.base, e)
             tester = support._point_tester(mod, K)
             grid = itertools.product(range(K.order), repeat=spec.r - 1)
@@ -518,22 +547,38 @@ def _count_ranks(monkeypatch):
     return ranked
 
 
+def _dense_full_support(spec, g, rng):
+    """trivial^p + free:g in a dense seeded basis: in the support everywhere,
+    and one block, so that the generic scan ranks every closed point."""
+    trivial, mod = trivial_module(spec), free_module(spec, g)
+    for _ in range(spec.p):
+        mod = direct_sum(trivial, mod)
+    mod = _mixed(mod, rng)
+    assert len(reps.blocks(mod)) == 1
+    return mod
+
+
 def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
     ranked = _count_ranks(monkeypatch)
     spec = make_spec(2, 3)
-    # trivial^2 + free:2 is in the support everywhere: the scan of P^2(F_16)
-    # ranks one point of each closed point, over its own field: the 7 of
-    # P^2(F_2), 7 orbits of new points over F_4 and 63 over F_16
+    dense = random.Random("orbit-count:dense")
+    # in its monomial basis trivial^2 + free:2 has blocks of dimension 1,
+    # prime to p, which put every point in the support with no rank
     mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
                      free_module(spec, 2))
+    assert generic_in_support(mod)
+    assert ranked == []
+    # in a dense basis it is one block: the scan of P^2(F_16) ranks one
+    # point of each closed point, over its own field: the 7 of P^2(F_2),
+    # 7 orbits of new points over F_4 and 63 over F_16
+    mod = _dense_full_support(spec, 2, dense)
     assert generic_in_support(mod)
     assert ranked == [1] * 7 + [2] * 7 + [4] * 63
     ranked.clear()
     # over F_4 at r = 2: the 5 points of P^1(F_4), then the orbits of
     # x -> x^4 on the 12 new points of the F_16 line, 6 pairs
     spec4 = make_spec(2, 2, base=F4)
-    mod = direct_sum(direct_sum(trivial_module(spec4), trivial_module(spec4)),
-                     free_module(spec4, 2))
+    mod = _dense_full_support(spec4, 2, dense)
     assert generic_in_support(mod)
     assert ranked == [2] * 5 + [4] * 6
     ranked.clear()
@@ -548,11 +593,9 @@ def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
 
 def test_generic_scan_past_the_zech_bound_ranks_as_below_it(monkeypatch):
     # past linalg.ZECH_MAX_ORDER fq_rank eliminates block matrices instead
-    # of Zech logs; the scan of trivial^2 + free:2 still ranks one point per
-    # closed point of P^2(F_16), with the same verdict
-    spec = make_spec(2, 3)
-    mod = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
-                     free_module(spec, 2))
+    # of Zech logs; the scan of trivial^2 + free:2 in a dense basis still
+    # ranks one point per closed point of P^2(F_16), with the same verdict
+    mod = _dense_full_support(make_spec(2, 3), 2, random.Random("zech-bound:dense"))
     with monkeypatch.context() as m:
         below = _count_ranks(m)
         verdict = generic_in_support(mod)
@@ -565,9 +608,9 @@ def test_generic_scan_past_the_zech_bound_ranks_as_below_it(monkeypatch):
 
 @pytest.mark.parametrize("summand, verdict", [(None, True), (2, False)])
 def test_generic_scan_at_r1_ranks_one_point_over_the_base(summand, verdict, monkeypatch):
-    # trivial^4 and free:2 at p = 2, r = 1: P^0 has one point, over F_2, so
-    # the scan builds no Frobenius and no Zech table although 4 > 2 = (p-1)n/p
-    # asks for F_4
+    # trivial^2 + free:1 in a dense basis (one block) and free:2 at p = 2,
+    # r = 1: P^0 has one point, over F_2, so the scan builds no Frobenius and
+    # no Zech table although 4 > 2 = (p-1)n/p asks for F_4
     def refuse(*args):
         raise AssertionError("a table was built")
 
@@ -576,11 +619,15 @@ def test_generic_scan_at_r1_ranks_one_point_over_the_base(summand, verdict, monk
     monkeypatch.setattr(fields, "zech_tables", refuse)
     spec = make_spec(2, 1)
     if summand is None:
+        # trivial^4 is four blocks of dimension 1: in, with no rank at all
         mod = trivial_module(spec)
-        mod = direct_sum(direct_sum(mod, mod), direct_sum(mod, mod))
+        assert generic_in_support(direct_sum(direct_sum(mod, mod), direct_sum(mod, mod)))
+        assert ranked == []
+        mod = _dense_full_support(spec, 1, random.Random("r1:dense:1"))
     else:
         mod = free_module(spec, summand)
-    assert mod.n == 4 and support._generic_scan_degree(mod, 10) == 2
+    assert mod.n == 4 and support._generic_scan_degree(spec.base, 2, mod.n) == 2
+    support._generic_scan(mod, 10)  # within the budget
     assert generic_in_support(mod) is verdict
     assert ranked == [1]
 
@@ -612,6 +659,177 @@ def test_samplers_check_the_generic_scan_before_any_point(sampler, monkeypatch):
         SAMPLERS[sampler](free, 1, 10)
     with pytest.raises(BudgetExceeded, match="enumeration of 28 coordinate tuples"):
         SAMPLERS[sampler](free, 2, 10)  # the enumeration is checked first
+
+
+# ---------------------------------------------------------------------------
+# direct sums decided block by block
+
+
+def _monomial(mod, rng):
+    """The module in a seeded monomial basis: basis vector i moves to
+    position perm[i] and is scaled by a nonzero element of the base.  Returns
+    the module and perm."""
+    base, n = mod.spec.base, mod.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scale = [FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(1, base.order)))
+             for _ in range(n)]
+    mats = []
+    for z in mod.Z:
+        grid = [[None] * n for _ in range(n)]
+        for i, row in enumerate(z.entries):
+            for j, x in enumerate(row):
+                grid[perm[i]][perm[j]] = x * scale[i] / scale[j]
+        mats.append(Matrix(base, grid))
+    return ModuleRep(mod.spec, mats, name=mod.name), perm
+
+
+def _direct_sum(mods):
+    out = mods[0]
+    for mod in mods[1:]:
+        out = direct_sum(out, mod)
+    return out
+
+
+def _covering_lines(spec, rng):
+    """At r = 2, one shift block for each point [a_1 : a_2] of P^1 over the
+    base, with leads (a_2, -a_1), so that its support is that point alone:
+    the sum has every point of degree 1 in its support and the generic
+    point out."""
+    lines = []
+    for pt in enumerate_points(spec.base, 2, 1):
+        a1, a2 = pt.coords
+        lines.append(_shift_block(spec, 1, rng, [a2, -a1]))
+    return _direct_sum(lines)
+
+
+def _block_cases():
+    """(module, e_max): direct sums in a permuted monomial basis, modules in
+    a dense one-block basis, and sums with blocks of dimension 1, over F_2,
+    F_3 and F_4 at r = 2 and over F_2 at r = 3."""
+    rng = random.Random("block-oracle")
+    cases = []
+    for base, r, e_max in ((F2, 2, 3), (F3, 2, 2), (F4, 2, 2), (F2, 3, 2)):
+        spec = make_spec(base.p, r, base=base)
+        full = _dense_full_support(spec, 1, rng)
+        shifts = direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 1, rng))
+        trivials = _direct_sum([trivial_module(spec)] * spec.p)
+        mods = [full, _mixed(shifts, rng)]
+        mods += [_monomial(mod, rng)[0] for mod in (
+            direct_sum(shifts, free_module(spec, 1)),
+            direct_sum(shifts, full),
+            direct_sum(trivials, shifts))]
+        if r == 2:
+            lines = _covering_lines(spec, rng)
+            mods += [_monomial(mod, rng)[0] for mod in (
+                lines, direct_sum(lines, full), direct_sum(lines, trivials))]
+        cases += [(mod, e_max) for mod in mods]
+    return cases
+
+
+def test_block_verdicts_agree_with_the_whole_module():
+    # the oracle ranks the whole operator at every point, blocks or not
+    kinds = set()
+    for mod, e_max in _block_cases():
+        spec, p = mod.spec, mod.spec.p
+        sizes = [len(block) for block in reps.blocks(mod)]
+        assert sum(sizes) == mod.n and mod.n % p == 0
+        sample, cosample = support_sample(mod, e_max), cosupport_sample(mod, e_max)
+        oracles = {}
+        for pt, verdict in sample.sampled.items():
+            K = pt.desc
+            if K not in oracles:
+                oracles[K] = _block_point_tester(mod, K)
+            assert verdict == cosample.sampled[pt] == oracles[K](pt.codes), (mod, pt)
+        K = support._sampling_field(spec.base, support._generic_scan_degree(
+            spec.base, p, mod.n))
+        whole = _block_point_tester(mod, K)
+        grid = itertools.product(range(K.order), repeat=spec.r - 1)
+        generic = all(whole((1,) + codes) for codes in grid)
+        assert sample.generic == cosample.generic == generic, mod
+        degree1 = all(verdict for pt, verdict in sample.sampled.items()
+                      if pt.desc == spec.base)
+        kinds.add((len(sizes) > 1, any(n % p for n in sizes), degree1, generic))
+    # one block and several; blocks of dimension prime to p; generic in and
+    # out, the latter also with every point of degree 1 in
+    assert kinds >= {(False, False, True, True), (False, False, False, False),
+                     (True, False, False, False), (True, False, True, True),
+                     (True, False, True, False), (True, True, True, True)}
+
+
+def test_generic_scan_decides_blocks_on_their_own_fields(monkeypatch):
+    # the covering lines over F_2, blocks of dimension 2 whose supports are
+    # [1:0], [1:1] and [0:1] in that order, then a dense trivial^2 + free:1,
+    # one block of dimension 6.  The whole module (n = 12) would need F_8;
+    # the lines need F_2 and the last block F_4.  The scan ranks the 3
+    # points of P^1(F_2) for the whole module, then each line up to its
+    # first point out (2, 1 and 1 ranks), then the 3 points of P^1(F_2) and
+    # the one orbit of new points of P^1(F_4) for the last block
+    rng = random.Random("block-fields")
+    ranked = _count_ranks(monkeypatch)
+    lines = _covering_lines(KLEIN, rng)
+    mod = direct_sum(lines, _dense_full_support(KLEIN, 1, rng))
+    assert [len(block) for block in reps.blocks(mod)] == [2, 2, 2, 6]
+    assert generic_in_support(mod)
+    assert ranked == [1] * (3 + 2 + 1 + 1 + 3) + [2]
+    ranked.clear()
+    assert not generic_in_support(lines)
+    assert ranked == [1] * (3 + 2 + 1 + 1)
+
+
+def test_tester_ranks_nothing_with_a_block_prime_to_p(monkeypatch):
+    # trivial^2 + free:1 at r = 3 in a monomial basis: blocks of dimension
+    # 1, 1 and 8.  No point is ranked, and no operator is formed
+    rng = random.Random("tester-blocks")
+    spec = make_spec(2, 3)
+    trivial = trivial_module(spec)
+    mod, _ = _monomial(_direct_sum([trivial, free_module(spec, 1), trivial]), rng)
+
+    def refuse(*args):
+        raise AssertionError("an operator was formed")
+
+    for name in ("companion_powers", "coeff_power", "fq_rank"):
+        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(reps, "base_change", refuse)
+    desc = support_sample(mod, 2)
+    assert len(desc.sampled) == 7 + 14
+    assert all(desc.sampled.values()) and desc.generic
+
+
+def test_partition_is_kept_off_modules_of_dimension_prime_to_p():
+    mod = direct_sum(trivial_module(KLEIN), free_module(KLEIN, 1))
+    support_sample(mod, 2)
+    cosupport_sample(mod, 2)
+    assert mod._blocks is None
+
+
+def test_base_change_and_coinduction_carry_the_blocks():
+    rng = random.Random("block-carry")
+    parts = [_shift_block(KLEIN, 1, rng), free_module(KLEIN, 1), trivial_module(KLEIN),
+             klein_truncation(3), trivial_module(KLEIN)]
+    mod, perm = _monomial(_direct_sum(parts), rng)
+    # each part is connected, so the blocks are the images of their runs
+    runs, start = [], 0
+    for part in parts:
+        runs.append(tuple(sorted(perm[i] for i in range(start, start + part.n))))
+        start += part.n
+    blocks = reps.blocks(mod)
+    assert blocks == tuple(sorted(runs))
+
+    def found(made):
+        return reps.blocks(ModuleRep(made.spec, made.Z, _checked=True))
+
+    for target in (F4, support._sampling_field(F2, 4), make_field(2, vars=("t",))):
+        changed = base_change(mod, target)
+        assert changed._blocks is blocks and found(changed) == blocks
+        if target.is_finite:
+            coinduced = reps.coinduced(mod, target)
+            assert coinduced._blocks is blocks and found(coinduced) == blocks
+    for block in blocks:
+        sub = reps.summand(mod, block)
+        assert sub.n == len(block)
+        assert sub._blocks == found(sub) == (tuple(range(len(block))),)
+        assert reps.validate(sub) == []
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +933,39 @@ def test_ideal_generic_consistency(rng):
 def test_ideal_dimension_guard():
     with pytest.raises(DimensionTooLarge):
         support_ideal(free_module(KLEIN, 4))
+
+
+def test_ideal_of_a_sum_with_a_block_prime_to_p_is_zero(monkeypatch):
+    # rank N(s) <= 2 + 2 < 5 = n/p on trivial + free:1 + free:1 + trivial:
+    # every 5-minor vanishes, and the ideal is read off the block sizes
+    rng = random.Random("ideal-blocks")
+    mod, _ = _monomial(_direct_sum([trivial_module(KLEIN), free_module(KLEIN, 1),
+                                    free_module(KLEIN, 1), trivial_module(KLEIN)]), rng)
+    mods = [mod, base_change(mod, make_field(2, vars=("t",)))]
+    visited = []
+    minors = linalg.minors
+
+    def counted(mat, size):
+        for minor in minors(mat, size):
+            visited.append(minor)
+            yield minor
+
+    with monkeypatch.context() as m:
+        # the whole operator, as if the module were one block
+        m.setattr(reps, "blocks", lambda mod: (tuple(range(mod.n)),))
+        m.setattr(linalg, "minors", counted)
+        whole = [support_ideal(x) for x in mods]
+    assert visited and all(minor.is_zero() for minor in visited)
+
+    def refuse(*args):
+        raise AssertionError("minors taken")
+
+    monkeypatch.setattr(linalg, "minors", refuse)
+    monkeypatch.setattr(support, "_operator_coeffs", refuse)
+    for x, old in zip(mods, whole):
+        desc = support_ideal(x)
+        assert desc.ideal == old.ideal == []
+        assert desc.report_lines() == old.report_lines() == []
 
 
 def _ideal_operator(mod):
