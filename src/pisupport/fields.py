@@ -279,11 +279,33 @@ def primitive_element(desc):
     raise AssertionError("no primitive element")  # unreachable
 
 
-def _mult_matrix(desc, scalar):
-    """(e, e) matrix over F_p of multiplication by ``scalar`` acting on
-    coordinate rows: row(x) @ M = row(scalar * x)."""
-    units = [desc.sfrom_code(desc.p**j) for j in range(desc.deg)]
-    return np.array([desc.smul(u, scalar) for u in units], dtype=np.int64)
+@lru_cache(maxsize=None)
+def companion_powers(desc):
+    """Stack W^0..W^{e-1} where W is multiplication by the extension generator."""
+    e, p = desc.deg, desc.p
+    w = np.zeros((e, e), dtype=np.int64)
+    if e == 1:
+        w[0, 0] = 1
+    else:
+        for j in range(e - 1):
+            w[j + 1, j] = 1
+        for t in range(e):
+            w[t, e - 1] = (-desc.ext[t]) % p
+    powers = np.zeros((e, e, e), dtype=np.int64)
+    cur = np.eye(e, dtype=np.int64)
+    for j in range(e):
+        powers[j] = cur
+        cur = (w @ cur) % p
+    powers.flags.writeable = False
+    return powers
+
+
+def scalar_matrix(desc, scalar):
+    """(e, e) F_p matrix of multiplication by a finite-part scalar, acting on
+    coordinate columns; its transpose acts on coordinate rows."""
+    e = desc.deg
+    a = np.asarray(scalar, dtype=np.int64)
+    return (a @ companion_powers(desc).reshape(e, e * e)).reshape(e, e) % desc.p
 
 
 @lru_cache(maxsize=None)
@@ -310,9 +332,9 @@ def zech_tables(desc):
     while done < size:  # doubling: rows[done:2*done] = rows[:done] * g^done
         step = desc.smul(tuple(rows[done - 1].tolist()), g)
         take = min(done, size - done)
-        rows[done:done + take] = rows[:take] @ _mult_matrix(desc, step) % p
+        rows[done:done + take] = rows[:take] @ scalar_matrix(desc, step).T % p
         done += take
-    shift = _mult_matrix(desc, desc.smul(tuple(rows[size - 1].tolist()), g))
+    shift = scalar_matrix(desc, desc.smul(tuple(rows[size - 1].tolist()), g)).T
     exp = np.zeros(q, dtype=np.int32)
     for start in range(0, m, size):
         stop = min(start + size, m)
@@ -920,6 +942,15 @@ def _scalar_json(desc, scalar):
         return scalar[0]
     return list(scalar)
 
+
+def _scalar_text(desc, scalar):
+    """A finite-part scalar as text: an integer over a prime field, a
+    compact coefficient array otherwise."""
+    if desc.deg == 1:
+        return str(scalar[0])
+    return json.dumps(list(scalar), separators=(",", ":"))
+
+
 def _term_list(poly):
     desc = poly.desc
     items = sorted(poly.terms.items(), key=lambda kv: glex_key(kv[0]), reverse=True)
@@ -935,10 +966,7 @@ def to_literal(x) -> str:
     for rational functions."""
     desc = x.desc
     if desc.nvars == 0:
-        scalar = x.num.constant_scalar()
-        if desc.deg == 1:
-            return str(scalar[0])
-        return json.dumps(list(scalar), separators=(",", ":"))
+        return _scalar_text(desc, x.num.constant_scalar())
     payload = {"num": _term_list(x.num), "den": _term_list(x.den)}
     return json.dumps(payload, separators=(",", ":"))
 
@@ -996,10 +1024,7 @@ def poly_str(poly) -> str:
     ):
         factors = []
         if coeff != desc.sone() or not any(exps):
-            if desc.deg == 1:
-                factors.append(str(coeff[0]))
-            else:
-                factors.append(json.dumps(list(coeff), separators=(",", ":")))
+            factors.append(_scalar_text(desc, coeff))
         for name, e in zip(desc.vars, exps):
             if e == 1:
                 factors.append(name)

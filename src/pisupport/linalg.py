@@ -3,12 +3,14 @@
 A matrix over a finite tower member F_{p^e} is an (n, m, e) integer array of
 entry coordinates over F_p, and its arithmetic is numpy arithmetic mod p in
 the regular representation: multiplication by a scalar is an e x e matrix
-over F_p, and a product multiplies the F_p block matrix of one factor
-(blockify) into the coordinate columns of the other.  FieldElement entries
-are built from the array only when something reads them.  Every rank over a
-finite field is fq_rank: elimination over F_q itself on the Zech logarithms
-of the entries (fields.zech_tables), about e^3 times less work than the
-ne x ne block matrix over F_p.  fq_rank eliminates the block matrix only
+over F_p (fields.scalar_matrix, from fields.companion_powers), and a product
+multiplies the F_p block matrix of one factor (blockify) into the
+coordinate columns of the other.  The array is the matrix's only value:
+FieldElement entries, even those it was built from, are rebuilt from it
+only when something reads them.  Every rank over a finite field is fq_rank:
+elimination over F_q itself on the Zech logarithms of the entries
+(fields.zech_tables), about e^3 times less work than the ne x ne block
+matrix over F_p.  fq_rank eliminates the block matrix only
 past ZECH_MAX_ORDER, where the tables would outweigh the elimination; below
 it the block elimination is kept only in the tests, as the oracle.  Rank in
 the presence of transcendentals uses fraction-free (Bareiss) elimination on
@@ -33,7 +35,13 @@ from .errors import (
     NonPolynomialEntry,
     NotPNilpotent,
 )
-from .fields import FieldElement, Polynomial, poly_exact_div
+from .fields import (
+    FieldElement,
+    Polynomial,
+    companion_powers,
+    poly_exact_div,
+    scalar_matrix,
+)
 
 
 class Matrix:
@@ -67,7 +75,7 @@ class Matrix:
         object.__setattr__(self, "desc", desc)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_entries", None if desc.is_finite else entries)
         object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
@@ -322,40 +330,12 @@ def vstack(blocks):
 # Finite fields: coordinate arrays and the F_p block representation
 
 
-@lru_cache(maxsize=None)
-def companion_powers(desc):
-    """Stack W^0..W^{e-1} where W is multiplication by the extension generator."""
-    e, p = desc.deg, desc.p
-    w = np.zeros((e, e), dtype=np.int64)
-    if e == 1:
-        w[0, 0] = 1
-    else:
-        for j in range(e - 1):
-            w[j + 1, j] = 1
-        for t in range(e):
-            w[t, e - 1] = (-desc.ext[t]) % p
-    powers = np.zeros((e, e, e), dtype=np.int64)
-    cur = np.eye(e, dtype=np.int64)
-    for j in range(e):
-        powers[j] = cur
-        cur = (w @ cur) % p
-    powers.flags.writeable = False
-    return powers
-
-
 def coeff_array(mat):
     """Read-only (rows, cols, e) int64 array of the entries' coordinates
     over F_p, which every matrix over a finite descriptor stores."""
     if mat._coeffs is None:
         raise ValueError("coefficient arrays need a finite descriptor")
     return mat._coeffs
-
-
-def scalar_matrix(desc, scalar):
-    """(e, e) F_p matrix of multiplication by a finite-part scalar."""
-    e = desc.deg
-    a = np.asarray(scalar, dtype=np.int64)
-    return (a @ companion_powers(desc).reshape(e, e * e)).reshape(e, e) % desc.p
 
 
 def blockify(coeffs, desc):

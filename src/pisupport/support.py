@@ -75,7 +75,6 @@ from . import fields, linalg, pipoints, reps
 from .errors import (
     BudgetExceeded,
     DimensionTooLarge,
-    NonPolynomialEntry,
     NotARefinement,
 )
 
@@ -223,7 +222,7 @@ def _point_tester(mod, K):
     (reps.base_change, the identity on a module already over K, such as a
     coinduced one) are one (n, n, r*e) coordinate array.  The F_p digits of
     the codes times the powers of the generator of K
-    (linalg.companion_powers) are the F_p matrices of multiplication by the
+    (fields.companion_powers) are the F_p matrices of multiplication by the
     coordinates a_i, and one more product gives N(a) = sum a_i Z_i.
     N(a)^{p-1} takes p - 2 products with its F_p block matrix
     (linalg.coeff_power), and linalg.fq_rank decides rank < n/p, stopping at
@@ -237,7 +236,7 @@ def _point_tester(mod, K):
     # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
     gens = np.stack([linalg.coeff_array(m) for m in reps.base_change(mod, K).Z],
                     axis=2).reshape(n, n, mod.spec.r * e)
-    powers = linalg.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
+    powers = fields.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
     place = p ** np.arange(e, dtype=np.int64)
     target = n // p
 
@@ -290,17 +289,19 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     points only (nothing already rational over a proper subfield), as
     ProjPoints whose field is pt.desc, in the order of _new_points: by
     degree, then by the position of the leading 1, then by codes.  Raises
-    BudgetExceeded on the first step when more than ``budget`` tuples would
-    be visited."""
+    ValueError for e_max < 1, and BudgetExceeded, on the first step, when
+    more than ``budget`` tuples would be visited."""
     _check_enumeration(base, r, e_max, budget)
     for e in range(1, e_max + 1):
         yield from _new_points(base, r, e)[0]
 
 
 def _check_enumeration(base, r, e_max, budget, scanned=()):
-    """Check the enumeration for e <= e_max and then the generic scan of
-    each module in ``scanned`` against the budget and the degree cap, so
-    that a sampler fails before it tests a point."""
+    """Check e_max >= 1, the enumeration for e <= e_max and then the
+    generic scan of each module in ``scanned`` against the budget and the
+    degree cap, so that a sampler fails before it tests a point."""
+    if e_max < 1:
+        raise ValueError("e_max must be at least 1")
     size = enumeration_size(base, r, e_max)
     if size > budget:
         raise BudgetExceeded(
@@ -374,8 +375,6 @@ def _sampled(spec, degrees, make_decider):
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
     """Verdicts at every sampled closed point plus the generic verdict."""
-    if e_max < 1:
-        raise ValueError("e_max must be at least 1")
     _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
     desc = SupportDescription(module=mod, e_max=e_max)
     desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
@@ -386,8 +385,6 @@ def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription
 
 def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
     """Cosupport verdicts over the same sample, via coinduction per field."""
-    if e_max < 1:
-        raise ValueError("e_max must be at least 1")
     _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
     desc = SupportDescription(module=mod, e_max=e_max)
     desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
@@ -534,9 +531,10 @@ def _operator_coeffs(mod):
     the products run on the F_p block matrices (blockify) as lists of
     Python integers, every monomial of degree p - 1 in s keeps its C_b, zero
     or not, and the work depends on n, p and r only.  Over a base with
-    transcendentals the products run on boxed entries, which are then split
-    by monomials in the base's variables (NonPolynomialEntry for an entry
-    with a denominator); only monomials that occur are kept.
+    transcendentals the products run on boxed entries, and each word is
+    split by monomials in the base's variables through
+    linalg.PolyMatrix.from_matrix (NonPolynomialEntry for an entry with a
+    denominator); only monomials that occur are kept.
     """
     n, r, base = mod.n, mod.spec.r, mod.spec.base
     p, e = base.p, base.deg
@@ -568,13 +566,9 @@ def _operator_coeffs(mod):
                 for alpha, blk in words.items()}
     coeffs = {}
     for alpha, c in words.items():
-        for i, row in enumerate(c.entries):
-            for j, x in enumerate(row):
-                if not x.is_polynomial():
-                    raise NonPolynomialEntry("matrix entry has a denominator")
-                for exps, coeff in x.num.terms.items():
-                    coeffs.setdefault(exps + alpha, [[[0] * e for _ in range(n)]
-                                                     for _ in range(n)])[i][j] = list(coeff)
+        split = linalg.PolyMatrix.from_matrix(c)
+        for exps, cb in zip(split.exps, split.coeffs):
+            coeffs[exps + alpha] = cb
     return coeffs
 
 
@@ -671,6 +665,7 @@ def verify_dade(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> DadeReport:
 @dataclass
 class FormulaReport:
     kind: str
+    module: object  # the tensor or Hom module whose support is compared
     points: list  # (label, lhs, rhs)
     generic_lhs: bool = False
     generic_rhs: bool = False
@@ -709,7 +704,7 @@ def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaRep
     rows = _formula_rows(m, e_max, budget, lambda K: t, lambda K: n, [t, m, n])
     g_lhs = generic_in_support(t, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
-    return FormulaReport("tensor", rows, g_lhs, g_rhs)
+    return FormulaReport("tensor", t, rows, g_lhs, g_rhs)
 
 
 def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:
@@ -726,7 +721,7 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
                          lambda K: reps.coinduced(n, K), [h, m, n])
     g_lhs = generic_in_support(h, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
-    return FormulaReport("hom", rows, g_lhs, g_rhs)
+    return FormulaReport("hom", h, rows, g_lhs, g_rhs)
 
 
 @dataclass

@@ -200,6 +200,54 @@ def test_flat_suite_records_certificate_failures(monkeypatch):
     assert lines[-1] == "RESULT: FAIL (1 suites, 2 failures)"
 
 
+FORMULAS = ["tensor", "hom"]
+
+
+@pytest.mark.parametrize("suite", FORMULAS)
+def test_formula_suites_build_each_product_once(suite, monkeypatch):
+    from pisupport import reps
+    from pisupport.verify import verify_suites
+
+    built = []
+    construct = getattr(reps, suite)
+
+    def counted(m, n):
+        built.append(construct(m, n))
+        return built[-1]
+
+    monkeypatch.setattr(reps, suite, counted)
+    code, lines = verify_suites(1, 3, 2, 2, suite=suite)
+    assert code == 0 and f"suite {suite}: 3 passed, 0 failed" in lines
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("suite", FORMULAS)
+def test_failing_formula_trial_records_the_module_it_checked(suite):
+    # each trial is forced to fail at the generic point; its counterexample
+    # is the module file of the report's own tensor or Hom module
+    import dataclasses
+    import random
+
+    from pisupport import reps, support
+    from pisupport.verify import _suite_formula
+
+    check = getattr(support, f"verify_{suite}_formula")
+    reports = []
+
+    def failing(m, n, e_max):
+        rep = check(m, n, e_max)
+        assert list(rep.module.Z) == list(getattr(reps, suite)(m, n).Z)
+        reports.append(dataclasses.replace(rep, generic_lhs=not rep.generic_rhs))
+        return reports[-1]
+
+    res = _suite_formula(suite, failing)(random.Random("forced"), reps.make_spec(2, 2), 2)
+    assert (res.passed, res.failed) == (0, 2)
+    assert res.counterexamples == [
+        (trial, f"mismatch at {rep.mismatches()}", emit_module_file(rep.module))
+        for trial, rep in enumerate(reports)]
+    assert all(rep.mismatches()[-1] == "generic" for rep in reports)
+
+
 def test_counterexample_replay_format(tmp_path):
     # the mechanism: a failing trial serializes its module; replaying the file
     # reproduces the same verdicts

@@ -197,6 +197,17 @@ def test_base_change(base, target):
 
 
 @pytest.mark.parametrize("desc", FIELDS, ids=IDS)
+def test_matrix_from_entries_keeps_only_its_array(desc):
+    # the input FieldElements are not kept: entries are rebuilt on first read
+    rng = random.Random(f"one-value:{desc}")
+    a, ra = _operand(desc, 3, 2, rng, "entries")
+    empty = Matrix(desc, [])
+    assert a._entries is None and empty._entries is None
+    _assert_matches(a, ra, desc)
+    _assert_matches(empty, [], desc)
+
+
+@pytest.mark.parametrize("desc", FIELDS, ids=IDS)
 def test_coeff_array_is_read_only(desc, born):
     rng = random.Random(f"read-only:{desc}:{born}")
     a, ra = _operand(desc, 2, 2, rng, born)

@@ -23,8 +23,7 @@ from pisupport.errors import (
     ReduciblePolynomial,
 )
 from pisupport import fields
-from pisupport.fields import parse_literal, to_literal, univariate_gcd
-from pisupport.linalg import scalar_matrix
+from pisupport.fields import parse_literal, scalar_matrix, to_literal, univariate_gcd
 
 from conftest import F2, F3, F4, F5, F9, F2S, F3S, F2SU, TOWERS, elements
 
@@ -314,9 +313,9 @@ def _coords(desc, codes):
 
 
 def _check_tables(desc):
-    """exp runs through the powers of g, each one g times the last (by the
-    companion-matrix product of linalg), and hits every nonzero code once;
-    log inverts it; zech[k] is the log of 1 + g^k."""
+    """exp runs through the powers of g, each one g times the last (by smul,
+    at every power when q <= 257 and at 256 spaced ones otherwise), and hits
+    every nonzero code once; log inverts it; zech[k] is the log of 1 + g^k."""
     p, q, m = desc.p, desc.order, desc.order - 1
     exp, log, zech = fields.zech_tables(desc)
     assert all(not t.flags.writeable and t.dtype == np.int32 and t.size == q
@@ -324,12 +323,28 @@ def _check_tables(desc):
     assert sorted(exp[:m]) == list(range(1, q)) and exp[m] == 0
     assert exp[0] == 1 and (log[exp] == np.arange(q)).all()
     g = desc.sfrom_code(int(exp[1 % m]))
-    times_g = _coords(desc, exp[:m].astype(np.int64)) @ scalar_matrix(desc, g).T % p
-    assert (times_g @ p ** np.arange(desc.deg) == np.roll(exp[:m], -1)).all()
+    codes = exp.tolist()
+    for k in range(0, m, -(-m // 256)):
+        times_g = desc.smul(desc.sfrom_code(codes[k]), g)
+        assert desc.sto_code(times_g) == codes[(k + 1) % m]
     plus_one = _coords(desc, exp[:m].astype(np.int64))
     plus_one[:, 0] = (plus_one[:, 0] + 1) % p
     assert (exp[zech[:m]] == plus_one @ p ** np.arange(desc.deg)).all()
     assert zech[m] == 0
+
+
+@pytest.mark.parametrize("p, deg", [(2, 2), (2, 3), (2, 8), (3, 2), (3, 4), (5, 3), (7, 2)])
+def test_scalar_matrix_multiplies_like_smul(p, deg):
+    # zech_tables builds its powers with scalar_matrix; smul is the
+    # independent reference: coords(y) @ scalar_matrix(s).T = coords(s * y)
+    desc = canonical_extension(p, deg)
+    rng = np.random.default_rng(deg * 100 + p)
+    for s_code in rng.integers(desc.order, size=24).tolist():
+        s = desc.sfrom_code(s_code)
+        ys = rng.integers(desc.order, size=24)
+        got = _coords(desc, ys) @ scalar_matrix(desc, s).T % p
+        want = [desc.smul(s, desc.sfrom_code(y)) for y in ys.tolist()]
+        assert got.tolist() == [list(c) for c in want]
 
 
 def test_zech_tables_of_every_small_field():

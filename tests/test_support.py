@@ -661,6 +661,20 @@ def test_samplers_check_the_generic_scan_before_any_point(sampler, monkeypatch):
         SAMPLERS[sampler](free, 2, 10)  # the enumeration is checked first
 
 
+@pytest.mark.parametrize("e_max", [0, -1])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_samplers_reject_e_max_below_one(sampler, e_max):
+    # an empty enumeration would make the formulas pass vacuously
+    with pytest.raises(ValueError, match="e_max must be at least 1"):
+        SAMPLERS[sampler](klein_truncation(2), e_max)
+
+
+def test_enumeration_rejects_e_max_below_one():
+    for e_max in (0, -1):
+        with pytest.raises(ValueError, match="e_max must be at least 1"):
+            next(enumerate_points(F2, 2, e_max))
+
+
 # ---------------------------------------------------------------------------
 # direct sums decided block by block
 
