@@ -946,9 +946,7 @@ def _scalar_json(desc, scalar):
 def _scalar_text(desc, scalar):
     """A finite-part scalar as text: an integer over a prime field, a
     compact coefficient array otherwise."""
-    if desc.deg == 1:
-        return str(scalar[0])
-    return json.dumps(list(scalar), separators=(",", ":"))
+    return json.dumps(_scalar_json(desc, scalar), separators=(",", ":"))
 
 
 def _term_list(poly):

@@ -313,9 +313,10 @@ def _coords(desc, codes):
 
 
 def _check_tables(desc):
-    """exp runs through the powers of g, each one g times the last (by smul,
-    at every power when q <= 257 and at 256 spaced ones otherwise), and hits
-    every nonzero code once; log inverts it; zech[k] is the log of 1 + g^k."""
+    """exp runs through the powers of g, each one g times the last (by the
+    multiplication matrix of g at every power, and by smul at up to 256
+    spaced ones), and hits every nonzero code once; log inverts it; zech[k]
+    is the log of 1 + g^k."""
     p, q, m = desc.p, desc.order, desc.order - 1
     exp, log, zech = fields.zech_tables(desc)
     assert all(not t.flags.writeable and t.dtype == np.int32 and t.size == q
@@ -323,6 +324,8 @@ def _check_tables(desc):
     assert sorted(exp[:m]) == list(range(1, q)) and exp[m] == 0
     assert exp[0] == 1 and (log[exp] == np.arange(q)).all()
     g = desc.sfrom_code(int(exp[1 % m]))
+    times_g = _coords(desc, exp[:m].astype(np.int64)) @ scalar_matrix(desc, g).T % p
+    assert (times_g @ p ** np.arange(desc.deg) == np.roll(exp[:m], -1)).all()
     codes = exp.tolist()
     for k in range(0, m, -(-m // 256)):
         times_g = desc.smul(desc.sfrom_code(codes[k]), g)
