@@ -10,17 +10,21 @@ FieldElement entries, even those it was built from, are rebuilt from it
 only when something reads them.  Every rank over a finite field is fq_rank:
 elimination over F_q itself on the Zech logarithms of the entries
 (fields.zech_tables), about e^3 times less work than the ne x ne block
-matrix over F_p.  fq_rank eliminates the block matrix only
-past ZECH_MAX_ORDER, where the tables would outweigh the elimination; below
-it the block elimination is kept only in the tests, as the oracle.  Rank in
-the presence of transcendentals uses fraction-free (Bareiss) elimination on
-polynomial entries, so no multivariate gcd is ever needed.  Pivoting always
-takes the first nonzero entry in column order, which keeps intermediate
-polynomials, and therefore all reports, reproducible.  Minors are taken by
-a division-free Laplace expansion on the monomial coefficients of the
-entries (PolyMatrix); they and the support ideal's pivot columns
-(int_pivots) work on lists of Python integers, since their matrices have a
-few hundred entries at most.
+matrix over F_p, and on the residues over a prime field.  Sparse matrices,
+with at most SPARSE_ROW_NONZEROS nonzero entries per row on average, are
+eliminated on lists of Python integers, where a pivot row touches only its
+nonzero entries and no numpy call costs more than the arithmetic it does;
+the support ideal's pivot columns (int_pivots) take the same list route.
+Denser matrices are eliminated in numpy.  fq_rank eliminates the block
+matrix only past ZECH_MAX_ORDER, where the tables would outweigh the
+elimination; below it the block elimination is kept only in the tests, as
+the oracle.  Rank in the presence of transcendentals uses fraction-free
+(Bareiss) elimination on polynomial entries, so no multivariate gcd is ever
+needed.  Pivoting always takes the first nonzero entry in column order,
+which keeps intermediate polynomials, and therefore all reports,
+reproducible.  Minors are taken by a division-free Laplace expansion on the
+monomial coefficients of the entries (PolyMatrix), also on lists of Python
+integers, since their matrices have a few hundred entries at most.
 """
 
 import itertools
@@ -393,7 +397,9 @@ def embedding_matrix(src, dst):
 
 def int_row_reduce(a, p, stop_at=None):
     """Row echelon form of an integer matrix mod p: the numpy mod-p pivot
-    loop (int_pivots is its twin on Python lists for small matrices).
+    loop, which fq_rank takes for dense matrices over a prime field
+    (int_pivots finds the same pivot columns on Python lists, for sparse
+    ones).
 
     Forward elimination below each pivot, with pivots scaled to 1 and taken
     as the first nonzero entry of each column.  Returns (rank, pivot
@@ -424,28 +430,34 @@ def int_row_reduce(a, p, stop_at=None):
     return r, pivots, a
 
 
-def int_pivots(rows, p):
-    """Pivot columns mod p of a small integer matrix given as a list of
-    rows, taking the first nonzero entry of each column as in
-    int_row_reduce, in plain Python integers: on a few hundred entries one
-    numpy call costs more than the arithmetic it does."""
-    rows = [[v % p for v in row] for row in rows]
+def int_pivots(rows, p, stop_at=None):
+    """Pivot columns of a matrix over F_p given as lists of residues in
+    [0, p), which are reduced in place: the same as those of
+    int_row_reduce(rows, p, stop_at), in plain Python integers.  Each pivot
+    row reduces the rows below it through its nonzero entries only, so a
+    sparse row costs as many updates as it has nonzeros: on the small or
+    sparse matrices it serves, one numpy call costs more than the
+    arithmetic it does."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(ncols):
         r = len(pivots)
-        if r == len(rows):
+        if r == nrows or (stop_at is not None and r >= stop_at):
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        top = [v * inv % p for v in rows[r][c + 1:]]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            if row[c]:
-                f = row[c]
-                row[c + 1:] = [(v - f * t) % p for v, t in zip(row[c + 1:], top)]
+        top = rows[piv]
+        rows[piv], rows[r] = rows[r], top
+        inv = pow(top[c], -1, p)
+        nonzero = [(j, top[j] * inv % p) for j in range(c + 1, ncols) if top[j]]
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f:
+                for j, t in nonzero:
+                    row[j] = (row[j] - f * t) % p
         pivots.append(c)
     return pivots
 
@@ -497,8 +509,9 @@ def log_codes(coeffs, desc):
 
 @lru_cache(maxsize=None)
 def _zech_kernel(desc):
-    """Lookup tables that let fq_rank update a row without branching on
-    zero.  With m = q - 1, a row entry is its log in [0, m) or ZERO = 2m.
+    """Lookup tables that let _log_rank_numpy update a row without
+    branching on zero.  With m = q - 1, a row entry is its log in [0, m) or
+    ZERO = 2m.
 
     * shift[f + l] for a multiplier log f in [0, m) and an entry l of the
       pivot row is t + 2m, t the log of the product, or 5m when l = ZERO.
@@ -534,6 +547,14 @@ def _zech_kernel(desc):
 #: sample at r >= 2 reaches within support.DEFAULT_ENUM_BUDGET is below it.
 ZECH_MAX_ORDER = 1 << 18
 
+#: fq_rank eliminates on Python lists when the matrix has at most this many
+#: nonzero entries per row on average, and in numpy otherwise.  On random
+#: n x n matrices with k nonzeros per row over F_2, F_3, F_9, F_16, F_25 and
+#: F_81, lists won at every n <= 128 for k <= 3, by 1.2x or more; at k = 6
+#: they lost at n >= 64 over the fields of degree 2 and more, by up to 4x
+#: at n = 128.
+SPARSE_ROW_NONZEROS = 3
+
 
 def fq_rank(coeffs, desc, stop_at=None):
     """Rank over the finite field ``desc`` of the matrix with the (n, m, e)
@@ -541,26 +562,95 @@ def fq_rank(coeffs, desc, stop_at=None):
     the rank reaches it.
 
     Gaussian elimination over F_q itself on the Zech logs of the entries
-    (log_codes), pivots taken first nonzero in column order: a product adds
-    logs mod q - 1, and a - c*b becomes a + c*b*(-1), whose log goes through
-    the Zech table, with the log of -1 (q - 1)/2 for odd p and 0 for p = 2.
-    Over a prime field the log route is slower than residues, so there the
-    coordinates go to int_rank.  Past ZECH_MAX_ORDER the tables would cost
-    more than the elimination they save, so there int_rank takes the
-    ne x ne block matrix over F_p, whose rank is e times the rank over F_q.
+    (log_codes), pivots taken first nonzero in column order.  Over a prime
+    field the log route is slower than residues, so there the elimination
+    runs on the coordinates.  The route depends on the number of nonzero
+    entries: with at most SPARSE_ROW_NONZEROS per row on average the matrix
+    is eliminated on Python lists (_log_rank_lists, or int_pivots over a
+    prime field), where a pivot row touches only its nonzero entries; a
+    denser one in numpy (_log_rank_numpy, or int_rank over a prime field),
+    whose fixed cost per call the arithmetic then outweighs.  Past
+    ZECH_MAX_ORDER the tables would cost more than the elimination they
+    save, so there int_rank takes the ne x ne block matrix over F_p, whose
+    rank is e times the rank over F_q.
     """
+    most = SPARSE_ROW_NONZEROS * coeffs.shape[0]
     if desc.deg == 1:
-        return int_rank(coeffs[:, :, 0], desc.p, stop_at)
+        residues = coeffs[:, :, 0]
+        if np.count_nonzero(residues) <= most:
+            return len(int_pivots(residues.tolist(), desc.p, stop_at))
+        return int_rank(residues, desc.p, stop_at)
     if desc.order > ZECH_MAX_ORDER:
         stop = None if stop_at is None else stop_at * desc.deg
         return int_rank(blockify(coeffs, desc), desc.p, stop) // desc.deg
+    logs = log_codes(coeffs, desc)
+    if np.count_nonzero(logs != desc.order - 1) <= most:
+        return _log_rank_lists(logs.tolist(), desc, stop_at)
+    return _log_rank_numpy(logs, desc, stop_at)
+
+
+def _log_minus_one(desc):
+    """The Zech log of -1: (q - 1)/2 for odd p, and 0 for p = 2."""
+    return (desc.order - 1) // 2 if desc.p > 2 else 0
+
+
+@lru_cache(maxsize=None)
+def _zech_list(desc):
+    """The Zech table of fields.zech_tables as a list of Python integers."""
+    return fields.zech_tables(desc)[2].tolist()
+
+
+def _log_rank_lists(rows, desc, stop_at):
+    """fq_rank's route for sparse matrices: ``rows`` holds the Zech logs of
+    the entries (zero as q - 1) as lists of Python integers, and is reduced
+    in place.  Row a - f*b, f the ratio of the heads, takes
+    t = log(-f*b_j) = log f + b_j + log(-1) and a_j + g^t =
+    g^(a_j + zech[t - a_j]), exponents mod q - 1, for the nonzero b_j
+    only."""
     m = desc.order - 1
-    minus_one = m // 2 if desc.p > 2 else 0
+    minus_one = _log_minus_one(desc)
+    zech = _zech_list(desc)
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        if r == nrows or (stop_at is not None and r >= stop_at):
+            break
+        for piv in range(r, nrows):
+            if rows[piv][c] != m:
+                break
+        else:
+            continue
+        top = rows[piv]
+        rows[piv], rows[r] = rows[r], top
+        # log(-b_j / b_c) for the nonzero b_j right of the pivot
+        lead = minus_one - top[c]
+        nonzero = [(j, top[j] + lead) for j in range(c + 1, ncols) if top[j] != m]
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f != m:
+                for j, s in nonzero:
+                    t = (f + s) % m
+                    x = row[j]
+                    if x == m:
+                        row[j] = t
+                    else:
+                        z = zech[(t - x) % m]
+                        row[j] = m if z == m else (x + z) % m
+        r += 1
+    return r
+
+
+def _log_rank_numpy(logs, desc, stop_at):
+    """fq_rank's route for dense matrices: the same elimination on the
+    (n, m) array of Zech logs, one column at a time in numpy, through the
+    tables of _zech_kernel."""
+    m = desc.order - 1
+    minus_one = _log_minus_one(desc)
     zero = 2 * m
     wrap, shift, add = _zech_kernel(desc)
     # int64, not the int32 of the log table: the table lookups below index
     # faster with it
-    a = log_codes(coeffs, desc).astype(np.int64)
+    a = logs.astype(np.int64)
     a[a == m] = zero
     rows, cols = a.shape
     r = 0

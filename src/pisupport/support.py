@@ -700,6 +700,8 @@ def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaRep
     """Pointwise comparison of supp(M (x) N) with supp(M) /\\ supp(N)."""
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
+    # the guards fire before the n*m-dimensional product is built
+    _check_enumeration(m.spec.base, m.spec.r, e_max, budget)
     t = reps.tensor(m, n)
     rows = _formula_rows(m, e_max, budget, lambda K: t, lambda K: n, [t, m, n])
     g_lhs = generic_in_support(t, budget)
@@ -716,6 +718,8 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
     """
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
+    # the guards fire before the n*m-dimensional product is built
+    _check_enumeration(m.spec.base, m.spec.r, e_max, budget)
     h = reps.hom(m, n)
     rows = _formula_rows(m, e_max, budget, lambda K: reps.coinduced(h, K),
                          lambda K: reps.coinduced(n, K), [h, m, n])

@@ -6,6 +6,7 @@ import pytest
 from pisupport import (
     FieldElement,
     fields,
+    linalg,
     Matrix,
     is_full,
     jordan_type,
@@ -22,8 +23,10 @@ from pisupport.linalg import (
     coeff_array,
     fq_rank,
     from_coeff_array,
+    int_pivots,
     int_rank,
     int_row_reduce,
+    log_codes,
 )
 from pisupport.reps import ModuleRep, make_spec
 
@@ -169,6 +172,21 @@ def test_int_row_reduce_pivots_match_prefix_rank_oracle(p):
         assert not ech[rank:].any()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_pivots_match_int_row_reduce_at_every_stop(p):
+    gen = np.random.default_rng(50 + p)
+    for _ in range(12):
+        rows, cols = (int(x) for x in gen.integers(1, 12, size=2))
+        cap = int(gen.integers(1, min(rows, cols) + 1))
+        low = _random_int_matrix(gen, p, rows, cols, cap)
+        sparse = (gen.integers(0, p, size=(rows, cols))
+                  * (gen.random((rows, cols)) < 0.2))
+        for a in (low, sparse):
+            for stop in (None, *range(min(rows, cols) + 2)):
+                assert int_pivots(a.tolist(), p, stop) == int_row_reduce(a, p, stop)[1]
+    assert int_pivots([], p) == [] and int_pivots([[0, 0]], p, 1) == []
+
+
 def test_int_row_reduce_stop_at_leaves_rows_unreduced():
     gen = np.random.default_rng(7)
     a = _random_invertible(gen, 3, 6)
@@ -191,9 +209,12 @@ def _sparse_coeffs(gen, desc, rows, cols, zeros):
     return coeffs * (gen.random((rows, cols, 1)) >= zeros)
 
 
-@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
-                                  (3, 3), (7, 2), (3, 4)],
-                         ids=["F2", "F4", "F8", "F9", "F25", "F27", "F49", "F81"])
+EIGHT_FIELDS = pytest.mark.parametrize(
+    "p, e", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)],
+    ids=["F2", "F4", "F8", "F9", "F25", "F27", "F49", "F81"])
+
+
+@EIGHT_FIELDS
 def test_fq_rank_matches_block_rank(p, e):
     desc = canonical_extension(p, e)
     gen = np.random.default_rng(100 * p + e)
@@ -217,6 +238,89 @@ def test_fq_rank_matches_block_rank(p, e):
     assert seen == {True, False}  # full-rank and rank-deficient products
     zero = np.zeros((3, 4, e), dtype=np.int64)
     assert fq_rank(zero, desc) == 0 and fq_rank(zero[:0], desc) == 0
+
+
+def _coeffs_with_nonzeros(gen, desc, rows, cols, count):
+    """Random (rows, cols, e) coordinates with exactly ``count`` nonzero
+    entries."""
+    codes = np.zeros(rows * cols, dtype=np.int64)
+    where = gen.choice(rows * cols, size=count, replace=False)
+    codes[where] = gen.integers(1, desc.order, size=count)
+    digits = codes[:, None] // desc.p ** np.arange(desc.deg) % desc.p
+    return digits.reshape(rows, cols, desc.deg)
+
+
+def _both_routes(coeffs, desc, stop_at):
+    """fq_rank by its list route and by its numpy route."""
+    if desc.deg == 1:
+        residues = coeffs[:, :, 0]
+        return (len(int_pivots(residues.tolist(), desc.p, stop_at)),
+                int_rank(residues, desc.p, stop_at))
+    logs = log_codes(coeffs, desc)
+    return (linalg._log_rank_lists(logs.tolist(), desc, stop_at),
+            linalg._log_rank_numpy(logs, desc, stop_at))
+
+
+@EIGHT_FIELDS
+@pytest.mark.parametrize("n", [16, 48, 96])
+def test_fq_rank_routes_match_block_rank(p, e, n):
+    """Square, wide and tall matrices with exactly 3 and just over 3
+    nonzero entries per row, the two sides of the route rule."""
+    desc = canonical_extension(p, e)
+    gen = np.random.default_rng(1000 * n + 10 * p + e)
+    seen = set()
+    for rows, cols in ((n, n), (n, 2 * n), (2 * n, n)):
+        for count in (3 * rows, 3 * rows + 1):
+            coeffs = _coeffs_with_nonzeros(gen, desc, rows, cols, count)
+            full = int_row_reduce(blockify(coeffs, desc), p)[0]
+            assert full % e == 0
+            full //= e
+            seen.add(full == min(rows, cols))
+            for stop in {None, 0, 1, max(full - 1, 0), full, full + 1,
+                         int(gen.integers(0, min(rows, cols) + 1))}:
+                want = full if stop is None else min(stop, full)
+                assert _both_routes(coeffs, desc, stop) == (want, want), (
+                    rows, cols, count, stop)
+                assert fq_rank(coeffs, desc, stop) == want
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 4), (3, 2)],
+                         ids=["F2", "F3", "F16", "F9"])
+def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
+    # up to 3 nonzero entries per row on average on lists, numpy past that
+    desc = canonical_extension(p, e)
+    names = (("int_pivots", "int_rank") if e == 1
+             else ("_log_rank_lists", "_log_rank_numpy"))
+    routes = []
+    for name in names:
+        def record(*args, _name=name, _route=getattr(linalg, name)):
+            routes.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(linalg, name, record)
+    gen = np.random.default_rng(7)
+    for rows, cols in ((12, 12), (5, 20), (20, 5)):
+        for count in (3 * rows, 3 * rows + 1):
+            routes.clear()
+            coeffs = _coeffs_with_nonzeros(gen, desc, rows, cols, count)
+            fq_rank(coeffs, desc, rows // 2)
+            assert routes == [names[count > 3 * rows]]
+
+
+def test_dense_operator_keeps_the_numpy_route(monkeypatch):
+    # a dense 64 x 64 matrix over F_16 never reaches the list kernel
+    def refuse(*args):
+        raise AssertionError("dense matrix eliminated on lists")
+
+    monkeypatch.setattr(linalg, "_log_rank_lists", refuse)
+    desc = canonical_extension(2, 4)
+    gen = np.random.default_rng(64)
+    left = from_coeff_array(desc, gen.integers(0, 2, size=(64, 40, 4)))
+    right = from_coeff_array(desc, gen.integers(0, 2, size=(40, 64, 4)))
+    coeffs = coeff_array(left @ right)
+    full = int_row_reduce(blockify(coeffs, desc), 2)[0] // 4
+    assert fq_rank(coeffs, desc) == full == 40
+    assert fq_rank(coeffs, desc, stop_at=32) == 32
 
 
 def test_rank_past_the_zech_bound_builds_no_tables(monkeypatch, rng):

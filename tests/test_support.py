@@ -669,6 +669,23 @@ def test_samplers_reject_e_max_below_one(sampler, e_max):
         SAMPLERS[sampler](klein_truncation(2), e_max)
 
 
+@pytest.mark.parametrize("formula, product", [(verify_tensor_formula, "tensor"),
+                                              (verify_hom_formula, "hom")],
+                         ids=["tensor", "hom"])
+def test_formulas_check_the_enumeration_before_building(formula, product, monkeypatch):
+    # free:4 at p=2, r=3 has a Hom module of dimension 1,024: the guards
+    # must fire before the product is built
+    def refuse(*args):
+        raise AssertionError(f"reps.{product} built")
+
+    monkeypatch.setattr(reps, product, refuse)
+    free = free_module(make_spec(2, 3), 4)
+    with pytest.raises(ValueError, match="e_max must be at least 1"):
+        formula(free, free, 0)
+    with pytest.raises(BudgetExceeded, match="enumeration of 28 coordinate tuples"):
+        formula(free, free, 2, 10)
+
+
 def test_enumeration_rejects_e_max_below_one():
     for e_max in (0, -1):
         with pytest.raises(ValueError, match="e_max must be at least 1"):
@@ -809,6 +826,33 @@ def test_tester_ranks_nothing_with_a_block_prime_to_p(monkeypatch):
     desc = support_sample(mod, 2)
     assert len(desc.sampled) == 7 + 14
     assert all(desc.sampled.values()) and desc.generic
+
+
+@pytest.mark.parametrize("p, r, e_max", [(2, 3, 3), (3, 2, 4)])
+def test_sampling_ranks_sparse_operators_on_lists(p, r, e_max, monkeypatch):
+    # shift blocks of dimension p and 2p plus free:1 in a monomial basis, as
+    # the benchmark's scan modules are: every operator has at most 3 nonzero
+    # entries per row on average, so no rank reaches numpy
+    def refuse(*args):
+        raise AssertionError("a sparse operator was ranked in numpy")
+
+    spec = make_spec(p, r)
+    rng = random.Random(f"sparse-routes:{p}")
+    parts = [_shift_block(spec, 1, rng), _shift_block(spec, 2, rng), free_module(spec, 1)]
+    mod, _ = _monomial(_direct_sum(parts), rng)
+    assert len(reps.blocks(mod)) > 1
+    monkeypatch.setattr(linalg, "_zech_kernel", refuse)
+    monkeypatch.setattr(linalg, "int_rank", refuse)
+    routes = []
+    for name in ("int_pivots", "_log_rank_lists"):
+        def record(*args, _name=name, _route=getattr(linalg, name)):
+            routes.append(_name)
+            return _route(*args)
+        monkeypatch.setattr(linalg, name, record)
+    desc = support_sample(mod, e_max)
+    assert len(desc.sampled) == sum(len(support._new_points(spec.base, r, e)[0])
+                                    for e in range(1, e_max + 1))
+    assert set(routes) == {"int_pivots", "_log_rank_lists"}
 
 
 def test_partition_is_kept_off_modules_of_dimension_prime_to_p():
