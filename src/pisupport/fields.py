@@ -238,10 +238,12 @@ def make_field(p, ext=None, vars=()):
 
 @lru_cache(maxsize=None)
 def canonical_extension(p, n):
-    """F_{p^n} with the lexicographically smallest monic irreducible."""
+    """F_{p^n} with the lexicographically smallest monic irreducible, by
+    its coefficients from the constant term up.  For n >= 2 a polynomial
+    with constant term 0 is divisible by x, so the search starts at 1."""
     if n == 1:
         return make_field(p)
-    for tail in itertools.product(range(p), repeat=n):
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         coeffs = tail + (1,)
         if _is_irreducible_over_prime(list(coeffs), p):
             return make_field(p, coeffs)

@@ -232,15 +232,23 @@ class Matrix:
         return Matrix(desc, out)
 
     def power(self, k):
-        """self^k for k >= 0; over a finite field by coeff_power."""
+        """self^k for k >= 0.  Over a finite field, k - 1 products of the
+        F_p block matrix of self with the (n*e, n) coordinate columns of
+        the current power."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        if self.desc.is_finite and k:
-            return Matrix._from_coeffs(
-                self.desc, coeff_power(coeff_array(self), k, self.desc))
-        out = Matrix.identity(self.desc, self.rows)
+        desc = self.desc
+        if desc.is_finite and k:
+            n, e = self.rows, desc.deg
+            coeffs = coeff_array(self)
+            block = blockify(coeffs, desc)
+            out = coeffs.transpose(0, 2, 1).reshape(n * e, n)
+            for _ in range(k - 1):
+                out = block @ out % desc.p
+            return Matrix._from_coeffs(desc, out.reshape(n, e, n).transpose(0, 2, 1))
+        out = Matrix.identity(desc, self.rows)
         for _ in range(k):
             out = out @ self
         return out
@@ -484,20 +492,6 @@ def int_matpow(a, k, p):
 
 # ---------------------------------------------------------------------------
 # Elimination over F_q on Zech logarithms
-
-
-def coeff_power(coeffs, k, desc):
-    """(n, n, e) coordinate array of the k-th power, k >= 1, of the square
-    matrix with coordinates ``coeffs``: k - 1 products of its F_p block
-    matrix with the (n*e, n) coordinate columns of the current power."""
-    if k == 1:
-        return coeffs
-    n, _, e = coeffs.shape
-    block = blockify(coeffs, desc)
-    out = coeffs.transpose(0, 2, 1).reshape(n * e, n)
-    for _ in range(k - 1):
-        out = block @ out % desc.p
-    return out.reshape(n, e, n).transpose(0, 2, 1)
 
 
 def log_codes(coeffs, desc):

@@ -12,37 +12,29 @@ support whenever there is one.
 
 import math
 
-from . import reps
-from .fields import FieldElement
-from .linalg import Matrix
+import numpy as np
+
+from . import linalg, reps
 
 
 def _cyclic_block(rng, spec, max_dim):
+    """Cyclic block of dimension q on which each z_i acts as
+    sum_{d >= vmin} c_d N^d, N the shift e_b -> e_{b+1}: the coordinate
+    array is lower triangular Toeplitz, entry (a, b) c_{a-b}."""
     q = rng.randint(2, max(2, min(2 * spec.p, max_dim)))
     vmin = math.ceil(q / spec.p)
-    base = spec.base
-    zero = FieldElement.zero(base)
-    one = FieldElement.one(base)
-    nil = [[zero] * q for _ in range(q)]
-    for i in range(q - 1):
-        nil[i + 1][i] = one
-    nil = Matrix(base, nil)
-    powers = [Matrix.identity(base, q)]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ nil)
     mats = []
     for _ in range(spec.r):
-        acc = Matrix.zero(base, q, q)
+        coeffs = np.zeros((q, q, spec.base.deg), dtype=np.int64)
         for d in range(vmin, q):
-            c = rng.randrange(spec.p)
-            if c:
-                acc = acc + powers[d].scale(FieldElement.from_int(base, c))
-        mats.append(acc)
+            coeffs[range(d, q), range(q - d), 0] = rng.randrange(spec.p)
+        mats.append(linalg.from_coeff_array(spec.base, coeffs))
     return reps.ModuleRep(spec, mats, _checked=True)
 
 
 def random_module(rng, spec, max_dim=24, force_free=False) -> reps.ModuleRep:
-    """One random module of dimension <= max_dim over the given algebra."""
+    """One random module of dimension <= max_dim over the given algebra,
+    whose base must be finite."""
     size = spec.p**spec.r
     if force_free:
         g = max(1, min(rng.randint(1, 2), max_dim // size))

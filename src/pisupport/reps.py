@@ -128,13 +128,18 @@ def free_module(spec, g) -> ModuleRep:
     exponent vectors in lexicographic order and z_i raising the i-th exponent."""
     if g < 0:
         raise ValueError("rank must be nonnegative")
-    p, r = spec.p, spec.r
+    p, r, base = spec.p, spec.r, spec.base
     # z_i = I_{g p^i} (x) N (x) I_{p^(r-1-i)} with N the shift e -> e + 1
-    shift = Matrix.from_ints(spec.base, [[int(a == b + 1) for b in range(p)]
-                                         for a in range(p)])
+    if base.is_finite:
+        coeffs = np.zeros((p, p, base.deg), dtype=np.int64)
+        coeffs[range(1, p), range(p - 1), 0] = 1
+        shift = linalg.from_coeff_array(base, coeffs)
+    else:
+        shift = Matrix.from_ints(base, [[int(a == b + 1) for b in range(p)]
+                                        for a in range(p)])
     mats = [
-        linalg.kron(linalg.kron(Matrix.identity(spec.base, g * p**i), shift),
-                    Matrix.identity(spec.base, p ** (r - 1 - i)))
+        linalg.kron(linalg.kron(Matrix.identity(base, g * p**i), shift),
+                    Matrix.identity(base, p ** (r - 1 - i)))
         for i in range(r)
     ]
     return ModuleRep(spec, mats, name=f"free:{g}", _checked=True)

@@ -2,14 +2,17 @@
 
 The ambient space is P^{r-1} with coordinates dual to the generators
 z_1..z_r.  A closed point [a_1 : ... : a_r] is in the support when the
-operator (sum a_i Z_i)^{p-1} has rank below n/p (or p does not divide n);
-it is in the cosupport when the same test fails on the coinduced module
-over the point's field.  Every such rank is taken over the point's field
-F_q on Zech logarithms (linalg.fq_rank): in_support and in_cosupport decide
-from the definition, through the restricted operator and its Jordan type,
-and sampling and the generic scan use _point_tester, which forms only
-N(a)^{p-1}.  The ne x ne block matrix over F_p is eliminated in the tests,
-as the oracle, and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling
+operator N(a) = sum a_i Z_i has rank below n - n/p (or p does not divide
+n): N(a)^p = 0, so N(a) has n - rank N(a) Jordan blocks, all of size at
+most p, and they all have size p, which makes the restriction free, exactly
+when there are n/p of them.  A point is in the cosupport when the same
+test fails on the coinduced module over the point's field.  Every such rank
+is taken over the point's field F_q on Zech logarithms (linalg.fq_rank):
+in_support and in_cosupport decide from the definition, through the
+restricted operator and its Jordan type, and sampling and the generic scan
+use _point_tester, which ranks N(a) itself and forms no power of it.  The
+ne x ne block matrix over F_p is eliminated in the tests, as the oracle,
+and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling
 enumerates one canonical representative (first nonzero coordinate scaled
 to 1) of every point rational over each extension of the base of relative
 degree <= e_max.  The Z_i have entries in the base k, of order q0, so for
@@ -25,10 +28,10 @@ Every sampler checks the enumeration and then the generic scan against
 the budget and the degree cap before it tests a point.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
-chart a_1 = 1, i.e. the rank of N(s)^{p-1} over the rational function field
-in s_2..s_r.  A support is closed, so the generic point is in it exactly
-when every closed point is, and finitely many closed points decide that:
-the relevant (n/p)-minors are homogeneous of degree (p-1)n/p, so a nonzero
+chart a_1 = 1, i.e. the rank of N(s) over the rational function field in
+s_2..s_r.  A support is closed, so the generic point is in it exactly when
+every closed point is, and finitely many closed points decide that: the
+(n - n/p)-minors of N(s) are homogeneous of degree (p-1)n/p, so a nonzero
 minor cannot vanish on every chart point (1, t) of a grid S^{r-1} with
 |S| > (p-1)n/p, and specialization can only drop rank.  With q^e > (p-1)n/p
 the points of P^{r-1}(F_{q^e}) therefore decide it exactly, and the scan
@@ -39,9 +42,11 @@ computation (tested).
 Direct sums are decided block by block.  The blocks of a module
 (reps.blocks) are the connected components of the union of the nonzero
 patterns of the Z_i, so N(a) is block diagonal on them at every point and
-its rank is the sum of the blocks' ranks, each at most floor(n_c/p) on a
-block of dimension n_c.  A block with p not dividing n_c therefore puts
-every point, and the generic point, in the support, and nothing is ranked.
+its rank is the sum of the blocks' ranks.  On a block of dimension n_c
+that rank is n_c less the number of Jordan blocks, which is more than
+n_c/p when p does not divide n_c.  Such a block keeps the sum below
+n - n/p, so it puts every point, and the generic point, in the support,
+and nothing is ranked.
 Otherwise the point tester still ranks the whole operator, once per point:
 one pipeline of numpy calls costs less than one per block.  The generic
 verdict uses supp(M + N) = supp M u supp N: the generic point is in
@@ -223,11 +228,12 @@ def _point_tester(mod, K):
     coinduced one) are one (n, n, r*e) coordinate array.  The F_p digits of
     the codes times the powers of the generator of K
     (fields.companion_powers) are the F_p matrices of multiplication by the
-    coordinates a_i, and one more product gives N(a) = sum a_i Z_i.
-    N(a)^{p-1} takes p - 2 products with its F_p block matrix
-    (linalg.coeff_power), and linalg.fq_rank decides rank < n/p, stopping at
-    n/p.  The tests check it against elimination of the ne x ne block matrix
-    over F_p at every sampled point.
+    coordinates a_i, and one more product gives N(a) = sum a_i Z_i.  No
+    power of N(a) is formed: N(a)^p = 0, so its Jordan blocks have sizes at
+    most p and number n - rank N(a), and all of them have size p exactly
+    when rank N(a) = n - n/p.  linalg.fq_rank decides rank < n - n/p,
+    stopping at n - n/p.  The tests check it against the rank of N(a)^{p-1}
+    on the ne x ne block matrix over F_p at every sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
     if n % p or _has_block_prime_to_p(mod):
@@ -238,13 +244,12 @@ def _point_tester(mod, K):
                     axis=2).reshape(n, n, mod.spec.r * e)
     powers = fields.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
     place = p ** np.arange(e, dtype=np.int64)
-    target = n // p
+    target = n - n // p
 
     def tester(codes):
         digits = np.array(codes, dtype=np.int64)[:, None] // place % p
         acc = gens @ (digits @ powers).reshape(-1, e) % p
-        op = linalg.coeff_power(acc, p - 1, K)
-        return linalg.fq_rank(op, K, stop_at=target) != target
+        return linalg.fq_rank(acc, K, stop_at=target) != target
 
     return tester
 

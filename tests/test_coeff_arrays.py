@@ -136,7 +136,8 @@ def test_power(desc, n, born):
 @pytest.mark.parametrize("desc", [F2, F4, F9, canonical_extension(5, 2)],
                          ids=["F2", "F4", "F9", "F25"])
 def test_power_matches_repeated_matmul(desc, born):
-    # Matrix.power runs on coeff_power; the reference multiplies k times
+    # Matrix.power multiplies the block matrix into the coordinate columns
+    # k - 1 times; the reference multiplies Matrix values k times
     rng = random.Random(f"power-matmul:{desc}:{born}")
     for n in (0, 1, 4, 6):
         a, _ = _operand(desc, n, n, rng, born)

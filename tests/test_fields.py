@@ -80,6 +80,48 @@ def test_canonical_extension_is_smallest():
     assert canonical_extension(2, 1) == F2
 
 
+def _first_irreducible(p, n):
+    """The first monic polynomial of degree n, coefficients from the
+    constant term up in lexicographic order, that is no product of two
+    monic polynomials of lower degree."""
+    def monic(d):
+        return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+    reducible = set()
+    for d in range(1, n // 2 + 1):
+        for f in monic(d):
+            for g in monic(n - d):
+                prod = [0] * (n + 1)
+                for i, a in enumerate(f):
+                    for j, b in enumerate(g):
+                        prod[i + j] += a * b
+                reducible.add(tuple(c % p for c in prod))
+    return next(f for f in monic(n) if f not in reducible)
+
+
+def test_canonical_extension_matches_brute_force():
+    for p in (2, 3, 5, 7):
+        n = 2
+        while p**n <= 10**4 and n <= fields.MAX_EXTENSION_DEGREE:
+            assert canonical_extension(p, n).ext == _first_irreducible(p, n), (p, n)
+            n += 1
+
+
+def test_canonical_extension_skips_constant_term_zero(monkeypatch):
+    # every candidate with constant term 0 is divisible by x; trying them
+    # all took 1,030,304 irreducibility tests for F_{101^4}
+    calls = []
+
+    def counted(coeffs, p, _test=fields._is_irreducible_over_prime):
+        calls.append(coeffs)
+        return _test(coeffs, p)
+
+    monkeypatch.setattr(fields, "_is_irreducible_over_prime", counted)
+    desc = canonical_extension.__wrapped__(101, 4)
+    assert desc.deg == 4 and desc.ext[0] != 0
+    assert len(calls) < 100
+
+
 # ---------------------------------------------------------------------------
 # arith examples
 

@@ -226,6 +226,89 @@ def test_point_tester_agrees_with_block_route_on_generic_grids(k):
         assert [fast(a) for a in points] == [block(a) for a in points]
 
 
+def _valuation_block(spec, v, w, rng):
+    """At r = 2, the module of dimension p*v on which (z_1, z_2) act as
+    g (N^v, N^w), for the shift N, w > v, and a seeded g in GL_2 of the
+    base (N^w = 0 for w >= p*v).  N(a) is a unit times N^v, free, at every
+    point but one, where it is N^w: w Jordan blocks of sizes
+    ceil(pv/w) and floor(pv/w), and rank n - n/p - (w - v)."""
+    base, q = spec.base, spec.p * v
+    shift = Matrix.from_ints(base, [[int(a == b + 1) for b in range(q)]
+                                    for a in range(q)])
+    pair = (shift.power(v), shift.power(min(w, q)))
+    while True:
+        g = [[fields.interned(base, base.sfrom_code(rng.randrange(base.order)))
+              for _ in range(2)] for _ in range(2)]
+        if g[0][0] * g[1][1] != g[0][1] * g[1][0]:
+            break
+    return ModuleRep(spec, [pair[0].scale(row[0]) + pair[1].scale(row[1])
+                            for row in g])
+
+
+def _rank_gap_cases(p):
+    """(module, e_max) at r = 2 over F_p and F_{p^2}: _valuation_block
+    modules and their sums, in a seeded monomial basis.  Their points out
+    of the support show Jordan blocks of every size from 1 to p, and the
+    blocks with w = v + 1 leave rank N(a) one short of n - n/p."""
+    rng = random.Random(f"rank-gap:{p}")
+    pairs = [(1, 2), (1, p), (2, 3)] + ([(1, 3)] if p > 3 else [])
+    cases = []
+    for base, e_max in ((make_field(p), 2), (fields.canonical_extension(p, 2), 1)):
+        spec = make_spec(p, 2, base=base)
+        blocks = [_valuation_block(spec, v, w, rng) for v, w in pairs]
+        mods = blocks + [_direct_sum(blocks[:2]), _direct_sum(blocks)]
+        cases += [(_monomial(mod, rng)[0], e_max) for mod in mods]
+    return cases
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_point_tester_ranks_n_against_the_power_oracle(p):
+    # the tester asks rank N(a) < n - n/p; the oracle asks
+    # rank N(a)^{p-1} < n/p on the block matrix over F_p
+    sizes, short_by_one, fields_seen = set(), 0, set()
+    for mod, e_max in _rank_gap_cases(p):
+        n = mod.n
+        testers = {}
+        for pt in enumerate_points(mod.spec.base, 2, e_max):
+            K = pt.desc
+            if K not in testers:
+                testers[K] = (support._point_tester(mod, K),
+                              _block_point_tester(mod, K), base_change(mod, K))
+            fast, block, over_k = testers[K]
+            verdict = fast(pt.codes)
+            assert verdict == block(pt.codes), (mod.name, K, pt.codes)
+            op = sum((z.scale(a) for z, a in zip(over_k.Z, pt.coords)),
+                     Matrix.zero(K, n, n))
+            parts = linalg.jordan_type(op, p).parts
+            assert verdict == (len(parts) > n // p)
+            sizes.update(parts)
+            short_by_one += len(parts) == n // p + 1
+            fields_seen.add((K.deg, verdict))
+    assert sizes == set(range(1, p + 1))
+    assert short_by_one
+    assert fields_seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_samplers_form_no_power_and_no_block_matrix(monkeypatch):
+    # p = 3 modules whose tester ranks every point: the samplers and the
+    # generic scan rank N(a) as it is, over F_3, F_9 and F_27
+    rng = random.Random("no-power")
+    mods = [_mixed(_shift_block(P3R2, 1, rng), rng),
+            _monomial(_direct_sum([_valuation_block(P3R2, 1, 2, rng),
+                                   _valuation_block(P3R2, 2, 3, rng)]), rng)[0]]
+
+    def refuse(*args):
+        raise AssertionError("a power or a block matrix was formed")
+
+    monkeypatch.setattr(linalg, "blockify", refuse)
+    monkeypatch.setattr(Matrix, "power", refuse)
+    for mod in mods:
+        sample, cosample = support_sample(mod, 2), cosupport_sample(mod, 2)
+        assert sample.sampled == cosample.sampled
+        assert set(sample.sampled.values()) == {True, False}
+        assert not sample.generic
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -820,7 +903,7 @@ def test_tester_ranks_nothing_with_a_block_prime_to_p(monkeypatch):
         raise AssertionError("an operator was formed")
 
     monkeypatch.setattr(fields, "companion_powers", refuse)
-    for name in ("coeff_power", "fq_rank"):
+    for name in ("blockify", "fq_rank"):
         monkeypatch.setattr(linalg, name, refuse)
     monkeypatch.setattr(reps, "base_change", refuse)
     desc = support_sample(mod, 2)
