@@ -3,8 +3,8 @@
 The ambient space is P^{r-1} with coordinates dual to the generators
 z_1..z_r.  A closed point [a_1 : ... : a_r] is in the support when the
 operator N(a) = sum a_i Z_i has rank below n - n/p (or p does not divide
-n): N(a)^p = 0, so N(a) has n - rank N(a) Jordan blocks, all of size at
-most p, and they all have size p, which makes the restriction free, exactly
+n).  N(a)^p = 0, so N(a) has n - rank N(a) Jordan blocks, each of size at
+most p.  The restriction is free when all of them have size p, that is
 when there are n/p of them.  A point is in the cosupport when the same
 test fails on the coinduced module over the point's field.  Every such rank
 is taken over the point's field F_q on Zech logarithms (linalg.fq_rank):
@@ -12,10 +12,10 @@ in_support and in_cosupport decide from the definition, through the
 restricted operator and its Jordan type, and sampling and the generic scan
 use _point_tester, which ranks N(a) itself and forms no power of it.  The
 ne x ne block matrix over F_p is eliminated in the tests, as the oracle,
-and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling
-enumerates one canonical representative (first nonzero coordinate scaled
-to 1) of every point rational over each extension of the base of relative
-degree <= e_max.  The Z_i have entries in the base k, of order q0, so for
+and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling enumerates one
+canonical representative (first nonzero coordinate scaled to 1) of every
+point rational over each extension of the base of relative degree
+<= e_max.  The Z_i have entries in the base k, of order q0, so for
 the Frobenius s: x -> x^q0 of the point's field N(s a) = s(N(a)) entry by
 entry, and s keeps every rank: the verdicts at a and at its conjugates
 agree.  One code table of s (fields.frobenius) decides both steps of the
@@ -46,15 +46,14 @@ its rank is the sum of the blocks' ranks.  On a block of dimension n_c
 that rank is n_c less the number of Jordan blocks, which is more than
 n_c/p when p does not divide n_c.  Such a block keeps the sum below
 n - n/p, so it puts every point, and the generic point, in the support,
-and nothing is ranked.
-Otherwise the point tester still ranks the whole operator, once per point:
-one pipeline of numpy calls costs less than one per block.  The generic
-verdict uses supp(M + N) = supp M u supp N: the generic point is in
-exactly when it is in for some block, and a block needs only the field
-with q^e > (p-1)n_c/p.  A module of several blocks is first scanned whole
-over the points of degree 1, as a point out of the whole support is out
-for every block; if all are in, each block is scanned over its own field,
-up to the first block that is generically in.
+and nothing is ranked.  Otherwise the point tester still ranks the whole
+operator, once per point: one pipeline of numpy calls costs less than one
+per block.  The generic verdict uses supp(M + N) = supp M u supp N: the
+generic point is in exactly when it is in for some block, and a block
+needs only the field with q^e > (p-1)n_c/p.  A module of several blocks is
+first scanned whole over the points of degree 1, as a point out of the
+whole support is out for every block; if all are in, each block is
+scanned over its own field, up to the first block that is generically in.
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
@@ -229,11 +228,10 @@ def _point_tester(mod, K):
     the codes times the powers of the generator of K
     (fields.companion_powers) are the F_p matrices of multiplication by the
     coordinates a_i, and one more product gives N(a) = sum a_i Z_i.  No
-    power of N(a) is formed: N(a)^p = 0, so its Jordan blocks have sizes at
-    most p and number n - rank N(a), and all of them have size p exactly
-    when rank N(a) = n - n/p.  linalg.fq_rank decides rank < n - n/p,
-    stopping at n - n/p.  The tests check it against the rank of N(a)^{p-1}
-    on the ne x ne block matrix over F_p at every sampled point.
+    power of N(a) is formed (see the module docstring): linalg.fq_rank
+    decides rank N(a) < n - n/p, stopping at n - n/p.  The tests check it
+    against the rank of N(a)^{p-1} on the ne x ne block matrix over F_p at
+    every sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
     if n % p or _has_block_prime_to_p(mod):
