@@ -7,24 +7,28 @@ over F_p (fields.scalar_matrix, from fields.companion_powers), and a product
 multiplies the F_p block matrix of one factor (blockify) into the
 coordinate columns of the other.  The array is the matrix's only value:
 FieldElement entries, even those it was built from, are rebuilt from it
-only when something reads them.  Every rank over a finite field is fq_rank:
+only when something reads them.  Every rank over a finite field is fq_rank
+or, for the point tester's sums N(a) = sum a_i Z_i, sparse_rank:
 elimination over F_q itself on the Zech logarithms of the entries
 (fields.zech_tables), about e^3 times less work than the ne x ne block
 matrix over F_p, and on the residues over a prime field.  Sparse matrices,
 with at most SPARSE_ROW_NONZEROS nonzero entries per row on average, are
-eliminated on lists of Python integers, where a pivot row touches only its
-nonzero entries and no numpy call costs more than the arithmetic it does;
-the support ideal's pivot columns (int_pivots) take the same list route.
-Denser matrices are eliminated in numpy.  fq_rank eliminates the block
-matrix only past ZECH_MAX_ORDER, where the tables would outweigh the
-elimination; below it the block elimination is kept only in the tests, as
-the oracle.  Rank in the presence of transcendentals uses fraction-free
-(Bareiss) elimination on polynomial entries, so no multivariate gcd is ever
-needed.  Pivoting always takes the first nonzero entry in column order,
-which keeps intermediate polynomials, and therefore all reports,
-reproducible.  Minors are taken by a division-free Laplace expansion on the
-monomial coefficients of the entries (PolyMatrix), also on lists of Python
-integers, since their matrices have a few hundred entries at most.
+held as rows of dicts {column: value} of their nonzero entries and
+eliminated by sparse_rank, which inserts each row into the pivot rows
+found so far and touches only nonzero entries; sparse_combination sums
+N(a) in that form from the generators' nonzero entries, with no numpy
+call per point.  Denser matrices are eliminated in numpy, and the support
+ideal's small dense pivot stacks on lists (int_pivots).  fq_rank
+eliminates the block matrix only past ZECH_MAX_ORDER, where the tables
+would outweigh the elimination; below it the block elimination is kept
+only in the tests, as the oracle.  Rank in the presence of transcendentals
+uses fraction-free (Bareiss) elimination on polynomial entries, so no
+multivariate gcd is ever needed.  Pivoting always takes the first nonzero
+entry in column order, which keeps intermediate polynomials, and therefore
+all reports, reproducible.  Minors are taken by a division-free Laplace
+expansion on the monomial coefficients of the entries (PolyMatrix), also
+on lists of Python integers, since their matrices have a few hundred
+entries at most.
 """
 
 import itertools
@@ -406,8 +410,7 @@ def embedding_matrix(src, dst):
 def int_row_reduce(a, p, stop_at=None):
     """Row echelon form of an integer matrix mod p: the numpy mod-p pivot
     loop, which fq_rank takes for dense matrices over a prime field
-    (int_pivots finds the same pivot columns on Python lists, for sparse
-    ones).
+    (int_pivots finds the same pivot columns on Python lists).
 
     Forward elimination below each pivot, with pivots scaled to 1 and taken
     as the first nonzero entry of each column.  Returns (rank, pivot
@@ -442,10 +445,12 @@ def int_pivots(rows, p, stop_at=None):
     """Pivot columns of a matrix over F_p given as lists of residues in
     [0, p), which are reduced in place: the same as those of
     int_row_reduce(rows, p, stop_at), in plain Python integers.  Each pivot
-    row reduces the rows below it through its nonzero entries only, so a
-    sparse row costs as many updates as it has nonzeros: on the small or
-    sparse matrices it serves, one numpy call costs more than the
-    arithmetic it does."""
+    row reduces the rows below it through its nonzero entries only.  It
+    serves the support ideal's pivot columns (support._pivot_lines), whose
+    stacks are small and dense: there one numpy call costs more than the
+    arithmetic it does, and rows of dicts as sparse_rank takes them were
+    slower (0.26 ms against 0.20 ms for the stacks of one pass of the
+    benchmark's ideal workload)."""
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
     for c in range(ncols):
@@ -494,11 +499,19 @@ def int_matpow(a, k, p):
 # Elimination over F_q on Zech logarithms
 
 
+def element_codes(coeffs, desc):
+    """(n, m) array of the element codes (FieldDescriptor.sto_code) of the
+    entries of an (n, m, e) coordinate array over the finite ``desc``."""
+    if desc.deg == 1:
+        return coeffs[:, :, 0]
+    return coeffs @ desc.p ** np.arange(desc.deg, dtype=np.int64)
+
+
 def log_codes(coeffs, desc):
     """(n, m) array of the Zech logs (fields.zech_tables) of the entries of
     an (n, m, e) coordinate array; zero has the log q - 1."""
     _, log, _ = fields.zech_tables(desc)
-    return log[coeffs @ desc.p ** np.arange(desc.deg, dtype=np.int64)]
+    return log[element_codes(coeffs, desc)]
 
 
 @lru_cache(maxsize=None)
@@ -541,12 +554,15 @@ def _zech_kernel(desc):
 #: sample at r >= 2 reaches within support.DEFAULT_ENUM_BUDGET is below it.
 ZECH_MAX_ORDER = 1 << 18
 
-#: fq_rank eliminates on Python lists when the matrix has at most this many
-#: nonzero entries per row on average, and in numpy otherwise.  On random
-#: n x n matrices with k nonzeros per row over F_2, F_3, F_9, F_16, F_25 and
-#: F_81, lists won at every n <= 128 for k <= 3, by 1.2x or more; at k = 6
-#: they lost at n >= 64 over the fields of degree 2 and more, by up to 4x
-#: at n = 128.
+#: fq_rank eliminates on rows of dicts (sparse_rank) when the matrix has at
+#: most this many nonzero entries per row on average, and in numpy
+#: otherwise; the point tester applies the same bound to the union of the
+#: generators' nonzero patterns.  On random n x n matrices with k nonzeros
+#: per row over F_2, F_3, F_9, F_16, F_25 and F_81, n = 16..128, dict rows
+#: won at every n for k <= 3, by 1.45x or more; at k = 4 they lost at
+#: n >= 64 over the fields of degree 2 and more (n >= 96 over F_81), and at
+#: k = 6 at n >= 32 over those fields and n >= 64 over F_2 and F_3, by up
+#: to 5x at n = 128.
 SPARSE_ROW_NONZEROS = 3
 
 
@@ -556,31 +572,34 @@ def fq_rank(coeffs, desc, stop_at=None):
     the rank reaches it.
 
     Gaussian elimination over F_q itself on the Zech logs of the entries
-    (log_codes), pivots taken first nonzero in column order.  Over a prime
-    field the log route is slower than residues, so there the elimination
-    runs on the coordinates.  The route depends on the number of nonzero
-    entries: with at most SPARSE_ROW_NONZEROS per row on average the matrix
-    is eliminated on Python lists (_log_rank_lists, or int_pivots over a
-    prime field), where a pivot row touches only its nonzero entries; a
-    denser one in numpy (_log_rank_numpy, or int_rank over a prime field),
-    whose fixed cost per call the arithmetic then outweighs.  Past
-    ZECH_MAX_ORDER the tables would cost more than the elimination they
-    save, so there int_rank takes the ne x ne block matrix over F_p, whose
-    rank is e times the rank over F_q.
+    (log_codes).  Over a prime field the log route is slower than residues,
+    so there the elimination runs on the coordinates.  The route depends on
+    the number of nonzero entries: with at most SPARSE_ROW_NONZEROS per row
+    on average the nonzero entries are read into rows of dicts and
+    eliminated by sparse_rank, where a pivot row touches only its nonzero
+    entries; a denser matrix in numpy (_log_rank_numpy, or int_rank over a
+    prime field), whose fixed cost per call the arithmetic then outweighs.
+    Past ZECH_MAX_ORDER the tables would cost more than the elimination
+    they save, so there int_rank takes the ne x ne block matrix over F_p,
+    whose rank is e times the rank over F_q.
     """
-    most = SPARSE_ROW_NONZEROS * coeffs.shape[0]
     if desc.deg == 1:
-        residues = coeffs[:, :, 0]
-        if np.count_nonzero(residues) <= most:
-            return len(int_pivots(residues.tolist(), desc.p, stop_at))
-        return int_rank(residues, desc.p, stop_at)
-    if desc.order > ZECH_MAX_ORDER:
+        values, zero = coeffs[:, :, 0], 0
+    elif desc.order > ZECH_MAX_ORDER:
         stop = None if stop_at is None else stop_at * desc.deg
         return int_rank(blockify(coeffs, desc), desc.p, stop) // desc.deg
-    logs = log_codes(coeffs, desc)
-    if np.count_nonzero(logs != desc.order - 1) <= most:
-        return _log_rank_lists(logs.tolist(), desc, stop_at)
-    return _log_rank_numpy(logs, desc, stop_at)
+    else:
+        values, zero = log_codes(coeffs, desc), desc.order - 1
+    nonzero = values != zero
+    if np.count_nonzero(nonzero) <= SPARSE_ROW_NONZEROS * coeffs.shape[0]:
+        rows = [{} for _ in range(values.shape[0])]
+        u, v = nonzero.nonzero()
+        for i, j, x in zip(u.tolist(), v.tolist(), values[u, v].tolist()):
+            rows[i][j] = x
+        return sparse_rank(rows, desc, stop_at)
+    if desc.deg == 1:
+        return int_rank(values, desc.p, stop_at)
+    return _log_rank_numpy(values, desc, stop_at)
 
 
 def _log_minus_one(desc):
@@ -589,49 +608,130 @@ def _log_minus_one(desc):
 
 
 @lru_cache(maxsize=None)
-def _zech_list(desc):
-    """The Zech table of fields.zech_tables as a list of Python integers."""
-    return fields.zech_tables(desc)[2].tolist()
+def _sparse_arithmetic(desc):
+    """How sparse rows over the finite field ``desc`` hold their entries,
+    as (value, neg_inverse, add).  Over a prime field a value is the
+    residue, over F_q (q <= ZECH_MAX_ORDER) the Zech log (fields.zech_tables)
+    in [0, q - 1); zero is never stored.
 
+    * value[code] is the value of the element with that code
+      (FieldDescriptor.sto_code), for code > 0;
+    * neg_inverse(x) is the value of -1/y for the value x of y;
+    * add(row, f, pairs) adds f * y_j to row[j] for each (j, y_j) of
+      ``pairs``, f and y_j values, and drops the entries that cancel.
+      Over F_q, g^x + g^t = g^(x + zech[t - x]) with exponents mod q - 1.
+    """
+    p = desc.p
+    if desc.deg == 1:
+        def add(row, f, pairs):
+            for j, y in pairs:
+                x = (row.get(j, 0) + f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
 
-def _log_rank_lists(rows, desc, stop_at):
-    """fq_rank's route for sparse matrices: ``rows`` holds the Zech logs of
-    the entries (zero as q - 1) as lists of Python integers, and is reduced
-    in place.  Row a - f*b, f the ratio of the heads, takes
-    t = log(-f*b_j) = log f + b_j + log(-1) and a_j + g^t =
-    g^(a_j + zech[t - a_j]), exponents mod q - 1, for the nonzero b_j
-    only."""
+        return range(p), lambda x: p - pow(x, -1, p), add
+    _, log, zech = fields.zech_tables(desc)
+    zech = zech.tolist()
     m = desc.order - 1
     minus_one = _log_minus_one(desc)
-    zech = _zech_list(desc)
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows or (stop_at is not None and r >= stop_at):
-            break
-        for piv in range(r, nrows):
-            if rows[piv][c] != m:
+
+    def add(row, f, pairs):
+        for j, y in pairs:
+            t = (f + y) % m
+            x = row.get(j)
+            if x is None:
+                row[j] = t
+            else:
+                z = zech[(t - x) % m]
+                if z == m:
+                    del row[j]
+                else:
+                    row[j] = (x + z) % m
+
+    return log.tolist(), lambda x: (minus_one - x) % m, add
+
+
+def sparse_rank(rows, desc, stop_at=None):
+    """Rank over the finite field ``desc`` of the matrix whose rows are
+    dicts {column: value} of its nonzero entries, in the values of
+    _sparse_arithmetic: residues over a prime field, Zech logs otherwise.
+    The rows are reduced in place; with ``stop_at`` the elimination ends
+    once the rank reaches it.
+
+    The rows are inserted one at a time into the pivot rows found so far,
+    which are keyed by their leading column: while the least column of the
+    row has a pivot row, the row's entry there is cancelled by adding a
+    multiple of it, and a row left nonzero becomes the pivot row of its
+    least column.  A pivot row is kept as the pairs (j, -b_j/b_c) of its
+    entries right of its lead b_c, so that a reduction adds the row's lead
+    times them, touches only those entries and drops what cancels (Dumas
+    and Villard, "Computing the rank of large sparse matrices over finite
+    fields", CASC 2002).
+    """
+    stop = len(rows) if stop_at is None else stop_at
+    if not stop:
+        return 0
+    _, neg_inverse, add = _sparse_arithmetic(desc)
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            f = row.pop(c)
+            pivot = pivots.get(c)
+            if pivot is None:
+                scaled = {}
+                if row:
+                    add(scaled, neg_inverse(f), row.items())
+                pivots[c] = list(scaled.items())
                 break
+            add(row, f, pivot)
         else:
-            continue
-        top = rows[piv]
-        rows[piv], rows[r] = rows[r], top
-        # log(-b_j / b_c) for the nonzero b_j right of the pivot
-        lead = minus_one - top[c]
-        nonzero = [(j, top[j] + lead) for j in range(c + 1, ncols) if top[j] != m]
-        for row in rows[r + 1:]:
-            f = row[c]
-            if f != m:
-                for j, s in nonzero:
-                    t = (f + s) % m
-                    x = row[j]
-                    if x == m:
-                        row[j] = t
-                    else:
-                        z = zech[(t - x) % m]
-                        row[j] = m if z == m else (x + z) % m
-        r += 1
-    return r
+            continue  # the row reduced to zero
+        if len(pivots) == stop:
+            break
+    return len(pivots)
+
+
+def sparse_combination(codes, src, desc):
+    """Function from the element codes (FieldDescriptor.sto_code) of
+    a_1..a_r to the rows of N(a) = sum a_i Z_i over the finite field
+    ``desc``, of order at most ZECH_MAX_ORDER, as sparse_rank takes them.
+    ``codes`` holds the (n, n) arrays of the element codes (element_codes)
+    of Z_1..Z_r over the field ``src``, which ``desc`` refines.  Their
+    nonzero entries are read once, as values in ``desc`` by generator and
+    row; at a point each row of N(a) is summed from them with no numpy
+    call, and entries that cancel are dropped."""
+    value, _, add = _sparse_arithmetic(desc)
+    entries = []
+    for c in codes:
+        u, v = c.nonzero()
+        entries.append(list(zip(u.tolist(), v.tolist(), c[u, v].tolist())))
+    if src == desc:
+        image = value
+    else:
+        emb = fields._scalar_embedding(src, desc)
+        image = {x: value[desc.sto_code(emb(src.sfrom_code(x)))]
+                 for x in {x for gen in entries for _, _, x in gen}}
+    by_gen = []
+    for gen in entries:
+        rows = {}
+        for a, b, x in gen:
+            rows.setdefault(a, []).append((b, image[x]))
+        by_gen.append(list(rows.items()))
+    n = codes[0].shape[0]
+
+    def combine(point):
+        rows = [{} for _ in range(n)]
+        for code, gen in zip(point, by_gen):
+            if code:
+                f = value[code]
+                for a, pairs in gen:
+                    add(rows[a], f, pairs)
+        return rows
+
+    return combine
 
 
 def _log_rank_numpy(logs, desc, stop_at):

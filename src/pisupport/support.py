@@ -7,10 +7,12 @@ n).  N(a)^p = 0, so N(a) has n - rank N(a) Jordan blocks, each of size at
 most p.  The restriction is free when all of them have size p, that is
 when there are n/p of them.  A point is in the cosupport when the same
 test fails on the coinduced module over the point's field.  Every such rank
-is taken over the point's field F_q on Zech logarithms (linalg.fq_rank):
-in_support and in_cosupport decide from the definition, through the
-restricted operator and its Jordan type, and sampling and the generic scan
-use _point_tester, which ranks N(a) itself and forms no power of it.  The
+is taken over the point's field F_q on Zech logarithms, or on residues over
+a prime field: in_support and in_cosupport decide from the definition,
+through the restricted operator and its Jordan type (linalg.fq_rank), and
+sampling and the generic scan use _point_tester, which ranks N(a) itself
+and forms no power of it; for sparse generators it sums and ranks N(a) on
+rows of dicts (linalg.sparse_combination, linalg.sparse_rank).  The
 ne x ne block matrix over F_p is eliminated in the tests, as the oracle,
 and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling enumerates one
 canonical representative (first nonzero coordinate scaled to 1) of every
@@ -47,13 +49,15 @@ that rank is n_c less the number of Jordan blocks, which is more than
 n_c/p when p does not divide n_c.  Such a block keeps the sum below
 n - n/p, so it puts every point, and the generic point, in the support,
 and nothing is ranked.  Otherwise the point tester still ranks the whole
-operator, once per point: one pipeline of numpy calls costs less than one
-per block.  The generic verdict uses supp(M + N) = supp M u supp N: the
-generic point is in exactly when it is in for some block, and a block
-needs only the field with q^e > (p-1)n_c/p.  A module of several blocks is
-first scanned whole over the points of degree 1, as a point out of the
-whole support is out for every block; if all are in, each block is
-scanned over its own field, up to the first block that is generically in.
+operator, once per point: on rows of dicts the elimination never mixes
+blocks anyway, and on the numpy route one pipeline of numpy calls costs
+less than one per block.  The generic verdict uses
+supp(M + N) = supp M u supp N: the generic point is in exactly when it is
+in for some block, and a block needs only the field with
+q^e > (p-1)n_c/p.  A module of several blocks is first scanned whole over
+the points of degree 1, as a point out of the whole support is out for
+every block; if all are in, each block is scanned over its own field, up
+to the first block that is generically in.
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
@@ -222,27 +226,41 @@ def _point_tester(mod, K):
     A module with a block (reps.blocks) of dimension prime to p has that
     block as a direct summand, which is in the support everywhere, so the
     tester is constant and ranks nothing.  Otherwise it ranks the whole
-    operator: the generators of the base change of mod to K
-    (reps.base_change, the identity on a module already over K, such as a
-    coinduced one) are one (n, n, r*e) coordinate array.  The F_p digits of
-    the codes times the powers of the generator of K
-    (fields.companion_powers) are the F_p matrices of multiplication by the
-    coordinates a_i, and one more product gives N(a) = sum a_i Z_i.  No
-    power of N(a) is formed (see the module docstring): linalg.fq_rank
-    decides rank N(a) < n - n/p, stopping at n - n/p.  The tests check it
-    against the rank of N(a)^{p-1} on the ne x ne block matrix over F_p at
-    every sampled point.
+    operator N(a) = sum a_i Z_i.  No power of N(a) is formed (see the module
+    docstring): the tester decides rank N(a) < n - n/p, stopping at
+    n - n/p.  The route is chosen once per (module, field).  When the union
+    of the nonzero patterns of the Z_i has at most
+    linalg.SPARSE_ROW_NONZEROS * n entries and K has at most
+    linalg.ZECH_MAX_ORDER elements, the nonzero entries of the Z_i are read
+    over the base and embedded into K once, and at each point N(a) is summed
+    from them as rows of dicts (linalg.sparse_combination) and ranked by
+    linalg.sparse_rank, with no numpy call.  Otherwise the generators of the
+    base change of mod to K (reps.base_change, the identity on a module
+    already over K, such as a coinduced one) are one (n, n, r*e)
+    coordinate array, the F_p digits of the codes times the powers of the
+    generator of K (fields.companion_powers) are the F_p matrices of
+    multiplication by the a_i, one more product gives N(a), and
+    linalg.fq_rank ranks it.  The tests check both routes against the rank
+    of N(a)^{p-1} on the ne x ne block matrix over F_p at every sampled
+    point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
     if n % p or _has_block_prime_to_p(mod):
         return lambda codes: True
+    target = n - n // p
+    base = mod.spec.base
+    entries = [linalg.element_codes(linalg.coeff_array(z), base) for z in mod.Z]
+    # codes are nonnegative, so their sum is nonzero on the union of patterns
+    if (K.order <= linalg.ZECH_MAX_ORDER
+            and np.count_nonzero(sum(entries)) <= linalg.SPARSE_ROW_NONZEROS * n):
+        combine = linalg.sparse_combination(entries, base, K)
+        return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
     # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
     # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
     gens = np.stack([linalg.coeff_array(m) for m in reps.base_change(mod, K).Z],
                     axis=2).reshape(n, n, mod.spec.r * e)
     powers = fields.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
     place = p ** np.arange(e, dtype=np.int64)
-    target = n - n // p
 
     def tester(codes):
         digits = np.array(codes, dtype=np.int64)[:, None] // place % p
@@ -669,7 +687,7 @@ def verify_dade(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> DadeReport:
 class FormulaReport:
     kind: str
     module: object  # the tensor or Hom module whose support is compared
-    points: list  # (label, lhs, rhs)
+    points: list  # (ProjPoint, lhs, rhs)
     generic_lhs: bool = False
     generic_rhs: bool = False
 
@@ -680,14 +698,16 @@ class FormulaReport:
         )
 
     def mismatches(self):
-        out = [label for label, lhs, rhs in self.points if lhs != rhs]
+        """Labels of the points where the two sides differ, then "generic"
+        if they differ at the generic point."""
+        out = [str(pt) for pt, lhs, rhs in self.points if lhs != rhs]
         if self.generic_lhs != self.generic_rhs:
             out.append("generic")
         return out
 
 
 def _formula_rows(m, e_max, budget, left, right, scanned):
-    """Rows (label, lhs, rhs) at the sampled points of a formula comparing
+    """Rows (point, lhs, rhs) at the sampled points of a formula comparing
     the support of left(K) with supp(m) /\\ supp(right(K)), where left(K) and
     right(K) are modules over the field K of the point."""
     def make_decider(K):
@@ -695,7 +715,7 @@ def _formula_rows(m, e_max, budget, left, right, scanned):
         return lambda codes: (tl(codes), tm(codes) and tr(codes))
 
     _check_enumeration(m.spec.base, m.spec.r, e_max, budget, scanned)
-    return [(str(pt), lhs, rhs) for pt, (lhs, rhs)
+    return [(pt, lhs, rhs) for pt, (lhs, rhs)
             in _sampled(m.spec, range(1, e_max + 1), make_decider)]
 
 

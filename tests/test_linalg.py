@@ -27,6 +27,7 @@ from pisupport.linalg import (
     int_rank,
     int_row_reduce,
     log_codes,
+    sparse_rank,
 )
 from pisupport.reps import ModuleRep, make_spec
 
@@ -250,14 +251,19 @@ def _coeffs_with_nonzeros(gen, desc, rows, cols, count):
     return digits.reshape(rows, cols, desc.deg)
 
 
+def _dict_rows(values, zero):
+    """The entries of ``values`` other than ``zero``, as sparse_rank's rows."""
+    return [{j: x for j, x in enumerate(row) if x != zero} for row in values.tolist()]
+
+
 def _both_routes(coeffs, desc, stop_at):
-    """fq_rank by its list route and by its numpy route."""
+    """fq_rank by its sparse route and by its numpy route."""
     if desc.deg == 1:
         residues = coeffs[:, :, 0]
-        return (len(int_pivots(residues.tolist(), desc.p, stop_at)),
+        return (sparse_rank(_dict_rows(residues, 0), desc, stop_at),
                 int_rank(residues, desc.p, stop_at))
     logs = log_codes(coeffs, desc)
-    return (linalg._log_rank_lists(logs.tolist(), desc, stop_at),
+    return (sparse_rank(_dict_rows(logs, desc.order - 1), desc, stop_at),
             linalg._log_rank_numpy(logs, desc, stop_at))
 
 
@@ -288,10 +294,10 @@ def test_fq_rank_routes_match_block_rank(p, e, n):
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 4), (3, 2)],
                          ids=["F2", "F3", "F16", "F9"])
 def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
-    # up to 3 nonzero entries per row on average on lists, numpy past that
+    # up to 3 nonzero entries per row on average on rows of dicts, numpy
+    # past that
     desc = canonical_extension(p, e)
-    names = (("int_pivots", "int_rank") if e == 1
-             else ("_log_rank_lists", "_log_rank_numpy"))
+    names = ("sparse_rank", "int_rank" if e == 1 else "_log_rank_numpy")
     routes = []
     for name in names:
         def record(*args, _name=name, _route=getattr(linalg, name)):
@@ -308,11 +314,11 @@ def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
 
 
 def test_dense_operator_keeps_the_numpy_route(monkeypatch):
-    # a dense 64 x 64 matrix over F_16 never reaches the list kernel
+    # a dense 64 x 64 matrix over F_16 never reaches the sparse kernel
     def refuse(*args):
-        raise AssertionError("dense matrix eliminated on lists")
+        raise AssertionError("dense matrix eliminated on rows of dicts")
 
-    monkeypatch.setattr(linalg, "_log_rank_lists", refuse)
+    monkeypatch.setattr(linalg, "sparse_rank", refuse)
     desc = canonical_extension(2, 4)
     gen = np.random.default_rng(64)
     left = from_coeff_array(desc, gen.integers(0, 2, size=(64, 40, 4)))

@@ -185,6 +185,33 @@ def _agreement_cases():
                     direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng))]
             cases += [(_mixed(mod, rng), e_max) for mod in mods]
     cases.append((klein_truncation(6), 6))
+    return cases + _cancelling_cases()
+
+
+def _proportional_block(spec, v, rng, lead):
+    """Module of dimension p*v on which each z_i acts as lead_i times one
+    matrix B = N^v + (seeded higher powers of the shift N).  At the points
+    with sum_i a_i lead_i = 0, N(a) is zero on it, so every row of N(a)
+    that B reaches cancels; elsewhere N(a) is free on it."""
+    unit = [FieldElement.one(spec.base)]
+    (b,) = _shift_block(make_spec(spec.p, 1, base=spec.base), v, rng, unit).Z
+    return ModuleRep(spec, [b.scale(c) for c in lead])
+
+
+def _cancelling_cases():
+    """(module, e_max) in a seeded monomial basis, so that the point tester
+    takes its sparse route: a _proportional_block plus a shift block, at
+    p = 2, 3, 5 over F_p at r = 3, where the cancelling hyperplane
+    a_1 + a_2 = 0 has points of degree 1 and 2, and at r = 2 over F_9, with
+    leads (1, x) that are not rational over F_3."""
+    rng = random.Random("tester-cancel")
+    x = FieldElement.from_scalar(F9, (0, 1))
+    cases = []
+    for base, lead in ((F2, (1, 1, 0)), (F3, (1, 1, 0)), (F5, (2, 2, 0)), (F9, (1, x))):
+        spec = make_spec(base.p, len(lead), base=base)
+        lead = [FieldElement.from_int(base, c) if isinstance(c, int) else c for c in lead]
+        mod = direct_sum(_proportional_block(spec, 1, rng, lead), _shift_block(spec, 1, rng))
+        cases.append((_monomial(mod, rng)[0], 2))
     return cases
 
 
@@ -203,6 +230,37 @@ def test_point_tester_agrees_with_block_route():
             verdicts.setdefault((mod.spec.p, K.deg > 1), set()).add(verdict)
     # both verdicts occur over extension fields for every p
     assert all(verdicts[p, True] == {True, False} for p in (2, 3, 5))
+
+
+def test_cancelling_cases_cancel_whole_rows_on_the_sparse_route(monkeypatch):
+    # the premise of _cancelling_cases: every tester takes the sparse route,
+    # and some point over F_p and some over F_{p^2} (over F_9 for the F_9
+    # base) leave a row of N(a) empty that some Z_i reaches
+    built = []
+    combination = linalg.sparse_combination
+
+    def record(codes, src, desc):
+        combine = combination(codes, src, desc)
+        built.append(combine)
+        return combine
+
+    monkeypatch.setattr(linalg, "sparse_combination", record)
+    for mod, e_max in _cancelling_cases():
+        base, n = mod.spec.base, mod.n
+        reached = set()
+        for z in mod.Z:
+            reached.update(i for i, row in enumerate(z.entries) if any(row))
+        cancelled = set()
+        for pt in enumerate_points(base, mod.spec.r, e_max):
+            K = pt.desc
+            built.clear()
+            support._point_tester(mod, K)
+            (combine,) = built
+            rows = combine(pt.codes)
+            assert len(rows) == n
+            if any(not rows[i] for i in reached):
+                cancelled.add(K.deg)
+        assert cancelled == ({1, 2} if base.deg == 1 else {2}), (base, mod.spec.r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -610,23 +668,36 @@ def test_orbit_memo_agrees_on_the_formulas():
             (verify_hom_formula(m, n, 2), reps.coinduced(h, K), reps.coinduced(n, K))):
         lhs, tn = support._point_tester(lhs, K), support._point_tester(rhs, K)
         assert len(report.points) == 21 + len(points) == 273
-        for pt, (label, got_lhs, got_rhs) in zip(points, report.points[21:]):
-            assert label == str(pt)
+        for pt, (row_pt, got_lhs, got_rhs) in zip(points, report.points[21:]):
+            assert row_pt == pt
             assert got_lhs == lhs(pt.codes), (report.kind, pt)
             assert got_rhs == (tm(pt.codes) and tn(pt.codes)), (report.kind, pt)
         assert {row[1] for row in report.points[21:]} == {True, False}
 
 
 def _count_ranks(monkeypatch):
-    """The degree of the field of every fq_rank call from now on."""
-    ranked = []
-    fq_rank = linalg.fq_rank
+    """The degree of the field of every rank taken from now on, counted
+    once whichever route takes it: a call of fq_rank, or one of
+    linalg.sparse_rank from outside fq_rank (the point tester's sparse
+    route)."""
+    ranked, inside = [], []
+    fq_rank, sparse_rank = linalg.fq_rank, linalg.sparse_rank
 
     def counted(coeffs, desc, stop_at=None):
         ranked.append(desc.deg)
-        return fq_rank(coeffs, desc, stop_at)
+        inside.append(True)
+        try:
+            return fq_rank(coeffs, desc, stop_at)
+        finally:
+            inside.pop()
+
+    def counted_sparse(rows, desc, stop_at=None):
+        if not inside:
+            ranked.append(desc.deg)
+        return sparse_rank(rows, desc, stop_at)
 
     monkeypatch.setattr(linalg, "fq_rank", counted)
+    monkeypatch.setattr(linalg, "sparse_rank", counted_sparse)
     return ranked
 
 
@@ -927,15 +998,81 @@ def test_sampling_ranks_sparse_operators_on_lists(p, r, e_max, monkeypatch):
     monkeypatch.setattr(linalg, "_zech_kernel", refuse)
     monkeypatch.setattr(linalg, "int_rank", refuse)
     routes = []
-    for name in ("int_pivots", "_log_rank_lists"):
-        def record(*args, _name=name, _route=getattr(linalg, name)):
-            routes.append(_name)
-            return _route(*args)
-        monkeypatch.setattr(linalg, name, record)
+
+    def record(rows, desc, stop_at=None, _route=linalg.sparse_rank):
+        routes.append(("sparse_rank", desc.deg > 1))
+        return _route(rows, desc, stop_at)
+
+    monkeypatch.setattr(linalg, "sparse_rank", record)
     desc = support_sample(mod, e_max)
     assert len(desc.sampled) == sum(len(support._new_points(spec.base, r, e)[0])
                                     for e in range(1, e_max + 1))
-    assert set(routes) == {"int_pivots", "_log_rank_lists"}
+    # residues over F_p, Zech logs over its extensions
+    assert set(routes) == {("sparse_rank", False), ("sparse_rank", True)}
+
+
+class _NoNumpy:
+    """Stands in for numpy in the package's modules: any use raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used at a point")
+
+
+def test_point_tester_route_per_module_and_field(monkeypatch):
+    # the route is chosen once per (module, field): benchmark-shaped sparse
+    # modules are summed and ranked with no numpy call per point, the dense
+    # _dense_full_support keeps the numpy formation and fq_rank, and past a
+    # lowered ZECH_MAX_ORDER the sparse module takes the numpy route with
+    # no Zech table of F_16 and the same verdicts
+    spec = make_spec(2, 3)
+    rng = random.Random("tester-routes")
+    parts = [_shift_block(spec, 1, rng), _shift_block(spec, 2, rng), free_module(spec, 1)]
+    sparse, _ = _monomial(_direct_sum(parts), rng)
+    dense = _dense_full_support(spec, 1, rng)
+    fields_ = [support._sampling_field(spec.base, e) for e in (1, 2, 4)]
+    points = {K: [pt.codes for pt in support._new_points(spec.base, 3, K.deg)[0]]
+              for K in fields_}
+    calls = []
+    for name in ("sparse_combination", "fq_rank"):
+        def record(*args, _name=name, _route=getattr(linalg, name), **kwargs):
+            calls.append(_name)
+            return _route(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, record)
+    verdicts = {}
+    for K in fields_:
+        oracle = _block_point_tester(sparse, K)
+        calls.clear()
+        tester = support._point_tester(sparse, K)
+        assert calls == ["sparse_combination"]
+        with monkeypatch.context() as m:
+            for module in (support, linalg, fields):
+                m.setattr(module, "np", _NoNumpy())
+            verdicts[K] = [tester(codes) for codes in points[K]]
+        assert verdicts[K] == [oracle(codes) for codes in points[K]], K
+        assert calls == ["sparse_combination"]  # and no fq_rank
+        calls.clear()
+        tester = support._point_tester(dense, K)
+        assert calls == []
+        assert all(tester(codes) for codes in points[K])
+        assert calls == ["fq_rank"] * len(points[K])
+    assert {v for K in fields_ for v in verdicts[K]} == {True, False}
+
+    def refuse(desc):
+        raise AssertionError(f"Zech tables built for {desc}")
+
+    # the sparse route's tables (linalg._sparse_arithmetic) are cached, so
+    # both they and the Zech tables they come from are refused past F_8
+    for module, name in ((linalg, "_sparse_arithmetic"), (fields, "zech_tables")):
+        monkeypatch.setattr(module, name, lambda desc, _build=getattr(module, name):
+                            refuse(desc) if desc.order > 8 else _build(desc))
+    monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
+    for K in fields_:
+        calls.clear()
+        tester = support._point_tester(sparse, K)
+        assert [tester(codes) for codes in points[K]] == verdicts[K]
+        sparse_route = K.order <= 8
+        assert calls == (["sparse_combination"] if sparse_route
+                         else ["fq_rank"] * len(points[K])), K
 
 
 def test_partition_is_kept_off_modules_of_dimension_prime_to_p():
