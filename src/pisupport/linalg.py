@@ -5,7 +5,8 @@ entry coordinates over F_p, and its arithmetic is numpy arithmetic mod p in
 the regular representation: multiplication by a scalar is an e x e matrix
 over F_p (fields.scalar_matrix, from fields.companion_powers), and a product
 multiplies the F_p block matrix of one factor (blockify) into the
-coordinate columns of the other.  The array is the matrix's only value:
+coordinate columns of the other (fp_matmul: float64 BLAS below 2^53, so
+nothing is rounded, int64 past it).  The array is the matrix's only value:
 FieldElement entries, even those it was built from, are rebuilt from it
 only when something reads them.  Every rank over a finite field is fq_rank
 or, for the point tester's sums N(a) = sum a_i Z_i, sparse_rank:
@@ -210,6 +211,7 @@ class Matrix:
         return Matrix(desc, [[x * a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
+        """Matrix product; over a finite field one fp_matmul (see blockify)."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -218,7 +220,7 @@ class Matrix:
             # the e x e blocks of self act on the coordinate columns of other
             n, m, e = self.rows, self.cols, desc.deg
             coords = coeff_array(other).transpose(0, 2, 1).reshape(m * e, other.cols)
-            prod = blockify(coeff_array(self), desc) @ coords % desc.p
+            prod = fp_matmul(blockify(coeff_array(self), desc), coords, desc.p)
             return Matrix._from_coeffs(
                 desc, prod.reshape(n, e, other.cols).transpose(0, 2, 1))
         z = FieldElement.zero(desc)
@@ -236,9 +238,9 @@ class Matrix:
         return Matrix(desc, out)
 
     def power(self, k):
-        """self^k for k >= 0.  Over a finite field, k - 1 products of the
-        F_p block matrix of self with the (n*e, n) coordinate columns of
-        the current power."""
+        """self^k for k >= 0.  Over a finite field, k - 1 fp_matmul
+        products of the F_p block matrix of self with the (n*e, n)
+        coordinate columns of the current power."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
         if k < 0:
@@ -250,7 +252,7 @@ class Matrix:
             block = blockify(coeffs, desc)
             out = coeffs.transpose(0, 2, 1).reshape(n * e, n)
             for _ in range(k - 1):
-                out = block @ out % desc.p
+                out = fp_matmul(block, out, desc.p)
             return Matrix._from_coeffs(desc, out.reshape(n, e, n).transpose(0, 2, 1))
         out = Matrix.identity(desc, self.rows)
         for _ in range(k):
@@ -276,15 +278,18 @@ class Matrix:
 
 
 def kron(a, b):
-    """Kronecker product; index (i,j) of the result is i*b.rows + j."""
+    """Kronecker product; index (i,j) of the result is i*b.rows + j.  Over
+    F_p the outer product of the two residue arrays."""
     a._check(b)
     desc = a.desc
     if desc.is_finite:
-        # coordinates of a_ik * b_jl = (sum_c a_ikc W^c) b_jl
-        prod = np.einsum("ikc,cab,jlb->ijkla", coeff_array(a),
-                         companion_powers(desc), coeff_array(b)) % desc.p
-        return Matrix._from_coeffs(
-            desc, prod.reshape(a.rows * b.rows, a.cols * b.cols, desc.deg))
+        x, y = coeff_array(a), coeff_array(b)
+        if desc.deg == 1:  # the outer product of the residues
+            prod = x[:, None, :, None] * y[None, :, None]
+        else:  # coordinates of a_ik * b_jl = (sum_c a_ikc W^c) b_jl
+            prod = np.einsum("ikc,cab,jlb->ijkla", x, companion_powers(desc), y)
+        return Matrix._from_coeffs(desc, prod.reshape(
+            a.rows * b.rows, a.cols * b.cols, desc.deg) % desc.p)
     return Matrix(desc, [[x * y for x in ra for y in rb]
                          for ra in a.entries for rb in b.entries])
 
@@ -355,11 +360,33 @@ def coeff_array(mat):
 
 
 def blockify(coeffs, desc):
-    """(n*e, m*e) F_p block matrix from an (n, m, e) coordinate array."""
+    """(n*e, m*e) F_p block matrix from an (n, m, e) coordinate array
+    reduced mod p; over F_p the array itself, reshaped to (n, m)."""
     n, m, e = coeffs.shape
+    if e == 1:
+        return coeffs.reshape(n, m)
     powers = companion_powers(desc)
     block = np.einsum("uvj,jab->uavb", coeffs, powers)
     return block.reshape(n * e, m * e) % desc.p
+
+
+#: float64 carries every integer below 2^53 exactly
+FLOAT_EXACT = 1 << 53
+
+
+def fp_matmul(a, b, p):
+    """a @ b mod p for int64 arrays of residues in [0, p).  Each partial sum
+    is an integer of at most k(p - 1)^2, k the inner dimension: below 2^53
+    float64 holds it exactly in any order of summation, so the product runs
+    on float64 BLAS (Dumas, Giorgi and Pernet, ACM TOMS 2008), and past
+    that bound in int64, whose matmul has no BLAS."""
+    if a.shape[-1] * (p - 1) ** 2 < FLOAT_EXACT:
+        return _float_product(a, b) % p
+    return a @ b % p
+
+
+def _float_product(a, b):
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def blockify_lists(coeffs, desc):
@@ -694,33 +721,25 @@ def sparse_rank(rows, desc, stop_at=None):
     return len(pivots)
 
 
-def sparse_combination(codes, src, desc):
+def sparse_combination(by_gen, src, desc):
     """Function from the element codes (FieldDescriptor.sto_code) of
     a_1..a_r to the rows of N(a) = sum a_i Z_i over the finite field
     ``desc``, of order at most ZECH_MAX_ORDER, as sparse_rank takes them.
-    ``codes`` holds the (n, n) arrays of the element codes (element_codes)
-    of Z_1..Z_r over the field ``src``, which ``desc`` refines.  Their
-    nonzero entries are read once, as values in ``desc`` by generator and
-    row; at a point each row of N(a) is summed from them with no numpy
-    call, and entries that cancel are dropped."""
+    ``by_gen`` holds the nonzero entries of Z_1..Z_r over the field ``src``,
+    which ``desc`` refines, as reps.nonzero_codes reads them.  Their codes
+    are embedded once, as values in ``desc``; at a point each row of N(a)
+    is summed from them with no numpy call, and entries that cancel are
+    dropped."""
     value, _, add = _sparse_arithmetic(desc)
-    entries = []
-    for c in codes:
-        u, v = c.nonzero()
-        entries.append(list(zip(u.tolist(), v.tolist(), c[u, v].tolist())))
     if src == desc:
         image = value
     else:
         emb = fields._scalar_embedding(src, desc)
         image = {x: value[desc.sto_code(emb(src.sfrom_code(x)))]
-                 for x in {x for gen in entries for _, _, x in gen}}
-    by_gen = []
-    for gen in entries:
-        rows = {}
-        for a, b, x in gen:
-            rows.setdefault(a, []).append((b, image[x]))
-        by_gen.append(list(rows.items()))
-    n = codes[0].shape[0]
+                 for x in {x for gen in by_gen for row in gen for _, x in row}}
+    n = len(by_gen[0])
+    by_gen = [[(a, [(b, image[x]) for b, x in row])
+               for a, row in enumerate(gen) if row] for gen in by_gen]
 
     def combine(point):
         rows = [{} for _ in range(n)]

@@ -7,6 +7,9 @@ on the rank-one free module with all Jordan blocks of size p, which is
 exactly freeness of the restricted regular representation.
 """
 
+from functools import lru_cache, reduce
+from operator import matmul
+
 from . import fields, linalg, reps
 from .errors import (
     AllCoefficientsZero,
@@ -87,9 +90,14 @@ def _split_image(spec, K, image):
 def flatness_certificate(spec, K, linear, higher) -> bool:
     """Jordan type of the image acting on the rank-one free module over K
     is [p,...,p]; equivalently the restricted regular module is free."""
-    free = reps.base_change(reps.free_module(spec, 1), K)
-    op = _image_matrix(spec, K, linear, higher, free.Z)
+    op = _image_matrix(spec, K, linear, higher, _regular_module(spec, K).Z)
     return linalg.is_full(op, spec.p)
+
+
+@lru_cache(maxsize=None)
+def _regular_module(spec, K):
+    """The rank-one free module over K, which every certificate over K reads."""
+    return reps.base_change(reps.free_module(spec, 1), K)
 
 
 def _image_matrix(spec, K, linear, higher, Z):
@@ -98,11 +106,8 @@ def _image_matrix(spec, K, linear, higher, Z):
     for i, a in enumerate(linear):
         if a:
             acc = acc + Z[i].scale(a)
-    for exps, coeff in sorted(higher.items()):
-        term = linalg.Matrix.identity(K, n)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term @ Z[i]
+    for exps, coeff in sorted(higher.items()):  # of total degree >= 2
+        term = reduce(matmul, [Z[i] for i, e in enumerate(exps) for _ in range(e)])
         acc = acc + term.scale(coeff)
     return acc
 

@@ -63,9 +63,10 @@ def make_spec(p, r, flavors=None, base=None):
 
 class ModuleRep:
     """A finite-dimensional module: r commuting p-nilpotent matrices.  Its
-    partition into blocks (see blocks) is kept once found."""
+    partition into blocks (see blocks) and its nonzero entries (see
+    nonzero_codes) are kept once found."""
 
-    __slots__ = ("spec", "n", "Z", "name", "_blocks")
+    __slots__ = ("spec", "n", "Z", "name", "_blocks", "_nonzeros")
 
     def __init__(self, spec, Z, name=None, _checked=False, _blocks=None):
         Z = tuple(Z)
@@ -82,6 +83,7 @@ class ModuleRep:
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_blocks", _blocks)
+        object.__setattr__(self, "_nonzeros", None)
         if not _checked:
             violations = validate(self)
             if violations:
@@ -200,6 +202,23 @@ def blocks(mod):
             comps.setdefault(c, []).append(i)
         object.__setattr__(mod, "_blocks", tuple(map(tuple, comps.values())))
     return mod._blocks
+
+
+def nonzero_codes(mod):
+    """(by_gen, size) over a finite base: by_gen[i][a] lists the (column,
+    element code) pairs of the nonzero entries in row a of Z_i, and size
+    counts the positions where some Z_i is nonzero.  Kept on the module."""
+    if mod._nonzeros is None:
+        codes = [linalg.element_codes(linalg.coeff_array(z), mod.spec.base)
+                 for z in mod.Z]
+        by_gen = [[[] for _ in range(mod.n)] for _ in codes]
+        for rows, c in zip(by_gen, codes):
+            u, v = c.nonzero()
+            for a, b, x in zip(u.tolist(), v.tolist(), c[u, v].tolist()):
+                rows[a].append((b, x))
+        # codes are nonnegative, so their sum is nonzero on the union
+        object.__setattr__(mod, "_nonzeros", (by_gen, np.count_nonzero(sum(codes))))
+    return mod._nonzeros
 
 
 def summand(mod, block):

@@ -231,29 +231,26 @@ def _point_tester(mod, K):
     n - n/p.  The route is chosen once per (module, field).  When the union
     of the nonzero patterns of the Z_i has at most
     linalg.SPARSE_ROW_NONZEROS * n entries and K has at most
-    linalg.ZECH_MAX_ORDER elements, the nonzero entries of the Z_i are read
-    over the base and embedded into K once, and at each point N(a) is summed
-    from them as rows of dicts (linalg.sparse_combination) and ranked by
-    linalg.sparse_rank, with no numpy call.  Otherwise the generators of the
-    base change of mod to K (reps.base_change, the identity on a module
-    already over K, such as a coinduced one) are one (n, n, r*e)
-    coordinate array, the F_p digits of the codes times the powers of the
-    generator of K (fields.companion_powers) are the F_p matrices of
-    multiplication by the a_i, one more product gives N(a), and
-    linalg.fq_rank ranks it.  The tests check both routes against the rank
-    of N(a)^{p-1} on the ne x ne block matrix over F_p at every sampled
-    point.
+    linalg.ZECH_MAX_ORDER elements, the nonzero entries of the Z_i, read
+    over the base once per module (reps.nonzero_codes), are embedded into
+    K, and at each point N(a) is summed from them as rows of dicts
+    (linalg.sparse_combination) and ranked by linalg.sparse_rank, with no
+    numpy call.  Otherwise the generators of the base change of mod to K
+    (reps.base_change, the identity on a module already over K) are one
+    (n, n, r*e) coordinate array, the F_p digits of the codes times the
+    powers of the generator of K (fields.companion_powers) are the F_p
+    matrices of multiplication by the a_i, one more product
+    (linalg.fp_matmul) gives N(a), and linalg.fq_rank ranks it.  The tests
+    check both routes against the rank of N(a)^{p-1} on the ne x ne block
+    matrix over F_p at every sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
     if n % p or _has_block_prime_to_p(mod):
         return lambda codes: True
     target = n - n // p
-    base = mod.spec.base
-    entries = [linalg.element_codes(linalg.coeff_array(z), base) for z in mod.Z]
-    # codes are nonnegative, so their sum is nonzero on the union of patterns
-    if (K.order <= linalg.ZECH_MAX_ORDER
-            and np.count_nonzero(sum(entries)) <= linalg.SPARSE_ROW_NONZEROS * n):
-        combine = linalg.sparse_combination(entries, base, K)
+    by_gen, pattern = reps.nonzero_codes(mod)
+    if K.order <= linalg.ZECH_MAX_ORDER and pattern <= linalg.SPARSE_ROW_NONZEROS * n:
+        combine = linalg.sparse_combination(by_gen, mod.spec.base, K)
         return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
     # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
     # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
@@ -264,7 +261,7 @@ def _point_tester(mod, K):
 
     def tester(codes):
         digits = np.array(codes, dtype=np.int64)[:, None] // place % p
-        acc = gens @ (digits @ powers).reshape(-1, e) % p
+        acc = linalg.fp_matmul(gens, (digits @ powers).reshape(-1, e) % p, p)
         return linalg.fq_rank(acc, K, stop_at=target) != target
 
     return tester

@@ -357,6 +357,78 @@ def test_rank_past_the_zech_bound_builds_no_tables(monkeypatch, rng):
 
 
 # ---------------------------------------------------------------------------
+# exact products mod p
+
+
+def _python_product(a, b, p):
+    """a @ b mod p in Python integers."""
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+@EIGHT_FIELDS
+def test_fp_matmul_both_routes_match_python_integers(p, e, monkeypatch):
+    # the block matrix of a product is the product of the block matrices;
+    # inner dimensions reach 40 entries, 40e rows of the block matrix
+    desc = canonical_extension(p, e)
+    gen = np.random.default_rng(10 * p + e)
+    taken = []
+
+    def record(a, b, _route=linalg._float_product):
+        taken.append(a.shape[-1])
+        return _route(a, b)
+
+    monkeypatch.setattr(linalg, "_float_product", record)
+    for bound in (linalg.FLOAT_EXACT, 0):  # 0 sends every product to int64
+        monkeypatch.setattr(linalg, "FLOAT_EXACT", bound)
+        taken.clear()
+        for rows, inner, cols in ((1, 1, 1), (3, 8, 5), (17, 40, 12)):
+            left, right, square = (
+                from_coeff_array(desc, _sparse_coeffs(gen, desc, n, m, 0.3))
+                for n, m in ((rows, inner), (inner, cols), (rows, rows)))
+            want = _python_product(blockify(coeff_array(left), desc),
+                                   blockify(coeff_array(right), desc), p)
+            assert np.array_equal(blockify(coeff_array(left @ right), desc), want)
+            block = blockify(coeff_array(square), desc)
+            want = _python_product(_python_product(block, block, p), block, p)
+            assert np.array_equal(blockify(coeff_array(square.power(3)), desc), want)
+        assert max(taken, default=0) == (40 * e if bound else 0)
+
+
+#: a prime with k(p - 1)^2 >= 2^53 > k(p - 2)^2 at k = 52
+BOUNDARY_P, BOUNDARY_K = 13161133, 52
+
+
+def test_fp_matmul_past_the_bound_is_exact():
+    p, k = BOUNDARY_P, BOUNDARY_K
+    assert k * (p - 1) ** 2 >= 2 ** 53 > k * (p - 2) ** 2
+    # entries p - 1 give products divisible by 4, which float64 holds up to
+    # 2^55; one term (p - 2)^2 makes a sum odd and above 2^53, which a
+    # float product rounds
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    a[1, -1] = p - 2
+    want = _python_product(a, a.T, p)
+    assert not np.array_equal(linalg._float_product(a, a.T) % p, want)
+    assert np.array_equal(linalg.fp_matmul(a, a.T, p), want)
+    # one column fewer is below the bound: the float route, exact
+    assert np.array_equal(linalg.fp_matmul(a[:, 1:], a.T[1:], p),
+                          _python_product(a[:, 1:], a.T[1:], p))
+
+
+def test_fp_matmul_takes_the_float_route_only_below_the_bound(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("float route")
+
+    monkeypatch.setattr(linalg, "_float_product", refuse)
+    # 65537 - 1 = 2^16, so k = 2^21 puts k(p - 1)^2 on 2^53 itself; the
+    # operands are broadcast views, with no 2^21 entries stored
+    for p, k in ((65537, 1 << 21), (BOUNDARY_P, BOUNDARY_K)):
+        a = np.broadcast_to(np.int64(p - 1), (1, k))
+        with pytest.raises(AssertionError, match="float route"):
+            linalg.fp_matmul(a[:, 1:], a.T[1:], p)
+        assert linalg.fp_matmul(a, a.T, p).tolist() == [[k * (p - 1) ** 2 % p]]
+
+
+# ---------------------------------------------------------------------------
 # kernel
 
 
