@@ -1280,14 +1280,15 @@ def _monomial_split(op):
 def _operator_cases():
     """Modules whose N(s)^{p-1} is split both ways: Klein M2, M4, M6, seeded
     random modules at (p, r) = (2, 3), (3, 2), (3, 3), (5, 2) in a dense
-    basis, modules over F_4, and modules over F_p(t) with t in their
-    entries."""
+    basis, modules over F_4 and, at p = 3 where the expansion multiplies,
+    over F_9, and modules over F_p(t) with t in their entries."""
     rng = random.Random("operator-coeffs")
     mods = [klein_truncation(k) for k in (2, 4, 6)]
     for p, r in ((2, 3), (3, 2), (3, 3), (5, 2)):
         mods += [conjugated(random_module(rng, make_spec(p, r), max_dim=10), rng)
                  for _ in range(3)]
     mods += _oracle_modules(rng, make_spec(2, 3, base=F4), 2)
+    mods += _oracle_modules(rng, make_spec(3, 2, base=F9), 2)
     for p in (2, 3):
         base = make_field(p, vars=("t",))
         mods += _oracle_modules(rng, make_spec(p, 2, base=base), 2,
