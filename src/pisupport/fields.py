@@ -118,6 +118,11 @@ class FieldDescriptor:
         """Number of elements of the finite part."""
         return self.p ** self.deg
 
+    @property
+    def finite_part(self):
+        """F_p[w]/(ext) with the transcendentals dropped."""
+        return FieldDescriptor(self.p, self.ext, ())
+
     # -- scalar arithmetic on coefficient tuples ---------------------------
 
     def szero(self):

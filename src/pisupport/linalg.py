@@ -19,17 +19,18 @@ eliminated by sparse_rank, which inserts each row into the pivot rows
 found so far and touches only nonzero entries; sparse_combination sums
 N(a) in that form from the generators' nonzero entries, with no numpy
 call per point.  Denser matrices are eliminated in numpy, and the support
-ideal's small dense pivot stacks on lists (int_pivots).  fq_rank
-eliminates the block matrix only past ZECH_MAX_ORDER, where the tables
-would outweigh the elimination; below it the block elimination is kept
-only in the tests, as the oracle.  Rank in the presence of transcendentals
-uses fraction-free (Bareiss) elimination on polynomial entries, so no
-multivariate gcd is ever needed.  Pivoting always takes the first nonzero
-entry in column order, which keeps intermediate polynomials, and therefore
-all reports, reproducible.  Minors are taken by a division-free Laplace
-expansion on the monomial coefficients of the entries (PolyMatrix), also
-on lists of Python integers, since their matrices have a few hundred
-entries at most.
+ideal's small dense pivot stacks, blockified in numpy, on lists of Python
+integers (int_pivots).  fq_rank eliminates the block matrix only past
+ZECH_MAX_ORDER, where the tables would outweigh the elimination; below it
+the block elimination is kept only in the tests, as the oracle.  Rank in
+the presence of transcendentals uses fraction-free (Bareiss) elimination on
+polynomial entries, so no multivariate gcd is ever needed.  Pivoting
+always takes the first nonzero entry in column order, which keeps
+intermediate polynomials, and therefore all reports, reproducible.  A matrix of polynomials is one coefficient
+array by monomial (PolyMatrix), and its minors are taken by a
+division-free Laplace expansion on those coefficients, read once into
+lists of Python integers (_expand_row), since their matrices have a few
+hundred entries at most and each step is a few integer operations.
 """
 
 import itertools
@@ -387,19 +388,6 @@ def fp_matmul(a, b, p):
 
 def _float_product(a, b):
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-
-
-def blockify_lists(coeffs, desc):
-    """Rows of blockify(coeffs) for an (n, m, e) coordinate array given as
-    nested lists, in Python integers: for the few small matrices of the
-    support ideal this is cheaper than a round trip through numpy."""
-    p, e = desc.p, desc.deg
-    if e == 1:
-        return [[x[0] % p for x in row] for row in coeffs]
-    powers = companion_powers(desc).tolist()
-    return [[sum(c * powers[j][a][b] for j, c in enumerate(x)) % p
-             for x in row for b in range(e)]
-            for row in coeffs for a in range(e)]
 
 
 def to_block_int(mat):
@@ -893,31 +881,36 @@ def kernel_basis(mat):
 class PolyMatrix:
     """rows x cols matrix of polynomials sum_b m_b C_b over a descriptor:
     the monomial m_b in its transcendentals has exponent vector exps[b], and
-    coeffs[b] is the constant matrix C_b over the finite part as nested
-    lists [row][col][coordinate] of integers mod p."""
+    coeffs[b] is the constant matrix C_b over the finite part, so coeffs is
+    one (len(exps), rows, cols, e) int64 array of coordinates mod p.  Only
+    minors reads it into lists, once, for its Laplace expansion."""
 
     desc: object
     rows: int
     cols: int
     exps: tuple
-    coeffs: list
+    coeffs: np.ndarray
 
     @classmethod
     def from_matrix(cls, mat):
         """Split a Matrix entry by entry into its monomial coefficients;
-        NonPolynomialEntry for an entry with a denominator."""
+        NonPolynomialEntry for an entry with a denominator.  Over a finite
+        field the one coefficient is a view of the matrix's own array."""
         desc = mat.desc
         if desc.is_finite:
-            return cls(desc, mat.rows, mat.cols, ((),), [coeff_array(mat).tolist()])
+            return cls(desc, mat.rows, mat.cols, ((),), coeff_array(mat)[None])
         split = {}
         for i, row in enumerate(mat.entries):
             for j, x in enumerate(row):
                 if not x.is_polynomial():
                     raise NonPolynomialEntry("matrix entry has a denominator")
                 for exps, coeff in x.num.terms.items():
-                    split.setdefault(exps, [[[0] * desc.deg for _ in range(mat.cols)]
-                                            for _ in range(mat.rows)])[i][j] = list(coeff)
-        return cls(desc, mat.rows, mat.cols, tuple(split), list(split.values()))
+                    split.setdefault(exps, []).append((i, j, coeff))
+        coeffs = np.zeros((len(split), mat.rows, mat.cols, desc.deg), dtype=np.int64)
+        for cb, terms in zip(coeffs, split.values()):
+            for i, j, coeff in terms:
+                cb[i, j] = coeff
+        return cls(desc, mat.rows, mat.cols, tuple(split), coeffs)
 
 
 def minors(mat, size):
@@ -942,11 +935,11 @@ def minors(mat, size):
     if not isinstance(mat, PolyMatrix):
         mat = PolyMatrix.from_matrix(mat)
     desc, p, e = mat.desc, mat.desc.p, mat.desc.deg
-    fin = fields.FieldDescriptor(p, desc.ext, ())
+    fin = desc.finite_part
     # entry (r, c) as a dense list over the monomials b + (a,) = m_b w^a
     exps = [b + (a,) for b in mat.exps for a in range(e)]
-    grid = [[[x for cb in mat.coeffs for x in cb[r][c]] for c in range(mat.cols)]
-            for r in range(mat.rows)]
+    grid = np.moveaxis(mat.coeffs, 0, 2).reshape(
+        mat.rows, mat.cols, len(mat.exps) * e).tolist()
     # levels[j]: monomials of the j x j minors; lands[j][u][v]: position in
     # levels[j + 1] of levels[j][u] times exps[v]
     levels, lands = [[(0,) * (desc.nvars + 1)]], []

@@ -63,17 +63,17 @@ The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
 rank is at most the sum of the floor(n_c/p), below n/p, so every such minor
 vanishes and the list is empty.  Otherwise the monomial coefficients C_b of
-the whole operator are formed by a word expansion of the power, the pivot
-submatrix op[I, J] has the same ideal of minors (Cauchy-Binet), and its
-minors are taken by Laplace expansion on coefficient lists (linalg.minors).
-The matrices of this path are at most 12 x 12, so it runs on lists of
-Python integers: numpy's fixed cost per call outweighs the arithmetic, and
-over a finite base every step does the same work for every module of a
-given n, p and r.
+the whole operator are formed by a word expansion of the power in Matrix
+arithmetic, one code path for every base, and kept as coefficient arrays;
+the pivot submatrix op[I, J] has the same ideal of minors (Cauchy-Binet),
+and its minors are taken by Laplace expansion (linalg.minors).  Two steps
+run on lists of Python integers, as the matrices of this path are at most
+12 x 12 and numpy's fixed cost per call outweighs their arithmetic: the
+elimination of the blockified pivot stacks (linalg.int_pivots) and the
+expansion of the minors (linalg._expand_row).
 """
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -500,7 +500,7 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     of N(s)^{p-1} where N(s) = s_1 Z_1 + ... + s_r Z_r.
 
     The monomial coefficients C_b of N(s)^{p-1} are formed as coordinate
-    lists (_operator_coeffs).  Only the minors of the pivot submatrix
+    arrays (_operator_coeffs).  Only the minors of the pivot submatrix
     op[I, J] (see _pivot_submatrix) are taken, on its coefficients
     (linalg.PolyMatrix), and a minor that is a nonzero scalar multiple of
     one already kept is dropped.  Both generate the same ideal as the full
@@ -540,48 +540,29 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
 
 
 def _operator_coeffs(mod):
-    """The C_b of N(s)^{p-1} = sum_b m_b C_b as (n, n, e) nested lists of
-    coordinates over the finite part, keyed by the exponents of m_b in the
-    base's variables and s.
+    """The C_b of N(s)^{p-1} = sum_b m_b C_b as (n, n, e) int64 coordinate
+    arrays over the finite part, keyed by the exponents of m_b in the base's
+    variables and s.
 
-    P_1 = {e_i: Z_i} and P_{j+1}[a + e_i] sums the Z_i P_j[a]; this uses
-    only N^{j+1} = N N^j, so the Z_i need not commute.  Over a finite base
-    the products run on the F_p block matrices (blockify) as lists of
-    Python integers, every monomial of degree p - 1 in s keeps its C_b, zero
-    or not, and the work depends on n, p and r only.  Over a base with
-    transcendentals the products run on boxed entries, and each word is
-    split by monomials in the base's variables through
-    linalg.PolyMatrix.from_matrix (NonPolynomialEntry for an entry with a
-    denominator); only monomials that occur are kept.
+    P_1 = {e_i: Z_i} and P_{j+1}[a + e_i] sums the Z_i P_j[a], in Matrix
+    arithmetic over the base; this uses only N^{j+1} = N N^j, so the Z_i
+    need not commute.  Each word is split by monomials in the base's
+    variables through linalg.PolyMatrix.from_matrix (NonPolynomialEntry for
+    an entry with a denominator).  Over a finite base that split is the
+    word's own coefficient array, so every monomial of degree p - 1 in s
+    keeps its C_b, zero or not, and the work depends on n, p and r only;
+    over a base with transcendentals only the monomials that occur are kept.
     """
-    n, r, base = mod.n, mod.spec.r, mod.spec.base
-    p, e = base.p, base.deg
-    if base.is_finite:
-        zs = [linalg.blockify_lists(linalg.coeff_array(z).tolist(), base) for z in mod.Z]
-
-        def product(a, b):
-            cols = list(zip(*b))
-            return [[sum(map(operator.mul, row, col)) % p for col in cols]
-                    for row in a]
-
-        def add(a, b):
-            return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    else:
-        zs, product, add = mod.Z, operator.matmul, operator.add
-    words = {tuple(int(j == i) for j in range(r)): z for i, z in enumerate(zs)}
+    r, p = mod.spec.r, mod.spec.p
+    words = {tuple(int(j == i) for j in range(r)): z for i, z in enumerate(mod.Z)}
     for _ in range(p - 2):
         nxt = {}
         for alpha, c in words.items():
-            for i, z in enumerate(zs):
+            for i, z in enumerate(mod.Z):
                 beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                prod = product(z, c)
-                nxt[beta] = add(nxt[beta], prod) if beta in nxt else prod
+                prod = z @ c
+                nxt[beta] = nxt[beta] + prod if beta in nxt else prod
         words = nxt
-    if base.is_finite:
-        # the coordinates of entry (u, v) are the first column of its block
-        return {alpha: [[[blk[u * e + a][v * e] for a in range(e)] for v in range(n)]
-                        for u in range(n)]
-                for alpha, blk in words.items()}
     coeffs = {}
     for alpha, c in words.items():
         split = linalg.PolyMatrix.from_matrix(c)
@@ -600,24 +581,28 @@ def _pivot_submatrix(K, coeffs):
     op = L^T op[I, :] in the same way.  So op = L^T op[I, J] R, and by
     Cauchy-Binet every k-minor of op is a constant combination of k-minors
     of op[I, J], which are themselves k-minors of op.  Pivot columns depend
-    only on the row space of a stack, not on the order of its blocks.
+    only on the row space of a stack, not on the order of its blocks.  The
+    C_b are stacked once, and op[I, J] is cut from the stack by indexing.
     """
     if not coeffs:
-        return linalg.PolyMatrix(K, 0, 0, (), [])
-    fin = _finite_part(K)
-    mats = list(coeffs.values())
-    rows = _pivot_lines([list(zip(*c)) for c in mats], fin)
-    cols = _pivot_lines(mats, fin)
+        empty = np.zeros((0, 0, 0, K.deg), dtype=np.int64)
+        return linalg.PolyMatrix(K, 0, 0, (), empty)
+    fin = K.finite_part
+    stack = np.stack(list(coeffs.values()))
+    rows = _pivot_lines(stack.transpose(0, 2, 1, 3), fin)
+    cols = _pivot_lines(stack, fin)
     return linalg.PolyMatrix(K, len(rows), len(cols), tuple(coeffs),
-                             [[[c[i][j] for j in cols] for i in rows] for c in mats])
+                             stack[:, rows][:, :, cols])
 
 
-def _pivot_lines(mats, fin):
-    """Pivot columns of the vertical stack of (rows, n, e) coordinate lists
-    over the finite field ``fin``.  The F_p columns of column j span the
-    fin-line through it, so F_p pivots come in whole blocks of e."""
-    e = fin.deg
-    block = [row for c in mats for row in linalg.blockify_lists(c, fin)]
+def _pivot_lines(stack, fin):
+    """Pivot columns of the vertical stack of a (k, rows, n, e) coordinate
+    array over the finite field ``fin``.  The F_p columns of column j span
+    the fin-line through it, so F_p pivots come in whole blocks of e.  The
+    block matrix is formed in numpy and eliminated on lists (int_pivots),
+    as a small dense stack costs less there than in numpy's pivot loop."""
+    k, rows, n, e = stack.shape
+    block = linalg.blockify(stack.reshape(k * rows, n, e), fin).tolist()
     return [c // e for c in linalg.int_pivots(block, fin.p) if c % e == 0]
 
 
@@ -626,15 +611,11 @@ def ideal_vanishes_at(gens, pt: ProjPoint) -> bool:
     K = pt.desc
     coords = tuple(K.sfrom_code(c) for c in pt.codes)
     for gen in gens:
-        emb = fields._scalar_embedding(_finite_part(gen.desc), K)
+        emb = fields._scalar_embedding(gen.desc.finite_part, K)
         value = gen.evaluate_scalars(K, coords, emb)
         if any(value):
             return False
     return True
-
-
-def _finite_part(desc):
-    return fields.FieldDescriptor(desc.p, desc.ext, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1264,7 +1264,7 @@ def _ideal_operator(mod):
 def _monomial_split(op):
     """{exponent vector: (n, n, e) coordinate array of its coefficients}
     for a matrix of polynomials, read entry by entry."""
-    fin = support._finite_part(op.desc)
+    fin = op.desc.finite_part
     terms = {}
     for i, row in enumerate(op.entries):
         for j, x in enumerate(row):
@@ -1288,7 +1288,7 @@ def _operator_cases():
         mods += [conjugated(random_module(rng, make_spec(p, r), max_dim=10), rng)
                  for _ in range(3)]
     mods += _oracle_modules(rng, make_spec(2, 3, base=F4), 2)
-    mods += _oracle_modules(rng, make_spec(3, 2, base=F9), 2)
+    mods += _oracle_modules(rng, make_spec(3, 2, base=F9), 3)
     for p in (2, 3):
         base = make_field(p, vars=("t",))
         mods += _oracle_modules(rng, make_spec(p, 2, base=base), 2,
@@ -1310,10 +1310,10 @@ def test_operator_coeffs_match_boxed_split():
         if not split:
             continue
         # the pivot submatrix holds the boxed operator's entries
-        fin = support._finite_part(op.desc)
-        rows = support._pivot_lines(
-            [c.transpose(1, 0, 2).tolist() for c in split.values()], fin)
-        cols = support._pivot_lines([c.tolist() for c in split.values()], fin)
+        fin = op.desc.finite_part
+        stack = np.stack(list(split.values()))
+        rows = support._pivot_lines(stack.transpose(0, 2, 1, 3), fin)
+        cols = support._pivot_lines(stack, fin)
         sub = support._pivot_submatrix(op.desc, coeffs)
         boxed = _monomial_split(
             Matrix(op.desc, [[op.entries[i][j] for j in cols] for i in rows]))
