@@ -857,32 +857,24 @@ def _scalar_embedding(src, dst):
         raise NotARefinement(
             f"degree {src.deg} does not divide degree {dst.deg}"
         )
-    # locate the smallest root of src's extension polynomial in dst
-    root = None
-    for code in range(dst.order):
-        cand = dst.sfrom_code(code)
-        acc = dst.szero()
-        power = dst.sone()
-        for c in src.ext:
-            if c:
-                acc = dst.sadd(acc, tuple((c * t) % dst.p for t in power))
-            power = dst.smul(power, cand)
-        if dst.s_is_zero(acc):
-            root = cand
-            break
-    if root is None:
-        raise NotARefinement("extension polynomial has no root in target")
 
-    def emb(a):
+    def evaluate(coeffs, x):
+        """sum_k coeffs[k] x^k in dst, for coefficients in F_p."""
         acc = dst.szero()
         power = dst.sone()
-        for c in a:
+        for c in coeffs:
             if c:
                 acc = dst.sadd(acc, tuple((c * t) % dst.p for t in power))
-            power = dst.smul(power, root)
+            power = dst.smul(power, x)
         return acc
 
-    return emb
+    # the smallest root of src's extension polynomial in dst, in code order
+    roots = (x for x in map(dst.sfrom_code, range(dst.order))
+             if dst.s_is_zero(evaluate(src.ext, x)))
+    root = next(roots, None)
+    if root is None:
+        raise NotARefinement("extension polynomial has no root in target")
+    return lambda a: evaluate(a, root)
 
 
 def _var_positions(src, dst):

@@ -9,8 +9,9 @@ genuine submodule of the corresponding infinite-dimensional module.
 
 import re
 
+import numpy as np
+
 from . import reps
-from .fields import FieldElement
 from .linalg import Matrix
 
 
@@ -19,21 +20,17 @@ def klein_spec() -> reps.AlgebraSpec:
 
 
 def klein_truncation(n) -> reps.ModuleRep:
-    """M_n: basis u_0..u_{n-1}, v_0..v_{n-1} in that order."""
+    """M_n: basis u_0..u_{n-1}, v_0..v_{n-1} in that order, so x and y
+    map the u block onto the v block by the identity and by the shift
+    u_i -> v_{i-1}, written as two integer arrays."""
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     spec = klein_spec()
-    base = spec.base
-    zero = FieldElement.zero(base)
-    one = FieldElement.one(base)
-    dim = 2 * n
-    zx = [[zero] * dim for _ in range(dim)]
-    zy = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        zx[n + i][i] = one  # x u_i = v_i
-        if i >= 1:
-            zy[n + i - 1][i] = one  # y u_i = v_{i-1}
-    mats = [Matrix(base, zx), Matrix(base, zy)]
+    zx = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    zy = np.zeros_like(zx)
+    zx[n:, :n] = np.eye(n, dtype=np.int64)  # x u_i = v_i
+    zy[n:, :n] = np.eye(n, k=1, dtype=np.int64)  # y u_i = v_{i-1}
+    mats = [Matrix.from_ints(spec.base, z) for z in (zx, zy)]
     return reps.ModuleRep(spec, mats, name=f"klein-M{n}")
 
 

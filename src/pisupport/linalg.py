@@ -62,7 +62,9 @@ class Matrix:
     matrix is built, and arithmetic runs on that array in the regular
     representation of F_{p^e}; the FieldElement entries are built only when
     read.  Over a function field the boxed entries are the only
-    representation.  A matrix with no rows has no columns either.
+    representation.  Every constant matrix (zero, identity, the shifts of
+    the library and random modules) is built from integers by from_ints.
+    A matrix with no rows has no columns either.
     """
 
     __slots__ = ("desc", "rows", "cols", "_entries", "_coeffs")
@@ -111,27 +113,28 @@ class Matrix:
 
     @classmethod
     def zero(cls, desc, rows, cols):
-        if desc.is_finite:
-            return cls._from_coeffs(
-                desc, np.zeros((rows, cols, desc.deg), dtype=np.int64))
-        z = FieldElement.zero(desc)
-        return cls(desc, [[z] * cols for _ in range(rows)])
+        return cls.from_ints(desc, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, desc, n):
-        if desc.is_finite:
-            coeffs = np.zeros((n, n, desc.deg), dtype=np.int64)
-            coeffs[range(n), range(n), 0] = 1
-            return cls._from_coeffs(desc, coeffs)
-        z = FieldElement.zero(desc)
-        o = FieldElement.one(desc)
-        return cls(desc, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_ints(desc, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_ints(cls, desc, rows):
-        return cls(
-            desc, [[FieldElement.from_int(desc, c) for c in row] for row in rows]
-        )
+        """Matrix whose entry (i, j) is the integer rows[i][j] mod p, from
+        nested lists or a 2-d integer array.  Over a finite field the
+        residues are coordinate 0 of the coefficient array and no entry is
+        boxed; over a function field the entries are the shared constants
+        of fields.interned."""
+        ints = np.asarray(rows, dtype=np.int64)
+        if ints.ndim != 2:  # [] has no column axis; np.reshape(0, -1) fails
+            ints = ints.reshape(len(ints), 0)
+        if desc.is_finite:
+            coeffs = np.zeros(ints.shape + (desc.deg,), dtype=np.int64)
+            coeffs[:, :, 0] = ints % desc.p
+            return cls._from_coeffs(desc, coeffs)
+        return cls(desc, [[fields.interned(desc, desc.sfrom_int(c)) for c in row]
+                          for row in ints.tolist()])
 
     @property
     def entries(self):
@@ -207,6 +210,9 @@ class Matrix:
         if desc.is_finite:
             if x.desc != desc:
                 raise FieldMismatch("scalar over the wrong field")
+            if desc.deg == 1:
+                return Matrix._from_coeffs(
+                    desc, coeff_array(self) * x.as_scalar()[0] % desc.p)
             mult = scalar_matrix(desc, x.as_scalar())
             return Matrix._from_coeffs(desc, coeff_array(self) @ mult.T % desc.p)
         return Matrix(desc, [[x * a for a in row] for row in self.entries])

@@ -19,16 +19,17 @@ from . import linalg, reps
 
 def _cyclic_block(rng, spec, max_dim):
     """Cyclic block of dimension q on which each z_i acts as
-    sum_{d >= vmin} c_d N^d, N the shift e_b -> e_{b+1}: the coordinate
-    array is lower triangular Toeplitz, entry (a, b) c_{a-b}."""
+    sum_{d >= vmin} c_d N^d, N the shift e_b -> e_{b+1}: each z_i is the
+    (q, q) lower triangular Toeplitz array with entry (a, b) c_{a-b}, its
+    c_d drawn in order of d."""
     q = rng.randint(2, max(2, min(2 * spec.p, max_dim)))
     vmin = math.ceil(q / spec.p)
     mats = []
     for _ in range(spec.r):
-        coeffs = np.zeros((q, q, spec.base.deg), dtype=np.int64)
+        toeplitz = np.zeros((q, q), dtype=np.int64)
         for d in range(vmin, q):
-            coeffs[range(d, q), range(q - d), 0] = rng.randrange(spec.p)
-        mats.append(linalg.from_coeff_array(spec.base, coeffs))
+            toeplitz[range(d, q), range(q - d)] = rng.randrange(spec.p)
+        mats.append(linalg.Matrix.from_ints(spec.base, toeplitz))
     return reps.ModuleRep(spec, mats, _checked=True)
 
 

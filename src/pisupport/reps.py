@@ -20,7 +20,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .fields import FieldElement, embed
+from .fields import embed
 from .linalg import Matrix
 
 GROUP = "group"
@@ -127,23 +127,23 @@ def trivial_module(spec) -> ModuleRep:
 
 def free_module(spec, g) -> ModuleRep:
     """Free module of rank g; basis indexed by (copy, exponent vector) with
-    exponent vectors in lexicographic order and z_i raising the i-th exponent."""
+    exponent vectors in lexicographic order and z_i raising the i-th exponent.
+
+    Basis vector x is c p^r + sum_i e_i p^(r-1-i) for copy c and exponents
+    e_i, so z_i sends x to x + p^(r-1-i) while e_i < p - 1, and to 0 when
+    e_i = p - 1; each z_i is written as that 0/1 array of size g p^r."""
     if g < 0:
         raise ValueError("rank must be nonnegative")
-    p, r, base = spec.p, spec.r, spec.base
-    # z_i = I_{g p^i} (x) N (x) I_{p^(r-1-i)} with N the shift e -> e + 1
-    if base.is_finite:
-        coeffs = np.zeros((p, p, base.deg), dtype=np.int64)
-        coeffs[range(1, p), range(p - 1), 0] = 1
-        shift = linalg.from_coeff_array(base, coeffs)
-    else:
-        shift = Matrix.from_ints(base, [[int(a == b + 1) for b in range(p)]
-                                        for a in range(p)])
-    mats = [
-        linalg.kron(linalg.kron(Matrix.identity(base, g * p**i), shift),
-                    Matrix.identity(base, p ** (r - 1 - i)))
-        for i in range(r)
-    ]
+    p, r = spec.p, spec.r
+    n = g * p**r
+    x = np.arange(n)
+    mats = []
+    for i in range(r):
+        stride = p ** (r - 1 - i)
+        src = x[x // stride % p < p - 1]
+        z = np.zeros((n, n), dtype=np.int64)
+        z[src + stride, src] = 1
+        mats.append(Matrix.from_ints(spec.base, z))
     return ModuleRep(spec, mats, name=f"free:{g}", _checked=True)
 
 
@@ -153,13 +153,8 @@ def jordan_block_module(spec, u) -> ModuleRep:
         raise SpecMismatch("jordan block modules need r = 1")
     if not 1 <= u <= spec.p:
         raise BlockTooBig(f"block size {u} outside 1..{spec.p}")
-    zero = FieldElement.zero(spec.base)
-    one = FieldElement.one(spec.base)
-    grid = [[zero] * u for _ in range(u)]
-    for i in range(u - 1):
-        grid[i + 1][i] = one
-    return ModuleRep(spec, [Matrix(spec.base, grid)], name=f"jordan:{u}",
-                     _checked=True)
+    shift = Matrix.from_ints(spec.base, np.eye(u, k=-1, dtype=np.int64))
+    return ModuleRep(spec, [shift], name=f"jordan:{u}", _checked=True)
 
 
 def direct_sum(a, b) -> ModuleRep:

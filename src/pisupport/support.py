@@ -393,21 +393,23 @@ def _sampled(spec, degrees, make_decider):
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
     """Verdicts at every sampled closed point plus the generic verdict."""
-    _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
-    desc = SupportDescription(module=mod, e_max=e_max)
-    desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
-                                 lambda K: _point_tester(mod, K)))
-    desc.generic = generic_in_support(mod, budget)
-    return desc
+    return _sample(mod, e_max, budget, lambda x, K: x)
 
 
 def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
     """Cosupport verdicts over the same sample, via coinduction per field."""
+    return _sample(mod, e_max, budget, reps.coinduced)
+
+
+def _sample(mod, e_max, budget, over):
+    """The sampled verdicts of over(mod, K) at the points of each field K,
+    and the generic verdict of mod (for a cosupport, the finite-dimensional
+    fallback)."""
     _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
     desc = SupportDescription(module=mod, e_max=e_max)
     desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
-                                 lambda K: _point_tester(reps.coinduced(mod, K), K)))
-    desc.generic = generic_in_support(mod, budget)  # finite-dimensional fallback
+                                 lambda K: _point_tester(over(mod, K), K)))
+    desc.generic = generic_in_support(mod, budget)
     return desc
 
 
@@ -684,30 +686,9 @@ class FormulaReport:
         return out
 
 
-def _formula_rows(m, e_max, budget, left, right, scanned):
-    """Rows (point, lhs, rhs) at the sampled points of a formula comparing
-    the support of left(K) with supp(m) /\\ supp(right(K)), where left(K) and
-    right(K) are modules over the field K of the point."""
-    def make_decider(K):
-        tl, tm, tr = (_point_tester(x, K) for x in (left(K), m, right(K)))
-        return lambda codes: (tl(codes), tm(codes) and tr(codes))
-
-    _check_enumeration(m.spec.base, m.spec.r, e_max, budget, scanned)
-    return [(pt, lhs, rhs) for pt, (lhs, rhs)
-            in _sampled(m.spec, range(1, e_max + 1), make_decider)]
-
-
 def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:
     """Pointwise comparison of supp(M (x) N) with supp(M) /\\ supp(N)."""
-    if m.spec != n.spec:
-        raise ValueError("modules over different algebras")
-    # the guards fire before the n*m-dimensional product is built
-    _check_enumeration(m.spec.base, m.spec.r, e_max, budget)
-    t = reps.tensor(m, n)
-    rows = _formula_rows(m, e_max, budget, lambda K: t, lambda K: n, [t, m, n])
-    g_lhs = generic_in_support(t, budget)
-    g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
-    return FormulaReport("tensor", t, rows, g_lhs, g_rhs)
+    return _verify_formula("tensor", reps.tensor, lambda x, K: x, m, n, e_max, budget)
 
 
 def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:
@@ -717,16 +698,32 @@ def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport
     each sampled field, then restriction.  At the generic point both
     cosupports use the documented finite-dimensional fallback.
     """
+    return _verify_formula("hom", reps.hom, reps.coinduced, m, n, e_max, budget)
+
+
+def _verify_formula(kind, build, over, m, n, e_max, budget) -> FormulaReport:
+    """Both sides of one formula at every sampled point, as rows (point,
+    lhs, rhs), and at the generic point.  lhs is the verdict of over(t, K)
+    for t = build(m, n), rhs that of m and of over(n, K); over(x, K) is the
+    module over the point's field K whose support is compared: x itself for
+    a support, its coinduced module for a cosupport."""
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
+    base, r = m.spec.base, m.spec.r
     # the guards fire before the n*m-dimensional product is built
-    _check_enumeration(m.spec.base, m.spec.r, e_max, budget)
-    h = reps.hom(m, n)
-    rows = _formula_rows(m, e_max, budget, lambda K: reps.coinduced(h, K),
-                         lambda K: reps.coinduced(n, K), [h, m, n])
-    g_lhs = generic_in_support(h, budget)
+    _check_enumeration(base, r, e_max, budget)
+    t = build(m, n)
+    _check_enumeration(base, r, e_max, budget, [t, m, n])
+
+    def make_decider(K):
+        tl, tm, tr = (_point_tester(x, K) for x in (over(t, K), m, over(n, K)))
+        return lambda codes: (tl(codes), tm(codes) and tr(codes))
+
+    rows = [(pt, lhs, rhs) for pt, (lhs, rhs)
+            in _sampled(m.spec, range(1, e_max + 1), make_decider)]
+    g_lhs = generic_in_support(t, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
-    return FormulaReport("hom", h, rows, g_lhs, g_rhs)
+    return FormulaReport(kind, t, rows, g_lhs, g_rhs)
 
 
 @dataclass

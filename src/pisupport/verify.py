@@ -143,27 +143,29 @@ def suite_flat(rng, spec, trials) -> SuiteResult:
     return res
 
 
-def _random_higher_terms(rng, spec, K, count=2):
+def _random_higher_terms(rng, spec, K):
+    """Two draws of a term of degree >= 2 over K (a repeated exponent
+    keeps its second coefficient)."""
     candidates = [
         e
         for e in itertools.product(range(spec.p), repeat=spec.r)
         if 2 <= sum(e)
     ]
     out = {}
-    for _ in range(count):
+    for _ in range(2):
         exps = rng.choice(candidates)
         code = rng.randrange(K.order)
         out[exps] = FieldElement.from_scalar(K, K.sfrom_code(code))
     return out
 
 
-def suite_perturb(rng, spec, trials, panel_size=10) -> SuiteResult:
+def suite_perturb(rng, spec, trials) -> SuiteResult:
     """Adding higher-order terms to a flat linear point never changes a
-    projectivity verdict."""
+    projectivity verdict, on a panel of ten modules."""
     res = SuiteResult("perturb")
     panel = [
         randmod.random_module(rng, spec, max_dim=12, force_free=(k % 5 == 0))
-        for k in range(panel_size)
+        for k in range(10)
     ]
     for trial in range(trials):
         K = _random_field(rng, spec)

@@ -48,6 +48,12 @@ def elements(draw, desc):
     return FieldElement(desc, num, den)
 
 
+def boxed_ints(desc, ints):
+    """The matrix of the integers ``ints`` built entry by entry from
+    FieldElement.from_int: the reference for Matrix.from_ints."""
+    return Matrix(desc, [[FieldElement.from_int(desc, c) for c in row] for row in ints])
+
+
 def conjugated(mod, rng, scale=None):
     """The module in a seeded basis Z -> P Z P^-1, P = I + L with L strictly
     lower triangular, so that entries leave the prime field when the base is

@@ -33,7 +33,14 @@ IDS = ["F2", "F3", "F4", "F8", "F9"]
 
 def _operand(desc, rows, cols, rng, born, zero=False):
     """A seeded matrix and its entries as nested lists; ``born`` says whether
-    the matrix is built from FieldElements or from a coordinate array."""
+    the matrix is built from FieldElements, from a coordinate array, or from
+    integers, some negative or past p (Matrix.from_ints: prime-field
+    entries only)."""
+    if born == "ints":
+        ints = [[0 if zero else rng.randrange(-desc.p, 2 * desc.p) for _ in range(cols)]
+                for _ in range(rows)]
+        ref = [[FieldElement.from_int(desc, c) for c in row] for row in ints]
+        return Matrix.from_ints(desc, ints), ref
     codes = [[0 if zero else rng.randrange(desc.order) for _ in range(cols)]
              for _ in range(rows)]
     scalars = [[desc.sfrom_code(c) for c in row] for row in codes]
@@ -72,7 +79,7 @@ def _ref_identity(desc, n):
             for i in range(n)]
 
 
-@pytest.fixture(params=["entries", "array"])
+@pytest.fixture(params=["entries", "array", "ints"])
 def born(request):
     return request.param
 

@@ -31,7 +31,9 @@ from pisupport.linalg import (
 )
 from pisupport.reps import ModuleRep, make_spec
 
-from conftest import F2, F3, F5, F4, F9, F2S, F3S, F2SU, conjugated, int_solve
+from conftest import (
+    F2, F3, F5, F4, F9, F2S, F3S, F2SU, TOWERS, boxed_ints, conjugated, int_solve,
+)
 
 
 def var(desc, name):
@@ -41,6 +43,38 @@ def var(desc, name):
 def rank_naive(mat):
     """Reference rank from division-based Gauss-Jordan on FieldElements."""
     return mat.cols - len(kernel_basis(mat))
+
+
+# ---------------------------------------------------------------------------
+# constant matrices from integers
+
+
+@pytest.mark.parametrize("desc", TOWERS)
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (2, 3), (3, 0)])
+@pytest.mark.parametrize("given", ["list", "array"])
+def test_from_ints_matches_boxed_entries(desc, shape, given):
+    # negative integers and integers past p are taken mod p
+    rows, cols = shape
+    values = [-desc.p - 1, desc.p, -1, 2 * desc.p + 1, 0, desc.p - 1]
+    ints = [[values[(i * cols + j) % len(values)] for j in range(cols)]
+            for i in range(rows)]
+    arg = ints if given == "list" else np.array(ints, dtype=np.int64).reshape(shape)
+    mat = Matrix.from_ints(desc, arg)
+    ref = boxed_ints(desc, ints)
+    assert (mat.desc, mat.rows, mat.cols) == (desc, rows, cols)
+    assert mat == ref
+    assert mat.entries == ref.entries
+
+
+@pytest.mark.parametrize("desc", TOWERS)
+def test_zero_and_identity_match_boxed_entries(desc):
+    for rows, cols in [(0, 0), (2, 3), (3, 0)]:
+        zero = Matrix.zero(desc, rows, cols)
+        assert (zero.rows, zero.cols) == (rows, cols)
+        assert zero == boxed_ints(desc, [[0] * cols for _ in range(rows)])
+    for n in (0, 1, 3):
+        grid = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert Matrix.identity(desc, n) == boxed_ints(desc, grid)
 
 
 # ---------------------------------------------------------------------------

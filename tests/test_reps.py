@@ -33,9 +33,12 @@ from pisupport.errors import (
     SpecMismatch,
     ValidationError,
 )
-from pisupport.randmod import random_module
+from pisupport.library import klein_truncation
+from pisupport.randmod import _cyclic_block, random_module
 
-from conftest import F2, F3, F4, F9, _coinduced_by_trace_pairing, conjugated
+from conftest import (
+    F2, F3, F4, F5, F9, F2S, _coinduced_by_trace_pairing, boxed_ints, conjugated,
+)
 
 KLEIN = make_spec(2, 2)
 P3R1 = make_spec(3, 1, flavors=(PRIMITIVE,))
@@ -124,6 +127,76 @@ def test_free_module_p3_two_copies():
     free = free_module(spec, 2)
     assert free.n == 6
     assert jordan_type(free.Z[0], 3).parts == (3, 3)
+
+
+def _free_module_by_kron(spec, g):
+    """The generators of the free module of rank g as Kronecker products
+    z_i = I_{g p^i} (x) N (x) I_{p^(r-1-i)} of boxed matrices, N the p x p
+    shift e_b -> e_{b+1}."""
+    p, r, base = spec.p, spec.r, spec.base
+
+    def ident(n):
+        return boxed_ints(base, [[int(a == b) for b in range(n)] for a in range(n)])
+
+    shift = boxed_ints(base, [[int(a == b + 1) for b in range(p)] for a in range(p)])
+    return [linalg.kron(linalg.kron(ident(g * p**i), shift), ident(p ** (r - 1 - i)))
+            for i in range(r)]
+
+
+FREE_CASES = [
+    ("F2", F2, 1, 0), ("F2", F2, 2, 1), ("F2", F2, 3, 2), ("F3", F3, 1, 3),
+    ("F3", F3, 2, 1), ("F5", F5, 2, 1), ("F9", F9, 2, 0), ("F9", F9, 2, 1),
+    ("F2(s)", F2S, 2, 0), ("F2(s)", F2S, 2, 1), ("F2(s)", F2S, 3, 1),
+]
+
+
+@pytest.mark.parametrize("base,r,g", [case[1:] for case in FREE_CASES],
+                         ids=[f"{name}-r{r}-g{g}" for name, _, r, g in FREE_CASES])
+def test_free_module_matches_kronecker_products(base, r, g):
+    spec = make_spec(base.p, r, base=base)
+    free = free_module(spec, g)
+    assert free.n == g * base.p**r
+    assert free.Z == tuple(_free_module_by_kron(spec, g))
+    assert validate(free) == []
+
+
+@pytest.mark.parametrize("base", [F3, F9, make_field(3, vars=("s",))],
+                         ids=["F3", "F9", "F3(s)"])
+def test_jordan_block_module_matches_boxed_grid(base):
+    spec = make_spec(3, 1, base=base)
+    for u in range(1, 4):
+        grid = [[int(a == b + 1) for b in range(u)] for a in range(u)]
+        assert jordan_block_module(spec, u).Z == (boxed_ints(base, grid),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_klein_truncation_matches_boxed_grids(n):
+    # x u_i = v_i and y u_i = v_{i-1}, with u_i at index i and v_i at n + i
+    zx = [[int(a == b + n) for b in range(2 * n)] for a in range(2 * n)]
+    zy = [[int(b >= 1 and a == b + n - 1 and b < n) for b in range(2 * n)]
+          for a in range(2 * n)]
+    mod = klein_truncation(n)
+    assert mod.n == 2 * n
+    assert mod.Z == (boxed_ints(F2, zx), boxed_ints(F2, zy))
+
+
+def test_constant_matrices_box_no_field_element(monkeypatch):
+    # over a finite base every constant matrix is written as an integer
+    # array: no FieldElement is built, not even per entry
+    spec = make_spec(3, 2, base=F9)
+
+    def boxed(*args, **kwargs):
+        raise AssertionError("a FieldElement was built")
+
+    monkeypatch.setattr(FieldElement, "__init__", boxed)
+    built = [
+        Matrix.zero(F9, 2, 3), Matrix.identity(F9, 4), Matrix.from_ints(F9, [[1, -1]]),
+        *free_module(spec, 2).Z, *jordan_block_module(make_spec(3, 1, base=F9), 3).Z,
+        *_cyclic_block(random.Random("unboxed-block"), spec, 6).Z,
+    ]
+    klein = klein_truncation(4)
+    monkeypatch.undo()
+    assert all(m._entries is None for m in built + list(klein.Z))
 
 
 def test_trivial_module():
