@@ -30,7 +30,7 @@ CLI_CASES = {
     **{
         f"verify_p{p}_r{r}_trials2": ["verify", "--trials", "2", "--p", str(p),
                                       "--r", str(r)]
-        for p, r in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2))
+        for p, r in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2))
     },
 }
 
