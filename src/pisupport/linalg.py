@@ -10,9 +10,9 @@ nothing is rounded, int64 past it).  The array is the matrix's only value:
 FieldElement entries, even those it was built from, are rebuilt from it
 only when something reads them.  Every rank over a finite field is fq_rank
 or, for the point tester's sums N(a) = sum a_i Z_i, sparse_rank:
-elimination over F_q itself on the Zech logarithms of the entries
-(fields.zech_tables), about e^3 times less work than the ne x ne block
-matrix over F_p, and on the residues over a prime field.  Sparse matrices,
+elimination over F_q itself, a prime field included, on the Zech
+logarithms of the entries (fields.zech_tables), about e^3 times less work
+than the ne x ne block matrix over F_p.  Sparse matrices,
 with at most SPARSE_ROW_NONZEROS nonzero entries per row on average, are
 held as rows of dicts {column: value} of their nonzero entries and
 eliminated by sparse_rank, which inserts each row into the pivot rows
@@ -20,9 +20,11 @@ found so far and touches only nonzero entries; sparse_combination sums
 N(a) in that form from the generators' nonzero entries, with no numpy
 call per point.  Denser matrices are eliminated in numpy, and the support
 ideal's small dense pivot stacks, blockified in numpy, on lists of Python
-integers (int_pivots).  fq_rank eliminates the block matrix only past
-ZECH_MAX_ORDER, where the tables would outweigh the elimination; below it
-the block elimination is kept only in the tests, as the oracle.  Rank in
+integers (int_pivots), the only elimination on residues below
+ZECH_MAX_ORDER.  fq_rank eliminates the block matrix only past that
+bound, where the tables would outweigh the elimination, over a prime field
+too; below it the block elimination is kept only in the tests, as the
+oracle.  Rank in
 the presence of transcendentals uses fraction-free (Bareiss) elimination on
 polynomial entries, so no multivariate gcd is ever needed.  Pivoting
 always takes the first nonzero entry in column order, which keeps
@@ -430,8 +432,9 @@ def embedding_matrix(src, dst):
 
 def int_row_reduce(a, p, stop_at=None):
     """Row echelon form of an integer matrix mod p: the numpy mod-p pivot
-    loop, which fq_rank takes for dense matrices over a prime field
-    (int_pivots finds the same pivot columns on Python lists).
+    loop, which serves only fq_rank's block route past ZECH_MAX_ORDER and
+    the tests, as the oracle (int_pivots finds the same pivot columns on
+    Python lists).
 
     Forward elimination below each pivot, with pivots scaled to 1 and taken
     as the first nonzero entry of each column.  Returns (rank, pivot
@@ -579,11 +582,12 @@ ZECH_MAX_ORDER = 1 << 18
 #: most this many nonzero entries per row on average, and in numpy
 #: otherwise; the point tester applies the same bound to the union of the
 #: generators' nonzero patterns.  On random n x n matrices with k nonzeros
-#: per row over F_2, F_3, F_9, F_16, F_25 and F_81, n = 16..128, dict rows
-#: won at every n for k <= 3, by 1.45x or more; at k = 4 they lost at
-#: n >= 64 over the fields of degree 2 and more (n >= 96 over F_81), and at
-#: k = 6 at n >= 32 over those fields and n >= 64 over F_2 and F_3, by up
-#: to 5x at n = 128.
+#: per row, n = 16..128, against _log_rank_numpy: over F_9, F_16, F_25 and
+#: F_81 dict rows won at every n for k <= 3, by 1.45x or more, at k = 4
+#: lost at n >= 64 (n >= 96 over F_81), and at k = 6 at n >= 32, by up to
+#: 5x at n = 128; over F_2, F_3 and F_5 (two runs, medians of 15) they won
+#: every cell at k = 3, by 1.6x or more, and at k = 4 lost at n = 128 by up
+#: to 1.6x (over F_2 in one run) and at n = 96 over F_5 in one run.
 SPARSE_ROW_NONZEROS = 3
 
 
@@ -593,34 +597,27 @@ def fq_rank(coeffs, desc, stop_at=None):
     the rank reaches it.
 
     Gaussian elimination over F_q itself on the Zech logs of the entries
-    (log_codes).  Over a prime field the log route is slower than residues,
-    so there the elimination runs on the coordinates.  The route depends on
-    the number of nonzero entries: with at most SPARSE_ROW_NONZEROS per row
-    on average the nonzero entries are read into rows of dicts and
-    eliminated by sparse_rank, where a pivot row touches only its nonzero
-    entries; a denser matrix in numpy (_log_rank_numpy, or int_rank over a
-    prime field), whose fixed cost per call the arithmetic then outweighs.
-    Past ZECH_MAX_ORDER the tables would cost more than the elimination
-    they save, so there int_rank takes the ne x ne block matrix over F_p,
-    whose rank is e times the rank over F_q.
+    (log_codes), a prime field included.  The route depends on the number
+    of nonzero entries: with at most SPARSE_ROW_NONZEROS per row on average
+    the nonzero entries are read into rows of dicts and eliminated by
+    sparse_rank, where a pivot row touches only its nonzero entries; a
+    denser matrix in numpy (_log_rank_numpy), whose fixed cost per call the
+    arithmetic then outweighs.  Past ZECH_MAX_ORDER the tables would cost
+    more than the elimination they save, so there int_rank takes the
+    ne x ne block matrix over F_p, whose rank is e times the rank over F_q.
     """
-    if desc.deg == 1:
-        values, zero = coeffs[:, :, 0], 0
-    elif desc.order > ZECH_MAX_ORDER:
+    if desc.order > ZECH_MAX_ORDER:
         stop = None if stop_at is None else stop_at * desc.deg
         return int_rank(blockify(coeffs, desc), desc.p, stop) // desc.deg
-    else:
-        values, zero = log_codes(coeffs, desc), desc.order - 1
-    nonzero = values != zero
+    logs = log_codes(coeffs, desc)
+    nonzero = logs != desc.order - 1
     if np.count_nonzero(nonzero) <= SPARSE_ROW_NONZEROS * coeffs.shape[0]:
-        rows = [{} for _ in range(values.shape[0])]
+        rows = [{} for _ in range(logs.shape[0])]
         u, v = nonzero.nonzero()
-        for i, j, x in zip(u.tolist(), v.tolist(), values[u, v].tolist()):
+        for i, j, x in zip(u.tolist(), v.tolist(), logs[u, v].tolist()):
             rows[i][j] = x
         return sparse_rank(rows, desc, stop_at)
-    if desc.deg == 1:
-        return int_rank(values, desc.p, stop_at)
-    return _log_rank_numpy(values, desc, stop_at)
+    return _log_rank_numpy(logs, desc, stop_at)
 
 
 def _log_minus_one(desc):
@@ -630,29 +627,18 @@ def _log_minus_one(desc):
 
 @lru_cache(maxsize=None)
 def _sparse_arithmetic(desc):
-    """How sparse rows over the finite field ``desc`` hold their entries,
-    as (value, neg_inverse, add).  Over a prime field a value is the
-    residue, over F_q (q <= ZECH_MAX_ORDER) the Zech log (fields.zech_tables)
-    in [0, q - 1); zero is never stored.
+    """How sparse rows over the finite field ``desc`` (q <= ZECH_MAX_ORDER)
+    hold their entries, as (value, neg_inverse, add).  A value is the Zech
+    log (fields.zech_tables) in [0, q - 1), over a prime field too; zero is
+    never stored.
 
     * value[code] is the value of the element with that code
       (FieldDescriptor.sto_code), for code > 0;
     * neg_inverse(x) is the value of -1/y for the value x of y;
     * add(row, f, pairs) adds f * y_j to row[j] for each (j, y_j) of
-      ``pairs``, f and y_j values, and drops the entries that cancel.
-      Over F_q, g^x + g^t = g^(x + zech[t - x]) with exponents mod q - 1.
+      ``pairs``, f and y_j values, and drops the entries that cancel:
+      g^x + g^t = g^(x + zech[t - x]) with exponents mod q - 1.
     """
-    p = desc.p
-    if desc.deg == 1:
-        def add(row, f, pairs):
-            for j, y in pairs:
-                x = (row.get(j, 0) + f * y) % p
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-
-        return range(p), lambda x: p - pow(x, -1, p), add
     _, log, zech = fields.zech_tables(desc)
     zech = zech.tolist()
     m = desc.order - 1
@@ -677,7 +663,7 @@ def _sparse_arithmetic(desc):
 def sparse_rank(rows, desc, stop_at=None):
     """Rank over the finite field ``desc`` of the matrix whose rows are
     dicts {column: value} of its nonzero entries, in the values of
-    _sparse_arithmetic: residues over a prime field, Zech logs otherwise.
+    _sparse_arithmetic: their Zech logs.
     The rows are reduced in place; with ``stop_at`` the elimination ends
     once the rank reaches it.
 

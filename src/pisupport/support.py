@@ -7,8 +7,8 @@ n).  N(a)^p = 0, so N(a) has n - rank N(a) Jordan blocks, each of size at
 most p.  The restriction is free when all of them have size p, that is
 when there are n/p of them.  A point is in the cosupport when the same
 test fails on the coinduced module over the point's field.  Every such rank
-is taken over the point's field F_q on Zech logarithms, or on residues over
-a prime field: in_support and in_cosupport decide from the definition,
+is taken over the point's field F_q on Zech logarithms, a prime field
+included: in_support and in_cosupport decide from the definition,
 through the restricted operator and its Jordan type (linalg.fq_rank), and
 sampling and the generic scan use _point_tester, which ranks N(a) itself
 and forms no power of it; for sparse generators it sums and ranks N(a) on

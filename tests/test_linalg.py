@@ -292,10 +292,6 @@ def _dict_rows(values, zero):
 
 def _both_routes(coeffs, desc, stop_at):
     """fq_rank by its sparse route and by its numpy route."""
-    if desc.deg == 1:
-        residues = coeffs[:, :, 0]
-        return (sparse_rank(_dict_rows(residues, 0), desc, stop_at),
-                int_rank(residues, desc.p, stop_at))
     logs = log_codes(coeffs, desc)
     return (sparse_rank(_dict_rows(logs, desc.order - 1), desc, stop_at),
             linalg._log_rank_numpy(logs, desc, stop_at))
@@ -325,13 +321,21 @@ def test_fq_rank_routes_match_block_rank(p, e, n):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7], ids=["F3", "F5", "F7"])
+@pytest.mark.parametrize("n", [16, 48, 96])
+def test_fq_rank_routes_match_block_rank_over_odd_primes(p, n):
+    """The same over prime fields with q - 1 > 1, where a Zech log and a
+    residue are different values."""
+    test_fq_rank_routes_match_block_rank(p, 1, n)
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 4), (3, 2)],
                          ids=["F2", "F3", "F16", "F9"])
 def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
     # up to 3 nonzero entries per row on average on rows of dicts, numpy
-    # past that
+    # past that, over a prime field as over its extensions
     desc = canonical_extension(p, e)
-    names = ("sparse_rank", "int_rank" if e == 1 else "_log_rank_numpy")
+    names = ("sparse_rank", "_log_rank_numpy")
     routes = []
     for name in names:
         def record(*args, _name=name, _route=getattr(linalg, name)):
@@ -345,6 +349,35 @@ def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
             coeffs = _coeffs_with_nonzeros(gen, desc, rows, cols, count)
             fq_rank(coeffs, desc, rows // 2)
             assert routes == [names[count > 3 * rows]]
+
+
+def test_prime_past_the_zech_bound_takes_the_block_route(monkeypatch):
+    """With the bound lowered to 8, a sparse and a dense matrix over F_11
+    are both ranked by int_rank, and no Zech table of F_11 is built."""
+    def refuse(desc, _build=fields.zech_tables):
+        if desc.order > 8:
+            raise AssertionError(f"Zech tables built for {desc}")
+        return _build(desc)
+
+    monkeypatch.setattr(fields, "zech_tables", refuse)
+    monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
+    calls = []
+
+    def record(*args, _route=int_rank):
+        calls.append(args)
+        return _route(*args)
+
+    monkeypatch.setattr(linalg, "int_rank", record)
+    desc = canonical_extension(11, 1)
+    gen = np.random.default_rng(11)
+    rows, cols = 12, 16
+    for count in (3 * rows, rows * cols):
+        coeffs = _coeffs_with_nonzeros(gen, desc, rows, cols, count)
+        for stop in [None, *range(rows + 1)]:
+            calls.clear()
+            assert fq_rank(coeffs, desc, stop) == (
+                int_row_reduce(coeffs[:, :, 0], 11, stop)[0])
+            assert len(calls) == 1, (count, stop)
 
 
 def test_dense_operator_keeps_the_numpy_route(monkeypatch):

@@ -1007,7 +1007,7 @@ def test_sampling_ranks_sparse_operators_on_lists(p, r, e_max, monkeypatch):
     desc = support_sample(mod, e_max)
     assert len(desc.sampled) == sum(len(support._new_points(spec.base, r, e)[0])
                                     for e in range(1, e_max + 1))
-    # residues over F_p, Zech logs over its extensions
+    # Zech logs over F_p and over its extensions alike
     assert set(routes) == {("sparse_rank", False), ("sparse_rank", True)}
 
 
