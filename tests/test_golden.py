@@ -48,6 +48,8 @@ COINDUCED_CASES = {
 # (p, base degree, r, max module dimension)
 IDEAL_CASES = {
     "ideal_f9_r2": (3, 2, 2, 9),
+    # F_{5^8} has 390,625 elements, past linalg.ZECH_MAX_ORDER
+    "ideal_f5e8_r2": (5, 8, 2, 10),
 }
 
 
