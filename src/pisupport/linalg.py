@@ -8,28 +8,27 @@ multiplies the F_p block matrix of one factor (blockify) into the
 coordinate columns of the other (fp_matmul: float64 BLAS below 2^53, so
 nothing is rounded, int64 past it).  The array is the matrix's only value:
 FieldElement entries, even those it was built from, are rebuilt from it
-only when something reads them.  Every rank over a finite field is fq_rank
-or, for the point tester's sums N(a) = sum a_i Z_i, sparse_rank:
-elimination over F_q itself, a prime field included, on the Zech
-logarithms of the entries (fields.zech_tables), about e^3 times less work
-than the ne x ne block matrix over F_p.  Sparse matrices,
-with at most SPARSE_ROW_NONZEROS nonzero entries per row on average, are
-held as rows of dicts {column: value} of their nonzero entries and
-eliminated by sparse_rank, which inserts each row into the pivot rows
-found so far and touches only nonzero entries; sparse_combination sums
-N(a) in that form from the generators' nonzero entries, with no numpy
-call per point.  Denser matrices are eliminated in numpy, and the support
-ideal's small dense pivot stacks, blockified in numpy, on lists of Python
-integers (int_pivots), the only elimination on residues below
-ZECH_MAX_ORDER.  fq_rank eliminates the block matrix only past that
-bound, where the tables would outweigh the elimination, over a prime field
-too; below it the block elimination is kept only in the tests, as the
-oracle.  Rank in
-the presence of transcendentals uses fraction-free (Bareiss) elimination on
-polynomial entries, so no multivariate gcd is ever needed.  Pivoting
-always takes the first nonzero entry in column order, which keeps
-intermediate polynomials, and therefore all reports, reproducible.  A matrix of polynomials is one coefficient
-array by monomial (PolyMatrix), and its minors are taken by a
+only when something reads them.  Every rank over a finite field, and the
+support ideal's pivot columns, come from fq_pivots or, for the point
+tester's sums N(a) = sum a_i Z_i, sparse_rank: elimination over F_q
+itself, a prime field included, on the Zech logarithms of the entries
+(fields.zech_tables), about e^3 times less work than the ne x ne block
+matrix over F_p.  Sparse matrices, with at most SPARSE_ROW_NONZEROS
+nonzero entries per row on average, are held as rows of dicts {column:
+value} of their nonzero entries and eliminated by sparse_pivots, which
+inserts each row into the pivot rows found so far and touches only
+nonzero entries; sparse_combination sums N(a) in that form from the
+generators' nonzero entries, with no numpy call per point.  Denser
+matrices are eliminated in numpy.  fq_pivots eliminates the block matrix
+only past ZECH_MAX_ORDER, where the tables would outweigh the
+elimination, over a prime field too; below it nothing eliminates on
+residues, and the block elimination is kept only in the tests, as the
+oracle.  Rank in the presence of transcendentals uses fraction-free
+(Bareiss) elimination on polynomial entries, so no multivariate gcd is
+ever needed.  Pivoting always takes the first nonzero entry in column
+order, which keeps intermediate polynomials, and therefore all reports,
+reproducible.  A matrix of polynomials is one coefficient array by
+monomial (PolyMatrix), and its minors are taken by a
 division-free Laplace expansion on those coefficients, read once into
 lists of Python integers (_expand_row), since their matrices have a few
 hundred entries at most and each step is a few integer operations.
@@ -432,9 +431,8 @@ def embedding_matrix(src, dst):
 
 def int_row_reduce(a, p, stop_at=None):
     """Row echelon form of an integer matrix mod p: the numpy mod-p pivot
-    loop, which serves only fq_rank's block route past ZECH_MAX_ORDER and
-    the tests, as the oracle (int_pivots finds the same pivot columns on
-    Python lists).
+    loop, which serves only fq_pivots's block route past ZECH_MAX_ORDER and
+    the tests, as the oracle.
 
     Forward elimination below each pivot, with pivots scaled to 1 and taken
     as the first nonzero entry of each column.  Returns (rank, pivot
@@ -465,42 +463,10 @@ def int_row_reduce(a, p, stop_at=None):
     return r, pivots, a
 
 
-def int_pivots(rows, p, stop_at=None):
-    """Pivot columns of a matrix over F_p given as lists of residues in
-    [0, p), which are reduced in place: the same as those of
-    int_row_reduce(rows, p, stop_at), in plain Python integers.  Each pivot
-    row reduces the rows below it through its nonzero entries only.  It
-    serves the support ideal's pivot columns (support._pivot_lines), whose
-    stacks are small and dense: there one numpy call costs more than the
-    arithmetic it does, and rows of dicts as sparse_rank takes them were
-    slower (0.26 ms against 0.20 ms for the stacks of one pass of the
-    benchmark's ideal workload)."""
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows or (stop_at is not None and r >= stop_at):
-            break
-        for piv in range(r, nrows):
-            if rows[piv][c]:
-                break
-        else:
-            continue
-        top = rows[piv]
-        rows[piv], rows[r] = rows[r], top
-        inv = pow(top[c], -1, p)
-        nonzero = [(j, top[j] * inv % p) for j in range(c + 1, ncols) if top[j]]
-        for row in rows[r + 1:]:
-            f = row[c]
-            if f:
-                for j, t in nonzero:
-                    row[j] = (row[j] - f * t) % p
-        pivots.append(c)
-    return pivots
-
-
 def int_rank(a, p, stop_at=None):
     """Rank of an integer matrix mod p."""
+    # no package caller: the tests' block oracle uses it, and pibench's
+    # tracer resolves the name
     return int_row_reduce(a, p, stop_at)[0]
 
 
@@ -540,7 +506,7 @@ def log_codes(coeffs, desc):
 
 @lru_cache(maxsize=None)
 def _zech_kernel(desc):
-    """Lookup tables that let _log_rank_numpy update a row without
+    """Lookup tables that let _log_pivots_numpy update a row without
     branching on zero.  With m = q - 1, a row entry is its log in [0, m) or
     ZERO = 2m.
 
@@ -573,51 +539,64 @@ def _zech_kernel(desc):
     return wrap, shift, add
 
 
-#: largest field order whose Zech tables fq_rank builds: 3q int32 and
+#: largest field order whose Zech tables fq_pivots builds: 3q int32 and
 #: 11(q - 1) int64 entries, about 26 MB at the bound.  Every field that a
 #: sample at r >= 2 reaches within support.DEFAULT_ENUM_BUDGET is below it.
 ZECH_MAX_ORDER = 1 << 18
 
-#: fq_rank eliminates on rows of dicts (sparse_rank) when the matrix has at
-#: most this many nonzero entries per row on average, and in numpy
-#: otherwise; the point tester applies the same bound to the union of the
-#: generators' nonzero patterns.  On random n x n matrices with k nonzeros
-#: per row, n = 16..128, against _log_rank_numpy: over F_9, F_16, F_25 and
-#: F_81 dict rows won at every n for k <= 3, by 1.45x or more, at k = 4
-#: lost at n >= 64 (n >= 96 over F_81), and at k = 6 at n >= 32, by up to
-#: 5x at n = 128; over F_2, F_3 and F_5 (two runs, medians of 15) they won
-#: every cell at k = 3, by 1.6x or more, and at k = 4 lost at n = 128 by up
-#: to 1.6x (over F_2 in one run) and at n = 96 over F_5 in one run.
+#: fq_pivots eliminates on rows of dicts (sparse_pivots) when the matrix
+#: has at most this many nonzero entries per row on average, counted over
+#: every row, zero rows included; the point tester applies the same bound
+#: to the union of the generators' nonzero patterns.  On random n x n
+#: matrices with k nonzeros per row, n = 16..128, against
+#: _log_pivots_numpy: over F_9, F_16, F_25 and F_81 dict rows won at every
+#: n for k <= 3, by 1.45x or more, at k = 4 lost at n >= 64 (n >= 96 over
+#: F_81), and at k = 6 at n >= 32, by up to 5x at n = 128; over F_2, F_3
+#: and F_5 (two runs, medians of 15) they won every cell at k = 3, by 1.6x
+#: or more, and at k = 4 lost at n = 128 by up to 1.6x (over F_2 in one
+#: run) and at n = 96 over F_5 in one run.
 SPARSE_ROW_NONZEROS = 3
 
 
-def fq_rank(coeffs, desc, stop_at=None):
-    """Rank over the finite field ``desc`` of the matrix with the (n, m, e)
-    coordinate array ``coeffs``; with ``stop_at`` the elimination ends once
-    the rank reaches it.
+def fq_pivots(coeffs, desc, stop_at=None):
+    """Pivot columns over the finite field ``desc`` of the matrix with the
+    (n, m, e) coordinate array ``coeffs``, as a collection in no particular
+    order; with ``stop_at`` the elimination ends once it has found that
+    many.  Without it they are the pivot columns of the reduced echelon
+    form whatever the route, as the leading columns of any echelon basis of
+    the row space are.
 
     Gaussian elimination over F_q itself on the Zech logs of the entries
     (log_codes), a prime field included.  The route depends on the number
     of nonzero entries: with at most SPARSE_ROW_NONZEROS per row on average
     the nonzero entries are read into rows of dicts and eliminated by
-    sparse_rank, where a pivot row touches only its nonzero entries; a
-    denser matrix in numpy (_log_rank_numpy), whose fixed cost per call the
-    arithmetic then outweighs.  Past ZECH_MAX_ORDER the tables would cost
-    more than the elimination they save, so there int_rank takes the
-    ne x ne block matrix over F_p, whose rank is e times the rank over F_q.
+    sparse_pivots, where a pivot row touches only its nonzero entries; a
+    denser matrix in numpy (_log_pivots_numpy), whose fixed cost per call
+    the arithmetic then outweighs.  Past ZECH_MAX_ORDER the tables would
+    cost more than the elimination they save, so there int_row_reduce takes
+    the ne x ne block matrix over F_p, whose F_p pivots come in whole
+    blocks of e, one block for each pivot column over F_q.
     """
     if desc.order > ZECH_MAX_ORDER:
-        stop = None if stop_at is None else stop_at * desc.deg
-        return int_rank(blockify(coeffs, desc), desc.p, stop) // desc.deg
-    logs = log_codes(coeffs, desc)
-    nonzero = logs != desc.order - 1
-    if np.count_nonzero(nonzero) <= SPARSE_ROW_NONZEROS * coeffs.shape[0]:
-        rows = [{} for _ in range(logs.shape[0])]
-        u, v = nonzero.nonzero()
-        for i, j, x in zip(u.tolist(), v.tolist(), logs[u, v].tolist()):
-            rows[i][j] = x
-        return sparse_rank(rows, desc, stop_at)
-    return _log_rank_numpy(logs, desc, stop_at)
+        e = desc.deg
+        stop = None if stop_at is None else stop_at * e
+        block_pivots = int_row_reduce(blockify(coeffs, desc), desc.p, stop)[1]
+        return [c // e for c in block_pivots if c % e == 0]
+    codes = element_codes(coeffs, desc)
+    if np.count_nonzero(codes) <= SPARSE_ROW_NONZEROS * coeffs.shape[0]:
+        value = _sparse_arithmetic(desc)[0]
+        rows = [{} for _ in range(codes.shape[0])]
+        u, v = codes.nonzero()
+        for i, j, x in zip(u.tolist(), v.tolist(), codes[u, v].tolist()):
+            rows[i][j] = value[x]
+        return sparse_pivots(rows, desc, stop_at)
+    return _log_pivots_numpy(log_codes(coeffs, desc), desc, stop_at)
+
+
+def fq_rank(coeffs, desc, stop_at=None):
+    """Rank over the finite field ``desc`` of the matrix with the (n, m, e)
+    coordinate array ``coeffs``: the number of its fq_pivots."""
+    return len(fq_pivots(coeffs, desc, stop_at))
 
 
 def _log_minus_one(desc):
@@ -660,28 +639,28 @@ def _sparse_arithmetic(desc):
     return log.tolist(), lambda x: (minus_one - x) % m, add
 
 
-def sparse_rank(rows, desc, stop_at=None):
-    """Rank over the finite field ``desc`` of the matrix whose rows are
-    dicts {column: value} of its nonzero entries, in the values of
-    _sparse_arithmetic: their Zech logs.
-    The rows are reduced in place; with ``stop_at`` the elimination ends
-    once the rank reaches it.
+def sparse_pivots(rows, desc, stop_at=None):
+    """Pivot columns over the finite field ``desc`` of the matrix whose rows
+    are dicts {column: value} of its nonzero entries, in the values of
+    _sparse_arithmetic: their Zech logs.  Returns the pivot rows as a dict
+    keyed by their leading columns, which are the pivot columns, in the
+    order found.  The rows are reduced in place; with ``stop_at`` the
+    elimination ends once that many pivots are found.
 
-    The rows are inserted one at a time into the pivot rows found so far,
-    which are keyed by their leading column: while the least column of the
-    row has a pivot row, the row's entry there is cancelled by adding a
-    multiple of it, and a row left nonzero becomes the pivot row of its
-    least column.  A pivot row is kept as the pairs (j, -b_j/b_c) of its
-    entries right of its lead b_c, so that a reduction adds the row's lead
-    times them, touches only those entries and drops what cancels (Dumas
-    and Villard, "Computing the rank of large sparse matrices over finite
-    fields", CASC 2002).
+    The rows are inserted one at a time into the pivot rows found so far:
+    while the least column of the row has a pivot row, the row's entry
+    there is cancelled by adding a multiple of it, and a row left nonzero
+    becomes the pivot row of its least column.  A pivot row is kept as the
+    pairs (j, -b_j/b_c) of its entries right of its lead b_c, so that a
+    reduction adds the row's lead times them, touches only those entries
+    and drops what cancels (Dumas and Villard, "Computing the rank of large
+    sparse matrices over finite fields", CASC 2002).
     """
     stop = len(rows) if stop_at is None else stop_at
-    if not stop:
-        return 0
-    _, neg_inverse, add = _sparse_arithmetic(desc)
     pivots = {}
+    if not stop:
+        return pivots
+    _, neg_inverse, add = _sparse_arithmetic(desc)
     for row in rows:
         while row:
             c = min(row)
@@ -698,13 +677,19 @@ def sparse_rank(rows, desc, stop_at=None):
             continue  # the row reduced to zero
         if len(pivots) == stop:
             break
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(rows, desc, stop_at=None):
+    """Rank of the matrix whose rows sparse_pivots takes: the number of its
+    pivots, with no sort or copy of them, for the point tester."""
+    return len(sparse_pivots(rows, desc, stop_at))
 
 
 def sparse_combination(by_gen, src, desc):
     """Function from the element codes (FieldDescriptor.sto_code) of
     a_1..a_r to the rows of N(a) = sum a_i Z_i over the finite field
-    ``desc``, of order at most ZECH_MAX_ORDER, as sparse_rank takes them.
+    ``desc``, of order at most ZECH_MAX_ORDER, as sparse_pivots takes them.
     ``by_gen`` holds the nonzero entries of Z_1..Z_r over the field ``src``,
     which ``desc`` refines, as reps.nonzero_codes reads them.  Their codes
     are embedded once, as values in ``desc``; at a point each row of N(a)
@@ -733,10 +718,10 @@ def sparse_combination(by_gen, src, desc):
     return combine
 
 
-def _log_rank_numpy(logs, desc, stop_at):
-    """fq_rank's route for dense matrices: the same elimination on the
+def _log_pivots_numpy(logs, desc, stop_at):
+    """fq_pivots's route for dense matrices: the same elimination on the
     (n, m) array of Zech logs, one column at a time in numpy, through the
-    tables of _zech_kernel."""
+    tables of _zech_kernel; returns the pivot columns in ascending order."""
     m = desc.order - 1
     minus_one = _log_minus_one(desc)
     zero = 2 * m
@@ -746,8 +731,9 @@ def _log_rank_numpy(logs, desc, stop_at):
     a = logs.astype(np.int64)
     a[a == m] = zero
     rows, cols = a.shape
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows or (stop_at is not None and r >= stop_at):
             break
         nz = (a[r:, c] != zero).nonzero()[0]
@@ -761,8 +747,8 @@ def _log_rank_numpy(logs, desc, stop_at):
             t = shift[f[:, None] + a[r, c + 1:]]
             below = a[hit, c + 1:]
             a[hit, c + 1:] = wrap[below + add[t - below]]
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,12 @@ vanishes and the list is empty.  Otherwise the monomial coefficients C_b of
 the whole operator are formed by a word expansion of the power in Matrix
 arithmetic, one code path for every base, and kept as coefficient arrays;
 the pivot submatrix op[I, J] has the same ideal of minors (Cauchy-Binet),
-and its minors are taken by Laplace expansion (linalg.minors).  Two steps
-run on lists of Python integers, as the matrices of this path are at most
-12 x 12 and numpy's fixed cost per call outweighs their arithmetic: the
-elimination of the blockified pivot stacks (linalg.int_pivots) and the
-expansion of the minors (linalg._expand_row).
+and its minors are taken by Laplace expansion (linalg.minors).  I and J
+are the pivot columns of the stacked C_b and of their transposes, found
+over the finite part by the elimination that ranks every other matrix
+(linalg.fq_pivots).  The minors are expanded on lists of Python integers
+(linalg._expand_row), as the matrices of this path are at most 12 x 12
+and numpy's fixed cost per call outweighs their arithmetic.
 """
 
 import itertools
@@ -598,14 +599,12 @@ def _pivot_submatrix(K, coeffs):
 
 
 def _pivot_lines(stack, fin):
-    """Pivot columns of the vertical stack of a (k, rows, n, e) coordinate
-    array over the finite field ``fin``.  The F_p columns of column j span
-    the fin-line through it, so F_p pivots come in whole blocks of e.  The
-    block matrix is formed in numpy and eliminated on lists (int_pivots),
-    as a small dense stack costs less there than in numpy's pivot loop."""
+    """Pivot columns, in ascending order, of the vertical stack of a
+    (k, rows, n, e) coordinate array over the finite field ``fin``
+    (linalg.fq_pivots, with no stop, so that every route finds the same
+    columns)."""
     k, rows, n, e = stack.shape
-    block = linalg.blockify(stack.reshape(k * rows, n, e), fin).tolist()
-    return [c // e for c in linalg.int_pivots(block, fin.p) if c % e == 0]
+    return sorted(linalg.fq_pivots(stack.reshape(k * rows, n, e), fin))
 
 
 def ideal_vanishes_at(gens, pt: ProjPoint) -> bool:

@@ -21,13 +21,13 @@ from pisupport.linalg import (
     bareiss_rank,
     blockify,
     coeff_array,
+    fq_pivots,
     fq_rank,
     from_coeff_array,
-    int_pivots,
     int_rank,
     int_row_reduce,
     log_codes,
-    sparse_rank,
+    sparse_pivots,
 )
 from pisupport.reps import ModuleRep, make_spec
 
@@ -207,21 +207,6 @@ def test_int_row_reduce_pivots_match_prefix_rank_oracle(p):
         assert not ech[rank:].any()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_int_pivots_match_int_row_reduce_at_every_stop(p):
-    gen = np.random.default_rng(50 + p)
-    for _ in range(12):
-        rows, cols = (int(x) for x in gen.integers(1, 12, size=2))
-        cap = int(gen.integers(1, min(rows, cols) + 1))
-        low = _random_int_matrix(gen, p, rows, cols, cap)
-        sparse = (gen.integers(0, p, size=(rows, cols))
-                  * (gen.random((rows, cols)) < 0.2))
-        for a in (low, sparse):
-            for stop in (None, *range(min(rows, cols) + 2)):
-                assert int_pivots(a.tolist(), p, stop) == int_row_reduce(a, p, stop)[1]
-    assert int_pivots([], p) == [] and int_pivots([[0, 0]], p, 1) == []
-
-
 def test_int_row_reduce_stop_at_leaves_rows_unreduced():
     gen = np.random.default_rng(7)
     a = _random_invertible(gen, 3, 6)
@@ -286,15 +271,15 @@ def _coeffs_with_nonzeros(gen, desc, rows, cols, count):
 
 
 def _dict_rows(values, zero):
-    """The entries of ``values`` other than ``zero``, as sparse_rank's rows."""
+    """The entries of ``values`` other than ``zero``, as sparse_pivots's rows."""
     return [{j: x for j, x in enumerate(row) if x != zero} for row in values.tolist()]
 
 
 def _both_routes(coeffs, desc, stop_at):
     """fq_rank by its sparse route and by its numpy route."""
     logs = log_codes(coeffs, desc)
-    return (sparse_rank(_dict_rows(logs, desc.order - 1), desc, stop_at),
-            linalg._log_rank_numpy(logs, desc, stop_at))
+    return (len(sparse_pivots(_dict_rows(logs, desc.order - 1), desc, stop_at)),
+            len(linalg._log_pivots_numpy(logs, desc, stop_at)))
 
 
 @EIGHT_FIELDS
@@ -329,13 +314,56 @@ def test_fq_rank_routes_match_block_rank_over_odd_primes(p, n):
     test_fq_rank_routes_match_block_rank(p, 1, n)
 
 
+def _pivot_routes(coeffs, desc, stop_at, monkeypatch):
+    """The pivot columns that fq_pivots finds by rows of dicts, in numpy,
+    and by the block route past a lowered ZECH_MAX_ORDER."""
+    logs = log_codes(coeffs, desc)
+    dict_rows = sparse_pivots(_dict_rows(logs, desc.order - 1), desc, stop_at)
+    numpy_rows = linalg._log_pivots_numpy(logs, desc, stop_at)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "ZECH_MAX_ORDER", 1)
+        block = fq_pivots(coeffs, desc, stop_at)
+    return {"dict rows": dict_rows, "numpy": numpy_rows, "block": block}
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_fq_pivots_match_block_pivots_on_every_route(p, e, monkeypatch):
+    """Square arrays and tall stacks of k blocks n x n, shaped like the
+    support ideal's, some with zero columns: with no stop every route finds
+    the pivot columns of the reduced echelon form of the block matrix, and
+    at every stop as many of them as the rank allows."""
+    desc = canonical_extension(p, e)
+    gen = np.random.default_rng(60 + 10 * p + e)
+    seen = set()
+    for rows, cols in ((4, 4), (9, 9), (3 * 4, 4), (5 * 6, 6), (4 * 8, 8)):
+        for _ in range(4):
+            inner = int(gen.integers(1, cols + 1))
+            zeros = float(gen.choice([0.0, 0.5, 0.8]))
+            coeffs = coeff_array(
+                from_coeff_array(desc, _sparse_coeffs(gen, desc, rows, inner, zeros))
+                @ from_coeff_array(desc, _sparse_coeffs(gen, desc, inner, cols, zeros)))
+            coeffs = coeffs * (gen.random((1, cols, 1)) >= 0.25)
+            block_pivots = int_row_reduce(blockify(coeffs, desc), p)[1]
+            want = [c // e for c in block_pivots if c % e == 0]
+            seen.add(want == list(range(len(want))))
+            for route, pivots in _pivot_routes(coeffs, desc, None, monkeypatch).items():
+                assert sorted(pivots) == want, (route, rows, cols)
+            assert sorted(fq_pivots(coeffs, desc)) == want
+            for stop in range(min(rows, cols) + 2):
+                for route, pivots in _pivot_routes(coeffs, desc, stop,
+                                                   monkeypatch).items():
+                    assert len(pivots) == min(stop, len(want)), (route, stop)
+    assert seen == {True, False}  # some pivots skip a column
+
+
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 4), (3, 2)],
                          ids=["F2", "F3", "F16", "F9"])
 def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
     # up to 3 nonzero entries per row on average on rows of dicts, numpy
     # past that, over a prime field as over its extensions
     desc = canonical_extension(p, e)
-    names = ("sparse_rank", "_log_rank_numpy")
+    names = ("sparse_pivots", "_log_pivots_numpy")
     routes = []
     for name in names:
         def record(*args, _name=name, _route=getattr(linalg, name)):
@@ -353,7 +381,7 @@ def test_fq_rank_route_follows_the_nonzero_count(p, e, monkeypatch):
 
 def test_prime_past_the_zech_bound_takes_the_block_route(monkeypatch):
     """With the bound lowered to 8, a sparse and a dense matrix over F_11
-    are both ranked by int_rank, and no Zech table of F_11 is built."""
+    are both ranked by int_row_reduce, and no Zech table of F_11 is built."""
     def refuse(desc, _build=fields.zech_tables):
         if desc.order > 8:
             raise AssertionError(f"Zech tables built for {desc}")
@@ -363,11 +391,11 @@ def test_prime_past_the_zech_bound_takes_the_block_route(monkeypatch):
     monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
     calls = []
 
-    def record(*args, _route=int_rank):
+    def record(*args, _route=int_row_reduce):
         calls.append(args)
         return _route(*args)
 
-    monkeypatch.setattr(linalg, "int_rank", record)
+    monkeypatch.setattr(linalg, "int_row_reduce", record)
     desc = canonical_extension(11, 1)
     gen = np.random.default_rng(11)
     rows, cols = 12, 16
@@ -385,7 +413,7 @@ def test_dense_operator_keeps_the_numpy_route(monkeypatch):
     def refuse(*args):
         raise AssertionError("dense matrix eliminated on rows of dicts")
 
-    monkeypatch.setattr(linalg, "sparse_rank", refuse)
+    monkeypatch.setattr(linalg, "sparse_pivots", refuse)
     desc = canonical_extension(2, 4)
     gen = np.random.default_rng(64)
     left = from_coeff_array(desc, gen.integers(0, 2, size=(64, 40, 4)))

@@ -996,7 +996,7 @@ def test_sampling_ranks_sparse_operators_on_lists(p, r, e_max, monkeypatch):
     mod, _ = _monomial(_direct_sum(parts), rng)
     assert len(reps.blocks(mod)) > 1
     monkeypatch.setattr(linalg, "_zech_kernel", refuse)
-    monkeypatch.setattr(linalg, "int_rank", refuse)
+    monkeypatch.setattr(linalg, "int_row_reduce", refuse)
     routes = []
 
     def record(rows, desc, stop_at=None, _route=linalg.sparse_rank):
