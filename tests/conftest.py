@@ -77,6 +77,60 @@ def conjugated(mod, rng, scale=None):
     return reps.ModuleRep(mod.spec, mats, name=mod.name)
 
 
+def shift_block(spec, v, rng, lead=None):
+    """Module of dimension p*v on which z_i acts as sum_{d >= v} c_{i,d} N^d
+    for the nilpotent shift N, with coefficients from the base, seeded
+    apart from the leads c_{i,v} when ``lead`` gives them.  Its support is
+    the hyperplane sum_i a_i c_{i,v} = 0."""
+    base, q = spec.base, spec.p * v
+
+    def scalar():
+        return FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
+
+    shift = Matrix(base, [[FieldElement.from_int(base, int(i == j + 1))
+                           for j in range(q)] for i in range(q)])
+    powers = [Matrix.identity(base, q)]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ shift)
+    while lead is None or not any(lead):
+        lead = [scalar() for _ in range(spec.r)]
+    mats = []
+    for c in lead:
+        acc = powers[v].scale(c)
+        for d in range(v + 1, q):
+            acc = acc + powers[d].scale(scalar())
+        mats.append(acc)
+    return reps.ModuleRep(spec, mats)
+
+
+def monomial(mod, rng):
+    """The module in a seeded monomial basis: basis vector i moves to
+    position perm[i] and is scaled by a nonzero element of the base.  Returns
+    the module and perm."""
+    base, n = mod.spec.base, mod.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scale = [FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(1, base.order)))
+             for _ in range(n)]
+    mats = []
+    for z in mod.Z:
+        grid = [[None] * n for _ in range(n)]
+        for i, row in enumerate(z.entries):
+            for j, x in enumerate(row):
+                grid[perm[i]][perm[j]] = x * scale[i] / scale[j]
+        mats.append(Matrix(base, grid))
+    return reps.ModuleRep(mod.spec, mats, name=mod.name), perm
+
+
+def mixed(mod, rng):
+    """The module in a dense seeded basis: conjugated by a lower, then,
+    after reversing the basis, by an upper unitriangular matrix, so that
+    N(a)^{p-1} is not a corner block and its rows mix."""
+    mod = conjugated(mod, rng)
+    flip = [Matrix(z.desc, [row[::-1] for row in z.entries[::-1]]) for z in mod.Z]
+    return conjugated(reps.ModuleRep(mod.spec, flip, name=mod.name), rng)
+
+
 def int_solve(a, rhs, p):
     """Solve a x = rhs mod p for square invertible a; ValueError if singular."""
     n = a.shape[0]

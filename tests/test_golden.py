@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from pisupport import fields, modfile, randmod, reps, support
+from pisupport import fields, linalg, modfile, randmod, reps, support
 from pisupport.cli import run_command
 
-from conftest import conjugated
+from conftest import conjugated, mixed, monomial, shift_block
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,6 +27,8 @@ CLI_CASES = {
                                     "3", "--ideal"],
     "support_free1_p3_r2_deg1_ideal": ["support", "free:1", "--p", "3", "--r", "2",
                                        "--sample-degree", "1", "--ideal"],
+    "support_free2_p2_r3_deg3": ["support", "free:2", "--p", "2", "--r", "3",
+                                 "--sample-degree", "3"],
     **{
         f"verify_p{p}_r{r}_trials2": ["verify", "--trials", "2", "--p", str(p),
                                       "--r", str(r)]
@@ -50,6 +52,21 @@ IDEAL_CASES = {
     "ideal_f9_r2": (3, 2, 2, 9),
     # F_{5^8} has 390,625 elements, past linalg.ZECH_MAX_ORDER
     "ideal_f5e8_r2": (5, 8, 2, 10),
+}
+
+# support ideal reports of sums of shift blocks (conftest.shift_block) in a
+# dense basis, whose stacked C_b have more than linalg.SPARSE_ROW_NONZEROS
+# nonzero entries per row, so that their pivots are found in numpy:
+# (p, base degree, r, the blocks' dimensions over p)
+DENSE_IDEAL_CASES = {
+    "ideal_dense_f9_r2": (3, 2, 2, (1, 2)),
+}
+
+# support and cosupport samples of two shift blocks plus free:1 in a
+# permuted monomial basis: (p, r, e_max)
+SAMPLE_CASES = {
+    "sample_p2_r3": (2, 3, 3),
+    "sample_p3_r2": (3, 2, 3),
 }
 
 
@@ -85,15 +102,52 @@ def _ideal_text(name):
     return "".join(line + "\n" for line in desc.report_lines())
 
 
+def _dense_ideal_module(name):
+    p, base_deg, r, sizes = DENSE_IDEAL_CASES[name]
+    spec = reps.make_spec(p, r, base=fields.canonical_extension(p, base_deg))
+    rng = random.Random(f"golden:{name}")
+    mod = shift_block(spec, sizes[0], rng)
+    for v in sizes[1:]:
+        mod = reps.direct_sum(mod, shift_block(spec, v, rng))
+    return mixed(mod, rng)
+
+
+def _dense_ideal_text(name):
+    desc = support.support_ideal(_dense_ideal_module(name))
+    return "".join(line + "\n" for line in desc.report_lines())
+
+
+def _sample_module(name):
+    p, r, _ = SAMPLE_CASES[name]
+    spec = reps.make_spec(p, r)
+    rng = random.Random(f"golden:{name}")
+    parts = [shift_block(spec, 1, rng), shift_block(spec, 2, rng), reps.free_module(spec, 1)]
+    return monomial(reps.direct_sum(reps.direct_sum(*parts[:2]), parts[2]), rng)[0]
+
+
+def _sample_text(name):
+    """The support, then the cosupport, report of _sample_module."""
+    mod, e_max = _sample_module(name), SAMPLE_CASES[name][2]
+    lines = []
+    for label, sample in (("support", support.support_sample),
+                          ("cosupport", support.cosupport_sample)):
+        lines += [label, *sample(mod, e_max).report_lines()]
+    return "".join(line + "\n" for line in lines)
+
+
 def _render(name):
     if name in CLI_CASES:
         return name + ".txt", _cli_text(name)
     if name in IDEAL_CASES:
         return name + ".txt", _ideal_text(name)
+    if name in DENSE_IDEAL_CASES:
+        return name + ".txt", _dense_ideal_text(name)
+    if name in SAMPLE_CASES:
+        return name + ".txt", _sample_text(name)
     return name + ".modrep", _coinduced_text(name)
 
 
-CASES = [*CLI_CASES, *COINDUCED_CASES, *IDEAL_CASES]
+CASES = [*CLI_CASES, *COINDUCED_CASES, *IDEAL_CASES, *DENSE_IDEAL_CASES, *SAMPLE_CASES]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -101,6 +155,23 @@ def test_golden(name):
     filename, text = _render(name)
     expected = (GOLDEN / filename).read_text(encoding="utf-8")
     assert text == expected
+
+
+@pytest.mark.parametrize("name", DENSE_IDEAL_CASES)
+def test_dense_ideal_golden_finds_pivots_in_numpy(name, monkeypatch):
+    # the premise of DENSE_IDEAL_CASES: both pivot stacks, of the C_b and of
+    # their transposes, are eliminated by linalg._log_pivots_numpy
+    shapes, route = [], linalg._log_pivots_numpy
+
+    def record(logs, desc, stop_at):
+        shapes.append(logs.shape)
+        return route(logs, desc, stop_at)
+
+    monkeypatch.setattr(linalg, "_log_pivots_numpy", record)
+    mod = _dense_ideal_module(name)
+    support.support_ideal(mod)
+    k = len(support._operator_coeffs(mod))
+    assert shapes == [(k * mod.n, mod.n)] * 2
 
 
 if __name__ == "__main__":

@@ -49,7 +49,18 @@ from pisupport.support import (
     ideal_vanishes_at,
 )
 
-from conftest import F2, F3, F4, F5, F9, _coinduced_by_trace_pairing, conjugated
+from conftest import (
+    F2,
+    F3,
+    F4,
+    F5,
+    F9,
+    _coinduced_by_trace_pairing,
+    conjugated,
+    mixed,
+    monomial,
+    shift_block,
+)
 
 KLEIN = make_spec(2, 2)
 P3R2 = make_spec(3, 2)
@@ -135,41 +146,6 @@ def _block_point_tester(mod, K):
     return tester
 
 
-def _shift_block(spec, v, rng, lead=None):
-    """Module of dimension p*v on which z_i acts as sum_{d >= v} c_{i,d} N^d
-    for the nilpotent shift N, with coefficients from the base, seeded
-    apart from the leads c_{i,v} when ``lead`` gives them.  Its support is
-    the hyperplane sum_i a_i c_{i,v} = 0."""
-    base, q = spec.base, spec.p * v
-
-    def scalar():
-        return FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
-
-    shift = Matrix(base, [[FieldElement.from_int(base, int(i == j + 1))
-                           for j in range(q)] for i in range(q)])
-    powers = [Matrix.identity(base, q)]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ shift)
-    while lead is None or not any(lead):
-        lead = [scalar() for _ in range(spec.r)]
-    mats = []
-    for c in lead:
-        acc = powers[v].scale(c)
-        for d in range(v + 1, q):
-            acc = acc + powers[d].scale(scalar())
-        mats.append(acc)
-    return ModuleRep(spec, mats)
-
-
-def _mixed(mod, rng):
-    """The module in a dense seeded basis: conjugated by a lower, then,
-    after reversing the basis, by an upper unitriangular matrix, so that
-    N(a)^{p-1} is not a corner block and its rows mix."""
-    mod = conjugated(mod, rng)
-    flip = [Matrix(z.desc, [row[::-1] for row in z.entries[::-1]]) for z in mod.Z]
-    return conjugated(ModuleRep(mod.spec, flip, name=mod.name), rng)
-
-
 def _agreement_cases():
     """(module, e_max), seeded, over the bases F_2, F_3, F_4, F_5 and F_9
     at r = 2, 3: a random module, one shift block, and a sum of two, in a
@@ -181,9 +157,9 @@ def _agreement_cases():
         for r, e_max in ((2, e_max2), (3, e_max3)):
             spec = make_spec(base.p, r, base=base)
             mods = [random_module(rng, spec, max_dim=10),
-                    _shift_block(spec, 1, rng),
-                    direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng))]
-            cases += [(_mixed(mod, rng), e_max) for mod in mods]
+                    shift_block(spec, 1, rng),
+                    direct_sum(shift_block(spec, 1, rng), shift_block(spec, 2, rng))]
+            cases += [(mixed(mod, rng), e_max) for mod in mods]
     cases.append((klein_truncation(6), 6))
     return cases + _cancelling_cases()
 
@@ -194,7 +170,7 @@ def _proportional_block(spec, v, rng, lead):
     with sum_i a_i lead_i = 0, N(a) is zero on it, so every row of N(a)
     that B reaches cancels; elsewhere N(a) is free on it."""
     unit = [FieldElement.one(spec.base)]
-    (b,) = _shift_block(make_spec(spec.p, 1, base=spec.base), v, rng, unit).Z
+    (b,) = shift_block(make_spec(spec.p, 1, base=spec.base), v, rng, unit).Z
     return ModuleRep(spec, [b.scale(c) for c in lead])
 
 
@@ -210,8 +186,8 @@ def _cancelling_cases():
     for base, lead in ((F2, (1, 1, 0)), (F3, (1, 1, 0)), (F5, (2, 2, 0)), (F9, (1, x))):
         spec = make_spec(base.p, len(lead), base=base)
         lead = [FieldElement.from_int(base, c) if isinstance(c, int) else c for c in lead]
-        mod = direct_sum(_proportional_block(spec, 1, rng, lead), _shift_block(spec, 1, rng))
-        cases.append((_monomial(mod, rng)[0], 2))
+        mod = direct_sum(_proportional_block(spec, 1, rng, lead), shift_block(spec, 1, rng))
+        cases.append((monomial(mod, rng)[0], 2))
     return cases
 
 
@@ -315,7 +291,7 @@ def _rank_gap_cases(p):
         spec = make_spec(p, 2, base=base)
         blocks = [_valuation_block(spec, v, w, rng) for v, w in pairs]
         mods = blocks + [_direct_sum(blocks[:2]), _direct_sum(blocks)]
-        cases += [(_monomial(mod, rng)[0], e_max) for mod in mods]
+        cases += [(monomial(mod, rng)[0], e_max) for mod in mods]
     return cases
 
 
@@ -351,8 +327,8 @@ def test_samplers_form_no_power_and_no_block_matrix(monkeypatch):
     # p = 3 modules whose tester ranks every point: the samplers and the
     # generic scan rank N(a) as it is, over F_3, F_9 and F_27
     rng = random.Random("no-power")
-    mods = [_mixed(_shift_block(P3R2, 1, rng), rng),
-            _monomial(_direct_sum([_valuation_block(P3R2, 1, 2, rng),
+    mods = [mixed(shift_block(P3R2, 1, rng), rng),
+            monomial(_direct_sum([_valuation_block(P3R2, 1, 2, rng),
                                    _valuation_block(P3R2, 2, 3, rng)]), rng)[0]]
 
     def refuse(*args):
@@ -534,7 +510,7 @@ def test_cosupport_sample_equals_support_sample():
     # The p = 3 module is a shift block over F_9 read as a module over F_3,
     # so its support is a Galois orbit of two points of degree 2.
     rng = random.Random("cosupport-oracle:0")
-    block = _shift_block(make_spec(3, 2, base=F9), 1, rng)
+    block = shift_block(make_spec(3, 2, base=F9), 1, rng)
     p3 = conjugated(ModuleRep(P3R2, [
         Matrix.from_ints(F3, linalg.to_block_int(z)[0].tolist()) for z in block.Z
     ], name="f9-shift-block"), rng)
@@ -610,7 +586,7 @@ UNRATIONAL_LEADS = ((2, 0), (2, 1), (1, 2))
 
 def _unrational_block(rng):
     lead = [FieldElement.from_scalar(F9, c) for c in UNRATIONAL_LEADS]
-    return _shift_block(make_spec(3, 3, base=F9), 1, rng, lead)
+    return shift_block(make_spec(3, 3, base=F9), 1, rng, lead)
 
 
 def test_unrational_leads_are_not_proportional_to_a_prime_field_vector():
@@ -625,7 +601,7 @@ def test_orbit_memo_agrees_with_every_point():
     # the agreement cases cover the bases F_2, F_3, F_4, F_5 and F_9 at
     # r = 2, 3; the block of UNRATIONAL_LEADS adds F_81 over F_9 at r = 3
     rng = random.Random("orbit-memo")
-    cases = _agreement_cases() + [(_mixed(_unrational_block(rng), rng), 2)]
+    cases = _agreement_cases() + [(mixed(_unrational_block(rng), rng), 2)]
     for mod, e_max in cases:
         spec = mod.spec
         sample, cosample = support_sample(mod, e_max), cosupport_sample(mod, e_max)
@@ -655,9 +631,9 @@ def test_orbit_memo_agrees_on_the_formulas():
     spec = make_spec(2, 3, base=F4)
     w = FieldElement.from_scalar(F4, (0, 1))
     lead = [FieldElement.one(F4), w, FieldElement.zero(F4)]
-    m = _mixed(direct_sum(_shift_block(spec, 1, rng, lead), _shift_block(spec, 1, rng)),
+    m = mixed(direct_sum(shift_block(spec, 1, rng, lead), shift_block(spec, 1, rng)),
                rng)
-    n = _mixed(_shift_block(spec, 2, rng), rng)
+    n = mixed(shift_block(spec, 2, rng), rng)
     h = reps.hom(m, n)
     K = support._sampling_field(F4, 2)
     points = list(enumerate_points(F4, 3, 2))[21:]  # past P^2(F_4)
@@ -707,7 +683,7 @@ def _dense_full_support(spec, g, rng):
     trivial, mod = trivial_module(spec), free_module(spec, g)
     for _ in range(spec.p):
         mod = direct_sum(trivial, mod)
-    mod = _mixed(mod, rng)
+    mod = mixed(mod, rng)
     assert len(reps.blocks(mod)) == 1
     return mod
 
@@ -737,7 +713,7 @@ def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
     assert ranked == [2] * 5 + [4] * 6
     ranked.clear()
     rng = random.Random("orbit-count")
-    mod = _mixed(direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng)), rng)
+    mod = mixed(direct_sum(shift_block(spec, 1, rng), shift_block(spec, 2, rng)), rng)
     monkeypatch.setattr(support, "generic_in_support", lambda mod, budget: None)
     desc = support_sample(mod, 3)
     assert len(desc.sampled) == 7 + 14 + 66
@@ -850,25 +826,6 @@ def test_enumeration_rejects_e_max_below_one():
 # direct sums decided block by block
 
 
-def _monomial(mod, rng):
-    """The module in a seeded monomial basis: basis vector i moves to
-    position perm[i] and is scaled by a nonzero element of the base.  Returns
-    the module and perm."""
-    base, n = mod.spec.base, mod.n
-    perm = list(range(n))
-    rng.shuffle(perm)
-    scale = [FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(1, base.order)))
-             for _ in range(n)]
-    mats = []
-    for z in mod.Z:
-        grid = [[None] * n for _ in range(n)]
-        for i, row in enumerate(z.entries):
-            for j, x in enumerate(row):
-                grid[perm[i]][perm[j]] = x * scale[i] / scale[j]
-        mats.append(Matrix(base, grid))
-    return ModuleRep(mod.spec, mats, name=mod.name), perm
-
-
 def _direct_sum(mods):
     out = mods[0]
     for mod in mods[1:]:
@@ -884,7 +841,7 @@ def _covering_lines(spec, rng):
     lines = []
     for pt in enumerate_points(spec.base, 2, 1):
         a1, a2 = pt.coords
-        lines.append(_shift_block(spec, 1, rng, [a2, -a1]))
+        lines.append(shift_block(spec, 1, rng, [a2, -a1]))
     return _direct_sum(lines)
 
 
@@ -897,16 +854,16 @@ def _block_cases():
     for base, r, e_max in ((F2, 2, 3), (F3, 2, 2), (F4, 2, 2), (F2, 3, 2)):
         spec = make_spec(base.p, r, base=base)
         full = _dense_full_support(spec, 1, rng)
-        shifts = direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 1, rng))
+        shifts = direct_sum(shift_block(spec, 1, rng), shift_block(spec, 1, rng))
         trivials = _direct_sum([trivial_module(spec)] * spec.p)
-        mods = [full, _mixed(shifts, rng)]
-        mods += [_monomial(mod, rng)[0] for mod in (
+        mods = [full, mixed(shifts, rng)]
+        mods += [monomial(mod, rng)[0] for mod in (
             direct_sum(shifts, free_module(spec, 1)),
             direct_sum(shifts, full),
             direct_sum(trivials, shifts))]
         if r == 2:
             lines = _covering_lines(spec, rng)
-            mods += [_monomial(mod, rng)[0] for mod in (
+            mods += [monomial(mod, rng)[0] for mod in (
                 lines, direct_sum(lines, full), direct_sum(lines, trivials))]
         cases += [(mod, e_max) for mod in mods]
     return cases
@@ -968,7 +925,7 @@ def test_tester_ranks_nothing_with_a_block_prime_to_p(monkeypatch):
     rng = random.Random("tester-blocks")
     spec = make_spec(2, 3)
     trivial = trivial_module(spec)
-    mod, _ = _monomial(_direct_sum([trivial, free_module(spec, 1), trivial]), rng)
+    mod, _ = monomial(_direct_sum([trivial, free_module(spec, 1), trivial]), rng)
 
     def refuse(*args):
         raise AssertionError("an operator was formed")
@@ -992,8 +949,8 @@ def test_sampling_ranks_sparse_operators_on_lists(p, r, e_max, monkeypatch):
 
     spec = make_spec(p, r)
     rng = random.Random(f"sparse-routes:{p}")
-    parts = [_shift_block(spec, 1, rng), _shift_block(spec, 2, rng), free_module(spec, 1)]
-    mod, _ = _monomial(_direct_sum(parts), rng)
+    parts = [shift_block(spec, 1, rng), shift_block(spec, 2, rng), free_module(spec, 1)]
+    mod, _ = monomial(_direct_sum(parts), rng)
     assert len(reps.blocks(mod)) > 1
     monkeypatch.setattr(linalg, "_zech_kernel", refuse)
     monkeypatch.setattr(linalg, "int_row_reduce", refuse)
@@ -1026,8 +983,8 @@ def test_point_tester_route_per_module_and_field(monkeypatch):
     # no Zech table of F_16 and the same verdicts
     spec = make_spec(2, 3)
     rng = random.Random("tester-routes")
-    parts = [_shift_block(spec, 1, rng), _shift_block(spec, 2, rng), free_module(spec, 1)]
-    sparse, _ = _monomial(_direct_sum(parts), rng)
+    parts = [shift_block(spec, 1, rng), shift_block(spec, 2, rng), free_module(spec, 1)]
+    sparse, _ = monomial(_direct_sum(parts), rng)
     dense = _dense_full_support(spec, 1, rng)
     fields_ = [support._sampling_field(spec.base, e) for e in (1, 2, 4)]
     points = {K: [pt.codes for pt in support._new_points(spec.base, 3, K.deg)[0]]
@@ -1084,9 +1041,9 @@ def test_partition_is_kept_off_modules_of_dimension_prime_to_p():
 
 def test_base_change_and_coinduction_carry_the_blocks():
     rng = random.Random("block-carry")
-    parts = [_shift_block(KLEIN, 1, rng), free_module(KLEIN, 1), trivial_module(KLEIN),
+    parts = [shift_block(KLEIN, 1, rng), free_module(KLEIN, 1), trivial_module(KLEIN),
              klein_truncation(3), trivial_module(KLEIN)]
-    mod, perm = _monomial(_direct_sum(parts), rng)
+    mod, perm = monomial(_direct_sum(parts), rng)
     # each part is connected, so the blocks are the images of their runs
     runs, start = [], 0
     for part in parts:
@@ -1218,7 +1175,7 @@ def test_ideal_of_a_sum_with_a_block_prime_to_p_is_zero(monkeypatch):
     # rank N(s) <= 2 + 2 < 5 = n/p on trivial + free:1 + free:1 + trivial:
     # every 5-minor vanishes, and the ideal is read off the block sizes
     rng = random.Random("ideal-blocks")
-    mod, _ = _monomial(_direct_sum([trivial_module(KLEIN), free_module(KLEIN, 1),
+    mod, _ = monomial(_direct_sum([trivial_module(KLEIN), free_module(KLEIN, 1),
                                     free_module(KLEIN, 1), trivial_module(KLEIN)]), rng)
     mods = [mod, base_change(mod, make_field(2, vars=("t",)))]
     visited = []
@@ -1606,7 +1563,7 @@ def test_sampling_builds_no_field_element(monkeypatch):
     # a module over F_4 with p | n, so that the generic scan runs
     spec = make_spec(2, 3, base=F4)
     rng = random.Random("unboxed-sampling")
-    mod = _mixed(direct_sum(_shift_block(spec, 1, rng), _shift_block(spec, 2, rng)),
+    mod = mixed(direct_sum(shift_block(spec, 1, rng), shift_block(spec, 2, rng)),
                  rng)
 
     def boxed(*args, **kwargs):
