@@ -63,12 +63,13 @@ def make_spec(p, r, flavors=None, base=None):
 
 class ModuleRep:
     """A finite-dimensional module: r commuting p-nilpotent matrices.  Its
-    partition into blocks (see blocks) and its nonzero entries (see
-    nonzero_codes) are kept once found."""
+    partition into blocks (see blocks), which of them are free (see
+    free_blocks) and its nonzero entries (see nonzero_codes) are kept once
+    found."""
 
-    __slots__ = ("spec", "n", "Z", "name", "_blocks", "_nonzeros")
+    __slots__ = ("spec", "n", "Z", "name", "_blocks", "_free", "_nonzeros")
 
-    def __init__(self, spec, Z, name=None, _checked=False, _blocks=None):
+    def __init__(self, spec, Z, name=None, _checked=False, _blocks=None, _free=None):
         Z = tuple(Z)
         if len(Z) != spec.r:
             raise ValidationError(f"expected {spec.r} generator matrices")
@@ -83,6 +84,7 @@ class ModuleRep:
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_blocks", _blocks)
+        object.__setattr__(self, "_free", _free)
         object.__setattr__(self, "_nonzeros", None)
         if not _checked:
             violations = validate(self)
@@ -99,7 +101,7 @@ class ModuleRep:
 
     def renamed(self, name):
         return ModuleRep(self.spec, self.Z, name=name, _checked=True,
-                         _blocks=self._blocks)
+                         _blocks=self._blocks, _free=self._free)
 
 
 def validate(mod):
@@ -199,6 +201,22 @@ def blocks(mod):
     return mod._blocks
 
 
+def free_blocks(mod):
+    """For each block of mod (blocks), in their order, whether the direct
+    summand on it is free.  The blocks are tested only when there are at
+    least two and p divides the dimension of each, all together by one
+    elimination (_free_on); every other flag is False, so a module of one
+    block takes no rank here.  Freeness does not change under field
+    extension, so base_change (and so coinduced) and renamed carry the
+    flags.  Found on first use and kept on the module."""
+    if mod._free is None:
+        parts, p = blocks(mod), mod.spec.p
+        test = len(parts) > 1 and not any(len(block) % p for block in parts)
+        object.__setattr__(mod, "_free",
+                           _free_on(mod, parts) if test else (False,) * len(parts))
+    return mod._free
+
+
 def nonzero_codes(mod):
     """(by_gen, size) over a finite base: by_gen[i][a] lists the (column,
     element code) pairs of the nonzero entries in row a of Z_i, and size
@@ -290,8 +308,10 @@ def base_change(mod, target) -> ModuleRep:
                 for m in mod.Z]
     else:
         mats = [m.map_entries(lambda x: embed(x, target), target) for m in mod.Z]
-    # embedding keeps the nonzero pattern, and with it the blocks
-    return ModuleRep(spec, mats, name=mod.name, _checked=True, _blocks=mod._blocks)
+    # embedding keeps the nonzero pattern, and with it the blocks, and the
+    # rank behind each freeness flag
+    return ModuleRep(spec, mats, name=mod.name, _checked=True, _blocks=mod._blocks,
+                     _free=mod._free)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +361,56 @@ def invariants(mod) -> InvariantsInfo:
 def radical_quotient_dim(mod) -> int:
     """Minimal number of generators, by Nakayama over the local algebra:
     n - dim(sum of the generator images)."""
-    if mod.n == 0:
-        return 0
-    stacked = linalg.hstack(list(mod.Z))
-    return mod.n - linalg.rank(stacked)
+    return mod.n - _generator_ranks(mod, [range(mod.n)])[0]
+
+
+def _generator_ranks(mod, parts):
+    """The rank of [Z_1 | ... | Z_r] on the rows and columns of each of
+    ``parts``, disjoint sequences of basis indices whose spans every Z_i
+    maps into themselves (blocks, or every index), with no summand built.
+
+    Over a finite base this is one fq_pivots call on the transpose
+    [Z_1; ...; Z_r] cut to the indices of all parts (no cut for every
+    index in order): its rows are r times shorter, so that a sparse module
+    is eliminated on rows of dicts, and the cut is block diagonal up to
+    order, so the pivot columns of each part number its rank."""
+    base = mod.spec.base
+    if not base.is_finite:
+        ranks = []
+        for part in parts:
+            cut = [Matrix(base, [[z.entries[a][b] for b in part] for a in part])
+                   for z in mod.Z]
+            ranks.append(linalg.rank(linalg.hstack(cut)))
+        return ranks
+    idx = [i for part in parts for i in part]
+    if not idx:
+        return [0] * len(parts)
+    gens = [linalg.coeff_array(z) for z in mod.Z]
+    if idx != list(range(mod.n)):
+        cut = np.ix_(idx, idx)
+        gens = [g[cut] for g in gens]
+    pivots = linalg.fq_pivots(np.concatenate(gens, axis=1).transpose(1, 0, 2), base)
+    if len(parts) == 1:
+        return [len(pivots)]
+    owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    return np.bincount(owner[list(pivots)], minlength=len(parts)).tolist()
+
+
+def _free_on(mod, parts):
+    """Whether the summand of mod on each of ``parts`` (as _generator_ranks
+    takes them) is free.  The minimal cover of a summand of dimension n_c is
+    free of rank g = n_c - rank [Z_1 | ... | Z_r] on its rows and columns,
+    and the summand is free iff n_c = p^r * g.  Only the parts of dimension
+    a multiple of p^r are ranked, all in one _generator_ranks call."""
+    size = mod.spec.p ** mod.spec.r
+    tested = [k for k, part in enumerate(parts) if len(part) % size == 0]
+    free = [False] * len(parts)
+    for k, rank in zip(tested, _generator_ranks(mod, [parts[k] for k in tested])):
+        free[k] = len(parts[k]) == size * (len(parts[k]) - rank)
+    return tuple(free)
 
 
 def is_free(mod) -> bool:
-    """Freeness test over the local algebra: the minimal cover has rank
-    g = radical_quotient_dim, and the module is free iff n = p^r * g."""
-    return mod.n == mod.spec.p ** mod.spec.r * radical_quotient_dim(mod)
+    """Freeness test over the local algebra: _free_on every index, the
+    test behind free_blocks."""
+    return _free_on(mod, [range(mod.n)])[0]

@@ -48,16 +48,30 @@ its rank is the sum of the blocks' ranks.  On a block of dimension n_c
 that rank is n_c less the number of Jordan blocks, which is more than
 n_c/p when p does not divide n_c.  Such a block keeps the sum below
 n - n/p, so it puts every point, and the generic point, in the support,
-and nothing is ranked.  Otherwise the point tester still ranks the whole
-operator, once per point: on rows of dicts the elimination never mixes
+and nothing is ranked.  A free block is a projective summand, and the
+support is an invariant of the stable module category, where projectives
+are zero: supp(M + P) = supp M (Friedlander and Pevtsova, Duke Math. J.
+139, 2007).  On a module of several blocks whose dimensions p all
+divides, each block of dimension a multiple of p^r is tested for freeness
+once, by Nakayama (reps.free_blocks), and base change and coinduction
+carry the flags.  N(a) restricted to a free block is free at every point,
+of rank n_c - n_c/p, so the point tester ranks N(a) on the other blocks
+only, n' rows and columns against n' - n'/p, and a module of free blocks
+alone is out everywhere with no rank.  The blocks left are ranked
+together, once per point: on rows of dicts the elimination never mixes
 blocks anyway, and on the numpy route one pipeline of numpy calls costs
 less than one per block.  The generic verdict uses
 supp(M + N) = supp M u supp N: the generic point is in exactly when it is
 in for some block, and a block needs only the field with
-q^e > (p-1)n_c/p.  A module of several blocks is first scanned whole over
-the points of degree 1, as a point out of the whole support is out for
-every block; if all are in, each block is scanned over its own field, up
-to the first block that is generically in.
+q^e > (p-1)n_c/p.  Free blocks are not scanned.  One block left is
+scanned on its own field, by the tester of the whole module.  A module of
+several blocks left is first scanned whole over the points of degree 1,
+as a point out of the whole support is out for every block; if all are
+in, each block left is scanned over its own field, up to the first block
+that is generically in.  The samplers read the sample first: a sampled
+point out puts the generic point out, with no scan.  The guard before
+any of this (_generic_scan) still counts the scans of every block, free
+or not, so it refuses the same calls.
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
@@ -226,37 +240,49 @@ def _point_tester(mod, K):
 
     A module with a block (reps.blocks) of dimension prime to p has that
     block as a direct summand, which is in the support everywhere, so the
-    tester is constant and ranks nothing.  Otherwise it ranks the whole
-    operator N(a) = sum a_i Z_i.  No power of N(a) is formed (see the module
-    docstring): the tester decides rank N(a) < n - n/p, stopping at
-    n - n/p.  The route is chosen once per (module, field).  When the union
-    of the nonzero patterns of the Z_i has at most
-    linalg.SPARSE_ROW_NONZEROS * n entries and K has at most
-    linalg.ZECH_MAX_ORDER elements, the nonzero entries of the Z_i, read
-    over the base once per module (reps.nonzero_codes), are embedded into
-    K, and at each point N(a) is summed from them as rows of dicts
-    (linalg.sparse_combination) and ranked by linalg.sparse_rank, with no
-    numpy call.  Otherwise the generators of the base change of mod to K
-    (reps.base_change, the identity on a module already over K) are one
-    (n, n, r*e) coordinate array, the F_p digits of the codes times the
-    powers of the generator of K (fields.companion_powers) are the F_p
-    matrices of multiplication by the a_i, one more product
-    (linalg.fp_matmul) gives N(a), and linalg.fq_rank ranks it.  The tests
-    check both routes against the rank of N(a)^{p-1} on the ne x ne block
-    matrix over F_p at every sampled point.
+    tester is constant and ranks nothing.  A free block (reps.free_blocks)
+    is a projective summand, free at every point, so it adds exactly
+    n_c - n_c/p to the rank of N(a) = sum a_i Z_i wherever it is taken: the
+    tester ranks N(a) on the rows and columns of the other blocks only
+    (_kept), n' of them, and decides rank < n' - n'/p, stopping at
+    n' - n'/p; when every block is free it is constant "out".  No power of
+    N(a) is formed (see the module docstring).  The route is chosen once
+    per (module, field).  When the union of the nonzero patterns of the Z_i
+    has at most linalg.SPARSE_ROW_NONZEROS * n entries and K has at most
+    linalg.ZECH_MAX_ORDER elements, the nonzero entries of the kept rows of
+    the Z_i, read over the base once per module (reps.nonzero_codes), are
+    embedded into K, and at each point N(a) is summed from them as rows of
+    dicts (linalg.sparse_combination) and ranked by linalg.sparse_rank,
+    with no numpy call.  Otherwise the generators of the base change of mod
+    to K (reps.base_change, the identity on a module already over K), cut
+    to the kept rows and columns, are one (n', n', r*e) coordinate array,
+    the F_p digits of the codes times the powers of the generator of K
+    (fields.companion_powers) are the F_p matrices of multiplication by the
+    a_i, one more product (linalg.fp_matmul) gives N(a), and linalg.fq_rank
+    ranks it.  The tests check both routes against the rank of N(a)^{p-1}
+    of the whole module on the ne x ne block matrix over F_p at every
+    sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
-    if n % p or _has_block_prime_to_p(mod):
+    kept = _kept(mod)
+    if kept is None:
         return lambda codes: True
-    target = n - n // p
+    if not kept:
+        return lambda codes: False
+    size = len(kept)
+    target = size - size // p
     by_gen, pattern = reps.nonzero_codes(mod)
     if K.order <= linalg.ZECH_MAX_ORDER and pattern <= linalg.SPARSE_ROW_NONZEROS * n:
+        if size < n:
+            by_gen = [[gen[a] for a in kept] for gen in by_gen]
         combine = linalg.sparse_combination(by_gen, mod.spec.base, K)
         return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
     # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
     # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
     gens = np.stack([linalg.coeff_array(m) for m in reps.base_change(mod, K).Z],
                     axis=2).reshape(n, n, mod.spec.r * e)
+    if size < n:
+        gens = gens[np.ix_(kept, kept)]
     powers = fields.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
     place = p ** np.arange(e, dtype=np.int64)
 
@@ -266,6 +292,21 @@ def _point_tester(mod, K):
         return linalg.fq_rank(acc, K, stop_at=target) != target
 
     return tester
+
+
+def _kept(mod):
+    """The basis indices, ascending, on which the point tester ranks N(a):
+    None when p does not divide n or some block has dimension prime to p,
+    so that every point is in the support, and otherwise the indices of the
+    blocks that are not free (reps.free_blocks), all of them when none is
+    and none when every block is."""
+    if mod.n % mod.spec.p or _has_block_prime_to_p(mod):
+        return None
+    free = reps.free_blocks(mod)
+    if not any(free):
+        return range(mod.n)
+    return sorted(i for block, flag in zip(reps.blocks(mod), free) if not flag
+                  for i in block)
 
 
 def _has_block_prime_to_p(mod):
@@ -410,7 +451,8 @@ def _sample(mod, e_max, budget, over):
     desc = SupportDescription(module=mod, e_max=e_max)
     desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
                                  lambda K: _point_tester(over(mod, K), K)))
-    desc.generic = generic_in_support(mod, budget)
+    # a support is closed, so a sampled point out puts the generic point out
+    desc.generic = all(desc.sampled.values()) and generic_in_support(mod, budget)
     return desc
 
 
@@ -477,21 +519,29 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     The support of a direct sum is the union of the supports of its
     summands, so the generic point is in exactly when it is in for some
     block (_generic_scan).  A block of dimension prime to p puts it in with
-    no scan.  A module of several blocks is first scanned whole over the
-    points of degree 1: a point out of the whole support is out for every
-    block, so "out" takes no more ranks than a scan of the whole module.
-    Then each block is scanned over its own, smaller field, up to the first
-    block that is generically in.  Raises BudgetExceeded before any point is
-    ranked when the scans visit more than ``budget`` tuples.
+    no scan.  A free block (reps.free_blocks) is never in, so it is not
+    scanned, and a module of free blocks alone is out with no rank.  One
+    block left is scanned over the divisors of its own e, by the point
+    tester of the whole module, which ranks that block alone.  A module of
+    several blocks left is first scanned whole over the points of degree 1:
+    a point out of the whole support is out for every block, so "out" takes
+    no more ranks than a scan of the whole module.  Then each block left is
+    scanned over its own, smaller field, up to the first block that is
+    generically in.  Raises BudgetExceeded before any point is ranked when
+    the scans of every block, free or not, visit more than ``budget``
+    tuples.
     """
     scans = _generic_scan(mod, budget)
     if scans is None:
         return mod.n > 0  # the zero module has empty support
-    if len(scans) == 1:
-        return _all_in(mod, _divisors(scans[0][1]))
+    live = [scan for scan, free in zip(scans, reps.free_blocks(mod)) if not free]
+    if len(live) < 2:
+        # the tester ranks the one block left on its own, and no block left
+        # means a free module
+        return bool(live) and _all_in(mod, _divisors(live[0][1]))
     if not _all_in(mod, [1]):
         return False
-    return any(_all_in(reps.summand(mod, block), _divisors(e)) for block, e in scans)
+    return any(_all_in(reps.summand(mod, block), _divisors(e)) for block, e in live)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +698,11 @@ class DadeReport:
 def verify_dade(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> DadeReport:
     """Freeness oracle against emptiness of the sampled support plus the
     generic verdict.  Disagreement would falsify the projectivity detection
-    statement at desk scale; none is expected."""
+    statement at desk scale; none is expected.  Both sides use the same
+    Nakayama test where a sum has several blocks (reps.free_blocks): the
+    samplers leave its free blocks out, so for them "free => empty" rests
+    on that test, and it is the point ranks of the other blocks, and of
+    modules of one block, that the statement checks."""
     sample = support_sample(mod, e_max, budget)
     free = reps.is_free(mod)
     agree = free == sample.is_empty()

@@ -24,7 +24,7 @@ from pisupport import (
     trivial_module,
     validate,
 )
-from pisupport import GROUP, PRIMITIVE, AlgebraSpec, ModuleRep, linalg
+from pisupport import GROUP, PRIMITIVE, AlgebraSpec, ModuleRep, linalg, reps
 from pisupport import make_linear, restrict
 from pisupport.errors import (
     BlockTooBig,
@@ -38,6 +38,7 @@ from pisupport.randmod import _cyclic_block, random_module
 
 from conftest import (
     F2, F3, F4, F5, F9, F2S, _coinduced_by_trace_pairing, boxed_ints, conjugated,
+    mixed, shift_block,
 )
 
 KLEIN = make_spec(2, 2)
@@ -525,6 +526,47 @@ def test_is_free_klein_truncation():
 
 def test_zero_module_is_free():
     assert is_free(free_module(KLEIN, 0))
+
+
+def test_one_elimination_ranks_every_block_as_its_own_summand(monkeypatch):
+    # reps._generator_ranks ranks all blocks at once, on the transposed
+    # stack; each block's count of pivot columns must be the rank of
+    # [Z_1 | Z_2] of its own summand, boxed and ranked by linalg.rank, and
+    # _free_on must agree with is_free on that summand.  free:1, a shift
+    # block of dimension p^2 that is not free (its pattern may fall into
+    # several blocks), and free:1 again, in their own basis (dict rows) and
+    # each in a dense basis (numpy over F_3 and F_9), over F_p, over
+    # extensions and over F_2(t)
+    rng = random.Random("generator-ranks")
+    numpy_calls, routes = [], set()
+    record = linalg._log_pivots_numpy
+
+    def numpy_route(*args):
+        numpy_calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(linalg, "_log_pivots_numpy", numpy_route)
+    for base in (F2, F3, F4, F9, F2S):
+        spec = make_spec(base.p, 2, base=base)
+        parts = [free_module(spec, 1), shift_block(spec, base.p, rng), free_module(spec, 1)]
+        for dense in (False, True):
+            mod = parts[0]
+            for part in parts[1:]:
+                mod = direct_sum(mod, mixed(part, rng) if dense else part)
+            blocks = reps.blocks(mod)
+            numpy_calls.clear()
+            ranks = reps._generator_ranks(mod, blocks)
+            routes.add(bool(numpy_calls))
+            flags = reps._free_on(mod, blocks)
+            for block, rank, flag in zip(blocks, ranks, flags):
+                cut = ModuleRep(spec, [
+                    Matrix(base, [[z.entries[a][b] for b in block] for a in block])
+                    for z in mod.Z])
+                assert rank == linalg.rank(linalg.hstack(list(cut.Z))), (base, dense)
+                assert flag == is_free(cut)
+            # the two free:1 and the shift block, whole or cut in pieces
+            assert flags.count(True) == 2 and len(flags) > 2
+    assert routes == {False, True}  # dict rows and numpy both ranked some
 
 
 # ---------------------------------------------------------------------------

@@ -655,7 +655,9 @@ def _count_ranks(monkeypatch):
     """The degree of the field of every rank taken from now on, counted
     once whichever route takes it: a call of fq_rank, or one of
     linalg.sparse_rank from outside fq_rank (the point tester's sparse
-    route)."""
+    route).  The freeness test of reps.free_blocks calls linalg.fq_pivots
+    itself and is not counted here; it is counted on its own in
+    test_freeness_is_tested_once_per_module_over_the_base."""
     ranked, inside = [], []
     fq_rank, sparse_rank = linalg.fq_rank, linalg.sparse_rank
 
@@ -721,6 +723,25 @@ def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
     assert any(desc.sampled.values()) and not all(desc.sampled.values())
 
 
+def test_sampled_point_out_decides_the_generic_verdict(monkeypatch):
+    # a support is closed, so once a sampled point is out the generic verdict
+    # is "out" with no rank of its own.  klein-M4 (support [0:1]) to degree
+    # 2: the 3 points of P^1(F_2), then the one orbit of new points of
+    # P^1(F_4), for the support and for the cosupport alike
+    ranked = _count_ranks(monkeypatch)
+    for sample in (support_sample, cosupport_sample):
+        ranked.clear()
+        desc = sample(klein_truncation(4), 2)
+        assert not desc.generic and not all(desc.sampled.values())
+        assert ranked == [1, 1, 1, 2]
+    # every point of degree 1 is in the covering lines' support, so their
+    # generic scan still runs: the 3 sampled points, then 3 + 2 + 1 + 1
+    ranked.clear()
+    desc = support_sample(_covering_lines(KLEIN, random.Random("sample-first")), 1)
+    assert all(desc.sampled.values()) and not desc.generic
+    assert ranked == [1] * (3 + 7)
+
+
 def test_generic_scan_past_the_zech_bound_ranks_as_below_it(monkeypatch):
     # past linalg.ZECH_MAX_ORDER fq_rank eliminates block matrices instead
     # of Zech logs; the scan of trivial^2 + free:2 in a dense basis still
@@ -740,14 +761,21 @@ def test_generic_scan_past_the_zech_bound_ranks_as_below_it(monkeypatch):
 def test_generic_scan_at_r1_ranks_one_point_over_the_base(summand, verdict, monkeypatch):
     # trivial^2 + free:1 in a dense basis (one block) and free:2 at p = 2,
     # r = 1: P^0 has one point, over F_2, so the scan builds no Frobenius and
-    # no Zech table although 4 > 2 = (p-1)n/p asks for F_4
-    def refuse(*args):
-        raise AssertionError("a table was built")
+    # no Zech table of F_4 although 4 > 2 = (p-1)n/p asks for F_4.  The
+    # tables of F_2 itself are allowed, so that the test does not depend on
+    # an earlier test having built them
+    spec = make_spec(2, 1)
+
+    def refuse(build):
+        def check(desc, *args):
+            if desc != spec.base:
+                raise AssertionError(f"a table of {desc} was built")
+            return build(desc, *args)
+        return check
 
     ranked = _count_ranks(monkeypatch)
-    monkeypatch.setattr(fields, "frobenius", refuse)
-    monkeypatch.setattr(fields, "zech_tables", refuse)
-    spec = make_spec(2, 1)
+    for name in ("frobenius", "zech_tables"):
+        monkeypatch.setattr(fields, name, refuse(getattr(fields, name)))
     if summand is None:
         # trivial^4 is four blocks of dimension 1: in, with no rank at all
         mod = trivial_module(spec)
@@ -759,7 +787,8 @@ def test_generic_scan_at_r1_ranks_one_point_over_the_base(summand, verdict, monk
     assert mod.n == 4 and support._generic_scan_degree(spec.base, 2, mod.n) == 2
     support._generic_scan(mod, 10)  # within the budget
     assert generic_in_support(mod) is verdict
-    assert ranked == [1]
+    # free:2 is two free blocks (reps.free_blocks): out with no rank of N(a)
+    assert ranked == ([1] if summand is None else [])
 
 
 def test_repeated_enumerations_share_their_points():
@@ -1066,6 +1095,180 @@ def test_base_change_and_coinduction_carry_the_blocks():
         assert sub.n == len(block)
         assert sub._blocks == found(sub) == (tuple(range(len(block))),)
         assert reps.validate(sub) == []
+
+
+# ---------------------------------------------------------------------------
+# free blocks: projective summands are left out of the point test
+
+
+def _free_sum_cases():
+    """(module, e_max, free dimension): sums with free summands over F_2,
+    F_3 and F_4 at r = 2, 3, in a permuted monomial basis, each with the
+    dimension of its free summands: shift blocks plus free:1, two free:1
+    around a shift block, and sums of free blocks alone, one of them in a
+    dense basis.  At r = 2 a dense trivial^p + free:1 (one block, in the
+    support everywhere) plus free:1 adds a case that the point tester ranks
+    in numpy, and whose generic point is in."""
+    rng = random.Random("free-blocks")
+    cases = []
+    for base, e_max2, e_max3 in ((F2, 3, 2), (F3, 2, 1), (F4, 2, 1)):
+        for r, e_max in ((2, e_max2), (3, e_max3)):
+            spec = make_spec(base.p, r, base=base)
+            free, size = free_module(spec, 1), spec.p ** r
+            shifts = direct_sum(shift_block(spec, 1, rng), shift_block(spec, 2, rng))
+            mods = [(direct_sum(shifts, free), size),
+                    (_direct_sum([free, shift_block(spec, 1, rng), free]), 2 * size),
+                    (free_module(spec, 2), 2 * size),
+                    (direct_sum(mixed(free, rng), free), 2 * size)]
+            if r == 2:
+                mods.append((direct_sum(_dense_full_support(spec, 1, rng), free), size))
+            cases += [(monomial(mod, rng)[0], e_max, dim) for mod, dim in mods]
+    return cases
+
+
+def _scan_field(spec, n):
+    """The least extension F_{q^e} of the base with q^e > (p-1)n/p, worked
+    out here rather than read from support._generic_scan_degree."""
+    e = 1
+    while spec.base.order**e <= (spec.p - 1) * n // spec.p:
+        e += 1
+    return support._sampling_field(spec.base, e)
+
+
+def test_free_blocks_agree_with_the_whole_module():
+    # the oracle ranks N(a)^{p-1} of the whole module, free blocks included,
+    # and tests no freeness; the generic oracle scans the whole module's
+    # grid, which decides "out" at its first point out
+    generics = set()
+    for mod, e_max, dim in _free_sum_cases():
+        spec = mod.spec
+        flags = reps.free_blocks(mod)
+        assert sum(len(b) for b, free in zip(reps.blocks(mod), flags) if free) == dim
+        sample, cosample = support_sample(mod, e_max), cosupport_sample(mod, e_max)
+        oracles = {}
+        for pt, verdict in sample.sampled.items():
+            K = pt.desc
+            if K not in oracles:
+                oracles[K] = _block_point_tester(mod, K)
+            assert verdict == cosample.sampled[pt] == oracles[K](pt.codes), (mod, pt)
+        K = _scan_field(spec, mod.n)
+        whole = _block_point_tester(mod, K)
+        grid = itertools.product(range(K.order), repeat=spec.r - 1)
+        generic = all(whole((1,) + codes) for codes in grid)
+        assert sample.generic == cosample.generic == generic_in_support(mod) == generic
+        generics.add((dim == mod.n, generic))
+    # all-free sums, and sums with a block left generically out and in
+    assert generics == {(True, False), (False, False), (False, True)}
+
+
+def test_free_blocks_agree_on_the_formulas():
+    # tensor and Hom rows, and their generic verdicts, against the whole
+    # modules' oracle: m has a free summand, so that M (x) N and Hom(M, N)
+    # have one too, and the Hom module is coinduced at each point
+    rng = random.Random("free-formulas")
+    for base, r, e_max in ((F2, 2, 2), (F3, 2, 1), (F4, 2, 1), (F2, 3, 1)):
+        spec = make_spec(base.p, r, base=base)
+        m = monomial(direct_sum(shift_block(spec, 1, rng), free_module(spec, 1)), rng)[0]
+        n = monomial(shift_block(spec, 1, rng), rng)[0]
+        assert any(reps.free_blocks(m))
+        for report, over in ((verify_tensor_formula(m, n, e_max), lambda x, K: x),
+                             (verify_hom_formula(m, n, e_max), reps.coinduced)):
+            assert any(reps.free_blocks(report.module))
+            oracles = {}
+            for pt, lhs, rhs in report.points:
+                K = pt.desc
+                if K not in oracles:
+                    oracles[K] = [_block_point_tester(x, K)
+                                  for x in (over(report.module, K), m, over(n, K))]
+                tl, tm, tn = oracles[K]
+                assert (lhs, rhs) == (tl(pt.codes), tm(pt.codes) and tn(pt.codes)), (
+                    report.kind, base, r, pt)
+            assert report.equal, (report.kind, base, r, report.mismatches())
+            # the generic verdicts of the three modules, against their grids
+            generics = []
+            for x in (report.module, m, n):
+                K = _scan_field(spec, x.n)
+                whole = _block_point_tester(x, K)
+                grid = itertools.product(range(K.order), repeat=r - 1)
+                generics.append(all(whole((1,) + codes) for codes in grid))
+                assert generic_in_support(x) == generics[-1]
+            assert report.generic_lhs == generics[0]
+            assert report.generic_rhs == (generics[1] and generics[2])
+
+
+def test_no_row_of_a_free_block_is_ranked_at_a_point(monkeypatch):
+    # every rank of N(a) the samplers and the generic scan take has the rows
+    # of the blocks that are not free, and only those; an all-free module is
+    # ranked nowhere
+    seen = []
+    fq_rank, sparse_rank = linalg.fq_rank, linalg.sparse_rank
+
+    def dense(coeffs, desc, stop_at=None):
+        seen.append(("fq_rank", coeffs.shape[0], coeffs.shape[1], None))
+        return fq_rank(coeffs, desc, stop_at)
+
+    def sparse(rows, desc, stop_at=None):
+        seen.append(("sparse_rank", len(rows), None, {c for row in rows for c in row}))
+        return sparse_rank(rows, desc, stop_at)
+
+    monkeypatch.setattr(linalg, "fq_rank", dense)
+    monkeypatch.setattr(linalg, "sparse_rank", sparse)
+    routes = set()
+    for mod, e_max, dim in _free_sum_cases():
+        freed = {i for b, free in zip(reps.blocks(mod), reps.free_blocks(mod)) if free
+                 for i in b}
+        assert len(freed) == dim
+        seen.clear()
+        support_sample(mod, e_max)
+        cosupport_sample(mod, e_max)
+        generic_in_support(mod)
+        if dim == mod.n:
+            assert seen == [], mod
+            continue
+        assert seen, mod
+        for route, rows, cols, columns in seen:
+            routes.add(route)
+            assert rows == mod.n - dim and cols in (None, rows), (mod, route)
+            assert not (columns or set()) & freed, (mod, route)
+    assert routes == {"fq_rank", "sparse_rank"}
+
+
+def test_freeness_is_tested_once_per_module_over_the_base(monkeypatch):
+    # one elimination for the blocks of dimension a multiple of p^r, over the
+    # base, carried by base change, coinduction and renaming; a module of
+    # one block, or with a block of dimension prime to p, takes none.  The
+    # samplers start with the base field, over which the coinduced module is
+    # the module itself, so that the later fields' coinduced modules carry
+    # the flags found there
+    ranks = []
+    nakayama = reps._generator_ranks
+
+    def counted(mod, parts):
+        ranks.append((mod.spec.base, [len(part) for part in parts]))
+        return nakayama(mod, parts)
+
+    monkeypatch.setattr(reps, "_generator_ranks", counted)
+    rng = random.Random("free-once")
+    spec = make_spec(2, 3)
+    parts = [shift_block(spec, 1, rng), shift_block(spec, 2, rng), free_module(spec, 1)]
+    mod = monomial(_direct_sum(parts), rng)[0]
+    for single in (klein_truncation(4), mixed(mod, rng),
+                   direct_sum(mod, trivial_module(spec))):
+        support_sample(single, 1)
+        assert ranks == [] and not any(reps.free_blocks(single))
+    cosupport_sample(mod, 2)
+    support_sample(mod, 2)
+    assert ranks == [(F2, [8])]  # 2 and 4 are not multiples of 8
+    flags = reps.free_blocks(mod)
+    assert sorted(zip(map(len, reps.blocks(mod)), flags)) == [
+        (2, False), (4, False), (8, True)]
+    K = support._sampling_field(F2, 3)
+    for changed in (base_change(mod, K), reps.coinduced(mod, K), mod.renamed("x"),
+                    base_change(mod, make_field(2, vars=("t",)))):
+        assert changed._free is flags
+    assert ranks == [(F2, [8])]
+
+
 
 
 # ---------------------------------------------------------------------------
