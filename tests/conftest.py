@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from pisupport import FieldElement, Matrix, Polynomial, linalg, make_field, reps
+from pisupport import (
+    FieldElement,
+    Matrix,
+    Polynomial,
+    direct_sum,
+    free_module,
+    linalg,
+    make_field,
+    reps,
+    trivial_module,
+)
+from pisupport.support import enumerate_points
 
 settings.register_profile(
     "suite",
@@ -129,6 +140,36 @@ def mixed(mod, rng):
     mod = conjugated(mod, rng)
     flip = [Matrix(z.desc, [row[::-1] for row in z.entries[::-1]]) for z in mod.Z]
     return conjugated(reps.ModuleRep(mod.spec, flip, name=mod.name), rng)
+
+
+def _dense_full_support(spec, g, rng):
+    """trivial^p + free:g in a dense seeded basis: in the support everywhere,
+    and one block, so that the generic scan ranks every closed point."""
+    trivial, mod = trivial_module(spec), free_module(spec, g)
+    for _ in range(spec.p):
+        mod = direct_sum(trivial, mod)
+    mod = mixed(mod, rng)
+    assert len(reps.blocks(mod)) == 1
+    return mod
+
+
+def _direct_sum(mods):
+    out = mods[0]
+    for mod in mods[1:]:
+        out = direct_sum(out, mod)
+    return out
+
+
+def _covering_lines(spec, rng):
+    """At r = 2, one shift block for each point [a_1 : a_2] of P^1 over the
+    base, with leads (a_2, -a_1), so that its support is that point alone:
+    the sum has every point of degree 1 in its support and the generic
+    point out."""
+    lines = []
+    for pt in enumerate_points(spec.base, 2, 1):
+        a1, a2 = pt.coords
+        lines.append(shift_block(spec, 1, rng, [a2, -a1]))
+    return _direct_sum(lines)
 
 
 def int_solve(a, rhs, p):

@@ -171,6 +171,20 @@ def test_support_generic_degree_cap_fails_before_sampling(monkeypatch):
     assert out.splitlines()[-1] == "generic out"
 
 
+def test_support_of_one_free_block_past_the_budget_fails_before_sampling(monkeypatch):
+    # free:1 at p = 2, r = 5 is one block of dimension 32, which the
+    # Nakayama test of free blocks does not take: its generic scan needs
+    # P^4(F_{2^5}), 31 + 1082401 tuples, so the guard fires before a point
+    from pisupport import support
+
+    monkeypatch.setattr(support, "_point_tester", None)
+    code, out, err = run("support", "free:1", "--p", "2", "--r", "5",
+                         "--sample-degree", "1")
+    assert code == 3 and out == ""
+    assert err == ("error: BudgetExceeded: generic scan of 1082432 points "
+                   "exceeds budget 200000\n")
+
+
 def test_internal_error_exit_four(monkeypatch):
     from pisupport import cli
 

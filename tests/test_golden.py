@@ -17,7 +17,14 @@ import pytest
 from pisupport import fields, linalg, modfile, randmod, reps, support
 from pisupport.cli import run_command
 
-from conftest import conjugated, mixed, monomial, shift_block
+from conftest import (
+    _covering_lines,
+    _dense_full_support,
+    conjugated,
+    mixed,
+    monomial,
+    shift_block,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,6 +74,17 @@ DENSE_IDEAL_CASES = {
 SAMPLE_CASES = {
     "sample_p2_r3": (2, 3, 3),
     "sample_p3_r2": (3, 2, 3),
+}
+
+# support and cosupport samples at r = 2, in a permuted monomial basis, of
+# conftest._covering_lines, whose support holds every point of degree 1 but
+# not the generic point, alone or plus conftest._dense_full_support, one
+# block in the support everywhere: (p, e_max, with the dense block)
+COVERING_CASES = {
+    "covering_p2": (2, 1, False),
+    "covering_dense_p2": (2, 2, True),
+    "covering_p3": (3, 1, False),
+    "covering_dense_p3": (3, 2, True),
 }
 
 
@@ -125,9 +143,23 @@ def _sample_module(name):
     return monomial(reps.direct_sum(reps.direct_sum(*parts[:2]), parts[2]), rng)[0]
 
 
+def _covering_module(name):
+    p, _, dense = COVERING_CASES[name]
+    spec = reps.make_spec(p, 2)
+    rng = random.Random(f"golden:{name}")
+    mod = _covering_lines(spec, rng)
+    if dense:
+        mod = reps.direct_sum(mod, _dense_full_support(spec, 1, rng))
+    return monomial(mod, rng)[0]
+
+
 def _sample_text(name):
-    """The support, then the cosupport, report of _sample_module."""
-    mod, e_max = _sample_module(name), SAMPLE_CASES[name][2]
+    """The support, then the cosupport, report of _sample_module or of
+    _covering_module."""
+    if name in COVERING_CASES:
+        mod, e_max = _covering_module(name), COVERING_CASES[name][1]
+    else:
+        mod, e_max = _sample_module(name), SAMPLE_CASES[name][2]
     lines = []
     for label, sample in (("support", support.support_sample),
                           ("cosupport", support.cosupport_sample)):
@@ -142,12 +174,13 @@ def _render(name):
         return name + ".txt", _ideal_text(name)
     if name in DENSE_IDEAL_CASES:
         return name + ".txt", _dense_ideal_text(name)
-    if name in SAMPLE_CASES:
+    if name in SAMPLE_CASES or name in COVERING_CASES:
         return name + ".txt", _sample_text(name)
     return name + ".modrep", _coinduced_text(name)
 
 
-CASES = [*CLI_CASES, *COINDUCED_CASES, *IDEAL_CASES, *DENSE_IDEAL_CASES, *SAMPLE_CASES]
+CASES = [*CLI_CASES, *COINDUCED_CASES, *IDEAL_CASES, *DENSE_IDEAL_CASES, *SAMPLE_CASES,
+         *COVERING_CASES]
 
 
 @pytest.mark.parametrize("name", CASES)

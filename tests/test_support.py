@@ -56,6 +56,9 @@ from conftest import (
     F5,
     F9,
     _coinduced_by_trace_pairing,
+    _covering_lines,
+    _dense_full_support,
+    _direct_sum,
     conjugated,
     mixed,
     monomial,
@@ -679,17 +682,6 @@ def _count_ranks(monkeypatch):
     return ranked
 
 
-def _dense_full_support(spec, g, rng):
-    """trivial^p + free:g in a dense seeded basis: in the support everywhere,
-    and one block, so that the generic scan ranks every closed point."""
-    trivial, mod = trivial_module(spec), free_module(spec, g)
-    for _ in range(spec.p):
-        mod = direct_sum(trivial, mod)
-    mod = mixed(mod, rng)
-    assert len(reps.blocks(mod)) == 1
-    return mod
-
-
 def test_sampling_and_generic_scan_rank_one_point_per_orbit(monkeypatch):
     ranked = _count_ranks(monkeypatch)
     spec = make_spec(2, 3)
@@ -853,25 +845,6 @@ def test_enumeration_rejects_e_max_below_one():
 
 # ---------------------------------------------------------------------------
 # direct sums decided block by block
-
-
-def _direct_sum(mods):
-    out = mods[0]
-    for mod in mods[1:]:
-        out = direct_sum(out, mod)
-    return out
-
-
-def _covering_lines(spec, rng):
-    """At r = 2, one shift block for each point [a_1 : a_2] of P^1 over the
-    base, with leads (a_2, -a_1), so that its support is that point alone:
-    the sum has every point of degree 1 in its support and the generic
-    point out."""
-    lines = []
-    for pt in enumerate_points(spec.base, 2, 1):
-        a1, a2 = pt.coords
-        lines.append(shift_block(spec, 1, rng, [a2, -a1]))
-    return _direct_sum(lines)
 
 
 def _block_cases():
