@@ -170,8 +170,8 @@ def blocks(mod):
     """The connected components of the union of the nonzero patterns of
     Z_1..Z_r, as tuples of basis indices, each sorted, in the order of their
     least index.  Every Z_i maps the span of a block into itself, so the
-    module is the direct sum of its restrictions to the blocks (summand),
-    and N(a) = sum a_i Z_i is block diagonal on them at every point a.
+    module is the direct sum of its restrictions to the blocks, and
+    N(a) = sum a_i Z_i is block diagonal on them at every point a.
     Found on first use and kept on the module."""
     if mod._blocks is None:
         n = mod.n
@@ -232,15 +232,6 @@ def nonzero_codes(mod):
         # codes are nonnegative, so their sum is nonzero on the union
         object.__setattr__(mod, "_nonzeros", (by_gen, np.count_nonzero(sum(codes))))
     return mod._nonzeros
-
-
-def summand(mod, block):
-    """The direct summand of mod, over a finite base, on one of its blocks,
-    with the one-block partition."""
-    idx = np.ix_(block, block)
-    mats = [linalg.from_coeff_array(mod.spec.base, linalg.coeff_array(z)[idx])
-            for z in mod.Z]
-    return ModuleRep(mod.spec, mats, _checked=True, _blocks=(tuple(range(len(block))),))
 
 
 # ---------------------------------------------------------------------------

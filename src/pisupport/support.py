@@ -63,15 +63,13 @@ blocks anyway, and on the numpy route one pipeline of numpy calls costs
 less than one per block.  The generic verdict uses
 supp(M + N) = supp M u supp N: the generic point is in exactly when it is
 in for some block, and a block needs only the field with
-q^e > (p-1)n_c/p.  Free blocks are not scanned.  One block left is
-scanned on its own field, by the tester of the whole module.  A module of
-several blocks left is first scanned whole over the points of degree 1,
-as a point out of the whole support is out for every block; if all are
-in, each block left is scanned over its own field, up to the first block
-that is generically in.  The samplers read the sample first: a sampled
-point out puts the generic point out, with no scan.  The guard before
-any of this (_generic_scan) still counts the scans of every block, free
-or not, so it refuses the same calls.
+q^e > (p-1)n_c/p.  So it runs one plan (_generic_scan): each block that is
+not free, scanned over its own field by the point tester cut to that
+block's rows and columns, up to the first block that is generically in; a
+module of free blocks alone has an empty plan and is out.  The samplers
+and the formula checks read the sample first: a sampled point out puts the
+generic point out, with no scan.  The guard before any of this counts the
+same plan, so it refuses a call exactly when the plan is too large.
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
@@ -234,9 +232,14 @@ def point_pi(spec, pt: ProjPoint) -> pipoints.PiPoint:
 # Fast finite-field tester: one closed point == one rank computation over K
 
 
-def _point_tester(mod, K):
+def _point_tester(mod, K, block=None):
     """Callable deciding in-support for a point of P^{r-1}(K) given by its
-    element codes (ProjPoint.codes).
+    element codes (ProjPoint.codes).  Given ``block``, the indices of one
+    block of mod that is not free (_live_blocks), it decides the point for
+    the summand on that block instead, as the generic scan asks: N(a) is
+    ranked on that block's rows and columns in place of the kept ones, on
+    the route chosen for mod, from the nonzero entries of mod itself, so
+    that no summand is built and every block reads the same cached entries.
 
     A module with a block (reps.blocks) of dimension prime to p has that
     block as a direct summand, which is in the support everywhere, so the
@@ -264,7 +267,7 @@ def _point_tester(mod, K):
     sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
-    kept = _kept(mod)
+    kept = _kept(mod) if block is None else block
     if kept is None:
         return lambda codes: True
     if not kept:
@@ -296,17 +299,27 @@ def _point_tester(mod, K):
 
 def _kept(mod):
     """The basis indices, ascending, on which the point tester ranks N(a):
-    None when p does not divide n or some block has dimension prime to p,
-    so that every point is in the support, and otherwise the indices of the
-    blocks that are not free (reps.free_blocks), all of them when none is
-    and none when every block is."""
+    those of the blocks that _live_blocks gives, every index when no block
+    is free, and None when it gives None (every point is then in the
+    support)."""
+    live = _live_blocks(mod)
+    if live is None:
+        return None
+    if len(live) == len(reps.blocks(mod)):
+        return range(mod.n)
+    return sorted(i for block in live for i in block)
+
+
+def _live_blocks(mod):
+    """The blocks of mod (reps.blocks) that are not free (reps.free_blocks),
+    in their order: the blocks whose rows the point tester and the generic
+    scan rank.  None when p does not divide n or some block has dimension
+    prime to p, so that every point, and the generic point, is in the
+    support."""
     if mod.n % mod.spec.p or _has_block_prime_to_p(mod):
         return None
-    free = reps.free_blocks(mod)
-    if not any(free):
-        return range(mod.n)
-    return sorted(i for block, flag in zip(reps.blocks(mod), free) if not flag
-                  for i in block)
+    return [block for block, free in zip(reps.blocks(mod), reps.free_blocks(mod))
+            if not free]
 
 
 def _has_block_prime_to_p(mod):
@@ -468,80 +481,61 @@ def _generic_scan_degree(base, p, n):
 
 
 def _generic_scan(mod, budget):
-    """The scans that decide the generic verdict of mod, as the pairs
-    (block, e) of its blocks (reps.blocks) and their degrees
-    _generic_scan_degree.  None when no scan is needed: n = 0, or some
-    block has dimension prime to p.  A module of one block is scanned over
-    the divisors of e; a module of more blocks is first scanned whole over
-    P^{r-1}(F_q), then block by block over the divisors of its own e.
-    Raises BudgetExceeded when all these scans visit more than ``budget``
-    tuples, or some F_{q^e} is past the degree cap.  It reads the block
-    sizes only and builds no summand."""
+    """The plan of the scan that decides the generic verdict of mod: for
+    each block that is not free (_live_blocks), the pair (block, degrees),
+    degrees the divisors of its own relative degree e from
+    _generic_scan_degree.  None when no rank can change the verdict: n = 0,
+    p does not divide n, or some block has dimension prime to p.  An empty
+    plan, every block free, is "out".  Raises BudgetExceeded when the plan
+    visits more than ``budget`` tuples in all (_tuple_count), or when the
+    largest e of the plan is past the degree cap.  It reads the block sizes
+    and the freeness flags only, and builds no summand."""
     n, p, r = mod.n, mod.spec.p, mod.spec.r
     if n == 0 or n % p:
         return None
     base = mod.spec.base
     if not base.is_finite:
         raise ValueError("generic sampling needs a finite base field")
-    if _has_block_prime_to_p(mod):
+    live = _live_blocks(mod)
+    if live is None:
         return None
-    scans = [(block, _generic_scan_degree(base, p, len(block)))
-             for block in reps.blocks(mod)]
-    size = _tuple_count(base, r, [1]) if len(scans) > 1 else 0
-    size += sum(_tuple_count(base, r, _divisors(e)) for _, e in scans)
+    plan = [(block, _divisors(_generic_scan_degree(base, p, len(block))))
+            for block in live]
+    size = sum(_tuple_count(base, r, degrees) for _, degrees in plan)
     if size > budget:
         raise BudgetExceeded(f"generic scan of {size} points exceeds budget {budget}")
-    _check_degree(base, max(e for _, e in scans), "generic scan")
-    return scans
+    _check_degree(base, max((degrees[-1] for _, degrees in plan), default=1),
+                  "generic scan")
+    return plan
 
 
 def _divisors(e):
     return [d for d in range(1, e + 1) if e % d == 0]
 
 
-def _all_in(mod, degrees):
-    """Is every point of _new_points over the base of mod, for the relative
-    degrees in ``degrees``, in the support of mod?  Stops at the first point
-    out."""
-    return all(verdict for _, verdict in _sampled(
-        mod.spec, degrees, lambda K: _point_tester(mod, K)))
-
-
 def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     """Verdict at the generic point of P^{r-1} (chart a_1 = 1).
 
-    In exactly when every closed point of P^{r-1}(F_{q^e}) is in, with e
-    from _generic_scan_degree (see the module docstring).  Each such point
-    is new over F_{q^d} for exactly one d | e, and rank does not change
-    under field extension, so the scan is _sampled over the divisors of e,
-    smallest field first, and it stops at the first point out.
-
     The support of a direct sum is the union of the supports of its
     summands, so the generic point is in exactly when it is in for some
-    block (_generic_scan).  A block of dimension prime to p puts it in with
-    no scan.  A free block (reps.free_blocks) is never in, so it is not
-    scanned, and a module of free blocks alone is out with no rank.  One
-    block left is scanned over the divisors of its own e, by the point
-    tester of the whole module, which ranks that block alone.  A module of
-    several blocks left is first scanned whole over the points of degree 1:
-    a point out of the whole support is out for every block, so "out" takes
-    no more ranks than a scan of the whole module.  Then each block left is
-    scanned over its own, smaller field, up to the first block that is
-    generically in.  Raises BudgetExceeded before any point is ranked when
-    the scans of every block, free or not, visit more than ``budget``
-    tuples.
+    block, and a free block is never in.  So the scan runs the plan of
+    _generic_scan, and a module whose plan is empty, of free blocks alone,
+    is out with no rank.  A block is in exactly when every closed point of
+    P^{r-1}(F_{q^e}) is in for it, with its own e (see the module
+    docstring).  Each such point is new over F_{q^d} for exactly one d | e,
+    and rank does not change under field extension, so the block is
+    _sampled over the divisors of e, smallest field first, by the point
+    tester of the whole module cut to that block, and its scan stops at its
+    first point out.  The plan stops at the first block that is in.
+    Raises BudgetExceeded before any point is ranked when the plan visits
+    more than ``budget`` tuples.
     """
-    scans = _generic_scan(mod, budget)
-    if scans is None:
+    plan = _generic_scan(mod, budget)
+    if plan is None:
         return mod.n > 0  # the zero module has empty support
-    live = [scan for scan, free in zip(scans, reps.free_blocks(mod)) if not free]
-    if len(live) < 2:
-        # the tester ranks the one block left on its own, and no block left
-        # means a free module
-        return bool(live) and _all_in(mod, _divisors(live[0][1]))
-    if not _all_in(mod, [1]):
-        return False
-    return any(_all_in(reps.summand(mod, block), _divisors(e)) for block, e in live)
+    return any(all(verdict for _, verdict in _sampled(
+        mod.spec, degrees, lambda K, block=block: _point_tester(mod, K, block)))
+        for block, degrees in plan)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +768,9 @@ def _verify_formula(kind, build, over, m, n, e_max, budget) -> FormulaReport:
 
     rows = [(pt, lhs, rhs) for pt, (lhs, rhs)
             in _sampled(m.spec, range(1, e_max + 1), make_decider)]
-    g_lhs = generic_in_support(t, budget)
+    # a support is closed, and the lhs is a support or, for a cosupport,
+    # that of a base change: a sampled point out puts the generic point out
+    g_lhs = all(lhs for _, lhs, _ in rows) and generic_in_support(t, budget)
     g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
     return FormulaReport(kind, t, rows, g_lhs, g_rhs)
 

@@ -36,6 +36,10 @@ CLI_CASES = {
                                        "--sample-degree", "1", "--ideal"],
     "support_free2_p2_r3_deg3": ["support", "free:2", "--p", "2", "--r", "3",
                                  "--sample-degree", "3"],
+    # two free blocks: out everywhere, the generic point included, with no
+    # rank of N(a) and no generic scan to count
+    "support_free2_p2_r5_deg1": ["support", "free:2", "--p", "2", "--r", "5",
+                                 "--sample-degree", "1"],
     **{
         f"verify_p{p}_r{r}_trials2": ["verify", "--trials", "2", "--p", str(p),
                                       "--r", str(r)]

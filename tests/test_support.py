@@ -468,22 +468,21 @@ def test_generic_scan_past_degree_cap_fails_before_any_point(monkeypatch):
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_generic_scan_guards_count_every_block_before_any_point(flip, monkeypatch):
-    # klein-M4 + free:1, in either order, is two blocks, of e = 3 and e = 2:
-    # the scan visits the 3 points of P^1(F_2) for the whole module, then
-    # 3 + 9 tuples for klein-M4 and 3 + 5 for free:1.  Every check runs
-    # before any rank
+    # klein-M4 + free:1, in either order, is two blocks, of e = 3 and e = 2.
+    # free:1 is free and is not scanned, so the plan is klein-M4 alone, over
+    # the divisors of its e: 3 + 9 tuples of P^1(F_2) and P^1(F_8).  Every
+    # check runs before any rank of N(a)
     parts = [klein_truncation(4), free_module(KLEIN, 1)]
     mod = direct_sum(*parts[::-1] if flip else parts)
     assert sorted(len(block) for block in reps.blocks(mod)) == [4, 8]
     with monkeypatch.context() as m:
         m.setattr(support, "_point_tester", None)
-        m.setattr(reps, "summand", None)
-        with pytest.raises(BudgetExceeded, match="generic scan of 23 points"):
-            generic_in_support(mod, budget=22)
+        with pytest.raises(BudgetExceeded, match="generic scan of 12 points"):
+            generic_in_support(mod, budget=11)
         m.setattr(fields, "MAX_EXTENSION_DEGREE", 2)
         with pytest.raises(BudgetExceeded, match="degree 3 over F_2, past the cap 2"):
             generic_in_support(mod)
-    assert generic_in_support(mod, budget=23) is False
+    assert generic_in_support(mod, budget=12) is False
 
 
 def test_enumeration_size_counts_points_over_extension_base():
@@ -727,11 +726,12 @@ def test_sampled_point_out_decides_the_generic_verdict(monkeypatch):
         assert not desc.generic and not all(desc.sampled.values())
         assert ranked == [1, 1, 1, 2]
     # every point of degree 1 is in the covering lines' support, so their
-    # generic scan still runs: the 3 sampled points, then 3 + 2 + 1 + 1
+    # generic scan still runs: the 3 sampled points, then each line over
+    # F_2 up to its first point out, 2 + 1 + 1
     ranked.clear()
     desc = support_sample(_covering_lines(KLEIN, random.Random("sample-first")), 1)
     assert all(desc.sampled.values()) and not desc.generic
-    assert ranked == [1] * (3 + 7)
+    assert ranked == [1] * (3 + 4)
 
 
 def test_generic_scan_past_the_zech_bound_ranks_as_below_it(monkeypatch):
@@ -905,20 +905,20 @@ def test_generic_scan_decides_blocks_on_their_own_fields(monkeypatch):
     # the covering lines over F_2, blocks of dimension 2 whose supports are
     # [1:0], [1:1] and [0:1] in that order, then a dense trivial^2 + free:1,
     # one block of dimension 6.  The whole module (n = 12) would need F_8;
-    # the lines need F_2 and the last block F_4.  The scan ranks the 3
-    # points of P^1(F_2) for the whole module, then each line up to its
-    # first point out (2, 1 and 1 ranks), then the 3 points of P^1(F_2) and
-    # the one orbit of new points of P^1(F_4) for the last block
+    # the lines need F_2 and the last block F_4.  The scan ranks each line
+    # up to its first point out (2, 1 and 1 ranks), then the 3 points of
+    # P^1(F_2) and the one orbit of new points of P^1(F_4) for the last
+    # block, and no point twice for the same block
     rng = random.Random("block-fields")
     ranked = _count_ranks(monkeypatch)
     lines = _covering_lines(KLEIN, rng)
     mod = direct_sum(lines, _dense_full_support(KLEIN, 1, rng))
     assert [len(block) for block in reps.blocks(mod)] == [2, 2, 2, 6]
     assert generic_in_support(mod)
-    assert ranked == [1] * (3 + 2 + 1 + 1 + 3) + [2]
+    assert ranked == [1] * (2 + 1 + 1 + 3) + [2]
     ranked.clear()
     assert not generic_in_support(lines)
-    assert ranked == [1] * (3 + 2 + 1 + 1)
+    assert ranked == [1] * (2 + 1 + 1)
 
 
 def test_tester_ranks_nothing_with_a_block_prime_to_p(monkeypatch):
@@ -1063,11 +1063,15 @@ def test_base_change_and_coinduction_carry_the_blocks():
         if target.is_finite:
             coinduced = reps.coinduced(mod, target)
             assert coinduced._blocks is blocks and found(coinduced) == blocks
+    # each block spans a direct summand: no Z_i has an entry between it and
+    # the other indices, so the point tester cut to a block ranks that
+    # summand alone
     for block in blocks:
-        sub = reps.summand(mod, block)
-        assert sub.n == len(block)
-        assert sub._blocks == found(sub) == (tuple(range(len(block))),)
-        assert reps.validate(sub) == []
+        rest = [i for i in range(mod.n) if i not in block]
+        for z in mod.Z:
+            coeffs = linalg.coeff_array(z)
+            assert not coeffs[np.ix_(block, rest)].any()
+            assert not coeffs[np.ix_(rest, block)].any()
 
 
 # ---------------------------------------------------------------------------
@@ -1170,9 +1174,9 @@ def test_free_blocks_agree_on_the_formulas():
 
 
 def test_no_row_of_a_free_block_is_ranked_at_a_point(monkeypatch):
-    # every rank of N(a) the samplers and the generic scan take has the rows
-    # of the blocks that are not free, and only those; an all-free module is
-    # ranked nowhere
+    # every rank of N(a) the samplers take has the rows of the blocks that
+    # are not free, and only those, and every rank of the generic scan has
+    # the rows of exactly one of them; an all-free module is ranked nowhere
     seen = []
     fq_rank, sparse_rank = linalg.fq_rank, linalg.sparse_rank
 
@@ -1188,22 +1192,67 @@ def test_no_row_of_a_free_block_is_ranked_at_a_point(monkeypatch):
     monkeypatch.setattr(linalg, "sparse_rank", sparse)
     routes = set()
     for mod, e_max, dim in _free_sum_cases():
-        freed = {i for b, free in zip(reps.blocks(mod), reps.free_blocks(mod)) if free
-                 for i in b}
+        flags = reps.free_blocks(mod)
+        freed = {i for b, free in zip(reps.blocks(mod), flags) if free for i in b}
+        live = [set(b) for b, free in zip(reps.blocks(mod), flags) if not free]
         assert len(freed) == dim
+        with monkeypatch.context() as m:
+            m.setattr(support, "generic_in_support", lambda mod, budget: False)
+            seen.clear()
+            support_sample(mod, e_max)
+            cosupport_sample(mod, e_max)
+        sampled = list(seen)
         seen.clear()
-        support_sample(mod, e_max)
-        cosupport_sample(mod, e_max)
         generic_in_support(mod)
         if dim == mod.n:
-            assert seen == [], mod
+            assert sampled == seen == [], mod
             continue
-        assert seen, mod
-        for route, rows, cols, columns in seen:
+        assert sampled and seen, mod
+        for route, rows, cols, columns in sampled:
             routes.add(route)
             assert rows == mod.n - dim and cols in (None, rows), (mod, route)
             assert not (columns or set()) & freed, (mod, route)
-    assert routes == {"fq_rank", "sparse_rank"}
+        for route, rows, cols, columns in seen:
+            routes.add(("generic", route))
+            assert cols in (None, rows), (mod, route)
+            assert any(rows == len(b) and (columns or set()) <= b for b in live), (
+                mod, route)
+    assert routes == {"fq_rank", "sparse_rank", ("generic", "fq_rank"),
+                      ("generic", "sparse_rank")}
+
+
+def test_generic_budget_counts_the_blocks_that_are_not_free(monkeypatch):
+    # the plan's tuple count, worked out here from the block sizes: each
+    # block that is not free is scanned over the divisors d of the least e
+    # with q^e > (p-1)n_c/p, |P^{r-1}(F_{q^d})| tuples each; free blocks
+    # add nothing.  A budget of exactly that count passes, one less raises
+    # before any point is ranked
+    counted = 0
+    for mod, _, dim in _free_sum_cases():
+        spec, p, q = mod.spec, mod.spec.p, mod.spec.base.order
+        flags = reps.free_blocks(mod)
+        count = 0
+        for block, free in zip(reps.blocks(mod), flags):
+            if free:
+                continue
+            e = 1
+            while q**e <= (p - 1) * len(block) // p:
+                e += 1
+            count += sum((q ** (d * spec.r) - 1) // (q**d - 1)
+                         for d in range(1, e + 1) if e % d == 0)
+        assert sum(len(b) for b, free in zip(reps.blocks(mod), flags) if free) == dim
+        if dim == mod.n:
+            assert count == 0
+            assert generic_in_support(mod, budget=0) is False
+            continue
+        counted += 1
+        verdict = generic_in_support(mod, budget=count)
+        with monkeypatch.context() as m:
+            m.setattr(support, "_point_tester", None)
+            with pytest.raises(BudgetExceeded, match=f"generic scan of {count} points"):
+                generic_in_support(mod, budget=count - 1)
+        assert verdict == generic_in_support(mod)
+    assert counted > 0
 
 
 def test_freeness_is_tested_once_per_module_over_the_base(monkeypatch):
