@@ -366,11 +366,31 @@ def frobenius(desc, order):
     code of x, for ``order`` the order of a subfield of the finite part, so
     that x -> x^order generates the automorphisms of the finite part over
     that subfield.  log(x^order) = order * log x mod q-1, and 0 -> 0."""
-    exp, log, _ = zech_tables(desc)
-    frob = exp[log.astype(np.int64) * order % (desc.order - 1)]
-    frob[0] = 0
-    frob.flags.writeable = False
-    return frob
+    return _log_map(desc, desc, order)
+
+
+@lru_cache(maxsize=None)
+def embedding_codes(src, dst):
+    """Read-only int32 array over the element codes of src's finite part:
+    the code in dst of the image of each under _scalar_embedding.  That
+    embedding is a field map, so it sends g^k to h^k, g the primitive
+    element of zech_tables(src) and h its image, and
+    log_dst(image of x) = log_src(x) * log_dst(h) mod (q_dst - 1), with
+    0 -> 0.  The root behind h is found once, by _scalar_embedding."""
+    _, log, _ = zech_tables(dst)
+    g = src.sfrom_code(primitive_element(src))
+    return _log_map(src, dst, int(log[dst.sto_code(_scalar_embedding(src, dst)(g))]))
+
+
+def _log_map(src, dst, k):
+    """Read-only int32 array over the element codes of src: the code in dst
+    of exp_dst(k * log_src(x)) at the code of x, and 0 -> 0."""
+    _, log, _ = zech_tables(src)
+    exp, _, _ = zech_tables(dst)
+    table = exp[log.astype(np.int64) * k % (dst.order - 1)]
+    table[0] = 0
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

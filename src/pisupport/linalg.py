@@ -691,17 +691,19 @@ def sparse_combination(by_gen, src, desc):
     a_1..a_r to the rows of N(a) = sum a_i Z_i over the finite field
     ``desc``, of order at most ZECH_MAX_ORDER, as sparse_pivots takes them.
     ``by_gen`` holds the nonzero entries of Z_1..Z_r over the field ``src``,
-    which ``desc`` refines, as reps.nonzero_codes reads them.  Their codes
-    are embedded once, as values in ``desc``; at a point each row of N(a)
+    which ``desc`` refines, as reps.nonzero_codes reads them.  For a module
+    M over the base these are also the rows of N(a) for the coinduced
+    module Hom_k(K, M), whose generators in the trace-pairing basis are the
+    same entries embedded into K = ``desc`` (reps.coinduced).  The codes
+    are embedded by the table fields.embedding_codes, built once per pair
+    of fields, and read as values in ``desc``; at a point each row of N(a)
     is summed from them with no numpy call, and entries that cancel are
     dropped."""
     value, _, add = _sparse_arithmetic(desc)
     if src == desc:
         image = value
     else:
-        emb = fields._scalar_embedding(src, desc)
-        image = {x: value[desc.sto_code(emb(src.sfrom_code(x)))]
-                 for x in {x for gen in by_gen for row in gen for _, x in row}}
+        image = [value[c] for c in fields.embedding_codes(src, desc).tolist()]
     n = len(by_gen[0])
     by_gen = [[(a, [(b, image[x]) for b, x in row])
                for a, row in enumerate(gen) if row] for gen in by_gen]

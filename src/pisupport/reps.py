@@ -176,12 +176,7 @@ def blocks(mod):
     if mod._blocks is None:
         n = mod.n
         linked = np.eye(n, dtype=bool)
-        for z in mod.Z:
-            if z.desc.is_finite:
-                nonzero = linalg.coeff_array(z).any(axis=2)
-            else:
-                nonzero = np.array([[bool(x) for x in row] for row in z.entries],
-                                   dtype=bool).reshape(n, n)
+        for nonzero in _nonzero_patterns(mod):
             linked |= nonzero | nonzero.T
         # label propagation: each index takes the least label among its
         # neighbours, then the label of that label; labels only fall, each
@@ -199,6 +194,15 @@ def blocks(mod):
             comps.setdefault(c, []).append(i)
         object.__setattr__(mod, "_blocks", tuple(map(tuple, comps.values())))
     return mod._blocks
+
+
+def _nonzero_patterns(mod):
+    """For each Z_i, the (n, n) bool array of its nonzero entries."""
+    n = mod.n
+    if mod.spec.base.is_finite:
+        return [linalg.coeff_array(z).any(axis=2) for z in mod.Z]
+    return [np.array([[bool(x) for x in row] for row in z.entries],
+                     dtype=bool).reshape(n, n) for z in mod.Z]
 
 
 def free_blocks(mod):
@@ -391,10 +395,22 @@ def _free_on(mod, parts):
     """Whether the summand of mod on each of ``parts`` (as _generator_ranks
     takes them) is free.  The minimal cover of a summand of dimension n_c is
     free of rank g = n_c - rank [Z_1 | ... | Z_r] on its rows and columns,
-    and the summand is free iff n_c = p^r * g.  Only the parts of dimension
-    a multiple of p^r are ranked, all in one _generator_ranks call."""
+    and the summand is free iff n_c = p^r * g, that is iff that rank is
+    n_c - n_c/p^r.  It is at most the number of nonzero rows of
+    [Z_1 | ... | Z_r] on the part, and at most that of its nonzero columns,
+    which a part, as a union of blocks, counts over its own indices.  Only
+    the parts of dimension a multiple of p^r where both counts reach
+    n_c - n_c/p^r are ranked, all in one _generator_ranks call, and none
+    when no part is left."""
     size = mod.spec.p ** mod.spec.r
     tested = [k for k, part in enumerate(parts) if len(part) % size == 0]
+    if tested:
+        nonzero = np.array(_nonzero_patterns(mod))  # (r, n, n)
+        rows = nonzero.any(axis=(0, 2)).tolist()  # some Z_i has row a nonzero
+        cols = nonzero.any(axis=1).sum(axis=0).tolist()  # Z_i with column b nonzero
+        tested = [k for k in tested if min(sum(rows[a] for a in parts[k]),
+                                           sum(cols[b] for b in parts[k]))
+                  >= len(parts[k]) - len(parts[k]) // size]
     free = [False] * len(parts)
     for k, rank in zip(tested, _generator_ranks(mod, [parts[k] for k in tested])):
         free[k] = len(parts[k]) == size * (len(parts[k]) - rank)

@@ -5,8 +5,11 @@ z_1..z_r.  A closed point [a_1 : ... : a_r] is in the support when the
 operator N(a) = sum a_i Z_i has rank below n - n/p (or p does not divide
 n).  N(a)^p = 0, so N(a) has n - rank N(a) Jordan blocks, each of size at
 most p.  The restriction is free when all of them have size p, that is
-when there are n/p of them.  A point is in the cosupport when the same
-test fails on the coinduced module over the point's field.  Every such rank
+when there are n/p of them.  A point over K is in the cosupport when the
+same test fails on the coinduced module Hom_k(K, M).  In the trace-pairing
+basis its generators are those of M with their entries embedded into K
+(reps.coinduced), so the samplers decide it by the tester of M over K,
+with no coinduced module built; in_cosupport builds it.  Every such rank
 is taken over the point's field F_q on Zech logarithms, a prime field
 included: in_support and in_cosupport decide from the definition,
 through the restricted operator and its Jordan type (linalg.fq_rank), and
@@ -254,9 +257,10 @@ def _point_tester(mod, K, block=None):
     has at most linalg.SPARSE_ROW_NONZEROS * n entries and K has at most
     linalg.ZECH_MAX_ORDER elements, the nonzero entries of the kept rows of
     the Z_i, read over the base once per module (reps.nonzero_codes), are
-    embedded into K, and at each point N(a) is summed from them as rows of
-    dicts (linalg.sparse_combination) and ranked by linalg.sparse_rank,
-    with no numpy call.  Otherwise the generators of the base change of mod
+    embedded into K by one code table per field pair
+    (fields.embedding_codes), and at each point N(a) is summed from them
+    as rows of dicts (linalg.sparse_combination) and ranked by
+    linalg.sparse_rank, with no numpy call.  Otherwise the generators of the base change of mod
     to K (reps.base_change, the identity on a module already over K), cut
     to the kept rows and columns, are one (n', n', r*e) coordinate array,
     the F_p digits of the codes times the powers of the generator of K
@@ -431,9 +435,10 @@ def _sampled(spec, degrees, make_decider):
     decide(pt.codes), decide = make_decider(K) built once for each field
     K = pt.desc.  decide runs once per Frobenius orbit, at its first point,
     and the conjugates repeat its verdict.  The Frobenius is taken over the
-    base of spec, not over that of the module decide tests, which is K
-    itself for a coinduced one.  The callers check the budget and the
-    degree cap first (_check_enumeration)."""
+    base of spec, which is that of every module decide ranks, a cosupport
+    included: its tester over K is that of the module over the base (see
+    cosupport_sample).  The callers check the budget and the degree cap
+    first (_check_enumeration)."""
     for e in degrees:
         points, first = _new_points(spec.base, spec.r, e)
         if not points:
@@ -448,22 +453,27 @@ def _sampled(spec, degrees, make_decider):
 
 def support_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
     """Verdicts at every sampled closed point plus the generic verdict."""
-    return _sample(mod, e_max, budget, lambda x, K: x)
+    return _sample(mod, e_max, budget)
 
 
 def cosupport_sample(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> SupportDescription:
-    """Cosupport verdicts over the same sample, via coinduction per field."""
-    return _sample(mod, e_max, budget, reps.coinduced)
+    """Cosupport verdicts over the same sample: at a point over K, those of
+    Hom_k(K, M) (in_cosupport), whose generators in the trace-pairing basis
+    are those of M embedded into K (reps.coinduced).  So the point tester
+    of M over K is that of the coinduced module, and no module is built
+    per field."""
+    return _sample(mod, e_max, budget)
 
 
-def _sample(mod, e_max, budget, over):
-    """The sampled verdicts of over(mod, K) at the points of each field K,
-    and the generic verdict of mod (for a cosupport, the finite-dimensional
-    fallback)."""
+def _sample(mod, e_max, budget):
+    """The verdicts of the point tester of mod over the field K of each
+    sampled point (for a cosupport, that of the coinduced module over K),
+    and the generic verdict of mod (for a cosupport, the
+    finite-dimensional fallback)."""
     _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
     desc = SupportDescription(module=mod, e_max=e_max)
     desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
-                                 lambda K: _point_tester(over(mod, K), K)))
+                                 lambda K: _point_tester(mod, K)))
     # a support is closed, so a sampled point out puts the generic point out
     desc.generic = all(desc.sampled.values()) and generic_in_support(mod, budget)
     return desc
@@ -735,25 +745,26 @@ class FormulaReport:
 
 def verify_tensor_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:
     """Pointwise comparison of supp(M (x) N) with supp(M) /\\ supp(N)."""
-    return _verify_formula("tensor", reps.tensor, lambda x, K: x, m, n, e_max, budget)
+    return _verify_formula("tensor", reps.tensor, m, n, e_max, budget)
 
 
 def verify_hom_formula(m, n, e_max, budget=DEFAULT_ENUM_BUDGET) -> FormulaReport:
     """Pointwise comparison of cosupp(Hom(M, N)) with supp(M) /\\ cosupp(N).
 
-    The left side is computed directly on the Hom module: coinduction over
-    each sampled field, then restriction.  At the generic point both
-    cosupports use the documented finite-dimensional fallback.
+    At a sampled point over K both cosupports are those of the coinduced
+    modules, ranked by the point testers of the Hom module and of N over K
+    (see cosupport_sample).  At the generic point both cosupports use the
+    documented finite-dimensional fallback.
     """
-    return _verify_formula("hom", reps.hom, reps.coinduced, m, n, e_max, budget)
+    return _verify_formula("hom", reps.hom, m, n, e_max, budget)
 
 
-def _verify_formula(kind, build, over, m, n, e_max, budget) -> FormulaReport:
+def _verify_formula(kind, build, m, n, e_max, budget) -> FormulaReport:
     """Both sides of one formula at every sampled point, as rows (point,
-    lhs, rhs), and at the generic point.  lhs is the verdict of over(t, K)
-    for t = build(m, n), rhs that of m and of over(n, K); over(x, K) is the
-    module over the point's field K whose support is compared: x itself for
-    a support, its coinduced module for a cosupport."""
+    lhs, rhs), and at the generic point.  lhs is the verdict of
+    t = build(m, n), rhs that of m and of n, each by its point tester over
+    the point's field, which for a cosupport is that of the coinduced
+    module (cosupport_sample): the two formulas differ only in build."""
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
     base, r = m.spec.base, m.spec.r
@@ -763,7 +774,7 @@ def _verify_formula(kind, build, over, m, n, e_max, budget) -> FormulaReport:
     _check_enumeration(base, r, e_max, budget, [t, m, n])
 
     def make_decider(K):
-        tl, tm, tr = (_point_tester(x, K) for x in (over(t, K), m, over(n, K)))
+        tl, tm, tr = (_point_tester(x, K) for x in (t, m, n))
         return lambda codes: (tl(codes), tm(codes) and tr(codes))
 
     rows = [(pt, lhs, rhs) for pt, (lhs, rhs)

@@ -422,6 +422,23 @@ def test_zech_tables_of_f_5_8_build_in_under_two_seconds():
 
 
 
+@pytest.mark.parametrize("src, dst", [
+    (F2, canonical_extension(2, 2)), (F2, canonical_extension(2, 3)),
+    (F2, canonical_extension(2, 4)), (F3, canonical_extension(3, 2)),
+    (F3, canonical_extension(3, 4)), (F4, canonical_extension(2, 4)),
+    (canonical_extension(3, 2), canonical_extension(3, 4)),
+    (F9, canonical_extension(3, 4))])
+def test_embedding_codes_match_the_scalar_embedding(src, dst):
+    # the table read from the logs against the root-evaluating map, code by
+    # code; F9 is not the canonical F_9, and over a non-prime base a table
+    # built from a conjugate root differs from it
+    table = fields.embedding_codes(src, dst)
+    emb = fields._scalar_embedding(src, dst)
+    assert not table.flags.writeable and table.size == src.order
+    assert table.tolist() == [dst.sto_code(emb(src.sfrom_code(c)))
+                              for c in range(src.order)]
+
+
 @pytest.mark.parametrize("p, deg", [(2, 4), (2, 6), (3, 4), (5, 2), (7, 3)])
 def test_frobenius_codes_are_the_powers(p, deg):
     # x -> x^(p^d) for every subfield F_{p^d}, against spow; it fixes

@@ -524,6 +524,38 @@ def test_is_free_klein_truncation():
     assert not is_free(m2)
 
 
+def test_freeness_ranks_only_blocks_that_could_be_free(monkeypatch):
+    # at p = 2, r = 3 the tensor and Hom modules of a cyclic block of
+    # dimension 4 and a shift line plus a trivial line have blocks of
+    # dimensions 8 and 4; on the block of 8, [Z_1 | Z_2 | Z_3] has 6 nonzero
+    # rows, short of the rank 7 of a free summand, so no block is ranked
+    spec = make_spec(2, 3)
+    shift = np.eye(4, k=-1, dtype=np.int64)
+    cyclic = ModuleRep(spec, [Matrix.from_ints(F2, z) for z in (
+        0 * shift, shift @ shift + shift @ shift @ shift, shift @ shift @ shift)])
+    line = np.zeros((3, 3), dtype=np.int64)
+    line[2, 0] = 1
+    pair = ModuleRep(spec, [Matrix.from_ints(F2, z) for z in (line, line, 0 * line)])
+    pivots = []
+    monkeypatch.setattr(linalg, "fq_pivots",
+                        lambda *args, _route=linalg.fq_pivots, **kwargs:
+                        pivots.append(args) or _route(*args, **kwargs))
+    for product in (tensor(cyclic, pair), hom(cyclic, pair)):
+        parts = reps.blocks(product)
+        assert sorted(map(len, parts)) == [4, 8]
+        # the flags of the rank of every block, as before the count
+        ranks = [linalg.rank(linalg.hstack([Matrix(F2, [[z.entries[a][b] for b in part]
+                                                        for a in part])
+                                            for z in product.Z]))
+                 for part in parts]
+        assert [rank for part, rank in zip(parts, ranks) if len(part) == 8] == [6]
+        flags = tuple(len(part) == 8 * (len(part) - rank)
+                      for part, rank in zip(parts, ranks))
+        pivots.clear()
+        assert reps.free_blocks(product) == flags == (False, False)
+        assert pivots == []
+
+
 def test_zero_module_is_free():
     assert is_free(free_module(KLEIN, 0))
 

@@ -502,7 +502,16 @@ def test_enumeration_size_over_prime_base_within_old_estimate(p):
             assert enumeration_size(base, r, e_max) <= r * p ** (e_max * r)
 
 
-def test_cosupport_sample_equals_support_sample():
+def test_cosupport_sample_equals_support_sample(monkeypatch):
+    # the samplers rank M itself as the tester of its coinduced modules:
+    # no sparse module is coinduced or base-changed for a field
+    built = []
+    for name in ("coinduced", "base_change"):
+        def record(mod, target, _name=name, _build=getattr(reps, name)):
+            if reps.nonzero_codes(mod)[1] <= linalg.SPARSE_ROW_NONZEROS * mod.n:
+                built.append((_name, mod.name, target))
+            return _build(mod, target)
+        monkeypatch.setattr(reps, name, record)
     m = klein_truncation(3)
     s = support_sample(m, 2)
     c = cosupport_sample(m, 2)
@@ -510,22 +519,35 @@ def test_cosupport_sample_equals_support_sample():
     # an independent check at the points of degree 2: the tester run on the
     # coinduced module built from the trace pairing, not by base change.
     # The p = 3 module is a shift block over F_9 read as a module over F_3,
-    # so its support is a Galois orbit of two points of degree 2.
+    # so its support is a Galois orbit of two points of degree 2.  The
+    # block of UNRATIONAL_LEADS, over the non-canonical F_9 at r = 3, has a
+    # support line that is not F_3-rational, checked at every point of
+    # P^2(F_81): there the samplers embed a non-prime base into K
     rng = random.Random("cosupport-oracle:0")
     block = shift_block(make_spec(3, 2, base=F9), 1, rng)
     p3 = conjugated(ModuleRep(P3R2, [
         Matrix.from_ints(F3, linalg.to_block_int(z)[0].tolist()) for z in block.Z
     ], name="f9-shift-block"), rng)
-    verdicts = []
-    for mod in (m, p3):
+    f9 = _unrational_block(rng).renamed("f9-unrational")
+    verdicts = {}
+    for mod in (m, p3, f9):
         c = cosupport_sample(mod, 2)
         K = support._sampling_field(mod.spec.base, 2)
         tester = support._point_tester(_coinduced_by_trace_pairing(mod, K), K)
         for pt, verdict in c.sampled.items():
             if pt.desc == K:
                 assert tester(pt.codes) == verdict, (mod.name, pt)
-                verdicts.append(verdict)
-    assert len(verdicts) == 2 + 6 and verdicts.count(True) == 2
+                verdicts.setdefault(mod.name, []).append(verdict)
+    assert [(len(v), v.count(True)) for v in verdicts.values()] == [
+        (2, 0), (6, 2), (6643 - 91, 81 + 1 - 10)]
+    assert built == []
+    # and the Hom formula, on sparse modules and their sparse Hom module
+    n = klein_truncation(2)
+    report = verify_hom_formula(m, n, 2)
+    h = report.module
+    assert reps.nonzero_codes(h)[1] <= linalg.SPARSE_ROW_NONZEROS * h.n
+    assert report.equal and {lhs for _, lhs, _ in report.points} == {True, False}
+    assert built == []
 
 
 def test_enumeration_subfield_test_matches_frobenius_oracle():
