@@ -309,10 +309,12 @@ def companion_powers(desc):
 
 def scalar_matrix(desc, scalar):
     """(e, e) F_p matrix of multiplication by a finite-part scalar, acting on
-    coordinate columns; its transpose acts on coordinate rows."""
+    coordinate columns; its transpose acts on coordinate rows.  Given an
+    (..., e) array of scalars, the (..., e, e) array of their matrices."""
     e = desc.deg
     a = np.asarray(scalar, dtype=np.int64)
-    return (a @ companion_powers(desc).reshape(e, e * e)).reshape(e, e) % desc.p
+    return (a @ companion_powers(desc).reshape(e, e * e)).reshape(
+        *a.shape[:-1], e, e) % desc.p
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ import re
 import numpy as np
 
 from . import reps
-from .linalg import Matrix
 
 
 def klein_spec() -> reps.AlgebraSpec:
@@ -26,12 +25,10 @@ def klein_truncation(n) -> reps.ModuleRep:
     if n < 1:
         raise ValueError("truncation size must be >= 1")
     spec = klein_spec()
-    zx = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    zy = np.zeros_like(zx)
-    zx[n:, :n] = np.eye(n, dtype=np.int64)  # x u_i = v_i
-    zy[n:, :n] = np.eye(n, k=1, dtype=np.int64)  # y u_i = v_{i-1}
-    mats = [Matrix.from_ints(spec.base, z) for z in (zx, zy)]
-    return reps.ModuleRep(spec, mats, name=f"klein-M{n}")
+    ints = np.zeros((2, 2 * n, 2 * n), dtype=np.int64)
+    ints[0, n:, :n] = np.eye(n, dtype=np.int64)  # x u_i = v_i
+    ints[1, n:, :n] = np.eye(n, k=1, dtype=np.int64)  # y u_i = v_{i-1}
+    return reps.from_ints(spec, ints, name=f"klein-M{n}")
 
 
 _KLEIN_SHORT = re.compile(r"^klein-M(\d+)$")

@@ -5,19 +5,23 @@ entry coordinates over F_p, and its arithmetic is numpy arithmetic mod p in
 the regular representation: multiplication by a scalar is an e x e matrix
 over F_p (fields.scalar_matrix, from fields.companion_powers), and a product
 multiplies the F_p block matrix of one factor (blockify) into the
-coordinate columns of the other (fp_matmul: float64 BLAS below 2^53, so
-nothing is rounded, int64 past it).  The array is the matrix's only value:
-FieldElement entries, even those it was built from, are rebuilt from it
-only when something reads them.  Every rank over a finite field, and the
-support ideal's pivot columns, come from fq_pivots or, for the point
-tester's sums N(a) = sum a_i Z_i, sparse_rank: elimination over F_q
-itself, a prime field included, on the Zech logarithms of the entries
-(fields.zech_tables), about e^3 times less work than the ne x ne block
-matrix over F_p.  Sparse matrices, with at most SPARSE_ROW_NONZEROS
-nonzero entries per row on average, are held as rows of dicts {column:
-value} of their nonzero entries and eliminated by sparse_pivots, which
-inserts each row into the pivot rows found so far and touches only
-nonzero entries; sparse_combination sums N(a) in that form from the
+coordinate columns of the other (columns; fp_matmul: float64 BLAS below
+2^53, so nothing is rounded, int64 past it).  The array is the matrix's
+only value: FieldElement entries, even those it was built from, are
+rebuilt from it only when something reads them.  A module over a finite
+base is the (r, n, n, e) stack of its generators' arrays (reps.ModuleRep):
+blockify, columns, coeff_powers and coeff_kron broadcast over the leading
+axes, so that the module constructions run on whole stacks with no Matrix
+between them.  Every rank over a finite field, and the support ideal's
+pivot columns, come from fq_pivots or, for the point tester's sums
+N(a) = sum a_i Z_i, sparse_rank: elimination over F_q itself, a prime
+field included, on the Zech logarithms of the entries (fields.zech_tables),
+about e^3 times less work than the ne x ne block matrix over F_p.  Sparse
+matrices, with at most SPARSE_ROW_NONZEROS nonzero entries per row on
+average, are held as rows of dicts {column: value} of their nonzero
+entries and eliminated by sparse_pivots, which inserts each row into the
+pivot rows found so far and touches only nonzero entries;
+sparse_combination sums N(a) in that form from the
 generators' nonzero entries, with no numpy call per point.  Denser
 matrices are eliminated in numpy.  fq_pivots eliminates the block matrix
 only past ZECH_MAX_ORDER, where the tables would outweigh the
@@ -60,12 +64,14 @@ class Matrix:
 
     Over a finite descriptor a matrix is a read-only (rows, cols, e) int64
     array of entry coordinates over F_p (see coeff_array), stored when the
-    matrix is built, and arithmetic runs on that array in the regular
-    representation of F_{p^e}; the FieldElement entries are built only when
-    read.  Over a function field the boxed entries are the only
-    representation.  Every constant matrix (zero, identity, the shifts of
-    the library and random modules) is built from integers by from_ints.
-    A matrix with no rows has no columns either.
+    matrix is built, and sums, scaling, products, powers, Kronecker
+    products and vstack run on that array in the regular representation of
+    F_{p^e}; the FieldElement entries are built only when read.
+    Differences, transposes, block_diag and hstack, which the package forms
+    over a finite field only on module stacks (reps), use the entries.
+    Over a function field the boxed entries are the only representation.
+    Every constant matrix (zero, identity) is built from integers by
+    from_ints.  A matrix with no rows has no columns either.
     """
 
     __slots__ = ("desc", "rows", "cols", "_entries", "_coeffs")
@@ -189,9 +195,6 @@ class Matrix:
 
     def __sub__(self, other):
         self._check_shape(other)
-        if self.desc.is_finite:
-            return Matrix._from_coeffs(
-                self.desc, (coeff_array(self) - coeff_array(other)) % self.desc.p)
         return Matrix(
             self.desc,
             [
@@ -226,11 +229,9 @@ class Matrix:
         desc = self.desc
         if desc.is_finite:
             # the e x e blocks of self act on the coordinate columns of other
-            n, m, e = self.rows, self.cols, desc.deg
-            coords = coeff_array(other).transpose(0, 2, 1).reshape(m * e, other.cols)
-            prod = fp_matmul(blockify(coeff_array(self), desc), coords, desc.p)
-            return Matrix._from_coeffs(
-                desc, prod.reshape(n, e, other.cols).transpose(0, 2, 1))
+            prod = fp_matmul(blockify(coeff_array(self), desc),
+                             columns(coeff_array(other)), desc.p)
+            return Matrix._from_coeffs(desc, from_columns(prod, desc.deg))
         z = FieldElement.zero(desc)
         other_cols = list(zip(*other.entries))
         out = []
@@ -246,30 +247,17 @@ class Matrix:
         return Matrix(desc, out)
 
     def power(self, k):
-        """self^k for k >= 0.  Over a finite field, k - 1 fp_matmul
-        products of the F_p block matrix of self with the (n*e, n)
-        coordinate columns of the current power."""
+        """self^k for k >= 0, by k products."""
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        desc = self.desc
-        if desc.is_finite and k:
-            n, e = self.rows, desc.deg
-            coeffs = coeff_array(self)
-            block = blockify(coeffs, desc)
-            out = coeffs.transpose(0, 2, 1).reshape(n * e, n)
-            for _ in range(k - 1):
-                out = fp_matmul(block, out, desc.p)
-            return Matrix._from_coeffs(desc, out.reshape(n, e, n).transpose(0, 2, 1))
-        out = Matrix.identity(desc, self.rows)
+        out = Matrix.identity(self.desc, self.rows)
         for _ in range(k):
             out = out @ self
         return out
 
     def transpose(self):
-        if self.desc.is_finite:
-            return Matrix._from_coeffs(self.desc, coeff_array(self).transpose(1, 0, 2))
         return Matrix(self.desc, zip(*self.entries))
 
     def map_entries(self, f, desc=None):
@@ -286,18 +274,12 @@ class Matrix:
 
 
 def kron(a, b):
-    """Kronecker product; index (i,j) of the result is i*b.rows + j.  Over
-    F_p the outer product of the two residue arrays."""
+    """Kronecker product; index (i,j) of the result is i*b.rows + j; over a
+    finite field coeff_kron."""
     a._check(b)
     desc = a.desc
     if desc.is_finite:
-        x, y = coeff_array(a), coeff_array(b)
-        if desc.deg == 1:  # the outer product of the residues
-            prod = x[:, None, :, None] * y[None, :, None]
-        else:  # coordinates of a_ik * b_jl = (sum_c a_ikc W^c) b_jl
-            prod = np.einsum("ikc,cab,jlb->ijkla", x, companion_powers(desc), y)
-        return Matrix._from_coeffs(desc, prod.reshape(
-            a.rows * b.rows, a.cols * b.cols, desc.deg) % desc.p)
+        return Matrix._from_coeffs(desc, coeff_kron(coeff_array(a), coeff_array(b), desc))
     return Matrix(desc, [[x * y for x in ra for y in rb]
                          for ra in a.entries for rb in b.entries])
 
@@ -309,13 +291,6 @@ def block_diag(blocks):
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
     r0 = c0 = 0
-    if desc.is_finite:
-        out = np.zeros((rows, cols, desc.deg), dtype=np.int64)
-        for b in blocks:
-            out[r0 : r0 + b.rows, c0 : c0 + b.cols] = coeff_array(b)
-            r0 += b.rows
-            c0 += b.cols
-        return Matrix._from_coeffs(desc, out)
     z = FieldElement.zero(desc)
     out = [[z] * cols for _ in range(rows)]
     for b in blocks:
@@ -333,9 +308,6 @@ def hstack(blocks):
         blocks[0]._check(b)
         if b.rows != rows:
             raise ValueError("row count mismatch")
-    if desc.is_finite:
-        return Matrix._from_coeffs(
-            desc, np.concatenate([coeff_array(b) for b in blocks], axis=1))
     out = [[] for _ in range(rows)]
     for b in blocks:
         for i in range(rows):
@@ -368,14 +340,52 @@ def coeff_array(mat):
 
 
 def blockify(coeffs, desc):
-    """(n*e, m*e) F_p block matrix from an (n, m, e) coordinate array
-    reduced mod p; over F_p the array itself, reshaped to (n, m)."""
-    n, m, e = coeffs.shape
+    """(..., n*e, m*e) F_p block matrices from (..., n, m, e) coordinate
+    arrays reduced mod p; over F_p the arrays themselves, reshaped."""
+    *lead, n, m, e = coeffs.shape
     if e == 1:
-        return coeffs.reshape(n, m)
-    powers = companion_powers(desc)
-    block = np.einsum("uvj,jab->uavb", coeffs, powers)
-    return block.reshape(n * e, m * e) % desc.p
+        return coeffs.reshape(*lead, n, m)
+    block = np.einsum("...uvj,jab->...uavb", coeffs, companion_powers(desc))
+    return block.reshape(*lead, n * e, m * e) % desc.p
+
+
+def columns(coeffs):
+    """(..., n*e, m) coordinate columns of (..., n, m, e) arrays, on which
+    the blocks of blockify act: row u*e + b holds coordinate b of row u."""
+    *lead, n, m, e = coeffs.shape
+    return np.swapaxes(coeffs, -1, -2).reshape(*lead, n * e, m)
+
+
+def from_columns(cols, e):
+    """The (..., n, m, e) arrays of the coordinate columns ``cols``."""
+    *lead, ne, m = cols.shape
+    return np.swapaxes(cols.reshape(*lead, ne // e, e, m), -1, -2)
+
+
+def coeff_powers(coeffs, desc, k):
+    """T^1..T^k for the (..., n, n, e) arrays T reduced mod p: k - 1
+    fp_matmul products of one block matrix of T (blockify) with the
+    coordinate columns of the last power."""
+    out, cols = [coeffs], columns(coeffs)
+    block = blockify(coeffs, desc) if k > 1 else None
+    for _ in range(k - 1):
+        cols = fp_matmul(block, cols, desc.p)
+        out.append(from_columns(cols, desc.deg))
+    return out
+
+
+def coeff_kron(x, y, desc):
+    """Kronecker products of (..., a, b, e) and (..., c, d, e) arrays,
+    broadcast over their leading axes: (..., a*c, b*d, e) arrays reduced
+    mod p, index (i, j) at i*c + j.  Over F_p the outer products of the
+    residues."""
+    a, b, e = x.shape[-3:]
+    c, d = y.shape[-3:-1]
+    if e == 1:
+        prod = x[..., :, None, :, None, :] * y[..., None, :, None, :, :]
+    else:  # coordinates of x_ik * y_jl = (sum_c x_ikc W^c) y_jl
+        prod = np.einsum("...ikc,cab,...jlb->...ijkla", x, companion_powers(desc), y)
+    return prod.reshape(*prod.shape[:-5], a * c, b * d, e) % desc.p
 
 
 #: float64 carries every integer below 2^53 exactly
@@ -490,10 +500,11 @@ def int_matpow(a, k, p):
 
 
 def element_codes(coeffs, desc):
-    """(n, m) array of the element codes (FieldDescriptor.sto_code) of the
-    entries of an (n, m, e) coordinate array over the finite ``desc``."""
+    """(..., n, m) array of the element codes (FieldDescriptor.sto_code) of
+    the entries of an (..., n, m, e) coordinate array over the finite
+    ``desc``."""
     if desc.deg == 1:
-        return coeffs[:, :, 0]
+        return coeffs[..., 0]
     return coeffs @ desc.p ** np.arange(desc.deg, dtype=np.int64)
 
 
@@ -1000,13 +1011,19 @@ class JordanType:
 
 
 def _powers(mat, p):
-    """T^1..T^{p-1}; raises unless T^p = 0."""
+    """T^1..T^{p-1}; raises unless T^p = 0.  Over a finite field all of them
+    come from one block matrix of T (coeff_powers)."""
     if mat.rows != mat.cols:
         raise NotPNilpotent("operator matrix must be square")
+    desc = mat.desc
     powers = [mat]
-    for _ in range(p - 2):
-        powers.append(powers[-1] @ mat)
-    if not (powers[-1] @ mat).is_zero():
+    if desc.is_finite:
+        powers += [Matrix._from_coeffs(desc, c)
+                   for c in coeff_powers(coeff_array(mat), desc, p)[1:]]
+    else:
+        for _ in range(p - 1):
+            powers.append(powers[-1] @ mat)
+    if not powers.pop().is_zero():
         raise NotPNilpotent(f"T^{p} != 0")
     return powers
 

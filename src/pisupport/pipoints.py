@@ -90,7 +90,7 @@ def _split_image(spec, K, image):
 def flatness_certificate(spec, K, linear, higher) -> bool:
     """Jordan type of the image acting on the rank-one free module over K
     is [p,...,p]; equivalently the restricted regular module is free."""
-    op = _image_matrix(spec, K, linear, higher, _regular_module(spec, K).Z)
+    op = _image_matrix(spec, K, linear, higher, _regular_module(spec, K))
     return linalg.is_full(op, spec.p)
 
 
@@ -100,16 +100,32 @@ def _regular_module(spec, K):
     return reps.base_change(reps.free_module(spec, 1), K)
 
 
-def _image_matrix(spec, K, linear, higher, Z):
-    n = Z[0].rows
-    acc = linalg.Matrix.zero(K, n, n)
-    for i, a in enumerate(linear):
-        if a:
-            acc = acc + Z[i].scale(a)
+def _image_matrix(spec, K, linear, higher, mod):
+    """The image polynomial at mod's generators; over a finite K on its stack."""
+    if not K.is_finite:
+        Z = mod.Z
+        acc = linalg.Matrix.zero(K, mod.n, mod.n)
+        for i, a in enumerate(linear):
+            if a:
+                acc = acc + Z[i].scale(a)
+        for exps, coeff in sorted(higher.items()):  # of total degree >= 2
+            term = reduce(matmul, [Z[i] for i, e in enumerate(exps) for _ in range(e)])
+            acc = acc + term.scale(coeff)
+        return acc
+    stack, p, n, e = mod.stack, K.p, mod.n, K.deg
+    # acc[u, v] = sum_i A_i stack[i, u, v], A_i the F_p matrix of a_i
+    mults = fields.scalar_matrix(K, [a.as_scalar() for a in linear])
+    acc = (stack.transpose(1, 2, 0, 3).reshape(n * n, spec.r * e)
+           @ mults.transpose(0, 2, 1).reshape(spec.r * e, e)).reshape(n, n, e)
+    blocks = linalg.blockify(stack, K) if higher else None
     for exps, coeff in sorted(higher.items()):  # of total degree >= 2
-        term = reduce(matmul, [Z[i] for i, e in enumerate(exps) for _ in range(e)])
-        acc = acc + term.scale(coeff)
-    return acc
+        *left, last = [i for i, k in enumerate(exps) for _ in range(k)]
+        mult = fields.scalar_matrix(K, coeff.as_scalar())
+        cols = linalg.columns(stack[last] @ mult.T % p)
+        for i in reversed(left):
+            cols = linalg.fp_matmul(blocks[i], cols, p)
+        acc = acc + linalg.from_columns(cols, e)
+    return linalg.from_coeff_array(K, acc)
 
 
 def make_linear(spec, K, coeffs) -> PiPoint:
@@ -149,7 +165,7 @@ def restrict(point, mod) -> linalg.Matrix:
         raise FieldMismatch("base-change the module to the point's field first")
     if mod.spec.p != point.spec.p or mod.spec.r != point.spec.r:
         raise FieldMismatch("module algebra does not match the point")
-    return _image_matrix(point.spec, point.K, point.linear, point.higher, mod.Z)
+    return _image_matrix(point.spec, point.K, point.linear, point.higher, mod)
 
 
 def linear_part(point) -> PiPoint:

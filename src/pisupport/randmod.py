@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import linalg, reps
+from . import reps
 
 
 def _cyclic_block(rng, spec, max_dim):
@@ -24,13 +24,11 @@ def _cyclic_block(rng, spec, max_dim):
     c_d drawn in order of d."""
     q = rng.randint(2, max(2, min(2 * spec.p, max_dim)))
     vmin = math.ceil(q / spec.p)
-    mats = []
-    for _ in range(spec.r):
-        toeplitz = np.zeros((q, q), dtype=np.int64)
+    toeplitz = np.zeros((spec.r, q, q), dtype=np.int64)
+    for z in toeplitz:
         for d in range(vmin, q):
-            toeplitz[range(d, q), range(q - d)] = rng.randrange(spec.p)
-        mats.append(linalg.Matrix.from_ints(spec.base, toeplitz))
-    return reps.ModuleRep(spec, mats, _checked=True)
+            z[range(d, q), range(q - d)] = rng.randrange(spec.p)
+    return reps.from_ints(spec, toeplitz, _checked=True)
 
 
 def random_module(rng, spec, max_dim=24, force_free=False) -> reps.ModuleRep:

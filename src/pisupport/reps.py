@@ -5,6 +5,14 @@ products, Hom modules, duals, invariants, base change and coinduction.
 Flavor "group" carries the comultiplication z -> z(x)1 + 1(x)z + z(x)z and
 antipode z -> (1+z)^{p-1} - 1; flavor "primitive" carries z -> z(x)1 + 1(x)z
 and antipode z -> -z.  Mixed flavors give the quasi-elementary algebras.
+
+Over a finite base a module is one read-only (r, n, n, e) int64 array, the
+stack of its generators' coefficient arrays (ModuleRep.stack), and its Z
+are Matrix views of it.  validate, tensor, hom, base_change, direct_sum
+and the reads of patterns, codes and ranks run on the stack in numpy
+(linalg.coeff_kron, linalg.coeff_powers, linalg.fp_matmul), with no Matrix
+built between them.  Over a function field the generators are a tuple of
+boxed Matrix, and the same constructions are Matrix arithmetic.
 """
 
 import itertools
@@ -62,26 +70,44 @@ def make_spec(p, r, flavors=None, base=None):
 
 
 class ModuleRep:
-    """A finite-dimensional module: r commuting p-nilpotent matrices.  Its
-    partition into blocks (see blocks), which of them are free (see
-    free_blocks) and its nonzero entries (see nonzero_codes) are kept once
-    found."""
+    """A finite-dimensional module: r commuting p-nilpotent matrices Z,
+    given as Matrix or, over a finite base, as the (r, n, n, e) int64 array
+    of their coefficient arrays (linalg.coeff_array), reduced mod p, which
+    the module then owns.  Over a finite base ``stack`` is that read-only
+    array, built once, and Z a tuple of Matrix views of it, made on first
+    read and kept; over a function field ``stack`` is None and Z the boxed
+    matrices.  Its partition into blocks (see blocks), which of them are
+    free (see free_blocks) and its nonzero entries (see nonzero_codes) are
+    kept once found."""
 
-    __slots__ = ("spec", "n", "Z", "name", "_blocks", "_free", "_nonzeros")
+    __slots__ = ("spec", "n", "stack", "_Z", "name", "_blocks", "_free", "_nonzeros")
 
     def __init__(self, spec, Z, name=None, _checked=False, _blocks=None, _free=None):
-        Z = tuple(Z)
-        if len(Z) != spec.r:
-            raise ValidationError(f"expected {spec.r} generator matrices")
-        n = Z[0].rows if Z else 0
-        for m in Z:
-            if m.rows != n or m.cols != n:
-                raise ValidationError("generator matrices must be square, equal size")
-            if m.desc != spec.base:
-                raise ValidationError("generator matrix over the wrong field")
+        if isinstance(Z, np.ndarray):
+            stack, n = Z, Z.shape[1] if Z.ndim > 1 else -1
+            if not spec.base.is_finite or stack.shape != (spec.r, n, n, spec.base.deg):
+                raise ValidationError(
+                    f"generator stack of shape {stack.shape} over {spec.base}")
+        else:
+            Z = tuple(Z)
+            if len(Z) != spec.r:
+                raise ValidationError(f"expected {spec.r} generator matrices")
+            n = Z[0].rows
+            for m in Z:
+                if m.rows != n or m.cols != n:
+                    raise ValidationError("generator matrices must be square, equal size")
+                if m.desc != spec.base:
+                    raise ValidationError("generator matrix over the wrong field")
+            stack = None
+            if spec.base.is_finite:
+                stack = np.stack([linalg.coeff_array(m) for m in Z])
+        if stack is not None:
+            stack.flags.writeable = False
+            n, Z = stack.shape[1], None
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "_Z", Z)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_blocks", _blocks)
         object.__setattr__(self, "_free", _free)
@@ -92,6 +118,13 @@ class ModuleRep:
                 kind, where = violations[0]
                 raise ValidationError(f"{kind} violated at {where}")
 
+    @property
+    def Z(self):
+        if self._Z is None:
+            object.__setattr__(self, "_Z", tuple(
+                Matrix._from_coeffs(self.spec.base, z) for z in self.stack))
+        return self._Z
+
     def __setattr__(self, name, value):
         raise AttributeError("ModuleRep is immutable")
 
@@ -100,31 +133,60 @@ class ModuleRep:
         return f"ModuleRep({label}, dim={self.n}, p={self.spec.p}, r={self.spec.r})"
 
     def renamed(self, name):
-        return ModuleRep(self.spec, self.Z, name=name, _checked=True,
-                         _blocks=self._blocks, _free=self._free)
+        return ModuleRep(self.spec, self.Z if self.stack is None else self.stack,
+                         name=name, _checked=True, _blocks=self._blocks, _free=self._free)
 
 
 def validate(mod):
     """Check commutativity and p-nilpotence; return the list of violations,
-    each as (kind, index-or-pair).  Empty list means the module is valid."""
-    spec = mod.spec
+    each as (kind, index-or-pair), the pairs in itertools.combinations
+    order and then the indices.  Empty list means the module is valid.
+
+    Over a finite base, for each i one fp_matmul of the block matrix of Z_i
+    (linalg.blockify) with the coordinate columns of every Z_j, j > i,
+    gives the Z_i Z_j, and one of their block matrices with those of Z_i
+    the Z_j Z_i; p - 1 batched products give every Z_i^p.  One row of
+    products is held at a time."""
+    spec, p = mod.spec, mod.spec.p
+    if mod.stack is None:
+        out = [("commutativity", (i + 1, j + 1))
+               for i, j in itertools.combinations(range(spec.r), 2)
+               if mod.Z[i] @ mod.Z[j] != mod.Z[j] @ mod.Z[i]]
+        return out + [("nilpotence", i + 1) for i, m in enumerate(mod.Z)
+                      if not m.power(p).is_zero()]
+    blocks, cols = linalg.blockify(mod.stack, spec.base), linalg.columns(mod.stack)
     out = []
-    for i, j in itertools.combinations(range(spec.r), 2):
-        if mod.Z[i] @ mod.Z[j] != mod.Z[j] @ mod.Z[i]:
-            out.append(("commutativity", (i + 1, j + 1)))
-    for i, m in enumerate(mod.Z):
-        if not m.power(spec.p).is_zero():
-            out.append(("nilpotence", i + 1))
-    return out
+    for i in range(spec.r - 1):
+        left = linalg.fp_matmul(blocks[i], cols[i + 1:], p)
+        right = linalg.fp_matmul(blocks[i + 1:], cols[i], p)
+        unequal = np.flatnonzero((left != right).any(axis=(1, 2))) + i + 2
+        out += [("commutativity", (i + 1, j)) for j in unequal.tolist()]
+    for _ in range(p - 1):
+        cols = linalg.fp_matmul(blocks, cols, p)
+    nonzero = np.flatnonzero(cols.any(axis=(1, 2))) + 1
+    return out + [("nilpotence", i) for i in nonzero.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # Basic constructions
 
 
+def from_ints(spec, ints, **kwargs) -> ModuleRep:
+    """The module whose Z_i has entry (a, b) the integer ints[i, a, b] mod p,
+    from an (r, n, n) integer array: over a finite base coordinate 0 of the
+    stack, and over a function field Matrix.from_ints.  ``kwargs`` go to
+    ModuleRep."""
+    base = spec.base
+    if not base.is_finite:
+        return ModuleRep(spec, [Matrix.from_ints(base, z) for z in ints], **kwargs)
+    stack = np.zeros(ints.shape + (base.deg,), dtype=np.int64)
+    stack[..., 0] = ints % spec.p
+    return ModuleRep(spec, stack, **kwargs)
+
+
 def trivial_module(spec) -> ModuleRep:
-    z = Matrix.zero(spec.base, 1, 1)
-    return ModuleRep(spec, [z] * spec.r, name="trivial", _checked=True)
+    return from_ints(spec, np.zeros((spec.r, 1, 1), dtype=np.int64), name="trivial",
+                     _checked=True)
 
 
 def free_module(spec, g) -> ModuleRep:
@@ -139,14 +201,12 @@ def free_module(spec, g) -> ModuleRep:
     p, r = spec.p, spec.r
     n = g * p**r
     x = np.arange(n)
-    mats = []
+    ints = np.zeros((r, n, n), dtype=np.int64)
     for i in range(r):
         stride = p ** (r - 1 - i)
         src = x[x // stride % p < p - 1]
-        z = np.zeros((n, n), dtype=np.int64)
-        z[src + stride, src] = 1
-        mats.append(Matrix.from_ints(spec.base, z))
-    return ModuleRep(spec, mats, name=f"free:{g}", _checked=True)
+        ints[i, src + stride, src] = 1
+    return from_ints(spec, ints, name=f"free:{g}", _checked=True)
 
 
 def jordan_block_module(spec, u) -> ModuleRep:
@@ -155,15 +215,20 @@ def jordan_block_module(spec, u) -> ModuleRep:
         raise SpecMismatch("jordan block modules need r = 1")
     if not 1 <= u <= spec.p:
         raise BlockTooBig(f"block size {u} outside 1..{spec.p}")
-    shift = Matrix.from_ints(spec.base, np.eye(u, k=-1, dtype=np.int64))
-    return ModuleRep(spec, [shift], name=f"jordan:{u}", _checked=True)
+    shift = np.eye(u, k=-1, dtype=np.int64)
+    return from_ints(spec, shift[None], name=f"jordan:{u}", _checked=True)
 
 
 def direct_sum(a, b) -> ModuleRep:
     if a.spec != b.spec:
         raise SpecMismatch("direct sum needs matching algebra specs")
-    mats = [linalg.block_diag([x, y]) for x, y in zip(a.Z, b.Z)]
-    return ModuleRep(a.spec, mats, _checked=True)
+    if a.stack is None:
+        return ModuleRep(a.spec, [linalg.block_diag([x, y]) for x, y in zip(a.Z, b.Z)],
+                         _checked=True)
+    r, n, e = a.spec.r, a.n + b.n, a.spec.base.deg
+    out = np.zeros((r, n, n, e), dtype=np.int64)
+    out[:, :a.n, :a.n], out[:, a.n:, a.n:] = a.stack, b.stack
+    return ModuleRep(a.spec, out, _checked=True)
 
 
 def blocks(mod):
@@ -199,8 +264,8 @@ def blocks(mod):
 def _nonzero_patterns(mod):
     """For each Z_i, the (n, n) bool array of its nonzero entries."""
     n = mod.n
-    if mod.spec.base.is_finite:
-        return [linalg.coeff_array(z).any(axis=2) for z in mod.Z]
+    if mod.stack is not None:
+        return mod.stack.any(axis=3)
     return [np.array([[bool(x) for x in row] for row in z.entries],
                      dtype=bool).reshape(n, n) for z in mod.Z]
 
@@ -226,15 +291,13 @@ def nonzero_codes(mod):
     element code) pairs of the nonzero entries in row a of Z_i, and size
     counts the positions where some Z_i is nonzero.  Kept on the module."""
     if mod._nonzeros is None:
-        codes = [linalg.element_codes(linalg.coeff_array(z), mod.spec.base)
-                 for z in mod.Z]
+        codes = linalg.element_codes(mod.stack, mod.spec.base)
         by_gen = [[[] for _ in range(mod.n)] for _ in codes]
-        for rows, c in zip(by_gen, codes):
-            u, v = c.nonzero()
-            for a, b, x in zip(u.tolist(), v.tolist(), c[u, v].tolist()):
-                rows[a].append((b, x))
-        # codes are nonnegative, so their sum is nonzero on the union
-        object.__setattr__(mod, "_nonzeros", (by_gen, np.count_nonzero(sum(codes))))
+        at = codes.nonzero()
+        for i, a, b, x in zip(*(u.tolist() for u in at), codes[at].tolist()):
+            by_gen[i][a].append((b, x))
+        size = np.count_nonzero(codes.any(axis=0))
+        object.__setattr__(mod, "_nonzeros", (by_gen, size))
     return mod._nonzeros
 
 
@@ -248,16 +311,25 @@ def tensor(a, b) -> ModuleRep:
     """Tensor product; basis (i,j) -> i*dim(b) + j."""
     if a.spec != b.spec:
         raise SpecMismatch("tensor needs matching algebra specs")
-    spec = a.spec
-    ia = Matrix.identity(spec.base, a.n)
-    ib = Matrix.identity(spec.base, b.n)
-    mats = []
-    for i in range(spec.r):
-        m = linalg.kron(a.Z[i], ib) + linalg.kron(ia, b.Z[i])
-        if spec.flavors[i] == GROUP:
-            m = m + linalg.kron(a.Z[i], b.Z[i])
-        mats.append(m)
-    return ModuleRep(spec, mats)
+    return _tensor(a.spec, *((a.Z, b.Z) if a.stack is None else (a.stack, b.stack)))
+
+
+def _tensor(spec, x, y):
+    """The tensor product of modules with generators x and y, stacks over a
+    finite base and Matrix otherwise: z_i acts as z_i(x)1 + 1(x)z_i, plus
+    z_i(x)z_i for the group flavor.  Stacks take batched Kronecker
+    products (linalg.coeff_kron), of every generator at once."""
+    base = spec.base
+    group = [i for i, f in enumerate(spec.flavors) if f == GROUP]
+    if isinstance(x, np.ndarray):
+        ix, iy = (linalg.coeff_array(Matrix.identity(base, z.shape[1])) for z in (x, y))
+        gens = linalg.coeff_kron(x, iy, base) + linalg.coeff_kron(ix, y, base)
+        gens[group] += linalg.coeff_kron(x[group], y[group], base)
+        return ModuleRep(spec, gens % spec.p)
+    ix, iy = (Matrix.identity(base, z[0].rows) for z in (x, y))
+    mats = [linalg.kron(x[i], iy) + linalg.kron(ix, y[i]) for i in range(spec.r)]
+    return ModuleRep(spec, [m + linalg.kron(x[i], y[i]) if i in group else m
+                            for i, m in enumerate(mats)])
 
 
 def hom(a, b) -> ModuleRep:
@@ -267,23 +339,23 @@ def hom(a, b) -> ModuleRep:
     Generator action (from comultiplication and antipode):
       primitive: f -> Z_b f - f Z_a
       group:     f -> (I + Z_b) f (I + Z_a)^{p-1} - f
+    This is the tensor product of b with the dual of a, on which z_i acts
+    as the transpose of its antipode: -Z_i^T, or ((I + Z_i)^{p-1})^T - I.
     """
     if a.spec != b.spec:
         raise SpecMismatch("hom needs matching algebra specs")
-    spec = a.spec
-    p = spec.p
+    spec, p = a.spec, a.spec.p
+    group = [i for i, f in enumerate(spec.flavors) if f == GROUP]
     ia = Matrix.identity(spec.base, a.n)
-    ib = Matrix.identity(spec.base, b.n)
-    mats = []
-    for i in range(spec.r):
-        if spec.flavors[i] == PRIMITIVE:
-            m = linalg.kron(b.Z[i], ia) - linalg.kron(ib, a.Z[i].transpose())
-        else:
-            left = ib + b.Z[i]
-            right = (ia + a.Z[i]).power(p - 1)
-            m = linalg.kron(left, right.transpose()) - linalg.kron(ib, ia)
-        mats.append(m)
-    return ModuleRep(spec, mats)
+    if a.stack is None:
+        dual = [(ia + z).power(p - 1).transpose() - ia if i in group else -z.transpose()
+                for i, z in enumerate(a.Z)]
+        return _tensor(spec, b.Z, dual)
+    x, ia = a.stack, linalg.coeff_array(ia)
+    dual = -x.swapaxes(1, 2)
+    right = linalg.coeff_powers((ia + x[group]) % p, spec.base, p - 1)[-1]
+    dual[group] = right.swapaxes(1, 2) - ia
+    return _tensor(spec, b.stack, dual % p)
 
 
 def dual(mod) -> ModuleRep:
@@ -298,9 +370,7 @@ def base_change(mod, target) -> ModuleRep:
         raise NotARefinement(f"{target} does not refine {mod.spec.base}")
     spec = mod.spec.with_base(target)
     if target.is_finite:
-        emb = linalg.embedding_matrix(mod.spec.base, target)
-        mats = [linalg.from_coeff_array(target, linalg.coeff_array(m) @ emb)
-                for m in mod.Z]
+        mats = mod.stack @ linalg.embedding_matrix(mod.spec.base, target) % target.p
     else:
         mats = [m.map_entries(lambda x: embed(x, target), target) for m in mod.Z]
     # embedding keeps the nonzero pattern, and with it the blocks, and the
@@ -380,11 +450,11 @@ def _generator_ranks(mod, parts):
     idx = [i for part in parts for i in part]
     if not idx:
         return [0] * len(parts)
-    gens = [linalg.coeff_array(z) for z in mod.Z]
+    gens = mod.stack
     if idx != list(range(mod.n)):
-        cut = np.ix_(idx, idx)
-        gens = [g[cut] for g in gens]
-    pivots = linalg.fq_pivots(np.concatenate(gens, axis=1).transpose(1, 0, 2), base)
+        gens = gens[:, idx][:, :, idx]
+    r, m, _, e = gens.shape  # the transpose of [Z_1 | ... | Z_r]: row j*m + b
+    pivots = linalg.fq_pivots(gens.transpose(0, 2, 1, 3).reshape(r * m, m, e), base)
     if len(parts) == 1:
         return [len(pivots)]
     owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])

@@ -286,8 +286,8 @@ def _point_tester(mod, K, block=None):
         return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
     # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
     # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
-    gens = np.stack([linalg.coeff_array(m) for m in reps.base_change(mod, K).Z],
-                    axis=2).reshape(n, n, mod.spec.r * e)
+    gens = reps.base_change(mod, K).stack.transpose(1, 2, 0, 3).reshape(
+        n, n, mod.spec.r * e)
     if size < n:
         gens = gens[np.ix_(kept, kept)]
     powers = fields.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)

@@ -1,4 +1,7 @@
+import itertools
 import random
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import pytest
@@ -283,6 +286,88 @@ def _coinduced_by_trace_pairing(mod, target):
         mats.append(linalg.from_coeff_array(target, (x @ B.T) % p))
     spec = mod.spec.with_base(target)
     return reps.ModuleRep(spec, mats, name=mod.name)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-chain oracle: the module constructions over a finite base written
+# one generator at a time as chains of Matrix operations, the way the
+# package wrote them before a module became one coefficient stack.  Each
+# returns the generators as a list of Matrix, so that no ModuleRep, and so
+# no stack route, is involved.
+
+
+def chain_validate(mod):
+    spec = mod.spec
+    out = []
+    for i, j in itertools.combinations(range(spec.r), 2):
+        if mod.Z[i] @ mod.Z[j] != mod.Z[j] @ mod.Z[i]:
+            out.append(("commutativity", (i + 1, j + 1)))
+    for i, m in enumerate(mod.Z):
+        if not m.power(spec.p).is_zero():
+            out.append(("nilpotence", i + 1))
+    return out
+
+
+def chain_tensor(a, b):
+    spec = a.spec
+    ia = Matrix.identity(spec.base, a.n)
+    ib = Matrix.identity(spec.base, b.n)
+    mats = []
+    for i in range(spec.r):
+        m = linalg.kron(a.Z[i], ib) + linalg.kron(ia, b.Z[i])
+        if spec.flavors[i] == reps.GROUP:
+            m = m + linalg.kron(a.Z[i], b.Z[i])
+        mats.append(m)
+    return mats
+
+
+def chain_hom(a, b):
+    spec = a.spec
+    p = spec.p
+    ia = Matrix.identity(spec.base, a.n)
+    ib = Matrix.identity(spec.base, b.n)
+    mats = []
+    for i in range(spec.r):
+        if spec.flavors[i] == reps.PRIMITIVE:
+            m = linalg.kron(b.Z[i], ia) - linalg.kron(ib, a.Z[i].transpose())
+        else:
+            left = ib + b.Z[i]
+            right = (ia + a.Z[i]).power(p - 1)
+            m = linalg.kron(left, right.transpose()) - linalg.kron(ib, ia)
+        mats.append(m)
+    return mats
+
+
+def chain_base_change(mod, target):
+    emb = linalg.embedding_matrix(mod.spec.base, target)
+    return [linalg.from_coeff_array(target, linalg.coeff_array(m) @ emb) for m in mod.Z]
+
+
+def chain_image(K, linear, higher, Z):
+    """The image polynomial of a point evaluated at the generators Z."""
+    n = Z[0].rows
+    acc = Matrix.zero(K, n, n)
+    for i, a in enumerate(linear):
+        if a:
+            acc = acc + Z[i].scale(a)
+    for exps, coeff in sorted(higher.items()):
+        term = reduce(matmul, [Z[i] for i, e in enumerate(exps) for _ in range(e)])
+        acc = acc + term.scale(coeff)
+    return acc
+
+
+def chain_is_full(mat, p):
+    """is_full with the powers of T taken by repeated products."""
+    powers = [mat]
+    for _ in range(p - 2):
+        powers.append(powers[-1] @ mat)
+    assert (powers[-1] @ mat).is_zero()
+    return mat.rows % p == 0 and linalg.rank(powers[-1]) == mat.rows // p
+
+
+def chain_flatness_certificate(spec, K, linear, higher):
+    regular = chain_base_change(free_module(spec, 1), K)
+    return chain_is_full(chain_image(K, linear, higher, regular), spec.p)
 
 
 @pytest.fixture

@@ -1,20 +1,33 @@
 """Finite-field matrix operations on coefficient arrays against entry-by-entry
-FieldElement arithmetic written out here."""
+FieldElement arithmetic written out here, and the module constructions on
+coefficient stacks against the Matrix-chain oracle of conftest."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from pisupport import (
+    GROUP,
+    PRIMITIVE,
     FieldElement,
     Matrix,
+    ModuleRep,
     base_change,
+    direct_sum,
     free_module,
+    hom,
     make_field,
+    make_general,
     make_spec,
+    restrict,
+    tensor,
+    trivial_module,
+    validate,
 )
 from pisupport.fields import canonical_extension, embed
+from pisupport.pipoints import flatness_certificate
 from pisupport.linalg import (
     block_diag,
     coeff_array,
@@ -24,7 +37,10 @@ from pisupport.linalg import (
     vstack,
 )
 
-from conftest import F2, F3, F4, F9, conjugated
+from conftest import (
+    F2, F3, F4, F5, F9, F2S, chain_base_change, chain_flatness_certificate, chain_hom,
+    chain_image, chain_tensor, chain_validate, conjugated, shift_block,
+)
 
 F8 = make_field(2, (1, 1, 0, 1))
 FIELDS = [F2, F3, F4, F8, F9]
@@ -226,3 +242,133 @@ def test_coeff_array_is_read_only(desc, born):
     copy = from_coeff_array(desc, src)
     src[...] = 0
     _assert_matches(copy, ra, desc)
+
+
+# ---------------------------------------------------------------------------
+# module stacks against the Matrix-chain oracle
+
+
+STACK_BASES = [F2, F3, F5, F4, F9]
+STACK_IDS = ["F2", "F3", "F5", "F4", "F9"]
+EXTENSION = {F2: F4, F3: F9, F5: canonical_extension(5, 2),
+             F4: canonical_extension(2, 4), F9: canonical_extension(3, 4)}
+FLAVORS = {"group": (GROUP, GROUP), "primitive": (PRIMITIVE, PRIMITIVE),
+           "mixed": (GROUP, PRIMITIVE)}
+
+
+def _stack_spec(base, flavor):
+    return make_spec(base.p, 2, flavors=FLAVORS[flavor], base=base)
+
+
+def _panel(spec, rng):
+    """A shift block and a trivial line plus a shift block, both in a dense
+    seeded basis, whose entries leave the prime field when the base is
+    larger, and the zero module."""
+    block = conjugated(shift_block(spec, 1, rng), rng)
+    summed = conjugated(direct_sum(trivial_module(spec), shift_block(spec, 1, rng)), rng)
+    return [block, summed, free_module(spec, 0)]
+
+
+def _assert_stack(mod, mats):
+    """The module's stack holds the coefficient arrays of ``mats``."""
+    desc = mod.spec.base
+    assert mod.stack.shape == (len(mats), mod.n, mod.n, desc.deg)
+    assert not mod.stack.flags.writeable
+    for z, m in zip(mod.stack, mats):
+        assert m.desc == desc and np.array_equal(z, coeff_array(m))
+
+
+def _random_scalar(desc, rng, nonzero=False):
+    return FieldElement.from_scalar(desc, desc.sfrom_code(
+        rng.randrange(1 if nonzero else 0, desc.order)))
+
+
+def _perturbed_point(spec, K, rng):
+    """A flat point over K: a nonzero linear part and two terms of total
+    degree >= 2."""
+    image = {}
+    while not image:
+        for i in range(spec.r):
+            a = _random_scalar(K, rng)
+            if a:
+                image[tuple(int(j == i) for j in range(spec.r))] = a
+    terms = [e for e in itertools.product(range(spec.p), repeat=spec.r) if sum(e) >= 2]
+    for _ in range(2):
+        image[rng.choice(terms)] = _random_scalar(K, rng, nonzero=True)
+    point = make_general(spec, K, image)
+    assert point.higher
+    return point
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("base", STACK_BASES, ids=STACK_IDS)
+def test_tensor_and_hom_stacks_match_matrix_chains(base, flavor):
+    # every ordered pair of the panel, the zero module included
+    spec = _stack_spec(base, flavor)
+    panel = _panel(spec, random.Random(f"stack-hopf:{base}:{flavor}"))
+    for a, b in itertools.product(panel, repeat=2):
+        _assert_stack(tensor(a, b), chain_tensor(a, b))
+        _assert_stack(hom(a, b), chain_hom(a, b))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_function_field_tensor_and_hom_match_matrix_chains(flavor):
+    # over F_2(s) the generators stay boxed and the constructions are
+    # Matrix arithmetic; hom is the tensor product with the dual there too
+    spec = _stack_spec(F2S, flavor)
+    rng = random.Random(f"function-field-hopf:{flavor}")
+    s = FieldElement.variable(F2S, "s")
+    block = conjugated(shift_block(spec, 1, rng), rng, scale=s)
+    panel = [block, direct_sum(trivial_module(spec), block), free_module(spec, 0)]
+    for a, b in itertools.product(panel, repeat=2):
+        for build, chain in ((tensor, chain_tensor), (hom, chain_hom)):
+            built = build(a, b)
+            assert built.stack is None and list(built.Z) == chain(a, b)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("base", STACK_BASES, ids=STACK_IDS)
+def test_validate_on_stacks_matches_matrix_chains(base, flavor):
+    # valid modules, and seeded generators that are dense (neither
+    # commuting nor nilpotent) or strictly lower triangular (nilpotent)
+    spec = _stack_spec(base, flavor)
+    rng = random.Random(f"stack-validate:{base}:{flavor}")
+    mods = _panel(spec, rng)
+    for n in (1, 2, 3):
+        for lower in (False, True):
+            mats = [Matrix(base, [[_random_scalar(base, rng) if j < i or not lower
+                                   else FieldElement.zero(base) for j in range(n)]
+                                  for i in range(n)]) for _ in range(spec.r)]
+            mods.append(ModuleRep(spec, mats, _checked=True))
+    seen = set()
+    for mod in mods:
+        found = validate(mod)
+        assert found == chain_validate(mod)
+        seen.update(kind for kind, _ in found)
+    assert seen == {"commutativity", "nilpotence"}
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("base", STACK_BASES, ids=STACK_IDS)
+def test_base_change_restrict_and_certificate_match_matrix_chains(base, flavor):
+    # points with higher terms over the base and over an extension of it
+    spec = _stack_spec(base, flavor)
+    rng = random.Random(f"stack-restrict:{base}:{flavor}")
+    panel = _panel(spec, rng)
+    for K in (base, EXTENSION[base]):
+        point = _perturbed_point(spec, K, rng)
+        for mod in panel:
+            over_k = base_change(mod, K)
+            chain = chain_base_change(mod, K)
+            _assert_stack(over_k, chain)
+            image = restrict(point, over_k)
+            want = chain_image(K, point.linear, point.higher, chain)
+            assert image.desc == K
+            assert np.array_equal(coeff_array(image), coeff_array(want))
+        # z_1 z_2 alone is not flat, and its certificate says so
+        zero = (FieldElement.zero(K),) * spec.r
+        for linear, higher in ((point.linear, point.higher),
+                               (zero, {(1, 1): _random_scalar(K, rng, nonzero=True)})):
+            verdict = flatness_certificate(spec, K, linear, higher)
+            assert verdict == chain_flatness_certificate(spec, K, linear, higher)
+            assert verdict == any(linear)

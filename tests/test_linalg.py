@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -704,6 +705,25 @@ def test_jordan_rejects_non_nilpotent():
         jordan_type(Matrix.identity(F2, 2), 2)
     with pytest.raises(NotPNilpotent):
         is_full(Matrix.identity(F3, 3), 3)
+
+
+@pytest.mark.parametrize("desc", [F3, F9], ids=["F3", "F9"])
+def test_jordan_rejects_nilpotent_but_not_p_nilpotent(desc):
+    # the size-4 shift at p = 3: T^3 != 0 and T^4 = 0; over F_9 in a dense
+    # seeded basis, so that its entries leave F_3
+    shift = Matrix.from_ints(desc, np.eye(4, k=-1, dtype=np.int64))
+    rng = random.Random(f"not-p-nilpotent:{desc}")
+    lower = Matrix(desc, [[FieldElement.from_scalar(desc, desc.sfrom_code(
+        rng.randrange(desc.order))) if j < i else FieldElement.zero(desc)
+        for j in range(4)] for i in range(4)])
+    ident, square = Matrix.identity(desc, 4), lower @ lower
+    # (I + L)^-1 = I - L + L^2 - L^3 for L strictly lower triangular
+    t = (ident + lower) @ shift @ (ident + square - lower - square @ lower)
+    assert not t.power(3).is_zero() and t.power(4).is_zero()
+    with pytest.raises(NotPNilpotent, match=r"T\^3 != 0"):
+        jordan_type(t, 3)
+    with pytest.raises(NotPNilpotent, match=r"T\^3 != 0"):
+        is_full(t, 3)
 
 
 def test_is_full_examples():

@@ -105,6 +105,53 @@ def test_validate_reports_nilpotence_index():
     assert ("nilpotence", 1) in validate(bad)
 
 
+def test_module_from_a_stack_checks_its_shape():
+    # (r, n, n, e) over a finite base, read-only once the module owns it;
+    # Z are views of it
+    spec = make_spec(3, 2, base=F9)
+    stack = np.zeros((2, 3, 3, 2), dtype=np.int64)
+    stack[0, 1, 0, 1] = 2
+    mod = ModuleRep(spec, stack)
+    assert mod.n == 3 and mod.stack is stack and not stack.flags.writeable
+    assert all(np.shares_memory(linalg.coeff_array(z), stack) for z in mod.Z)
+    for shape in ((2, 3, 3, 1), (1, 3, 3, 2), (2, 3, 2, 2), (2, 3)):
+        with pytest.raises(ValidationError, match="generator stack of shape"):
+            ModuleRep(spec, np.zeros(shape, dtype=np.int64))
+    with pytest.raises(ValidationError, match="generator stack of shape"):
+        ModuleRep(make_spec(2, 1, base=F2S), np.zeros((1, 1, 1, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("base", [F2, F9], ids=["F2", "F9"])
+def test_validate_lists_every_violation_in_order(base, tmp_path):
+    # r = 3 on e_0, e_1, e_2: z1 = c E_21 and z2 = c E_10 are nilpotent and
+    # do not commute, z3 = E_00 is idempotent, commutes with z1 and not with
+    # z2; over F_9, c is the generator w of the base, so entries leave F_3
+    from pisupport.cli import run_command
+    from pisupport.modfile import emit_module_file
+
+    c = FieldElement.from_scalar(base, tuple(int(i == base.deg - 1)
+                                             for i in range(base.deg)))
+    zero = FieldElement.zero(base)
+
+    def unit(a, b, x):
+        return Matrix(base, [[x if (i, j) == (a, b) else zero for j in range(3)]
+                             for i in range(3)])
+
+    spec = make_spec(base.p, 3, base=base)
+    mats = [unit(2, 1, c), unit(1, 0, c), unit(0, 0, FieldElement.one(base))]
+    bad = ModuleRep(spec, mats, _checked=True)
+    assert validate(bad) == [("commutativity", (1, 2)), ("commutativity", (2, 3)),
+                             ("nilpotence", 3)]
+    message = "commutativity violated at (1, 2)"
+    with pytest.raises(ValidationError) as info:
+        ModuleRep(spec, mats)
+    assert str(info.value) == message
+    path = tmp_path / "bad.mod"
+    path.write_text(emit_module_file(bad))
+    code, out, err = run_command(["check", str(path)])
+    assert (code, out, err) == (3, "", f"error: ValidationError: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
