@@ -63,6 +63,8 @@ IDEAL_CASES = {
     "ideal_f9_r2": (3, 2, 2, 9),
     # F_{5^8} has 390,625 elements, past linalg.ZECH_MAX_ORDER
     "ideal_f5e8_r2": (5, 8, 2, 10),
+    "ideal_f5_r3": (5, 1, 3, 10),
+    "ideal_f7_r2": (7, 1, 2, 12),
 }
 
 # support ideal reports of sums of shift blocks (conftest.shift_block) in a
