@@ -1,18 +1,20 @@
 """Exact dense linear algebra over field towers.
 
 A matrix over a finite tower member F_{p^e} is an (n, m, e) integer array of
-entry coordinates over F_p, and its arithmetic is numpy arithmetic mod p in
-the regular representation: multiplication by a scalar is an e x e matrix
-over F_p (fields.scalar_matrix, from fields.companion_powers), and a product
-multiplies the F_p block matrix of one factor (blockify) into the
-coordinate columns of the other (columns; fp_matmul: float64 BLAS below
-2^53, so nothing is rounded, int64 past it).  The array is the matrix's
-only value: FieldElement entries, even those it was built from, are
-rebuilt from it only when something reads them.  A module over a finite
-base is the (r, n, n, e) stack of its generators' arrays (reps.ModuleRep):
-blockify, columns, coeff_powers and coeff_kron broadcast over the leading
-axes, so that the module constructions run on whole stacks with no Matrix
-between them.  Every rank over a finite field, and the support ideal's
+entry coordinates over F_p (coeff_array), its only value: FieldElement
+entries, even those it was built from, are rebuilt from it only when
+something reads them.  The package computes over finite fields on such
+arrays, never in Matrix arithmetic, whose one path, on the entries, serves
+function fields and the tests' oracles.  Arithmetic on the arrays is numpy
+arithmetic mod p in the regular representation: multiplication by a scalar
+is an e x e matrix over F_p (fields.scalar_matrix, from
+fields.companion_powers), and a product multiplies the F_p block matrix of
+one factor (blockify) into the coordinate columns of the other (columns;
+fp_matmul: float64 BLAS below 2^53, so nothing is rounded, int64 past it).
+A module over a finite base is the (r, n, n, e) stack of its generators'
+arrays (reps.ModuleRep): blockify, columns, coeff_powers and coeff_kron
+broadcast over the leading axes, so that the module constructions run on
+whole stacks.  Every rank over a finite field, and the support ideal's
 pivot columns, come from fq_pivots or, for the point tester's sums
 N(a) = sum a_i Z_i, sparse_rank: elimination over F_q itself, a prime
 field included, on the Zech logarithms of the entries (fields.zech_tables),
@@ -55,7 +57,6 @@ from .fields import (
     Polynomial,
     companion_powers,
     poly_exact_div,
-    scalar_matrix,
 )
 
 
@@ -64,14 +65,14 @@ class Matrix:
 
     Over a finite descriptor a matrix is a read-only (rows, cols, e) int64
     array of entry coordinates over F_p (see coeff_array), stored when the
-    matrix is built, and sums, scaling, products, powers, Kronecker
-    products and vstack run on that array in the regular representation of
-    F_{p^e}; the FieldElement entries are built only when read.
-    Differences, transposes, block_diag and hstack, which the package forms
-    over a finite field only on module stacks (reps), use the entries.
+    matrix is built; the FieldElement entries are built only when read.
     Over a function field the boxed entries are the only representation.
-    Every constant matrix (zero, identity) is built from integers by
-    from_ints.  A matrix with no rows has no columns either.
+    Every operation has one path, on the entries.  Over a finite field the
+    package only builds matrices and reads them (coeff_array, entries, rank,
+    PolyMatrix.from_matrix), and computes on the arrays, so that Matrix
+    arithmetic there serves the tests' oracles.  Every constant matrix
+    (zero, identity) is built from integers by from_ints.  A matrix with no
+    rows has no columns either.
     """
 
     __slots__ = ("desc", "rows", "cols", "_entries", "_coeffs")
@@ -137,9 +138,7 @@ class Matrix:
         if ints.ndim != 2:  # [] has no column axis; np.reshape(0, -1) fails
             ints = ints.reshape(len(ints), 0)
         if desc.is_finite:
-            coeffs = np.zeros(ints.shape + (desc.deg,), dtype=np.int64)
-            coeffs[:, :, 0] = ints % desc.p
-            return cls._from_coeffs(desc, coeffs)
+            return cls._from_coeffs(desc, int_coeffs(ints, desc))
         return cls(desc, [[fields.interned(desc, desc.sfrom_int(c)) for c in row]
                           for row in ints.tolist()])
 
@@ -170,8 +169,6 @@ class Matrix:
             return NotImplemented
         if (self.desc, self.rows, self.cols) != (other.desc, other.rows, other.cols):
             return False
-        if self.desc.is_finite:
-            return np.array_equal(coeff_array(self), coeff_array(other))
         return all(
             a == b for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb)
@@ -182,9 +179,6 @@ class Matrix:
 
     def __add__(self, other):
         self._check_shape(other)
-        if self.desc.is_finite:
-            return Matrix._from_coeffs(
-                self.desc, (coeff_array(self) + coeff_array(other)) % self.desc.p)
         return Matrix(
             self.desc,
             [
@@ -204,34 +198,18 @@ class Matrix:
         )
 
     def __neg__(self):
-        if self.desc.is_finite:
-            return Matrix._from_coeffs(self.desc, -coeff_array(self) % self.desc.p)
         return Matrix(self.desc, [[-a for a in row] for row in self.entries])
 
     def scale(self, x):
         """Every entry multiplied by the FieldElement ``x``."""
-        desc = self.desc
-        if desc.is_finite:
-            if x.desc != desc:
-                raise FieldMismatch("scalar over the wrong field")
-            if desc.deg == 1:
-                return Matrix._from_coeffs(
-                    desc, coeff_array(self) * x.as_scalar()[0] % desc.p)
-            mult = scalar_matrix(desc, x.as_scalar())
-            return Matrix._from_coeffs(desc, coeff_array(self) @ mult.T % desc.p)
-        return Matrix(desc, [[x * a for a in row] for row in self.entries])
+        return Matrix(self.desc, [[x * a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
-        """Matrix product; over a finite field one fp_matmul (see blockify)."""
+        """Matrix product."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         desc = self.desc
-        if desc.is_finite:
-            # the e x e blocks of self act on the coordinate columns of other
-            prod = fp_matmul(blockify(coeff_array(self), desc),
-                             columns(coeff_array(other)), desc.p)
-            return Matrix._from_coeffs(desc, from_columns(prod, desc.deg))
         z = FieldElement.zero(desc)
         other_cols = list(zip(*other.entries))
         out = []
@@ -265,8 +243,6 @@ class Matrix:
         return Matrix(desc, [[f(a) for a in row] for row in self.entries])
 
     def is_zero(self):
-        if self.desc.is_finite:
-            return not coeff_array(self).any()
         return all(not a for row in self.entries for a in row)
 
     def __repr__(self):
@@ -274,14 +250,10 @@ class Matrix:
 
 
 def kron(a, b):
-    """Kronecker product; index (i,j) of the result is i*b.rows + j; over a
-    finite field coeff_kron."""
+    """Kronecker product; index (i,j) of the result is i*b.rows + j."""
     a._check(b)
-    desc = a.desc
-    if desc.is_finite:
-        return Matrix._from_coeffs(desc, coeff_kron(coeff_array(a), coeff_array(b), desc))
-    return Matrix(desc, [[x * y for x in ra for y in rb]
-                         for ra in a.entries for rb in b.entries])
+    return Matrix(a.desc, [[x * y for x in ra for y in rb]
+                           for ra in a.entries for rb in b.entries])
 
 
 def block_diag(blocks):
@@ -321,9 +293,6 @@ def vstack(blocks):
         blocks[0]._check(b)
         if b.cols != blocks[0].cols:
             raise ValueError("column count mismatch")
-    if desc.is_finite:
-        return Matrix._from_coeffs(
-            desc, np.concatenate([coeff_array(b) for b in blocks], axis=0))
     return Matrix(desc, [row for b in blocks for row in b.entries])
 
 
@@ -337,6 +306,14 @@ def coeff_array(mat):
     if mat._coeffs is None:
         raise ValueError("coefficient arrays need a finite descriptor")
     return mat._coeffs
+
+
+def int_coeffs(ints, desc):
+    """The coordinate arrays over the finite ``desc`` of an integer array
+    of any shape: each integer mod p at coordinate 0."""
+    coeffs = np.zeros(ints.shape + (desc.deg,), dtype=np.int64)
+    coeffs[..., 0] = ints % desc.p
+    return coeffs
 
 
 def blockify(coeffs, desc):
@@ -1011,21 +988,25 @@ class JordanType:
 
 
 def _powers(mat, p):
-    """T^1..T^{p-1}; raises unless T^p = 0.  Over a finite field all of them
-    come from one block matrix of T (coeff_powers)."""
+    """T^1..T^{p-1} and the function that ranks them; raises unless
+    T^p = 0.  Over a finite field the powers are the coordinate arrays of
+    coeff_powers, all from one block matrix of T, ranked by fq_rank with no
+    Matrix built per power; over a function field they are Matrix
+    products, ranked by rank."""
     if mat.rows != mat.cols:
         raise NotPNilpotent("operator matrix must be square")
     desc = mat.desc
-    powers = [mat]
     if desc.is_finite:
-        powers += [Matrix._from_coeffs(desc, c)
-                   for c in coeff_powers(coeff_array(mat), desc, p)[1:]]
+        powers = coeff_powers(coeff_array(mat), desc, p)
+        nonzero, rank_of = powers.pop().any(), lambda c: fq_rank(c, desc)
     else:
+        powers = [mat]
         for _ in range(p - 1):
             powers.append(powers[-1] @ mat)
-    if not powers.pop().is_zero():
+        nonzero, rank_of = not powers.pop().is_zero(), rank
+    if nonzero:
         raise NotPNilpotent(f"T^{p} != 0")
-    return powers
+    return powers, rank_of
 
 
 def jordan_type(mat, p) -> JordanType:
@@ -1034,7 +1015,8 @@ def jordan_type(mat, p) -> JordanType:
     The number of parts of size >= j equals rank(T^{j-1}) - rank(T^j),
     where rank(T^p) = 0.
     """
-    ranks = [mat.rows] + [rank(t) for t in _powers(mat, p)] + [0]
+    powers, rank_of = _powers(mat, p)
+    ranks = [mat.rows] + [rank_of(t) for t in powers] + [0]
     at_least = [ranks[j - 1] - ranks[j] for j in range(1, p + 1)]
     parts = []
     for j in range(p, 0, -1):
@@ -1050,5 +1032,5 @@ def is_full(mat, p) -> bool:
     """True iff the p-nilpotent operator has all Jordan blocks of size p,
     i.e. p divides n and rank(T^{p-1}) = n/p."""
     n = mat.rows
-    top = _powers(mat, p)[-1]
-    return n % p == 0 and rank(top) == n // p
+    powers, rank_of = _powers(mat, p)
+    return n % p == 0 and rank_of(powers[-1]) == n // p

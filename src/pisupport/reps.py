@@ -179,9 +179,7 @@ def from_ints(spec, ints, **kwargs) -> ModuleRep:
     base = spec.base
     if not base.is_finite:
         return ModuleRep(spec, [Matrix.from_ints(base, z) for z in ints], **kwargs)
-    stack = np.zeros(ints.shape + (base.deg,), dtype=np.int64)
-    stack[..., 0] = ints % spec.p
-    return ModuleRep(spec, stack, **kwargs)
+    return ModuleRep(spec, linalg.int_coeffs(ints, base), **kwargs)
 
 
 def trivial_module(spec) -> ModuleRep:
@@ -322,7 +320,8 @@ def _tensor(spec, x, y):
     base = spec.base
     group = [i for i, f in enumerate(spec.flavors) if f == GROUP]
     if isinstance(x, np.ndarray):
-        ix, iy = (linalg.coeff_array(Matrix.identity(base, z.shape[1])) for z in (x, y))
+        ix, iy = (linalg.int_coeffs(np.eye(z.shape[1], dtype=np.int64), base)
+                  for z in (x, y))
         gens = linalg.coeff_kron(x, iy, base) + linalg.coeff_kron(ix, y, base)
         gens[group] += linalg.coeff_kron(x[group], y[group], base)
         return ModuleRep(spec, gens % spec.p)
@@ -346,12 +345,12 @@ def hom(a, b) -> ModuleRep:
         raise SpecMismatch("hom needs matching algebra specs")
     spec, p = a.spec, a.spec.p
     group = [i for i, f in enumerate(spec.flavors) if f == GROUP]
-    ia = Matrix.identity(spec.base, a.n)
     if a.stack is None:
+        ia = Matrix.identity(spec.base, a.n)
         dual = [(ia + z).power(p - 1).transpose() - ia if i in group else -z.transpose()
                 for i, z in enumerate(a.Z)]
         return _tensor(spec, b.Z, dual)
-    x, ia = a.stack, linalg.coeff_array(ia)
+    x, ia = a.stack, linalg.int_coeffs(np.eye(a.n, dtype=np.int64), spec.base)
     dual = -x.swapaxes(1, 2)
     right = linalg.coeff_powers((ia + x[group]) % p, spec.base, p - 1)[-1]
     dual[group] = right.swapaxes(1, 2) - ia

@@ -78,8 +78,9 @@ The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
 rank is at most the sum of the floor(n_c/p), below n/p, so every such minor
 vanishes and the list is empty.  Otherwise the monomial coefficients C_b of
-the whole operator are formed by a word expansion of the power in Matrix
-arithmetic, one code path for every base, and kept as coefficient arrays;
+the whole operator are formed by a word expansion of the power, over a
+finite base on the module's stack (linalg.blockify, linalg.fp_matmul) and
+over a function field in Matrix arithmetic, and kept as coefficient arrays;
 the pivot submatrix op[I, J] has the same ideal of minors (Cauchy-Binet),
 and its minors are taken by Laplace expansion (linalg.minors).  I and J
 are the pivot columns of the stacked C_b and of their transposes, found
@@ -601,25 +602,37 @@ def _operator_coeffs(mod):
     arrays over the finite part, keyed by the exponents of m_b in the base's
     variables and s.
 
-    P_1 = {e_i: Z_i} and P_{j+1}[a + e_i] sums the Z_i P_j[a], in Matrix
-    arithmetic over the base; this uses only N^{j+1} = N N^j, so the Z_i
-    need not commute.  Each word is split by monomials in the base's
+    P_1 = {e_i: Z_i} and P_{j+1}[a + e_i] sums the Z_i P_j[a]; this uses
+    only N^{j+1} = N N^j, so the Z_i need not commute.  Over a finite base
+    the words are the coordinate columns (linalg.columns) of the module's
+    stack, and one fp_matmul of the block matrices of every Z_i
+    (linalg.blockify) with a word's columns gives all its products, so that
+    every monomial of degree p - 1 in s keeps its C_b, zero or not, and the
+    work depends on n, p and r only.  Over a base with transcendentals the
+    words are Matrix products, each split by monomials in the base's
     variables through linalg.PolyMatrix.from_matrix (NonPolynomialEntry for
-    an entry with a denominator).  Over a finite base that split is the
-    word's own coefficient array, so every monomial of degree p - 1 in s
-    keeps its C_b, zero or not, and the work depends on n, p and r only;
-    over a base with transcendentals only the monomials that occur are kept.
+    an entry with a denominator), and only the monomials that occur are
+    kept.
     """
-    r, p = mod.spec.r, mod.spec.p
-    words = {tuple(int(j == i) for j in range(r)): z for i, z in enumerate(mod.Z)}
+    r, p, base = mod.spec.r, mod.spec.p, mod.spec.base
+    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    if base.is_finite:
+        words = dict(zip(units, linalg.columns(mod.stack)))
+        blocks = linalg.blockify(mod.stack, base)
+        # sums of products are reduced mod p when they are read
+        products = lambda c: linalg.fp_matmul(blocks, c % p, p)
+    else:
+        words = dict(zip(units, mod.Z))
+        products = lambda c: [z @ c for z in mod.Z]
     for _ in range(p - 2):
         nxt = {}
         for alpha, c in words.items():
-            for i, z in enumerate(mod.Z):
+            for i, prod in enumerate(products(c)):  # Z_i c for every i
                 beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                prod = z @ c
                 nxt[beta] = nxt[beta] + prod if beta in nxt else prod
         words = nxt
+    if base.is_finite:
+        return {alpha: linalg.from_columns(c % p, base.deg) for alpha, c in words.items()}
     coeffs = {}
     for alpha, c in words.items():
         split = linalg.PolyMatrix.from_matrix(c)

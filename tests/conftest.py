@@ -12,6 +12,7 @@ from pisupport import (
     Matrix,
     Polynomial,
     direct_sum,
+    fields,
     free_module,
     linalg,
     make_field,
@@ -72,16 +73,32 @@ def conjugated(mod, rng, scale=None):
     """The module in a seeded basis Z -> P Z P^-1, P = I + L with L strictly
     lower triangular, so that entries leave the prime field when the base is
     larger.  With ``scale`` the entries of L are multiplied by it; P^-1 is
-    the finite sum of the (-L)^j, so polynomial entries stay polynomial."""
+    the finite sum of the (-L)^j, so polynomial entries stay polynomial.
+    Over a finite base without ``scale`` the products are taken on the
+    stack, as F_p block matrices (linalg.blockify) acting on coordinate
+    columns (linalg.columns); otherwise in Matrix arithmetic."""
     base, n = mod.spec.base, mod.n
-    zero = FieldElement.zero(base)
+    codes = [[rng.randrange(base.order) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    if base.is_finite and scale is None:
+        p = base.p
+        lower = linalg.blockify(np.array(
+            [[base.sfrom_code(c) for c in row] for row in codes],
+            dtype=np.int64).reshape(n, n, base.deg), base)
+        # the coordinate columns of P^-1
+        term = p_inv = linalg.columns(linalg.int_coeffs(np.eye(n, dtype=np.int64), base))
+        for _ in range(n - 1):
+            term = -lower @ term % p
+            p_inv = (p_inv + term) % p
+        p_block = np.eye(len(lower), dtype=np.int64) + lower
+        mats = p_block @ linalg.blockify(mod.stack, base) % p @ p_inv % p
+        return reps.ModuleRep(mod.spec, linalg.from_columns(mats, base.deg), name=mod.name)
 
-    def entry():
-        x = FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
+    def entry(code):
+        x = FieldElement.from_scalar(base, base.sfrom_code(code))
         return x if scale is None else x * scale
 
-    lower = Matrix(base, [[entry() if j < i else zero for j in range(n)]
-                          for i in range(n)])
+    lower = Matrix(base, [[entry(c) for c in row] for row in codes])
     ident = Matrix.identity(base, n)
     p_inv, term = ident, ident
     for _ in range(n - 1):
@@ -95,25 +112,21 @@ def shift_block(spec, v, rng, lead=None):
     """Module of dimension p*v on which z_i acts as sum_{d >= v} c_{i,d} N^d
     for the nilpotent shift N, with coefficients from the base, seeded
     apart from the leads c_{i,v} when ``lead`` gives them.  Its support is
-    the hyperplane sum_i a_i c_{i,v} = 0."""
+    the hyperplane sum_i a_i c_{i,v} = 0.  Entry (a, b) of z_i is
+    c_{i,a-b}, and the c_{i,d} are drawn in order of i, then of d."""
     base, q = spec.base, spec.p * v
 
     def scalar():
         return FieldElement.from_scalar(base, base.sfrom_code(rng.randrange(base.order)))
 
-    shift = Matrix(base, [[FieldElement.from_int(base, int(i == j + 1))
-                           for j in range(q)] for i in range(q)])
-    powers = [Matrix.identity(base, q)]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ shift)
     while lead is None or not any(lead):
         lead = [scalar() for _ in range(spec.r)]
+    zero = FieldElement.zero(base)
     mats = []
     for c in lead:
-        acc = powers[v].scale(c)
-        for d in range(v + 1, q):
-            acc = acc + powers[d].scale(scalar())
-        mats.append(acc)
+        coeff = {d: c if d == v else scalar() for d in range(v, q)}
+        mats.append(Matrix(base, [[coeff.get(a - b, zero) for b in range(q)]
+                                  for a in range(q)]))
     return reps.ModuleRep(spec, mats)
 
 
@@ -141,7 +154,8 @@ def mixed(mod, rng):
     after reversing the basis, by an upper unitriangular matrix, so that
     N(a)^{p-1} is not a corner block and its rows mix."""
     mod = conjugated(mod, rng)
-    flip = [Matrix(z.desc, [row[::-1] for row in z.entries[::-1]]) for z in mod.Z]
+    flip = mod.stack[:, ::-1, ::-1] if mod.stack is not None else [
+        Matrix(z.desc, [row[::-1] for row in z.entries[::-1]]) for z in mod.Z]
     return conjugated(reps.ModuleRep(mod.spec, flip, name=mod.name), rng)
 
 
@@ -252,7 +266,7 @@ def _coinduced_by_trace_pairing(mod, target):
         for t in range(d):
             for u in range(d):
                 blockm = np.kron(np.eye(n, dtype=np.int64),
-                                 linalg.scalar_matrix(base, mu[s][t][u]))
+                                 fields.scalar_matrix(base, mu[s][t][u]))
                 op[t * n * eb : (t + 1) * n * eb, u * n * eb : (u + 1) * n * eb] = blockm
         t_s.append(op % p)
 

@@ -1,6 +1,8 @@
-"""Finite-field matrix operations on coefficient arrays against entry-by-entry
-FieldElement arithmetic written out here, and the module constructions on
-coefficient stacks against the Matrix-chain oracle of conftest."""
+"""Finite-field matrices built from entries, coordinate arrays or integers,
+and their operations, against entry-by-entry FieldElement arithmetic
+written out here; the module constructions on coefficient stacks against
+the Matrix-chain oracle of conftest; and no Matrix arithmetic over a finite
+field in the package."""
 
 import itertools
 import random
@@ -26,6 +28,7 @@ from pisupport import (
     trivial_module,
     validate,
 )
+from pisupport import linalg, support, verify
 from pisupport.fields import canonical_extension, embed
 from pisupport.pipoints import flatness_certificate
 from pisupport.linalg import (
@@ -39,8 +42,9 @@ from pisupport.linalg import (
 
 from conftest import (
     F2, F3, F4, F5, F9, F2S, chain_base_change, chain_flatness_certificate, chain_hom,
-    chain_image, chain_tensor, chain_validate, conjugated, shift_block,
+    chain_image, chain_tensor, chain_validate, conjugated, mixed, shift_block,
 )
+from test_golden import _ideal_module
 
 F8 = make_field(2, (1, 1, 0, 1))
 FIELDS = [F2, F3, F4, F8, F9]
@@ -159,15 +163,15 @@ def test_power(desc, n, born):
 @pytest.mark.parametrize("desc", [F2, F4, F9, canonical_extension(5, 2)],
                          ids=["F2", "F4", "F9", "F25"])
 def test_power_matches_repeated_matmul(desc, born):
-    # Matrix.power multiplies the block matrix into the coordinate columns
-    # k - 1 times; the reference multiplies Matrix values k times
+    # Matrix.power takes k products of the entries; linalg.coeff_powers
+    # multiplies the block matrix into the coordinate columns k - 1 times
     rng = random.Random(f"power-matmul:{desc}:{born}")
     for n in (0, 1, 4, 6):
         a, _ = _operand(desc, n, n, rng, born)
-        ref = Matrix.identity(desc, n)
-        for k in range(desc.p + 2):
-            assert a.power(k) == ref, (n, k)
-            ref = ref @ a
+        assert a.power(0) == Matrix.identity(desc, n)
+        powers = linalg.coeff_powers(coeff_array(a), desc, desc.p + 1)
+        for k, want in enumerate(powers, 1):
+            assert np.array_equal(coeff_array(a.power(k)), want), (n, k)
     with pytest.raises(ValueError):
         a.power(-1)
 
@@ -372,3 +376,40 @@ def test_base_change_restrict_and_certificate_match_matrix_chains(base, flavor):
             verdict = flatness_certificate(spec, K, linear, higher)
             assert verdict == chain_flatness_certificate(spec, K, linear, higher)
             assert verdict == any(linear)
+
+
+# ---------------------------------------------------------------------------
+# finite-field code runs on coefficient arrays, never on Matrix arithmetic
+
+
+def test_finite_field_code_runs_no_matrix_arithmetic(monkeypatch):
+    # Matrix arithmetic has one path, on boxed entries, which over a finite
+    # field only the tests' oracles take: verify, the support ideal's word
+    # expansion, jordan_type, is_full and the module constructions run on
+    # coefficient arrays
+    def refuse(name, original, desc_of):
+        def call(*args):
+            if desc_of(*args).is_finite:
+                raise AssertionError(f"{name} over a finite field")
+            return original(*args)
+        return call
+
+    for name in ("__add__", "__neg__", "__matmul__", "scale", "__eq__", "is_zero"):
+        monkeypatch.setattr(Matrix, name, refuse(name, getattr(Matrix, name),
+                                                 lambda mat, *args: mat.desc))
+    monkeypatch.setattr(linalg, "kron", refuse("kron", kron, lambda a, b: a.desc))
+    monkeypatch.setattr(linalg, "vstack", refuse("vstack", vstack,
+                                                 lambda blocks: blocks[0].desc))
+    code, lines = verify.verify_suites(1, 1, 3, 2)
+    assert code == 0, lines
+    for name in ("ideal_f5_r3", "ideal_f7_r2"):
+        assert support.support_ideal(_ideal_module(name)).ideal
+    rng = random.Random("no-matrix-arithmetic")
+    spec = make_spec(3, 2, flavors=(GROUP, PRIMITIVE), base=F9)
+    a = mixed(shift_block(spec, 1, rng), rng)
+    b = direct_sum(trivial_module(spec), shift_block(spec, 1, rng))
+    point = _perturbed_point(spec, EXTENSION[F9], rng)
+    op = restrict(point, base_change(a, EXTENSION[F9]))
+    assert linalg.is_full(op, 3) == linalg.jordan_type(op, 3).is_full()
+    for mod in (tensor(a, b), hom(a, b), hom(b, a)):
+        assert validate(mod) == []

@@ -112,17 +112,21 @@ def _coinduced_text(name):
     return modfile.emit_module_file(reps.coinduced(conjugated(mod, rng), target))
 
 
-def _ideal_text(name):
-    """The report of one block of dimension divisible by p, whose ideal is
-    therefore not read off the block sizes, conjugated over the base so
-    that the word expansion multiplies entries outside the prime field."""
+def _ideal_module(name):
+    """One block of dimension divisible by p, whose ideal is therefore not
+    read off the block sizes, conjugated over the base so that the word
+    expansion multiplies entries outside the prime field."""
     p, base_deg, r, max_dim = IDEAL_CASES[name]
     spec = reps.make_spec(p, r, base=fields.canonical_extension(p, base_deg))
     rng = random.Random(f"golden:{name}")
     mod = randmod.random_module(rng, spec, max_dim=max_dim)
     while mod.n % p or len(reps.blocks(mod)) > 1:
         mod = randmod.random_module(rng, spec, max_dim=max_dim)
-    desc = support.support_ideal(conjugated(mod, rng))
+    return conjugated(mod, rng)
+
+
+def _ideal_text(name):
+    desc = support.support_ideal(_ideal_module(name))
     return "".join(line + "\n" for line in desc.report_lines())
 
 

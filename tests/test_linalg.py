@@ -417,9 +417,10 @@ def test_dense_operator_keeps_the_numpy_route(monkeypatch):
     monkeypatch.setattr(linalg, "sparse_pivots", refuse)
     desc = canonical_extension(2, 4)
     gen = np.random.default_rng(64)
-    left = from_coeff_array(desc, gen.integers(0, 2, size=(64, 40, 4)))
-    right = from_coeff_array(desc, gen.integers(0, 2, size=(40, 64, 4)))
-    coeffs = coeff_array(left @ right)
+    left = gen.integers(0, 2, size=(64, 40, 4))
+    right = gen.integers(0, 2, size=(40, 64, 4))
+    prod = linalg.fp_matmul(blockify(left, desc), linalg.columns(right), 2)
+    coeffs = linalg.from_columns(prod, 4)
     full = int_row_reduce(blockify(coeffs, desc), 2)[0] // 4
     assert fq_rank(coeffs, desc) == full == 40
     assert fq_rank(coeffs, desc, stop_at=32) == 32
@@ -463,8 +464,10 @@ def _python_product(a, b, p):
 
 @EIGHT_FIELDS
 def test_fp_matmul_both_routes_match_python_integers(p, e, monkeypatch):
-    # the block matrix of a product is the product of the block matrices;
-    # inner dimensions reach 40 entries, 40e rows of the block matrix
+    # the block matrix of a product is the product of the block matrices,
+    # for one product of a block matrix with coordinate columns and for the
+    # powers of coeff_powers; inner dimensions reach 40 entries, 40e rows of
+    # the block matrix
     desc = canonical_extension(p, e)
     gen = np.random.default_rng(10 * p + e)
     taken = []
@@ -479,14 +482,15 @@ def test_fp_matmul_both_routes_match_python_integers(p, e, monkeypatch):
         taken.clear()
         for rows, inner, cols in ((1, 1, 1), (3, 8, 5), (17, 40, 12)):
             left, right, square = (
-                from_coeff_array(desc, _sparse_coeffs(gen, desc, n, m, 0.3))
+                _sparse_coeffs(gen, desc, n, m, 0.3)
                 for n, m in ((rows, inner), (inner, cols), (rows, rows)))
-            want = _python_product(blockify(coeff_array(left), desc),
-                                   blockify(coeff_array(right), desc), p)
-            assert np.array_equal(blockify(coeff_array(left @ right), desc), want)
-            block = blockify(coeff_array(square), desc)
+            prod = linalg.fp_matmul(blockify(left, desc), linalg.columns(right), p)
+            want = _python_product(blockify(left, desc), blockify(right, desc), p)
+            assert np.array_equal(blockify(linalg.from_columns(prod, e), desc), want)
+            block = blockify(square, desc)
             want = _python_product(_python_product(block, block, p), block, p)
-            assert np.array_equal(blockify(coeff_array(square.power(3)), desc), want)
+            cube = linalg.coeff_powers(square, desc, 3)[-1]
+            assert np.array_equal(blockify(cube, desc), want)
         assert max(taken, default=0) == (40 * e if bound else 0)
 
 

@@ -141,7 +141,7 @@ def _block_point_tester(mod, K):
         acc = np.zeros((n, n, e), dtype=np.int64)
         for a, c in zip(map(K.sfrom_code, codes), carr):
             if any(a):
-                acc += np.einsum("ab,uvb->uva", linalg.scalar_matrix(K, a), c)
+                acc += np.einsum("ab,uvb->uva", fields.scalar_matrix(K, a), c)
         block = linalg.blockify(acc % p, K)
         op = linalg.int_matpow(block, p - 1, p) if p > 2 else block
         return linalg.int_rank(op, p, stop_at=target) != target
@@ -173,8 +173,14 @@ def _proportional_block(spec, v, rng, lead):
     with sum_i a_i lead_i = 0, N(a) is zero on it, so every row of N(a)
     that B reaches cancels; elsewhere N(a) is free on it."""
     unit = [FieldElement.one(spec.base)]
-    (b,) = shift_block(make_spec(spec.p, 1, base=spec.base), v, rng, unit).Z
-    return ModuleRep(spec, [b.scale(c) for c in lead])
+    (b,) = shift_block(make_spec(spec.p, 1, base=spec.base), v, rng, unit).stack
+    return ModuleRep(spec, np.stack([_scaled(b, c) for c in lead]))
+
+
+def _scaled(coeffs, x):
+    """The coordinate array ``coeffs`` over the finite field of the
+    FieldElement ``x``, times x."""
+    return coeffs @ fields.scalar_matrix(x.desc, x.as_scalar()).T % x.desc.p
 
 
 def _cancelling_cases():
@@ -270,16 +276,15 @@ def _valuation_block(spec, v, w, rng):
     point but one, where it is N^w: w Jordan blocks of sizes
     ceil(pv/w) and floor(pv/w), and rank n - n/p - (w - v)."""
     base, q = spec.base, spec.p * v
-    shift = Matrix.from_ints(base, [[int(a == b + 1) for b in range(q)]
-                                    for a in range(q)])
-    pair = (shift.power(v), shift.power(min(w, q)))
+    pair = [np.eye(q, k=-d, dtype=np.int64) for d in (v, w)]  # N^v, N^w
     while True:
         g = [[fields.interned(base, base.sfrom_code(rng.randrange(base.order)))
               for _ in range(2)] for _ in range(2)]
         if g[0][0] * g[1][1] != g[0][1] * g[1][0]:
             break
-    return ModuleRep(spec, [pair[0].scale(row[0]) + pair[1].scale(row[1])
-                            for row in g])
+    return ModuleRep(spec, np.stack([
+        sum(np.multiply.outer(power, x.as_scalar()) for power, x in zip(pair, row))
+        % spec.p for row in g]))
 
 
 def _rank_gap_cases(p):
@@ -314,9 +319,8 @@ def test_point_tester_ranks_n_against_the_power_oracle(p):
             fast, block, over_k = testers[K]
             verdict = fast(pt.codes)
             assert verdict == block(pt.codes), (mod.name, K, pt.codes)
-            op = sum((z.scale(a) for z, a in zip(over_k.Z, pt.coords)),
-                     Matrix.zero(K, n, n))
-            parts = linalg.jordan_type(op, p).parts
+            op = sum(_scaled(z, a) for z, a in zip(over_k.stack, pt.coords)) % p
+            parts = linalg.jordan_type(linalg.from_coeff_array(K, op), p).parts
             assert verdict == (len(parts) > n // p)
             sizes.update(parts)
             short_by_one += len(parts) == n // p + 1
