@@ -35,14 +35,22 @@ MAX_EXTENSION_DEGREE = 8
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    return n >= 2 and next(_prime_factors(n)) == n
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division,
+    yielded as they are found, so that the first one ends a primality
+    test."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            yield d
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        yield n
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +208,13 @@ class FieldDescriptor:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(desc):
-    """Coordinates of x^k modulo the extension polynomial, k < 2*deg-1."""
-    n, p = desc.deg, desc.p
-    rows = []
-    cur = [1] + [0] * (n - 1)
-    for _ in range(2 * n - 1):
-        rows.append(tuple(cur))
-        cur = [0] + cur
-        lead = cur.pop()
-        if lead:
-            for t in range(n):
-                cur[t] = (cur[t] - lead * desc.ext[t]) % p
-    return tuple(rows)
+    """Coordinates of x^k modulo the extension polynomial, k < 2*deg-1:
+    the unit vector of x^k for k < deg - 1, and x^(deg-1+j) = W^j x^(deg-1),
+    column deg-1 of companion_powers[j], for j < deg."""
+    e = desc.deg
+    rows = np.concatenate([np.eye(e - 1, e, dtype=np.int64),
+                           companion_powers(desc)[:, :, e - 1]])
+    return tuple(map(tuple, rows.tolist()))
 
 
 def make_field(p, ext=None, vars=()):
@@ -261,24 +264,13 @@ def canonical_extension(p, n):
 _TABLE_CHUNK = 1 << 16  # powers of g computed per numpy step
 
 
-def _prime_factors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
-
-
 def primitive_element(desc):
     """Code of the first element, in code order, that generates the
     multiplicative group of the finite part.  The class of x need not: it
     has order 4 of 8 in F_3[x]/(x^2+1), the canonical F_9."""
     m = desc.order - 1
     one = desc.sone()
-    factors = _prime_factors(m)
+    factors = list(_prime_factors(m))
     for code in range(1, desc.order):
         x = desc.sfrom_code(code)
         if all(desc.spow(x, m // f) != one for f in factors):
@@ -368,28 +360,8 @@ def frobenius(desc, order):
     code of x, for ``order`` the order of a subfield of the finite part, so
     that x -> x^order generates the automorphisms of the finite part over
     that subfield.  log(x^order) = order * log x mod q-1, and 0 -> 0."""
-    return _log_map(desc, desc, order)
-
-
-@lru_cache(maxsize=None)
-def embedding_codes(src, dst):
-    """Read-only int32 array over the element codes of src's finite part:
-    the code in dst of the image of each under _scalar_embedding.  That
-    embedding is a field map, so it sends g^k to h^k, g the primitive
-    element of zech_tables(src) and h its image, and
-    log_dst(image of x) = log_src(x) * log_dst(h) mod (q_dst - 1), with
-    0 -> 0.  The root behind h is found once, by _scalar_embedding."""
-    _, log, _ = zech_tables(dst)
-    g = src.sfrom_code(primitive_element(src))
-    return _log_map(src, dst, int(log[dst.sto_code(_scalar_embedding(src, dst)(g))]))
-
-
-def _log_map(src, dst, k):
-    """Read-only int32 array over the element codes of src: the code in dst
-    of exp_dst(k * log_src(x)) at the code of x, and 0 -> 0."""
-    _, log, _ = zech_tables(src)
-    exp, _, _ = zech_tables(dst)
-    table = exp[log.astype(np.int64) * k % (dst.order - 1)]
+    exp, log, _ = zech_tables(desc)
+    table = exp[log.astype(np.int64) * order % (desc.order - 1)]
     table[0] = 0
     table.flags.writeable = False
     return table

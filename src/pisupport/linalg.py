@@ -18,26 +18,30 @@ whole stacks.  Every rank over a finite field, and the support ideal's
 pivot columns, come from fq_pivots or, for the point tester's sums
 N(a) = sum a_i Z_i, sparse_rank: elimination over F_q itself, a prime
 field included, on the Zech logarithms of the entries (fields.zech_tables),
-about e^3 times less work than the ne x ne block matrix over F_p.  Sparse
-matrices, with at most SPARSE_ROW_NONZEROS nonzero entries per row on
-average, are held as rows of dicts {column: value} of their nonzero
-entries and eliminated by sparse_pivots, which inserts each row into the
-pivot rows found so far and touches only nonzero entries;
-sparse_combination sums N(a) in that form from the
-generators' nonzero entries, with no numpy call per point.  Denser
-matrices are eliminated in numpy.  fq_pivots eliminates the block matrix
-only past ZECH_MAX_ORDER, where the tables would outweigh the
-elimination, over a prime field too; below it nothing eliminates on
-residues, and the block elimination is kept only in the tests, as the
-oracle.  Rank in the presence of transcendentals uses fraction-free
-(Bareiss) elimination on polynomial entries, so no multivariate gcd is
-ever needed.  Pivoting always takes the first nonzero entry in column
-order, which keeps intermediate polynomials, and therefore all reports,
-reproducible.  A matrix of polynomials is one coefficient array by
-monomial (PolyMatrix), and its minors are taken by a
-division-free Laplace expansion on those coefficients, read once into
-lists of Python integers (_expand_row), since their matrices have a few
-hundred entries at most and each step is a few integer operations.
+about e^3 times less work than the ne x ne block matrix over F_p.  An
+entry is read by its element code (element_codes, inverted by
+element_coords).  One rule, sparse_route, picks the route for fq_pivots
+and the point tester alike: sparse matrices, with at most
+SPARSE_ROW_NONZEROS nonzero entries per row on average over a field of at
+most ZECH_MAX_ORDER elements, are held as rows of dicts {column: value}
+of their nonzero entries and eliminated by sparse_pivots, which inserts
+each row into the pivot rows found so far and touches only nonzero
+entries; sparse_combination sums N(a) in that form from the generators'
+nonzero entries, embedded by one code table per field pair
+(embedding_codes), with no numpy call per point.  Denser matrices are
+eliminated in numpy.  fq_pivots eliminates the block matrix only past
+ZECH_MAX_ORDER, where the tables would outweigh the elimination, over a
+prime field too; below it nothing eliminates on residues, and the block
+elimination is kept only in the tests, as the oracle.  Rank in the
+presence of transcendentals uses fraction-free (Bareiss) elimination on
+polynomial entries, so no multivariate gcd is ever needed.  Pivoting
+always takes the first nonzero entry in column order, which keeps
+intermediate polynomials, and therefore all reports, reproducible.  A
+matrix of polynomials is one coefficient array by monomial (PolyMatrix),
+and its minors are taken by a division-free Laplace expansion on those
+coefficients, read once into lists of Python integers (_expand_row),
+since their matrices have a few hundred entries at most and each step is
+a few integer operations.
 """
 
 import itertools
@@ -485,11 +489,22 @@ def element_codes(coeffs, desc):
     return coeffs @ desc.p ** np.arange(desc.deg, dtype=np.int64)
 
 
-def log_codes(coeffs, desc):
-    """(n, m) array of the Zech logs (fields.zech_tables) of the entries of
-    an (n, m, e) coordinate array; zero has the log q - 1."""
-    _, log, _ = fields.zech_tables(desc)
-    return log[element_codes(coeffs, desc)]
+def element_coords(codes, desc):
+    """Inverse of element_codes: the (..., e) coordinate arrays over F_p of
+    the elements of the finite ``desc`` with the integer codes ``codes``."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes[..., None] // desc.p ** np.arange(desc.deg, dtype=np.int64) % desc.p
+
+
+@lru_cache(maxsize=None)
+def embedding_codes(src, dst):
+    """Read-only array over the element codes of the finite field ``src``:
+    the code in ``dst``, which refines it, of the image of each element
+    under embedding_matrix."""
+    images = element_coords(np.arange(src.order), src) @ embedding_matrix(src, dst)
+    table = element_codes(images % dst.p, dst)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -532,10 +547,9 @@ def _zech_kernel(desc):
 #: sample at r >= 2 reaches within support.DEFAULT_ENUM_BUDGET is below it.
 ZECH_MAX_ORDER = 1 << 18
 
-#: fq_pivots eliminates on rows of dicts (sparse_pivots) when the matrix
+#: sparse_route sends a matrix to rows of dicts (sparse_pivots) when it
 #: has at most this many nonzero entries per row on average, counted over
-#: every row, zero rows included; the point tester applies the same bound
-#: to the union of the generators' nonzero patterns.  On random n x n
+#: every row, zero rows included.  On random n x n
 #: matrices with k nonzeros per row, n = 16..128, against
 #: _log_pivots_numpy: over F_9, F_16, F_25 and F_81 dict rows won at every
 #: n for k <= 3, by 1.45x or more, at k = 4 lost at n >= 64 (n >= 96 over
@@ -554,16 +568,16 @@ def fq_pivots(coeffs, desc, stop_at=None):
     form whatever the route, as the leading columns of any echelon basis of
     the row space are.
 
-    Gaussian elimination over F_q itself on the Zech logs of the entries
-    (log_codes), a prime field included.  The route depends on the number
-    of nonzero entries: with at most SPARSE_ROW_NONZEROS per row on average
-    the nonzero entries are read into rows of dicts and eliminated by
-    sparse_pivots, where a pivot row touches only its nonzero entries; a
-    denser matrix in numpy (_log_pivots_numpy), whose fixed cost per call
-    the arithmetic then outweighs.  Past ZECH_MAX_ORDER the tables would
-    cost more than the elimination they save, so there int_row_reduce takes
-    the ne x ne block matrix over F_p, whose F_p pivots come in whole
-    blocks of e, one block for each pivot column over F_q.
+    Gaussian elimination over F_q itself on the Zech logs of the entries,
+    read from their element codes, a prime field included.  sparse_route
+    picks the route from the number of nonzero entries: a sparse matrix is
+    read into rows of dicts and eliminated by sparse_pivots, where a pivot
+    row touches only its nonzero entries; a denser one in numpy
+    (_log_pivots_numpy), whose fixed cost per call the arithmetic then
+    outweighs.  Past ZECH_MAX_ORDER the tables would cost more than the
+    elimination they save, so there int_row_reduce takes the ne x ne block
+    matrix over F_p, whose F_p pivots come in whole blocks of e, one block
+    for each pivot column over F_q.
     """
     if desc.order > ZECH_MAX_ORDER:
         e = desc.deg
@@ -571,14 +585,25 @@ def fq_pivots(coeffs, desc, stop_at=None):
         block_pivots = int_row_reduce(blockify(coeffs, desc), desc.p, stop)[1]
         return [c // e for c in block_pivots if c % e == 0]
     codes = element_codes(coeffs, desc)
-    if np.count_nonzero(codes) <= SPARSE_ROW_NONZEROS * coeffs.shape[0]:
+    if sparse_route(desc, np.count_nonzero(codes), codes.shape[0]):
         value = _sparse_arithmetic(desc)[0]
         rows = [{} for _ in range(codes.shape[0])]
         u, v = codes.nonzero()
         for i, j, x in zip(u.tolist(), v.tolist(), codes[u, v].tolist()):
             rows[i][j] = value[x]
         return sparse_pivots(rows, desc, stop_at)
-    return _log_pivots_numpy(log_codes(coeffs, desc), desc, stop_at)
+    _, log, _ = fields.zech_tables(desc)
+    return _log_pivots_numpy(log[codes], desc, stop_at)
+
+
+def sparse_route(desc, nonzeros, rows):
+    """The route rule: is a matrix over the finite field ``desc`` with
+    ``nonzeros`` nonzero entries in ``rows`` rows eliminated on rows of
+    dicts (sparse_pivots)?  Yes when q is at most ZECH_MAX_ORDER and there
+    are at most SPARSE_ROW_NONZEROS nonzero entries per row on average.
+    fq_pivots applies it to its matrix, and the point tester to the union
+    of the generators' nonzero patterns."""
+    return desc.order <= ZECH_MAX_ORDER and nonzeros <= SPARSE_ROW_NONZEROS * rows
 
 
 def fq_rank(coeffs, desc, stop_at=None):
@@ -683,15 +708,15 @@ def sparse_combination(by_gen, src, desc):
     M over the base these are also the rows of N(a) for the coinduced
     module Hom_k(K, M), whose generators in the trace-pairing basis are the
     same entries embedded into K = ``desc`` (reps.coinduced).  The codes
-    are embedded by the table fields.embedding_codes, built once per pair
-    of fields, and read as values in ``desc``; at a point each row of N(a)
+    are embedded by the table embedding_codes, built once per pair of
+    fields, and read as values in ``desc``; at a point each row of N(a)
     is summed from them with no numpy call, and entries that cancel are
     dropped."""
     value, _, add = _sparse_arithmetic(desc)
     if src == desc:
         image = value
     else:
-        image = [value[c] for c in fields.embedding_codes(src, desc).tolist()]
+        image = [value[c] for c in embedding_codes(src, desc).tolist()]
     n = len(by_gen[0])
     by_gen = [[(a, [(b, image[x]) for b, x in row])
                for a, row in enumerate(gen) if row] for gen in by_gen]

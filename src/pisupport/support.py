@@ -15,9 +15,10 @@ included: in_support and in_cosupport decide from the definition,
 through the restricted operator and its Jordan type (linalg.fq_rank), and
 sampling and the generic scan use _point_tester, which ranks N(a) itself
 and forms no power of it; for sparse generators it sums and ranks N(a) on
-rows of dicts (linalg.sparse_combination, linalg.sparse_rank).  The
-ne x ne block matrix over F_p is eliminated in the tests, as the oracle,
-and by fq_rank only past linalg.ZECH_MAX_ORDER.  Sampling enumerates one
+rows of dicts (linalg.sparse_combination, linalg.sparse_rank), by the
+route rule of linalg.sparse_route.  The ne x ne block matrix over F_p is
+eliminated in the tests, as the oracle, and by fq_rank only past the
+Zech bound (linalg.fq_pivots).  Sampling enumerates one
 canonical representative (first nonzero coordinate scaled to 1) of every
 point rational over each extension of the base of relative degree
 <= e_max.  The Z_i have entries in the base k, of order q0, so for
@@ -254,22 +255,20 @@ def _point_tester(mod, K, block=None):
     (_kept), n' of them, and decides rank < n' - n'/p, stopping at
     n' - n'/p; when every block is free it is constant "out".  No power of
     N(a) is formed (see the module docstring).  The route is chosen once
-    per (module, field).  When the union of the nonzero patterns of the Z_i
-    has at most linalg.SPARSE_ROW_NONZEROS * n entries and K has at most
-    linalg.ZECH_MAX_ORDER elements, the nonzero entries of the kept rows of
-    the Z_i, read over the base once per module (reps.nonzero_codes), are
-    embedded into K by one code table per field pair
-    (fields.embedding_codes), and at each point N(a) is summed from them
-    as rows of dicts (linalg.sparse_combination) and ranked by
-    linalg.sparse_rank, with no numpy call.  Otherwise the generators of the base change of mod
-    to K (reps.base_change, the identity on a module already over K), cut
-    to the kept rows and columns, are one (n', n', r*e) coordinate array,
-    the F_p digits of the codes times the powers of the generator of K
-    (fields.companion_powers) are the F_p matrices of multiplication by the
-    a_i, one more product (linalg.fp_matmul) gives N(a), and linalg.fq_rank
-    ranks it.  The tests check both routes against the rank of N(a)^{p-1}
-    of the whole module on the ne x ne block matrix over F_p at every
-    sampled point.
+    per (module, field), by the rule of linalg.sparse_route on the union of
+    the nonzero patterns of the Z_i.  On rows of dicts the nonzero entries
+    of the kept rows of the Z_i, read over the base once per module
+    (reps.nonzero_codes), are embedded into K by one code table per field
+    pair (linalg.embedding_codes), and at each point N(a) is summed from
+    them (linalg.sparse_combination) and ranked by linalg.sparse_rank, with
+    no numpy call.  Otherwise the generators of the base change of mod to K
+    (reps.base_change, the identity on a module already over K), cut to the
+    kept rows and columns, are one (n', n', r*e) coordinate array, the
+    coordinates of the a_i (linalg.element_coords) give the F_p matrices of
+    multiplication by them (fields.scalar_matrix), one more product
+    (linalg.fp_matmul) gives N(a), and linalg.fq_rank ranks it.  The tests
+    check both routes against the rank of N(a)^{p-1} of the whole module
+    on the ne x ne block matrix over F_p at every sampled point.
     """
     p, n, e = mod.spec.p, mod.n, K.deg
     kept = _kept(mod) if block is None else block
@@ -280,23 +279,21 @@ def _point_tester(mod, K, block=None):
     size = len(kept)
     target = size - size // p
     by_gen, pattern = reps.nonzero_codes(mod)
-    if K.order <= linalg.ZECH_MAX_ORDER and pattern <= linalg.SPARSE_ROW_NONZEROS * n:
+    if linalg.sparse_route(K, pattern, n):
         if size < n:
             by_gen = [[gen[a] for a in kept] for gen in by_gen]
         combine = linalg.sparse_combination(by_gen, mod.spec.base, K)
         return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
     # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
-    # (digits @ powers).reshape(-1, e) is column b of multiplication by a_i
+    # the stacked transposes is column b of multiplication by a_i
     gens = reps.base_change(mod, K).stack.transpose(1, 2, 0, 3).reshape(
         n, n, mod.spec.r * e)
     if size < n:
         gens = gens[np.ix_(kept, kept)]
-    powers = fields.companion_powers(K).transpose(0, 2, 1).reshape(e, e * e)
-    place = p ** np.arange(e, dtype=np.int64)
 
     def tester(codes):
-        digits = np.array(codes, dtype=np.int64)[:, None] // place % p
-        acc = linalg.fp_matmul(gens, (digits @ powers).reshape(-1, e) % p, p)
+        mult = fields.scalar_matrix(K, linalg.element_coords(codes, K))
+        acc = linalg.fp_matmul(gens, mult.swapaxes(1, 2).reshape(-1, e), p)
         return linalg.fq_rank(acc, K, stop_at=target) != target
 
     return tester
@@ -564,10 +561,11 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     one already kept is dropped.  Both generate the same ideal as the full
     list, of which the result is a subsequence.  A block (reps.blocks) of
     dimension prime to p makes every minor vanish, and nothing is formed.
+    DimensionTooLarge past ``max_dim``, checked only where minors are
+    taken: after the answers that take none, p not dividing n and such a
+    block.
     """
     n, p = mod.n, mod.spec.p
-    if n > max_dim:
-        raise DimensionTooLarge(f"ideal mode limited to dimension {max_dim}")
     desc = SupportDescription(module=mod)
     if n % p:
         desc.ideal = EVERYTHING
@@ -581,6 +579,8 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
         # rank N(s)^{p-1} is the sum over the blocks of at most
         # floor(n_c/p), which falls short of n/p: the zero ideal
         return desc
+    if n > max_dim:
+        raise DimensionTooLarge(f"ideal mode limited to dimension {max_dim}")
     K = fields.make_field(p, base.ext, base.vars + names)
     sub = _pivot_submatrix(K, _operator_coeffs(mod))
     if min(sub.rows, sub.cols) < n // p:

@@ -22,7 +22,7 @@ from pisupport.errors import (
     NotARefinement,
     ReduciblePolynomial,
 )
-from pisupport import fields
+from pisupport import fields, linalg
 from pisupport.fields import parse_literal, scalar_matrix, to_literal, univariate_gcd
 
 from conftest import F2, F3, F4, F5, F9, F2S, F3S, F2SU, TOWERS, elements
@@ -55,6 +55,15 @@ def test_composite_characteristic_rejected():
         make_field(4)
     with pytest.raises(CompositeCharacteristic):
         make_field(1)
+
+
+def test_composite_with_a_large_prime_cofactor_is_rejected_at_once():
+    # 10^18 + 3 is prime: a full factorisation of 2 (10^18 + 3) would take
+    # about 10^9 trial divisions, the primality test stops at d = 2
+    start = time.perf_counter()
+    with pytest.raises(CompositeCharacteristic):
+        make_field(2 * (10**18 + 3))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reducible_polynomial_rejected():
@@ -429,10 +438,11 @@ def test_zech_tables_of_f_5_8_build_in_under_two_seconds():
     (canonical_extension(3, 2), canonical_extension(3, 4)),
     (F9, canonical_extension(3, 4))])
 def test_embedding_codes_match_the_scalar_embedding(src, dst):
-    # the table read from the logs against the root-evaluating map, code by
-    # code; F9 is not the canonical F_9, and over a non-prime base a table
-    # built from a conjugate root differs from it
-    table = fields.embedding_codes(src, dst)
+    # the table built from embedding_matrix on decoded coordinates against
+    # the root-evaluating map, code by code; F9 is not the canonical F_9,
+    # and over a non-prime base a table built from a conjugate root differs
+    # from it
+    table = linalg.embedding_codes(src, dst)
     emb = fields._scalar_embedding(src, dst)
     assert not table.flags.writeable and table.size == src.order
     assert table.tolist() == [dst.sto_code(emb(src.sfrom_code(c)))

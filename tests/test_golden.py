@@ -36,6 +36,10 @@ CLI_CASES = {
                                        "--sample-degree", "1", "--ideal"],
     "support_free2_p2_r3_deg3": ["support", "free:2", "--p", "2", "--r", "3",
                                  "--sample-degree", "3"],
+    # past the ideal's dimension cap of 12, but p does not divide n: no
+    # minor is taken, so the cap does not apply
+    "support_jordan13_p17_deg1_ideal": ["support", "jordan:13", "--p", "17",
+                                        "--sample-degree", "1", "--ideal"],
     # two free blocks: out everywhere, the generic point included, with no
     # rank of N(a) and no generic scan to count
     "support_free2_p2_r5_deg1": ["support", "free:2", "--p", "2", "--r", "5",

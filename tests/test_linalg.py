@@ -22,12 +22,12 @@ from pisupport.linalg import (
     bareiss_rank,
     blockify,
     coeff_array,
+    element_codes,
     fq_pivots,
     fq_rank,
     from_coeff_array,
     int_rank,
     int_row_reduce,
-    log_codes,
     sparse_pivots,
 )
 from pisupport.reps import ModuleRep, make_spec
@@ -276,9 +276,14 @@ def _dict_rows(values, zero):
     return [{j: x for j, x in enumerate(row) if x != zero} for row in values.tolist()]
 
 
+def _log_codes(coeffs, desc):
+    """The Zech logs of the entries of a coordinate array; zero has q - 1."""
+    return fields.zech_tables(desc)[1][element_codes(coeffs, desc)]
+
+
 def _both_routes(coeffs, desc, stop_at):
     """fq_rank by its sparse route and by its numpy route."""
-    logs = log_codes(coeffs, desc)
+    logs = _log_codes(coeffs, desc)
     return (len(sparse_pivots(_dict_rows(logs, desc.order - 1), desc, stop_at)),
             len(linalg._log_pivots_numpy(logs, desc, stop_at)))
 
@@ -318,7 +323,7 @@ def test_fq_rank_routes_match_block_rank_over_odd_primes(p, n):
 def _pivot_routes(coeffs, desc, stop_at, monkeypatch):
     """The pivot columns that fq_pivots finds by rows of dicts, in numpy,
     and by the block route past a lowered ZECH_MAX_ORDER."""
-    logs = log_codes(coeffs, desc)
+    logs = _log_codes(coeffs, desc)
     dict_rows = sparse_pivots(_dict_rows(logs, desc.order - 1), desc, stop_at)
     numpy_rows = linalg._log_pivots_numpy(logs, desc, stop_at)
     with monkeypatch.context() as m:

@@ -248,6 +248,15 @@ def test_cancelling_cases_cancel_whole_rows_on_the_sparse_route(monkeypatch):
         assert cancelled == ({1, 2} if base.deg == 1 else {2}), (base, mod.spec.r)
 
 
+def _scan_field(spec, n):
+    """The least extension F_{q^e} of the base with q^e > (p-1)n/p, worked
+    out here rather than read from support._generic_scan_degree."""
+    e = 1
+    while spec.base.order**e <= (spec.p - 1) * n // spec.p:
+        e += 1
+    return support._sampling_field(spec.base, e)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_point_tester_agrees_with_block_route_on_generic_grids(k):
     # trivial^2 + free:k at p = 2, r = 3: every grid point is in the support.
@@ -257,8 +266,7 @@ def test_point_tester_agrees_with_block_route_on_generic_grids(k):
     plain = direct_sum(direct_sum(trivial_module(spec), trivial_module(spec)),
                        free_module(spec, k))
     dense = _dense_full_support(spec, k, random.Random(f"generic-grids:{k}"))
-    e = support._generic_scan_degree(spec.base, 2, plain.n)
-    K = support._sampling_field(spec.base, e)
+    K = _scan_field(spec, plain.n)
     assert K.deg >= 3
     for mod in (plain, dense):
         fast, block = support._point_tester(mod, K), _block_point_tester(mod, K)
@@ -645,8 +653,7 @@ def test_orbit_memo_agrees_with_every_point():
             assert sample.sampled[pt] == sup(pt.codes), (mod.name, pt)
             assert cosample.sampled[pt] == co(pt.codes), (mod.name, pt)
         if mod.n and mod.n % spec.p == 0:
-            e = support._generic_scan_degree(spec.base, spec.p, mod.n)
-            K = support._sampling_field(spec.base, e)
+            K = _scan_field(spec, mod.n)
             tester = support._point_tester(mod, K)
             grid = itertools.product(range(K.order), repeat=spec.r - 1)
             assert sample.generic == all(tester((1,) + codes) for codes in grid)
@@ -911,8 +918,7 @@ def test_block_verdicts_agree_with_the_whole_module():
             if K not in oracles:
                 oracles[K] = _block_point_tester(mod, K)
             assert verdict == cosample.sampled[pt] == oracles[K](pt.codes), (mod, pt)
-        K = support._sampling_field(spec.base, support._generic_scan_degree(
-            spec.base, p, mod.n))
+        K = _scan_field(spec, mod.n)
         whole = _block_point_tester(mod, K)
         grid = itertools.product(range(K.order), repeat=spec.r - 1)
         generic = all(whole((1,) + codes) for codes in grid)
@@ -1127,15 +1133,6 @@ def _free_sum_cases():
                 mods.append((direct_sum(_dense_full_support(spec, 1, rng), free), size))
             cases += [(monomial(mod, rng)[0], e_max, dim) for mod, dim in mods]
     return cases
-
-
-def _scan_field(spec, n):
-    """The least extension F_{q^e} of the base with q^e > (p-1)n/p, worked
-    out here rather than read from support._generic_scan_degree."""
-    e = 1
-    while spec.base.order**e <= (spec.p - 1) * n // spec.p:
-        e += 1
-    return support._sampling_field(spec.base, e)
 
 
 def test_free_blocks_agree_with_the_whole_module():
@@ -1420,6 +1417,16 @@ def test_ideal_generic_consistency(rng):
 def test_ideal_dimension_guard():
     with pytest.raises(DimensionTooLarge):
         support_ideal(free_module(KLEIN, 4))
+
+
+def test_ideal_dimension_guard_applies_only_where_minors_are_taken():
+    # past the cap of 12, the answers that take no minor still come back:
+    # p does not divide n = 13, and a block of dimension 1 in n = 14
+    trivial = trivial_module(KLEIN)
+    odd = direct_sum(trivial, free_module(KLEIN, 3))
+    assert odd.n == 13 and support_ideal(odd).ideal == EVERYTHING
+    even = direct_sum(direct_sum(trivial, trivial), free_module(KLEIN, 3))
+    assert even.n == 14 and support_ideal(even).ideal == []
 
 
 def test_ideal_of_a_sum_with_a_block_prime_to_p_is_zero(monkeypatch):
