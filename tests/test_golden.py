@@ -4,11 +4,19 @@ Each file under ``tests/golden/`` is the exact output of one command or one
 coinduction recorded from a known-good tree.  A refactor that changes any
 verdict, any report line or any coinduced matrix shows up here as a diff.
 
+``cli_matrix.json`` is the CLI contract: for each argv of MATRIX_ARGVS its
+exit code, its stderr and the sha256 and line count of its stdout, run from
+the repository root, so that a changed exit code or a changed message shows
+up as a diff of one row.
+
 To re-record after an intended output change (and say so in CHANGES.md):
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
+import json
+import os
 import random
 from pathlib import Path
 
@@ -27,6 +35,8 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = GOLDEN.parent.parent
+CLI_MATRIX = GOLDEN / "cli_matrix.json"
 
 CLI_CASES = {
     **{f"demo_klein_n{n}": ["demo", "klein", "--n", str(n)] for n in range(1, 5)},
@@ -96,6 +106,87 @@ COVERING_CASES = {
     "covering_p3": (3, 1, False),
     "covering_dense_p3": (3, 2, True),
 }
+
+
+def _matrix_argvs():
+    """The argvs of cli_matrix.json, in its row order."""
+    algebras = [(2, r) for r in range(2, 7)] + [(3, r) for r in range(2, 5)] + [(5, 2), (5, 3)]
+    argvs = []
+    for p, r in algebras:
+        pr = ["--p", str(p), "--r", str(r)]
+        argvs += [["support", f"free:{g}", *pr, "--sample-degree", "1"] for g in (1, 2, 3)]
+        argvs.append(["support", "free:2", *pr])
+    argvs += [["verify", "--trials", "1", "--seed", str(seed), "--p", str(p), "--r", str(r)]
+              for p, r in algebras for seed in (1, 2)]
+    for n in range(1, 9):
+        argvs.append(["support", f"klein-M{n}", "--sample-degree", "2"])
+        argvs.append(["support", f"klein-M{n}", "--sample-degree", "1", "--ideal"])
+    argvs += [["demo", "klein", "--n", str(n)] for n in range(1, 5)]
+    # restrictions at points over F_4 and F_8, and at the generic point
+    for n in range(1, 5):
+        argvs += [["jordan", f"klein-M{n}", "--point", point]
+                  for point in ("[0,1],1", "1,[0,1]", "[0,0,1],1", "[1,1,0],[0,1,1]")]
+        argvs.append(["jordan", f"klein-M{n}", "--generic"])
+    for n in (2, 3):
+        argvs += [["cosupport", f"klein-M{n}", "--point", point]
+                  for point in ("[0,1],1", "[1,1,0],1", "1,[0,0,1]")]
+        argvs.append(["cosupport", f"klein-M{n}", "--generic"])
+    argvs += [
+        ["jordan", "free:1", "--p", "2", "--r", "3", "--point", "[0,1],1,[1,1]"],
+        ["jordan", "free:1", "--p", "3", "--r", "2", "--point", "[0,1],1"],
+        ["jordan", "free:1", "--p", "3", "--r", "2", "--generic"],
+        ["cosupport", "free:1", "--p", "3", "--r", "2", "--point", "[0,1],1"],
+        ["jordan", "jordan:3", "--p", "3", "--point", "[0,1]"],
+        ["jordan", "jordan:3", "--p", "3", "--generic"],
+    ]
+    # modules over F_4, F_16, F_64, F_81 and F_729, at points over their base
+    for name in COINDUCED_CASES:
+        path = f"tests/golden/{name}.modrep"
+        _, base_deg, rel, _ = COINDUCED_CASES[name]
+        e = base_deg * rel
+        one = "[" + ",".join(["1"] + ["0"] * (e - 1)) + "]"
+        gen = "[" + ",".join(["0", "1"] + ["0"] * (e - 2)) + "]"
+        argvs += [["check", path], ["is-projective", path],
+                  ["jordan", path, "--point", f"{one},{gen}"], ["jordan", path, "--generic"],
+                  ["cosupport", path, "--point", f"{gen},{one}"],
+                  ["support", path, "--sample-degree", "1"]]
+    # input and usage errors
+    argvs += [
+        ["check", "tests/golden/malformed_row.modrep"],
+        ["check", "tests/golden/malformed_noncommuting.modrep"],
+        ["check", "tests/golden/no_such_file.modrep"],
+        ["support", "nosuch:3"],
+        ["support", "free", "--p", "2"],
+        ["support", "free:1", "--p", "2", "--r", "2", "--sample-degree", "9"],
+        ["verify", "--trials", "0"],
+        ["jordan", "klein-M2"],
+        ["cosupport", "klein-M2"],
+        ["verify", "--bogus"],
+        ["demo", "klein", "--n", "0"],
+        ["jordan", "klein-M2", "--point", "1"],
+        ["jordan", "jordan:9", "--p", "3", "--point", "1"],
+    ]
+    # jordan:u is a module over r = 1 with the primitive flavor
+    argvs += [
+        ["jordan", "jordan:3", "--p", "3", "--r", "2", "--point", "[0,1],1"],
+        ["support", "jordan:3", "--p", "3", "--r", "3", "--sample-degree", "1"],
+        ["support", "jordan:3", "--p", "3", "--r", "1", "--flavors", "group",
+         "--sample-degree", "1"],
+        ["support", "jordan:2", "--p", "2", "--r", "1", "--flavors", "primitive",
+         "--sample-degree", "1"],
+    ]
+    return argvs
+
+
+def _matrix_row(argv):
+    code, out, err = run_command(argv)
+    return {"argv": argv, "exit": code, "stderr": err,
+            "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            "stdout_lines": len(out.splitlines())}
+
+
+def _matrix_text():
+    return "[\n" + ",\n".join(json.dumps(_matrix_row(argv)) for argv in _matrix_argvs()) + "\n]\n"
 
 
 def _cli_text(name):
@@ -204,6 +295,13 @@ def test_golden(name):
     assert text == expected
 
 
+def test_cli_matrix(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    rows = json.loads(CLI_MATRIX.read_text(encoding="utf-8"))
+    assert [row["argv"] for row in rows] == _matrix_argvs()
+    assert [row["argv"] for row in rows if _matrix_row(row["argv"]) != row] == []
+
+
 @pytest.mark.parametrize("name", DENSE_IDEAL_CASES)
 def test_dense_ideal_golden_finds_pivots_in_numpy(name, monkeypatch):
     # the premise of DENSE_IDEAL_CASES: both pivot stacks, of the C_b and of
@@ -227,3 +325,6 @@ if __name__ == "__main__":
         filename, text = _render(case)
         (GOLDEN / filename).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {GOLDEN / filename}")
+    os.chdir(ROOT)
+    CLI_MATRIX.write_text(_matrix_text(), encoding="utf-8", newline="\n")
+    print(f"wrote {CLI_MATRIX}")
