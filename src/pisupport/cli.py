@@ -152,8 +152,7 @@ def _cmd_jordan(args, out):
         point = pipoints.generic_point(mod.spec)
     else:
         point = _parse_point(mod, args.point)
-    m = reps.base_change(mod, point.K)
-    jt = linalg.jordan_type(pipoints.restrict(point, m), mod.spec.p)
+    jt = linalg.jordan_type(pipoints.restrict(point, mod), mod.spec.p)
     out.append(str(jt))
     return 0
 
@@ -231,9 +230,7 @@ def _cmd_demo(args, out):
     points = sorted(desc.sampled, key=support.ProjPoint.sort_key)
     for pt in points:
         pi = support.point_pi(spec, pt)
-        jt = linalg.jordan_type(
-            pipoints.restrict(pi, reps.base_change(mod, pi.K)), spec.p
-        )
+        jt = linalg.jordan_type(pipoints.restrict(pi, mod), spec.p)
         verdict = "in support" if desc.sampled[pt] else "not in support"
         out.append(f"  {pt} jordan {jt} -> {verdict}")
     in_pts = [str(pt) for pt in desc.points_in_support()]
@@ -242,9 +239,7 @@ def _cmd_demo(args, out):
                + ("agree" if in_pts == ["[0:1]"] else "DISAGREE"))
     out.append("")
     gp = pipoints.generic_point(spec)
-    jt = linalg.jordan_type(
-        pipoints.restrict(gp, reps.base_change(mod, gp.K)), spec.p
-    )
+    jt = linalg.jordan_type(pipoints.restrict(gp, mod), spec.p)
     out.append(f"generic point (t -> z1 + s2*z2 over F_2(s2)): jordan {jt} -> "
                + ("in support" if desc.generic else "not in support"))
     out.append("expected (infinite module): generic point not in support -> "

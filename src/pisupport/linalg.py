@@ -14,7 +14,9 @@ fp_matmul: float64 BLAS below 2^53, so nothing is rounded, int64 past it).
 A module over a finite base is the (r, n, n, e) stack of its generators'
 arrays (reps.ModuleRep): blockify, columns, coeff_powers and coeff_kron
 broadcast over the leading axes, so that the module constructions run on
-whole stacks.  Every rank over a finite field, and the support ideal's
+whole stacks, and a sum sum_i c_i Z_i with the c_i in a field that refines
+the base of the stack is one contraction (coeff_combination), which the
+restriction along a point and the point tester share.  Every rank over a finite field, and the support ideal's
 pivot columns, come from fq_pivots or, for the point tester's sums
 N(a) = sum a_i Z_i, sparse_rank: elimination over F_q itself, a prime
 field included, on the Zech logarithms of the entries (fields.zech_tables),
@@ -412,12 +414,30 @@ def from_block_int(desc, block, rows, cols):
     return from_coeff_array(desc, coeffs)
 
 
+@lru_cache(maxsize=None)
 def embedding_matrix(src, dst):
-    """(src.deg, dst.deg) F_p matrix of the embedding of src's finite part
-    into dst: row c holds the image of the c-th power basis element."""
+    """Read-only (src.deg, dst.deg) F_p matrix of the embedding of src's
+    finite part into dst: row c holds the image of the c-th power basis
+    element."""
     emb = fields._scalar_embedding(src, dst)
     units = np.eye(src.deg, dtype=np.int64).tolist()
-    return np.array([emb(tuple(u)) for u in units], dtype=np.int64)
+    table = np.array([emb(tuple(u)) for u in units], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def coeff_combination(stack, src, desc, coeffs):
+    """(n, m, desc.deg) coordinates over the finite ``desc`` of
+    sum_i c_i Z_i, for the (r, n, m, e) stack of the Z_i over the finite
+    ``src``, which desc refines, and the (r, desc.deg) coordinates of the
+    c_i over desc.  Each c_i is one F_p map from a coordinate row over src
+    to one over desc, the embedding (embedding_matrix) followed by
+    multiplication by c_i (the transpose of fields.scalar_matrix), and one
+    fp_matmul, of inner dimension r*e, sums the terms."""
+    r, n, m, e = stack.shape
+    maps = embedding_matrix(src, desc) @ fields.scalar_matrix(desc, coeffs).swapaxes(1, 2)
+    return fp_matmul(stack.transpose(1, 2, 0, 3).reshape(n * m, r * e),
+                     maps.reshape(r * e, desc.deg) % desc.p, desc.p).reshape(n, m, desc.deg)
 
 
 def int_row_reduce(a, p, stop_at=None):

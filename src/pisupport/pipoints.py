@@ -10,6 +10,8 @@ exactly freeness of the restricted regular representation.
 from functools import lru_cache, reduce
 from operator import matmul
 
+import numpy as np
+
 from . import fields, linalg, reps
 from .errors import (
     AllCoefficientsZero,
@@ -90,20 +92,25 @@ def _split_image(spec, K, image):
 def flatness_certificate(spec, K, linear, higher) -> bool:
     """Jordan type of the image acting on the rank-one free module over K
     is [p,...,p]; equivalently the restricted regular module is free."""
-    op = _image_matrix(spec, K, linear, higher, _regular_module(spec, K))
+    op = _image_matrix(spec, K, linear, higher, _regular_module(spec))
     return linalg.is_full(op, spec.p)
 
 
 @lru_cache(maxsize=None)
-def _regular_module(spec, K):
-    """The rank-one free module over K, which every certificate over K reads."""
-    return reps.base_change(reps.free_module(spec, 1), K)
+def _regular_module(spec):
+    """The rank-one free module over the base, which every certificate reads."""
+    return reps.free_module(spec, 1)
 
 
 def _image_matrix(spec, K, linear, higher, mod):
-    """The image polynomial at mod's generators; over a finite K on its stack."""
+    """The image polynomial at the generators of K (x) mod, for a field K
+    that refines mod's base.  Over a finite K it is read from mod's stack
+    over its own base, and K enters only through the coefficients: each
+    word Z^alpha of a higher term is multiplied over the base, and one
+    contraction (linalg.coeff_combination) sums the words and the Z_i with
+    their coefficients."""
     if not K.is_finite:
-        Z = mod.Z
+        Z = reps.base_change(mod, K).Z
         acc = linalg.Matrix.zero(K, mod.n, mod.n)
         for i, a in enumerate(linear):
             if a:
@@ -112,20 +119,19 @@ def _image_matrix(spec, K, linear, higher, mod):
             term = reduce(matmul, [Z[i] for i, e in enumerate(exps) for _ in range(e)])
             acc = acc + term.scale(coeff)
         return acc
-    stack, p, n, e = mod.stack, K.p, mod.n, K.deg
-    # acc[u, v] = sum_i A_i stack[i, u, v], A_i the F_p matrix of a_i
-    mults = fields.scalar_matrix(K, [a.as_scalar() for a in linear])
-    acc = (stack.transpose(1, 2, 0, 3).reshape(n * n, spec.r * e)
-           @ mults.transpose(0, 2, 1).reshape(spec.r * e, e)).reshape(n, n, e)
-    blocks = linalg.blockify(stack, K) if higher else None
-    for exps, coeff in sorted(higher.items()):  # of total degree >= 2
-        *left, last = [i for i, k in enumerate(exps) for _ in range(k)]
-        mult = fields.scalar_matrix(K, coeff.as_scalar())
-        cols = linalg.columns(stack[last] @ mult.T % p)
-        for i in reversed(left):
-            cols = linalg.fp_matmul(blocks[i], cols, p)
-        acc = acc + linalg.from_columns(cols, e)
-    return linalg.from_coeff_array(K, acc)
+    base, stack = mod.spec.base, mod.stack
+    coeffs = [a.as_scalar() for a in linear]
+    if higher:
+        blocks, words = linalg.blockify(stack, base), [stack]
+        for exps, coeff in higher.items():  # of total degree >= 2
+            *left, last = [i for i, k in enumerate(exps) for _ in range(k)]
+            cols = linalg.columns(stack[last])
+            for i in reversed(left):
+                cols = linalg.fp_matmul(blocks[i], cols, base.p)
+            words.append(linalg.from_columns(cols, base.deg)[None])
+            coeffs.append(coeff.as_scalar())
+        stack = np.concatenate(words)
+    return linalg.from_coeff_array(K, linalg.coeff_combination(stack, base, K, coeffs))
 
 
 def make_linear(spec, K, coeffs) -> PiPoint:
@@ -159,12 +165,13 @@ def is_flat(point) -> bool:
 
 
 def restrict(point, mod) -> linalg.Matrix:
-    """Matrix of the image polynomial acting on the module; the module must
-    already live over the point's field."""
-    if mod.spec.base != point.K:
-        raise FieldMismatch("base-change the module to the point's field first")
+    """Matrix over the point's field K of the image polynomial acting on
+    K (x) mod, for a module over any base that K refines; the module is
+    read over its own base (see _image_matrix)."""
     if mod.spec.p != point.spec.p or mod.spec.r != point.spec.r:
         raise FieldMismatch("module algebra does not match the point")
+    if not fields.refines(point.K, mod.spec.base):
+        raise NotARefinement(f"{point.K} does not refine {mod.spec.base}")
     return _image_matrix(point.spec, point.K, point.linear, point.higher, mod)
 
 

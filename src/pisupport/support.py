@@ -12,7 +12,8 @@ basis its generators are those of M with their entries embedded into K
 with no coinduced module built; in_cosupport builds it.  Every such rank
 is taken over the point's field F_q on Zech logarithms, a prime field
 included: in_support and in_cosupport decide from the definition,
-through the restricted operator and its Jordan type (linalg.fq_rank), and
+through the restricted operator and its Jordan type (linalg.fq_rank),
+the module read over its own base (pipoints.restrict), and
 sampling and the generic scan use _point_tester, which ranks N(a) itself
 and forms no power of it; for sparse generators it sums and ranks N(a) on
 rows of dicts (linalg.sparse_combination, linalg.sparse_rank), by the
@@ -209,17 +210,16 @@ def _glex_generator_key(gen):
 
 
 def in_support(mod, point) -> bool:
-    """Definition-level verdict: restrict the base-changed module along the
-    point and test for non-projectivity."""
-    m = reps.base_change(mod, point.K)
-    op = pipoints.restrict(point, m)
-    return not linalg.is_full(op, mod.spec.p)
+    """Definition-level verdict: restrict the module along the point, over
+    the point's field (pipoints.restrict reads the module over its own
+    base), and test for non-projectivity."""
+    return not linalg.is_full(pipoints.restrict(point, mod), mod.spec.p)
 
 
 def in_cosupport(mod, point) -> bool:
     """Cosupport verdict.  At a point over a finite field K this is the
-    support verdict of the coinduced module Hom_k(K, M), which is already
-    over K, so in_support does not embed it again.  At a transcendental
+    support verdict of the coinduced module Hom_k(K, M), which is over K,
+    so the restriction reads it over K itself.  At a transcendental
     point it falls back to the support verdict of M, which agrees for
     finite-dimensional modules (coinduction is then a finite direct sum of
     base changes)."""
@@ -261,16 +261,15 @@ def _point_tester(mod, K, block=None):
     (reps.nonzero_codes), are embedded into K by one code table per field
     pair (linalg.embedding_codes), and at each point N(a) is summed from
     them (linalg.sparse_combination) and ranked by linalg.sparse_rank, with
-    no numpy call.  Otherwise the generators of the base change of mod to K
-    (reps.base_change, the identity on a module already over K), cut to the
-    kept rows and columns, are one (n', n', r*e) coordinate array, the
-    coordinates of the a_i (linalg.element_coords) give the F_p matrices of
-    multiplication by them (fields.scalar_matrix), one more product
-    (linalg.fp_matmul) gives N(a), and linalg.fq_rank ranks it.  The tests
+    no numpy call.  Otherwise the stack of mod over its base, cut to the
+    kept rows and columns once, and the coordinates of the a_i over K
+    (linalg.element_coords) give N(a) over K in one contraction
+    (linalg.coeff_combination, as in pipoints.restrict), and linalg.fq_rank
+    ranks it.  The tests
     check both routes against the rank of N(a)^{p-1} of the whole module
     on the ne x ne block matrix over F_p at every sampled point.
     """
-    p, n, e = mod.spec.p, mod.n, K.deg
+    p, n = mod.spec.p, mod.n
     kept = _kept(mod) if block is None else block
     if kept is None:
         return lambda codes: True
@@ -284,16 +283,11 @@ def _point_tester(mod, K, block=None):
             by_gen = [[gen[a] for a in kept] for gen in by_gen]
         combine = linalg.sparse_combination(by_gen, mod.spec.base, K)
         return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
-    # gens[u, v, i*e + b] is coordinate b of (Z_i)_{uv}, and row i*e + b of
-    # the stacked transposes is column b of multiplication by a_i
-    gens = reps.base_change(mod, K).stack.transpose(1, 2, 0, 3).reshape(
-        n, n, mod.spec.r * e)
-    if size < n:
-        gens = gens[np.ix_(kept, kept)]
+    stack = mod.stack[:, kept][:, :, kept] if size < n else mod.stack
 
     def tester(codes):
-        mult = fields.scalar_matrix(K, linalg.element_coords(codes, K))
-        acc = linalg.fp_matmul(gens, mult.swapaxes(1, 2).reshape(-1, e), p)
+        acc = linalg.coeff_combination(stack, mod.spec.base, K,
+                                       linalg.element_coords(codes, K))
         return linalg.fq_rank(acc, K, stop_at=target) != target
 
     return tester
@@ -550,7 +544,7 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
 # Determinantal support ideal
 
 
-def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
+def support_ideal(mod) -> SupportDescription:
     """Homogeneous generators of the support locus: the nonzero (n/p)-minors
     of N(s)^{p-1} where N(s) = s_1 Z_1 + ... + s_r Z_r.
 
@@ -561,9 +555,9 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
     one already kept is dropped.  Both generate the same ideal as the full
     list, of which the result is a subsequence.  A block (reps.blocks) of
     dimension prime to p makes every minor vanish, and nothing is formed.
-    DimensionTooLarge past ``max_dim``, checked only where minors are
-    taken: after the answers that take none, p not dividing n and such a
-    block.
+    DimensionTooLarge past DEFAULT_IDEAL_MAX_DIM, checked only where
+    minors are taken: after the answers that take none, p not dividing n
+    and such a block.
     """
     n, p = mod.n, mod.spec.p
     desc = SupportDescription(module=mod)
@@ -579,8 +573,9 @@ def support_ideal(mod, max_dim=DEFAULT_IDEAL_MAX_DIM) -> SupportDescription:
         # rank N(s)^{p-1} is the sum over the blocks of at most
         # floor(n_c/p), which falls short of n/p: the zero ideal
         return desc
-    if n > max_dim:
-        raise DimensionTooLarge(f"ideal mode limited to dimension {max_dim}")
+    if n > DEFAULT_IDEAL_MAX_DIM:
+        raise DimensionTooLarge(
+            f"ideal mode limited to dimension {DEFAULT_IDEAL_MAX_DIM}")
     K = fields.make_field(p, base.ext, base.vars + names)
     sub = _pivot_submatrix(K, _operator_coeffs(mod))
     if min(sub.rows, sub.cols) < n // p:

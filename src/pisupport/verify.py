@@ -176,9 +176,8 @@ def suite_perturb(rng, spec, trials) -> SuiteResult:
         bent = pipoints.make_general(spec, K, image)
         ok = True
         for mod in panel:
-            mk = reps.base_change(mod, K)
-            a = linalg.is_full(pipoints.restrict(plain, mk), spec.p)
-            b = linalg.is_full(pipoints.restrict(bent, mk), spec.p)
+            a = linalg.is_full(pipoints.restrict(plain, mod), spec.p)
+            b = linalg.is_full(pipoints.restrict(bent, mod), spec.p)
             if a != b:
                 ok = False
                 res.record(trial, False, f"verdicts differ on dim {mod.n}", mod)

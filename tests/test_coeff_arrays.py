@@ -369,6 +369,7 @@ def test_base_change_restrict_and_certificate_match_matrix_chains(base, flavor):
             want = chain_image(K, point.linear, point.higher, chain)
             assert image.desc == K
             assert np.array_equal(coeff_array(image), coeff_array(want))
+            assert np.array_equal(coeff_array(restrict(point, mod)), coeff_array(want))
         # z_1 z_2 alone is not flat, and its certificate says so
         zero = (FieldElement.zero(K),) * spec.r
         for linear, higher in ((point.linear, point.higher),

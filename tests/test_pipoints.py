@@ -1,3 +1,7 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from pisupport import (
@@ -5,11 +9,13 @@ from pisupport import (
     base_change,
     base_extend,
     direct_sum,
+    fields,
     equivalent,
     generic_point,
     is_flat,
     is_full,
     jordan_type,
+    linalg,
     linear_part,
     make_field,
     make_general,
@@ -29,7 +35,7 @@ from pisupport.errors import (
 from pisupport.library import klein_truncation
 from pisupport.randmod import random_module
 
-from conftest import F2, F4
+from conftest import F2, F2S, F4, conjugated
 
 KLEIN = make_spec(2, 2)
 P3R3 = make_spec(3, 3)
@@ -98,10 +104,61 @@ def test_restrict_trivial_module_is_zero():
     assert restrict(point, trivial_module(KLEIN)).is_zero()
 
 
-def test_restrict_requires_matching_field():
+def _random_image(rng, spec, K, higher):
+    """A seeded image polynomial over K with a nonzero linear part, plus up
+    to two terms of total degree >= 2 when ``higher``."""
+    def coeff():
+        return FieldElement.from_scalar(K, K.sfrom_code(rng.randrange(1, K.order)))
+
+    image = {tuple(int(j == i) for j in range(spec.r)): coeff() for i in range(spec.r)}
+    words = [e for e in itertools.product(range(spec.p), repeat=spec.r) if sum(e) >= 2]
+    for exps in rng.sample(words, min(2, len(words))) if higher else ():
+        image[exps] = coeff()
+    return image
+
+
+# (p, base degree, relative degree of the point's field)
+REFINEMENTS = {"F2": (2, 1, 1), "F9": (3, 2, 1), "F4/F2": (2, 1, 2), "F81/F9": (3, 2, 2)}
+
+
+@pytest.mark.parametrize("higher", [False, True], ids=["linear", "higher"])
+@pytest.mark.parametrize("name", REFINEMENTS)
+def test_restrict_reads_the_module_over_its_base(name, higher):
+    p, base_deg, rel = REFINEMENTS[name]
+    spec = make_spec(p, 2, base=fields.canonical_extension(p, base_deg))
+    K = fields.canonical_extension(p, base_deg * rel)
+    rng = random.Random(f"restrict:{name}:{higher}")
+    point = make_general(spec, K, _random_image(rng, spec, K, higher))
+    for _ in range(3):
+        mod = conjugated(random_module(rng, spec, max_dim=8), rng)
+        direct = linalg.coeff_array(restrict(point, mod))
+        assert np.array_equal(direct, linalg.coeff_array(restrict(point, base_change(mod, K))))
+
+
+def test_restrict_over_a_function_field_with_a_higher_term(rng):
+    s = FieldElement.variable(F2S, "s")
+    point = make_general(KLEIN, F2S, {(1, 0): 1, (0, 1): s, (1, 1): s * s + 1})
+    for _ in range(3):
+        mod = conjugated(random_module(rng, KLEIN, max_dim=8), rng)
+        direct = restrict(point, mod)
+        assert direct.desc == F2S
+        assert direct.entries == restrict(point, base_change(mod, F2S)).entries
+
+
+def test_restrict_requires_a_refining_field():
+    point = make_linear(KLEIN, fields.canonical_extension(2, 3), [1, 0])
+    over_f4 = base_change(klein_truncation(2), F4)
+    with pytest.raises(NotARefinement):
+        restrict(point, over_f4)
+    with pytest.raises(NotARefinement):
+        restrict(generic_point(KLEIN), over_f4)
+
+
+def test_restrict_requires_the_point_algebra():
     point = make_linear(KLEIN, F4, [1, 0])
-    with pytest.raises(FieldMismatch):
-        restrict(point, klein_truncation(2))
+    for spec in (make_spec(2, 3), make_spec(3, 2)):
+        with pytest.raises(FieldMismatch):
+            restrict(point, free_module(spec, 1))
 
 
 def test_restrict_additive_on_direct_sums(rng):
