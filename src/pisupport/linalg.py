@@ -16,8 +16,9 @@ arrays (reps.ModuleRep): blockify, columns, coeff_powers and coeff_kron
 broadcast over the leading axes, so that the module constructions run on
 whole stacks, and a sum sum_i c_i Z_i with the c_i in a field that refines
 the base of the stack is one contraction (coeff_combination), which the
-restriction along a point and the point tester share.  Every rank over a finite field, and the support ideal's
-pivot columns, come from fq_pivots or, for the point tester's sums
+restriction along a point and the point tester share.  Every rank over a
+finite field, and the support ideal's pivot columns, come from fq_pivots
+or, for the point tester's sums
 N(a) = sum a_i Z_i, sparse_rank: elimination over F_q itself, a prime
 field included, on the Zech logarithms of the entries (fields.zech_tables),
 about e^3 times less work than the ne x ne block matrix over F_p.  An
@@ -435,9 +436,10 @@ def coeff_combination(stack, src, desc, coeffs):
     multiplication by c_i (the transpose of fields.scalar_matrix), and one
     fp_matmul, of inner dimension r*e, sums the terms."""
     r, n, m, e = stack.shape
-    maps = embedding_matrix(src, desc) @ fields.scalar_matrix(desc, coeffs).swapaxes(1, 2)
-    return fp_matmul(stack.transpose(1, 2, 0, 3).reshape(n * m, r * e),
-                     maps.reshape(r * e, desc.deg) % desc.p, desc.p).reshape(n, m, desc.deg)
+    mults = fields.scalar_matrix(desc, coeffs).swapaxes(1, 2)
+    maps = (embedding_matrix(src, desc) @ mults % desc.p).reshape(r * e, desc.deg)
+    rows = stack.transpose(1, 2, 0, 3).reshape(n * m, r * e)
+    return fp_matmul(rows, maps, desc.p).reshape(n, m, desc.deg)
 
 
 def int_row_reduce(a, p, stop_at=None):
