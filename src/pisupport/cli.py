@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Module arguments are either paths to module files or library names
-(trivial, free:g, jordan:u, klein-Mn:n / klein-MN); library constructors
-other than the Klein family take the algebra from --p/--r/--flavors.
+(trivial, free:g, jordan:u, klein-Mn:n / klein-MN); trivial and free:g
+take the algebra from --p/--r/--flavors (--r 2 when not given), jordan:u
+is a module over r = 1 with the primitive flavor and takes --p alone, and
+the Klein family takes none of them.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input error,
 4 internal error.
 """
@@ -30,7 +32,7 @@ def _build_parser():
 
     def add_algebra_flags(p):
         p.add_argument("--p", type=int, default=2)
-        p.add_argument("--r", type=int, default=2)
+        p.add_argument("--r", type=int, default=None)
         p.add_argument("--flavors", type=str, default=None,
                        help="comma list, e.g. group,primitive")
 
@@ -79,6 +81,7 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     add_algebra_flags(p)
+    p.set_defaults(r=2)
 
     p = sub.add_parser("demo", help="worked examples")
     p.add_argument("example", choices=("klein",))
@@ -88,20 +91,21 @@ def _build_parser():
 
 
 def _algebra_spec(args):
-    flavors = None
-    if args.flavors:
-        flavors = tuple(f.strip() for f in args.flavors.split(","))
-    return reps.make_spec(args.p, args.r, flavors=flavors)
+    flavors = tuple(f.strip() for f in args.flavors.split(",")) if args.flavors else None
+    return reps.make_spec(args.p, 2 if args.r is None else args.r, flavors=flavors)
 
 
 def _load_module(target, args):
     if library.is_library_name(target):
         spec = None
         head = target.partition(":")[0]
-        if head in ("trivial", "free", "jordan"):
+        if head == "jordan":
+            if args.r not in (None, 1) or args.flavors not in (None, reps.PRIMITIVE):
+                raise _UsageError(f"{target} is a module over --r 1 --flavors "
+                                  f"{reps.PRIMITIVE} only")
+            spec = reps.make_spec(args.p, 1, flavors=(reps.PRIMITIVE,))
+        elif head in ("trivial", "free"):
             spec = _algebra_spec(args)
-            if head == "jordan":
-                spec = reps.make_spec(args.p, 1, flavors=(reps.PRIMITIVE,))
         return library.build(target, spec)
     if not os.path.exists(target):
         raise FileNotFoundError(f"no module file {target!r}")
@@ -148,10 +152,8 @@ def _cmd_check(args, out):
 
 def _cmd_jordan(args, out):
     mod = _load_module(args.target, args)
-    if args.generic:
-        point = pipoints.generic_point(mod.spec)
-    else:
-        point = _parse_point(mod, args.point)
+    point = (pipoints.generic_point(mod.spec) if args.generic
+             else _parse_point(mod, args.point))
     jt = linalg.jordan_type(pipoints.restrict(point, mod), mod.spec.p)
     out.append(str(jt))
     return 0
@@ -282,14 +284,12 @@ _COMMANDS = {
 
 def run_command(argv):
     """Pure command runner: (exit code, stdout text, stderr text)."""
-    parser = _build_parser()
     out = []
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        code = _COMMANDS[args.command](args, out)
     except _UsageError as exc:
         return 2, "", f"error: UsageError: {exc}\n"
-    try:
-        code = _COMMANDS[args.command](args, out)
     except ExactAlgebraError as exc:
         return 3, "", f"error: {type(exc).__name__}: {exc}\n"
     except (FileNotFoundError, ValueError, KeyError, OSError) as exc:
