@@ -265,9 +265,9 @@ def _point_tester(mod, K, block=None):
     kept rows and columns once, and the coordinates of the a_i over K
     (linalg.element_coords) give N(a) over K in one contraction
     (linalg.coeff_combination, as in pipoints.restrict), and linalg.fq_rank
-    ranks it.  The tests
-    check both routes against the rank of N(a)^{p-1} of the whole module
-    on the ne x ne block matrix over F_p at every sampled point.
+    ranks it.  The tests check both routes against the rank of N(a)^{p-1}
+    of the whole module on the ne x ne block matrix over F_p at every
+    sampled point.
     """
     p, n = mod.spec.p, mod.n
     kept = _kept(mod) if block is None else block

@@ -9,8 +9,8 @@ from pisupport import (
     base_change,
     base_extend,
     direct_sum,
-    fields,
     equivalent,
+    fields,
     generic_point,
     is_flat,
     is_full,
