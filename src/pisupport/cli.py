@@ -4,7 +4,9 @@ Module arguments are either paths to module files or library names
 (trivial, free:g, jordan:u, klein-Mn:n / klein-MN); trivial and free:g
 take the algebra from --p/--r/--flavors (--r 2 when not given), jordan:u
 is a module over r = 1 with the primitive flavor and takes --p alone, and
-the Klein family takes none of them.
+the Klein family takes none of them; verify runs over the group flavor.
+An explicit flag value that the module or command is not over is a usage
+error.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input error,
 4 internal error.
 """
@@ -90,9 +92,23 @@ def _build_parser():
     return parser
 
 
+def _flavors(args):
+    return tuple(f.strip() for f in args.flavors.split(",")) if args.flavors else None
+
+
 def _algebra_spec(args):
-    flavors = tuple(f.strip() for f in args.flavors.split(",")) if args.flavors else None
-    return reps.make_spec(args.p, 2 if args.r is None else args.r, flavors=flavors)
+    return reps.make_spec(args.p, 2 if args.r is None else args.r, flavors=_flavors(args))
+
+
+def _refuse_flags(args, subject, spec, flags=("p", "r", "flavors")):
+    """Usage error when an explicit value of one of ``flags`` differs from
+    that of ``spec``, the algebra ``subject`` is over (--p has a default, so
+    it is always explicit)."""
+    given = dict(p=args.p, r=args.r, flavors=args.flavors and ",".join(_flavors(args)))
+    fixed = dict(p=spec.p, r=spec.r, flavors=",".join(spec.flavors))
+    if any(given[flag] not in (None, fixed[flag]) for flag in flags):
+        shown = " ".join(f"--{flag} {fixed[flag]}" for flag in flags)
+        raise _UsageError(f"{subject} {shown} only")
 
 
 def _load_module(target, args):
@@ -100,12 +116,12 @@ def _load_module(target, args):
         spec = None
         head = target.partition(":")[0]
         if head == "jordan":
-            if args.r not in (None, 1) or args.flavors not in (None, reps.PRIMITIVE):
-                raise _UsageError(f"{target} is a module over --r 1 --flavors "
-                                  f"{reps.PRIMITIVE} only")
             spec = reps.make_spec(args.p, 1, flavors=(reps.PRIMITIVE,))
+            _refuse_flags(args, f"{target} is a module over", spec, ("r", "flavors"))
         elif head in ("trivial", "free"):
             spec = _algebra_spec(args)
+        else:  # the Klein family
+            _refuse_flags(args, f"{target} is a module over", library.klein_spec())
         return library.build(target, spec)
     if not os.path.exists(target):
         raise FileNotFoundError(f"no module file {target!r}")
@@ -213,6 +229,7 @@ def _cmd_is_projective(args, out):
 def _cmd_verify(args, out):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    _refuse_flags(args, "verify runs over", reps.make_spec(args.p, args.r), ("flavors",))
     code, lines = verify.verify_suites(args.seed, args.trials, args.p, args.r,
                                        suite=args.suite)
     out.extend(lines)

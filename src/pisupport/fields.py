@@ -18,7 +18,7 @@ Canonical form of a rational function:
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,34 +101,35 @@ class FieldDescriptor:
     irreducible polynomial defining the finite extension, or None for the
     prime field.  ``vars`` lists the transcendental variable names in order.
     Construct through :func:`make_field`, which validates the data.
+
+    The shape (deg, nvars, is_finite, and order, the number of elements of
+    the finite part), which every hot path reads, and the hash, which every
+    cache keyed by a field reads, are computed once, when the descriptor is
+    built; it also carries the table of its interned elements (interned).
     """
 
     p: int
     ext: tuple | None
     vars: tuple
 
+    def __post_init__(self):
+        deg = len(self.ext) - 1 if self.ext else 1
+        # written past the __setattr__ that freezes the fields
+        self.__dict__.update(deg=deg, nvars=len(self.vars), is_finite=not self.vars,
+                             order=self.p ** deg, _elements={},
+                             _hash=hash((self.p, self.ext, self.vars)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt from its fields: str hashes are per process
+        return FieldDescriptor, (self.p, self.ext, self.vars)
+
     # -- shape ------------------------------------------------------------
 
-    @property
-    def deg(self) -> int:
-        return len(self.ext) - 1 if self.ext else 1
-
-    @property
-    def nvars(self) -> int:
-        return len(self.vars)
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.vars
-
-    @property
-    def order(self) -> int:
-        """Number of elements of the finite part."""
-        return self.p ** self.deg
-
-    @property
+    @cached_property
     def finite_part(self):
-        """F_p[w]/(ext) with the transcendentals dropped."""
+        """F_p[w]/(ext) with the transcendentals dropped, built once."""
         return FieldDescriptor(self.p, self.ext, ())
 
     # -- scalar arithmetic on coefficient tuples ---------------------------
@@ -813,11 +814,14 @@ def _canonicalize(desc, num, den):
     return num.scale(inv), den.scale(inv)
 
 
-@lru_cache(maxsize=None)
 def interned(desc, scalar) -> FieldElement:
-    """Shared immutable element for a finite-part scalar; safe because
+    """Shared immutable element for a finite-part scalar, built once per
+    (field, scalar) and kept in the field's own table; safe because
     elements are immutable, and much cheaper in matrix-building loops."""
-    return FieldElement.from_scalar(desc, scalar)
+    x = desc._elements.get(scalar)
+    if x is None:
+        x = desc._elements[scalar] = FieldElement.from_scalar(desc, scalar)
+    return x
 
 
 def arith(op, x, y=None):

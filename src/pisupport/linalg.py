@@ -18,24 +18,26 @@ whole stacks, and a sum sum_i c_i Z_i with the c_i in a field that refines
 the base of the stack is one contraction (coeff_combination), which the
 restriction along a point and the point tester share.  Every rank over a
 finite field, and the support ideal's pivot columns, come from fq_pivots
-or, for the point tester's sums
-N(a) = sum a_i Z_i, sparse_rank: elimination over F_q itself, a prime
-field included, on the Zech logarithms of the entries (fields.zech_tables),
-about e^3 times less work than the ne x ne block matrix over F_p.  An
-entry is read by its element code (element_codes, inverted by
-element_coords).  One rule, sparse_route, picks the route for fq_pivots
-and the point tester alike: sparse matrices, with at most
-SPARSE_ROW_NONZEROS nonzero entries per row on average over a field of at
-most ZECH_MAX_ORDER elements, are held as rows of dicts {column: value}
-of their nonzero entries and eliminated by sparse_pivots, which inserts
-each row into the pivot rows found so far and touches only nonzero
-entries; sparse_combination sums N(a) in that form from the generators'
-nonzero entries, embedded by one code table per field pair
-(embedding_codes), with no numpy call per point.  Denser matrices are
-eliminated in numpy.  fq_pivots eliminates the block matrix only past
-ZECH_MAX_ORDER, where the tables would outweigh the elimination, over a
-prime field too; below it nothing eliminates on residues, and the block
-elimination is kept only in the tests, as the oracle.  Rank in the
+or, for the point tester's sums N(a) = sum a_i Z_i, from sparse_pivots:
+elimination over F_q itself, a prime field included, on the Zech
+logarithms of the entries (fields.zech_tables), about e^3 times less
+work than the ne x ne block matrix over F_p.  An entry is read by its
+element code (element_codes, inverted by element_coords).  One rule,
+sparse_route, picks the route for fq_pivots and the point tester alike:
+sparse matrices, with at most SPARSE_ROW_NONZEROS nonzero entries per
+row on average over a field of at most ZECH_MAX_ORDER elements, are
+eliminated by sparse_pivots, the only sparse elimination.  It takes each
+row as a sum of generator rows, their nonzero entries as element codes
+over a base field (reps.nonzero_codes) and one Zech log per coefficient,
+sums the row into a dict {column: value} as it inserts it, reading the
+codes through one code-to-log table per field pair (code_logs, from
+embedding_matrix), and touches only nonzero entries, with no numpy call;
+fq_pivots hands it a matrix as one generator with coefficient 1.
+Denser matrices are eliminated in numpy.  fq_pivots eliminates the block
+matrix only past ZECH_MAX_ORDER, where the tables would outweigh the
+elimination, over a prime field too; below it nothing eliminates on
+residues, and the block elimination is kept only in the tests, as the
+oracle.  Rank in the
 presence of transcendentals uses fraction-free (Bareiss) elimination on
 polynomial entries, so no multivariate gcd is ever needed.  Pivoting
 always takes the first nonzero entry in column order, which keeps
@@ -519,17 +521,6 @@ def element_coords(codes, desc):
 
 
 @lru_cache(maxsize=None)
-def embedding_codes(src, dst):
-    """Read-only array over the element codes of the finite field ``src``:
-    the code in ``dst``, which refines it, of the image of each element
-    under embedding_matrix."""
-    images = element_coords(np.arange(src.order), src) @ embedding_matrix(src, dst)
-    table = element_codes(images % dst.p, dst)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def _zech_kernel(desc):
     """Lookup tables that let _log_pivots_numpy update a row without
     branching on zero.  With m = q - 1, a row entry is its log in [0, m) or
@@ -592,14 +583,15 @@ def fq_pivots(coeffs, desc, stop_at=None):
 
     Gaussian elimination over F_q itself on the Zech logs of the entries,
     read from their element codes, a prime field included.  sparse_route
-    picks the route from the number of nonzero entries: a sparse matrix is
-    read into rows of dicts and eliminated by sparse_pivots, where a pivot
-    row touches only its nonzero entries; a denser one in numpy
-    (_log_pivots_numpy), whose fixed cost per call the arithmetic then
-    outweighs.  Past ZECH_MAX_ORDER the tables would cost more than the
-    elimination they save, so there int_row_reduce takes the ne x ne block
-    matrix over F_p, whose F_p pivots come in whole blocks of e, one block
-    for each pivot column over F_q.
+    picks the route from the number of nonzero entries: a sparse matrix
+    goes to sparse_pivots as the rows of one generator with coefficient 1
+    (log 0), its zero rows left out, as they add no pivot, and there a
+    pivot row touches only its nonzero entries; a denser
+    one is eliminated in numpy (_log_pivots_numpy), whose fixed cost per
+    call the arithmetic then outweighs.  Past ZECH_MAX_ORDER the tables
+    would cost more than the elimination they save, so there int_row_reduce
+    takes the ne x ne block matrix over F_p, whose F_p pivots come in whole
+    blocks of e, one block for each pivot column over F_q.
     """
     if desc.order > ZECH_MAX_ORDER:
         e = desc.deg
@@ -608,12 +600,12 @@ def fq_pivots(coeffs, desc, stop_at=None):
         return [c // e for c in block_pivots if c % e == 0]
     codes = element_codes(coeffs, desc)
     if sparse_route(desc, np.count_nonzero(codes), codes.shape[0]):
-        value = _sparse_arithmetic(desc)[0]
-        rows = [{} for _ in range(codes.shape[0])]
+        rows = {}  # the rows that are not zero, in order
         u, v = codes.nonzero()
         for i, j, x in zip(u.tolist(), v.tolist(), codes[u, v].tolist()):
-            rows[i][j] = value[x]
-        return sparse_pivots(rows, desc, stop_at)
+            rows.setdefault(i, []).append((j, x))
+        return sparse_pivots([[(0, row)] for row in rows.values()], [0], desc, desc,
+                             stop_at)
     _, log, _ = fields.zech_tables(desc)
     return _log_pivots_numpy(log[codes], desc, stop_at)
 
@@ -640,119 +632,108 @@ def _log_minus_one(desc):
 
 
 @lru_cache(maxsize=None)
-def _sparse_arithmetic(desc):
-    """How sparse rows over the finite field ``desc`` (q <= ZECH_MAX_ORDER)
-    hold their entries, as (value, neg_inverse, add).  A value is the Zech
-    log (fields.zech_tables) in [0, q - 1), over a prime field too; zero is
-    never stored.
+def code_logs(src, desc):
+    """Tuple over the element codes (FieldDescriptor.sto_code) of the finite
+    field ``src``: the Zech log in ``desc``, which refines it and has order
+    at most ZECH_MAX_ORDER, of the image of each element under
+    embedding_matrix, the codes decoded to coordinates by element_coords;
+    zero has q - 1.  Built once per pair of fields."""
+    images = element_coords(np.arange(src.order), src) @ embedding_matrix(src, desc)
+    log = fields.zech_tables(desc)[1]
+    return tuple(log[element_codes(images % desc.p, desc)].tolist())
 
-    * value[code] is the value of the element with that code
-      (FieldDescriptor.sto_code), for code > 0;
-    * neg_inverse(x) is the value of -1/y for the value x of y;
-    * add(row, f, pairs) adds f * y_j to row[j] for each (j, y_j) of
-      ``pairs``, f and y_j values, and drops the entries that cancel:
-      g^x + g^t = g^(x + zech[t - x]) with exponents mod q - 1.
+
+@lru_cache(maxsize=None)
+def _zech_steps(desc):
+    """The index tables of sparse_pivots over the finite field ``desc``,
+    with m = q - 1, as (red, zech, m, flip):
+
+    * red[t] = t mod m for t in [0, 2m), which reduces a sum of two logs;
+    * zech = zech_tables's zech[:m] three times over, so that zech[t - x]
+      is log(1 + g^(t - x mod m)), or m where that sum is 0, for every t in
+      [0, 2m) and x in [0, m): a negative index wraps to the last copy;
+    * flip = m + the log of -1, so that -1/g^f = g^red[flip - f].
     """
-    _, log, zech = fields.zech_tables(desc)
-    zech = zech.tolist()
     m = desc.order - 1
-    minus_one = _log_minus_one(desc)
-
-    def add(row, f, pairs):
-        for j, y in pairs:
-            t = (f + y) % m
-            x = row.get(j)
-            if x is None:
-                row[j] = t
-            else:
-                z = zech[(t - x) % m]
-                if z == m:
-                    del row[j]
-                else:
-                    row[j] = (x + z) % m
-
-    return log.tolist(), lambda x: (minus_one - x) % m, add
+    return (tuple(range(m)) * 2, tuple(fields.zech_tables(desc)[2][:m].tolist()) * 3,
+            m, _log_minus_one(desc) + m)
 
 
-def sparse_pivots(rows, desc, stop_at=None):
-    """Pivot columns over the finite field ``desc`` of the matrix whose rows
-    are dicts {column: value} of its nonzero entries, in the values of
-    _sparse_arithmetic: their Zech logs.  Returns the pivot rows as a dict
-    keyed by their leading columns, which are the pivot columns, in the
-    order found.  The rows are reduced in place; with ``stop_at`` the
-    elimination ends once that many pivots are found.
+def sparse_pivots(rows, logs, src, desc, stop_at=None):
+    """Pivot columns over the finite field ``desc`` (q <= ZECH_MAX_ORDER) of
+    the matrix whose row a is sum_i c_i Z_i[a], the sum of generator rows
+    with coefficients c_i in ``desc``.  rows[a] lists the terms (i, pairs)
+    of row a of the generators that are nonzero there, pairs the (column,
+    element code) of the nonzero entries, the codes over the finite field
+    ``src``, which ``desc`` refines (reps.nonzero_codes reads them so);
+    logs[i] is the Zech log (fields.zech_tables) of c_i, or None for
+    c_i = 0.  Returns the pivot rows as a dict keyed by their leading
+    columns, which are the pivot columns, in the order found; with
+    ``stop_at`` the elimination ends once that many pivots are found.
 
-    The rows are inserted one at a time into the pivot rows found so far:
-    while the least column of the row has a pivot row, the row's entry
-    there is cancelled by adding a multiple of it, and a row left nonzero
-    becomes the pivot row of its least column.  A pivot row is kept as the
-    pairs (j, -b_j/b_c) of its entries right of its lead b_c, so that a
-    reduction adds the row's lead times them, touches only those entries
-    and drops what cancels (Dumas and Villard, "Computing the rank of large
-    sparse matrices over finite fields", CASC 2002).
+    Every value is a Zech log in [0, q - 1); zero is never stored.  The
+    rows are summed and inserted one at a time: the terms of a row are
+    added into a dict {column: value}, its codes read through code_logs,
+    and entries that cancel dropped, by g^x + g^t = g^(x + zech[t - x]);
+    then, while the least column of the row has a pivot row, the row's
+    entry there is cancelled by adding a multiple of it, and a row left
+    nonzero becomes the pivot row of its least column.  A pivot row is
+    kept as the pairs (j, -b_j/b_c) of its entries right of its lead b_c,
+    so that a reduction adds the row's lead times them and touches only
+    those entries (Dumas and Villard, "Computing the rank of large sparse
+    matrices over finite fields", CASC 2002).  Exponents are reduced mod
+    q - 1 through the index tables of _zech_steps, with no division.
+    For a module M over the base, the rows of N(a) = sum a_i Z_i over K =
+    ``desc`` are also those of N(a) for the coinduced module Hom_k(K, M),
+    whose generators in the trace-pairing basis are the same entries
+    embedded into K (reps.coinduced), so the point tester ranks both here.
     """
-    stop = len(rows) if stop_at is None else stop_at
     pivots = {}
-    if not stop:
-        return pivots
-    _, neg_inverse, add = _sparse_arithmetic(desc)
-    for row in rows:
+    image = code_logs(src, desc)
+    red, zech, m, flip = _zech_steps(desc)
+    for terms in rows:
+        if len(pivots) == stop_at:
+            break
+        row = {}
+        for i, pairs in terms:
+            f = logs[i]
+            if f is None:
+                continue
+            if not row:  # nothing to cancel: the columns of a term are distinct
+                for j, y in pairs:
+                    row[j] = red[f + image[y]]
+                continue
+            for j, y in pairs:
+                t = f + image[y]
+                x = row.get(j)
+                if x is None:
+                    row[j] = red[t]
+                else:
+                    z = zech[t - x]
+                    if z == m:
+                        del row[j]
+                    else:
+                        row[j] = red[x + z]
         while row:
             c = min(row)
             f = row.pop(c)
             pivot = pivots.get(c)
             if pivot is None:
-                scaled = {}
-                if row:
-                    add(scaled, neg_inverse(f), row.items())
-                pivots[c] = list(scaled.items())
+                f = red[flip - f]
+                pivots[c] = [(j, red[f + y]) for j, y in row.items()] if row else ()
                 break
-            add(row, f, pivot)
-        else:
-            continue  # the row reduced to zero
-        if len(pivots) == stop:
-            break
+            for j, y in pivot:
+                t = f + y
+                x = row.get(j)
+                if x is None:
+                    row[j] = red[t]
+                else:
+                    z = zech[t - x]
+                    if z == m:
+                        del row[j]
+                    else:
+                        row[j] = red[x + z]
     return pivots
-
-
-def sparse_rank(rows, desc, stop_at=None):
-    """Rank of the matrix whose rows sparse_pivots takes: the number of its
-    pivots, with no sort or copy of them, for the point tester."""
-    return len(sparse_pivots(rows, desc, stop_at))
-
-
-def sparse_combination(by_gen, src, desc):
-    """Function from the element codes (FieldDescriptor.sto_code) of
-    a_1..a_r to the rows of N(a) = sum a_i Z_i over the finite field
-    ``desc``, of order at most ZECH_MAX_ORDER, as sparse_pivots takes them.
-    ``by_gen`` holds the nonzero entries of Z_1..Z_r over the field ``src``,
-    which ``desc`` refines, as reps.nonzero_codes reads them.  For a module
-    M over the base these are also the rows of N(a) for the coinduced
-    module Hom_k(K, M), whose generators in the trace-pairing basis are the
-    same entries embedded into K = ``desc`` (reps.coinduced).  The codes
-    are embedded by the table embedding_codes, built once per pair of
-    fields, and read as values in ``desc``; at a point each row of N(a)
-    is summed from them with no numpy call, and entries that cancel are
-    dropped."""
-    value, _, add = _sparse_arithmetic(desc)
-    if src == desc:
-        image = value
-    else:
-        image = [value[c] for c in embedding_codes(src, desc).tolist()]
-    n = len(by_gen[0])
-    by_gen = [[(a, [(b, image[x]) for b, x in row])
-               for a, row in enumerate(gen) if row] for gen in by_gen]
-
-    def combine(point):
-        rows = [{} for _ in range(n)]
-        for code, gen in zip(point, by_gen):
-            if code:
-                f = value[code]
-                for a, pairs in gen:
-                    add(rows[a], f, pairs)
-        return rows
-
-    return combine
 
 
 def _log_pivots_numpy(logs, desc, stop_at):

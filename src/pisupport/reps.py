@@ -285,17 +285,21 @@ def free_blocks(mod):
 
 
 def nonzero_codes(mod):
-    """(by_gen, size) over a finite base: by_gen[i][a] lists the (column,
-    element code) pairs of the nonzero entries in row a of Z_i, and size
-    counts the positions where some Z_i is nonzero.  Kept on the module."""
+    """(rows, size) over a finite base: the nonzero entries of the
+    generators row-major, as linalg.sparse_pivots takes them, and the
+    number of positions where some Z_i is nonzero.  rows[a] lists the terms
+    (i, pairs) of the Z_i that are nonzero in row a, in generator order,
+    pairs the (column, element code) of their entries there.  Kept on the
+    module."""
     if mod._nonzeros is None:
-        codes = linalg.element_codes(mod.stack, mod.spec.base)
-        by_gen = [[[] for _ in range(mod.n)] for _ in codes]
+        codes = linalg.element_codes(mod.stack, mod.spec.base).transpose(1, 0, 2)
         at = codes.nonzero()
-        for i, a, b, x in zip(*(u.tolist() for u in at), codes[at].tolist()):
-            by_gen[i][a].append((b, x))
-        size = np.count_nonzero(codes.any(axis=0))
-        object.__setattr__(mod, "_nonzeros", (by_gen, size))
+        rows = [[] for _ in range(mod.n)]
+        entries = zip(*(u.tolist() for u in at), codes[at].tolist())
+        for (a, i), group in itertools.groupby(entries, key=lambda entry: entry[:2]):
+            rows[a].append((i, [(b, x) for _, _, b, x in group]))
+        size = np.count_nonzero(codes.any(axis=1))
+        object.__setattr__(mod, "_nonzeros", (rows, size))
     return mod._nonzeros
 
 

@@ -15,9 +15,10 @@ included: in_support and in_cosupport decide from the definition,
 through the restricted operator and its Jordan type (linalg.fq_rank),
 the module read over its own base (pipoints.restrict), and
 sampling and the generic scan use _point_tester, which ranks N(a) itself
-and forms no power of it; for sparse generators it sums and ranks N(a) on
-rows of dicts (linalg.sparse_combination, linalg.sparse_rank), by the
-route rule of linalg.sparse_route.  The ne x ne block matrix over F_p is
+and forms no power of it; for sparse generators linalg.sparse_pivots sums
+each row of N(a) from the generators' row-major nonzero entries
+(reps.nonzero_codes) as it eliminates it, by the route rule of
+linalg.sparse_route.  The ne x ne block matrix over F_p is
 eliminated in the tests, as the oracle, and by fq_rank only past the
 Zech bound (linalg.fq_pivots).  Sampling enumerates one
 canonical representative (first nonzero coordinate scaled to 1) of every
@@ -117,25 +118,28 @@ class ProjPoint:
     """Point of P^{r-1} over a finite tower member, held as the element
     codes (FieldDescriptor.sto_code) of its coordinates, scaled so that the
     first nonzero code is 1.  Equality, hashing and the report order read
-    the codes; the FieldElement coordinates are built only when read."""
+    the codes, and the hash is computed once, when the point is built; the
+    FieldElement coordinates are built only when read."""
 
-    __slots__ = ("desc", "codes")
+    __slots__ = ("desc", "codes", "_hash")
 
     def __init__(self, desc, coords):
         coords = tuple(coords)
         if not any(coords):
             raise ValueError("all coordinates zero")
         inv = next(x for x in coords if x).inv()
-        object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "codes", tuple(
-            desc.sto_code((inv * x).as_scalar()) for x in coords))
+        self._set(desc, tuple(desc.sto_code((inv * x).as_scalar()) for x in coords))
 
     @classmethod
     def _from_codes(cls, desc, codes):  # the first nonzero code must be 1
         pt = object.__new__(cls)
-        object.__setattr__(pt, "desc", desc)
-        object.__setattr__(pt, "codes", codes)
+        pt._set(desc, codes)
         return pt
+
+    def _set(self, desc, codes):
+        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "_hash", hash((desc, codes)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -155,7 +159,7 @@ class ProjPoint:
         return self.desc == other.desc and self.codes == other.codes
 
     def __hash__(self):
-        return hash((self.desc, self.codes))
+        return self._hash
 
     def __str__(self):
         return "[" + ":".join(fields.to_literal(x) for x in self.coords) + "]"
@@ -256,12 +260,13 @@ def _point_tester(mod, K, block=None):
     n' - n'/p; when every block is free it is constant "out".  No power of
     N(a) is formed (see the module docstring).  The route is chosen once
     per (module, field), by the rule of linalg.sparse_route on the union of
-    the nonzero patterns of the Z_i.  On rows of dicts the nonzero entries
-    of the kept rows of the Z_i, read over the base once per module
-    (reps.nonzero_codes), are embedded into K by one code table per field
-    pair (linalg.embedding_codes), and at each point N(a) is summed from
-    them (linalg.sparse_combination) and ranked by linalg.sparse_rank, with
-    no numpy call.  Otherwise the stack of mod over its base, cut to the
+    the nonzero patterns of the Z_i.  On the sparse route the nonzero
+    entries of the kept rows of the Z_i, read row-major over the base once
+    per module (reps.nonzero_codes), go with the Zech logs of the a_i to
+    linalg.sparse_pivots, which sums each row of N(a) over K as it
+    eliminates it, the base's codes embedded into K by one table per field
+    pair (linalg.code_logs), and the number of pivots is the rank, with no
+    numpy call.  Otherwise the stack of mod over its base, cut to the
     kept rows and columns once, and the coordinates of the a_i over K
     (linalg.element_coords) give N(a) over K in one contraction
     (linalg.coeff_combination, as in pipoints.restrict), and linalg.fq_rank
@@ -277,12 +282,12 @@ def _point_tester(mod, K, block=None):
         return lambda codes: False
     size = len(kept)
     target = size - size // p
-    by_gen, pattern = reps.nonzero_codes(mod)
+    rows, pattern = reps.nonzero_codes(mod)
     if linalg.sparse_route(K, pattern, n):
-        if size < n:
-            by_gen = [[gen[a] for a in kept] for gen in by_gen]
-        combine = linalg.sparse_combination(by_gen, mod.spec.base, K)
-        return lambda codes: linalg.sparse_rank(combine(codes), K, target) != target
+        rows = [rows[a] for a in kept if rows[a]]  # a zero row adds no pivot
+        base, log = mod.spec.base, linalg.code_logs(K, K)
+        return lambda codes: len(linalg.sparse_pivots(
+            rows, [log[c] if c else None for c in codes], base, K, target)) != target
     stack = mod.stack[:, kept][:, :, kept] if size < n else mod.stack
 
     def tester(codes):

@@ -175,6 +175,19 @@ def _matrix_argvs():
         ["support", "jordan:2", "--p", "2", "--r", "1", "--flavors", "primitive",
          "--sample-degree", "1"],
     ]
+    # the Klein family is a module over p = 2, r = 2 with the group flavor,
+    # and verify runs over the group flavor
+    argvs += [
+        ["support", "klein-M2", "--p", "3", "--r", "4", "--flavors", "primitive",
+         "--sample-degree", "1"],
+        ["support", "klein-M2", "--r", "3", "--sample-degree", "1"],
+        ["jordan", "klein-Mn:3", "--flavors", "primitive,group", "--generic"],
+        ["support", "klein-M2", "--p", "2", "--r", "2", "--flavors", "group,group",
+         "--sample-degree", "1"],
+        ["verify", "--trials", "1", "--p", "2", "--r", "2", "--flavors",
+         "primitive,primitive"],
+        ["verify", "--trials", "1", "--p", "3", "--r", "2", "--flavors", "group,group"],
+    ]
     return argvs
 
 

@@ -271,9 +271,10 @@ def _coeffs_with_nonzeros(gen, desc, rows, cols, count):
     return digits.reshape(rows, cols, desc.deg)
 
 
-def _dict_rows(values, zero):
-    """The entries of ``values`` other than ``zero``, as sparse_pivots's rows."""
-    return [{j: x for j, x in enumerate(row) if x != zero} for row in values.tolist()]
+def _code_rows(codes):
+    """The nonzero entries of an array of element codes as sparse_pivots's
+    rows of one generator, to be taken with coefficient 1 (log 0)."""
+    return [[(0, [(j, x) for j, x in enumerate(row) if x])] for row in codes.tolist()]
 
 
 def _log_codes(coeffs, desc):
@@ -283,9 +284,9 @@ def _log_codes(coeffs, desc):
 
 def _both_routes(coeffs, desc, stop_at):
     """fq_rank by its sparse route and by its numpy route."""
-    logs = _log_codes(coeffs, desc)
-    return (len(sparse_pivots(_dict_rows(logs, desc.order - 1), desc, stop_at)),
-            len(linalg._log_pivots_numpy(logs, desc, stop_at)))
+    rows = _code_rows(element_codes(coeffs, desc))
+    return (len(sparse_pivots(rows, [0], desc, desc, stop_at)),
+            len(linalg._log_pivots_numpy(_log_codes(coeffs, desc), desc, stop_at)))
 
 
 @EIGHT_FIELDS
@@ -323,9 +324,9 @@ def test_fq_rank_routes_match_block_rank_over_odd_primes(p, n):
 def _pivot_routes(coeffs, desc, stop_at, monkeypatch):
     """The pivot columns that fq_pivots finds by rows of dicts, in numpy,
     and by the block route past a lowered ZECH_MAX_ORDER."""
-    logs = _log_codes(coeffs, desc)
-    dict_rows = sparse_pivots(_dict_rows(logs, desc.order - 1), desc, stop_at)
-    numpy_rows = linalg._log_pivots_numpy(logs, desc, stop_at)
+    rows = _code_rows(element_codes(coeffs, desc))
+    dict_rows = sparse_pivots(rows, [0], desc, desc, stop_at)
+    numpy_rows = linalg._log_pivots_numpy(_log_codes(coeffs, desc), desc, stop_at)
     with monkeypatch.context() as m:
         m.setattr(linalg, "ZECH_MAX_ORDER", 1)
         block = fq_pivots(coeffs, desc, stop_at)
@@ -361,6 +362,89 @@ def test_fq_pivots_match_block_pivots_on_every_route(p, e, monkeypatch):
                                                    monkeypatch).items():
                     assert len(pivots) == min(stop, len(want)), (route, stop)
     assert seen == {True, False}  # some pivots skip a column
+
+
+def _generator_rows(codes):
+    """The nonzero entries of the (r, n, m) element codes of Z_1..Z_r
+    row-major, as sparse_pivots takes them: for each row the (generator,
+    [(column, code)]) terms of the generators nonzero there."""
+    return [[(i, [(b, x) for b, x in enumerate(gen[a]) if x])
+             for i, gen in enumerate(codes) if any(gen[a])]
+            for a in range(len(codes[0]))]
+
+
+def _boxed_sum(codes, src, desc, coeffs):
+    """sum_i c_i Z_i over ``desc`` on boxed elements, the Z_i given by
+    their element codes over ``src`` and the c_i by their codes over
+    ``desc``: the rows of entries, as scalars of desc."""
+    def element(field, code):
+        return fields.interned(field, field.sfrom_code(code))
+
+    total = []
+    for a in range(len(codes[0])):
+        row = []
+        for b in range(len(codes[0][0])):
+            x = element(desc, 0)
+            for gen, c in zip(codes, coeffs):
+                x = x + element(desc, c) * fields.embed(element(src, gen[a][b]), desc)
+            row.append(x.as_scalar())
+        total.append(row)
+    return total
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2)],
+                         ids=["F2", "F3", "F4", "F9", "F25"])
+def test_sparse_pivots_sum_and_eliminate_like_the_block_matrix(p, e):
+    """sparse_pivots on the rows of three generators over the base, the
+    prime field or the field itself, against int_row_reduce on the F_p
+    block matrix of sum_i c_i Z_i summed on boxed elements.  Some rows are
+    empty in every Z_i, some rows of Z_2 repeat those of Z_1, whole or in
+    a few columns, so that c_2 = -c_1 cancels whole rows and single
+    entries across generators, and some coefficients are zero (log
+    None)."""
+    desc = canonical_extension(p, e)
+    log = fields.zech_tables(desc)[1].tolist()
+    gen = np.random.default_rng(500 + 10 * p + e)
+    seen = set()
+    for src in [make_field(p)] + [desc] * (e > 1):
+        for n, m in ((6, 6), (9, 5), (12, 12)):
+            codes = gen.integers(1, src.order, size=(3, n, m))
+            codes *= gen.random((3, n, m)) < 0.35
+            codes[:, ::4] = 0  # rows empty in every generator
+            codes[1, 1::4] = codes[0, 1::4]  # whole rows repeated
+            some = gen.random(m) < 0.5
+            codes[1, 2::4, some] = codes[0, 2::4, some]  # a few entries repeated
+            codes[2, 1::8] = 0
+            codes = codes.tolist()
+            c = int(gen.integers(1, desc.order))
+            minus_c = desc.sto_code(desc.sneg(desc.sfrom_code(c)))
+            for coeffs in ([int(x) for x in gen.integers(1, desc.order, size=3)],
+                           [c, minus_c, int(gen.integers(1, desc.order))],
+                           [c, minus_c, 0], [0, c, 0], [0, 0, 0]):
+                total = _boxed_sum(codes, src, desc, coeffs)
+                live = [i for i in range(3) if coeffs[i]]
+                for a, row in enumerate(total):
+                    reached = [i for i in live if any(codes[i][a])]
+                    if not any(any(x) for x in row) and reached:
+                        seen.add("row cancels")
+                    if any(codes[i][a][b] and codes[j][a][b] and not any(row[b])
+                           for i in live for j in live if i < j for b in range(m)):
+                        seen.add("entry cancels")
+                    if not reached:
+                        seen.add("empty row")
+                block = blockify(np.array(total, dtype=np.int64).reshape(n, m, e), desc)
+                block_pivots = int_row_reduce(block, p)[1]
+                want = [col // e for col in block_pivots if col % e == 0]
+                rows = _generator_rows(codes)
+                logs = [log[x] if x else None for x in coeffs]
+                assert sorted(sparse_pivots(rows, logs, src, desc)) == want, (
+                    src, n, coeffs)
+                for stop in range(min(n, m) + 2):
+                    found = sparse_pivots(rows, logs, src, desc, stop)
+                    assert len(found) == min(stop, len(want)), (src, n, coeffs, stop)
+                    assert set(found) <= set(want)
+                seen.add(len(want) == min(n, m))
+    assert seen == {"row cancels", "entry cancels", "empty row", True, False}
 
 
 @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 4), (3, 2)],

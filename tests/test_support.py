@@ -220,30 +220,30 @@ def test_point_tester_agrees_with_block_route():
 def test_cancelling_cases_cancel_whole_rows_on_the_sparse_route(monkeypatch):
     # the premise of _cancelling_cases: every tester takes the sparse route,
     # and some point over F_p and some over F_{p^2} (over F_9 for the F_9
-    # base) leave a row of N(a) empty that some Z_i reaches
-    built = []
-    combination = linalg.sparse_combination
+    # base) leave a row of N(a) empty that some Z_i reaches.  A row of N(a)
+    # is zero exactly when sparse_pivots finds no pivot in it alone
+    ranked = []
+    pivots = linalg.sparse_pivots
 
-    def record(codes, src, desc):
-        combine = combination(codes, src, desc)
-        built.append(combine)
-        return combine
+    def record(rows, logs, src, desc, stop_at=None):
+        ranked.append((rows, logs, src, desc))
+        return pivots(rows, logs, src, desc, stop_at)
 
-    monkeypatch.setattr(linalg, "sparse_combination", record)
+    monkeypatch.setattr(linalg, "sparse_pivots", record)
     for mod, e_max in _cancelling_cases():
-        base, n = mod.spec.base, mod.n
+        base = mod.spec.base
         reached = set()
         for z in mod.Z:
             reached.update(i for i, row in enumerate(z.entries) if any(row))
         cancelled = set()
         for pt in enumerate_points(base, mod.spec.r, e_max):
             K = pt.desc
-            built.clear()
-            support._point_tester(mod, K)
-            (combine,) = built
-            rows = combine(pt.codes)
-            assert len(rows) == n
-            if any(not rows[i] for i in reached):
+            ranked.clear()
+            support._point_tester(mod, K)(pt.codes)
+            ((rows, logs, src, desc),) = ranked
+            # the tester leaves out the rows that no Z_i reaches
+            assert len(rows) == len(reached) and desc == K
+            if any(not pivots([row], logs, src, K) for row in rows):
                 cancelled.add(K.deg)
         assert cancelled == ({1, 2} if base.deg == 1 else {2}), (base, mod.spec.r)
 
@@ -689,28 +689,33 @@ def test_orbit_memo_agrees_on_the_formulas():
 def _count_ranks(monkeypatch):
     """The degree of the field of every rank taken from now on, counted
     once whichever route takes it: a call of fq_rank, or one of
-    linalg.sparse_rank from outside fq_rank (the point tester's sparse
+    linalg.sparse_pivots from outside fq_pivots (the point tester's sparse
     route).  The freeness test of reps.free_blocks calls linalg.fq_pivots
     itself and is not counted here; it is counted on its own in
     test_freeness_is_tested_once_per_module_over_the_base."""
     ranked, inside = [], []
-    fq_rank, sparse_rank = linalg.fq_rank, linalg.sparse_rank
+    fq_rank, fq_pivots = linalg.fq_rank, linalg.fq_pivots
+    sparse_pivots = linalg.sparse_pivots
 
     def counted(coeffs, desc, stop_at=None):
         ranked.append(desc.deg)
+        return fq_rank(coeffs, desc, stop_at)
+
+    def within(coeffs, desc, stop_at=None):
         inside.append(True)
         try:
-            return fq_rank(coeffs, desc, stop_at)
+            return fq_pivots(coeffs, desc, stop_at)
         finally:
             inside.pop()
 
-    def counted_sparse(rows, desc, stop_at=None):
+    def counted_sparse(rows, logs, src, desc, stop_at=None):
         if not inside:
             ranked.append(desc.deg)
-        return sparse_rank(rows, desc, stop_at)
+        return sparse_pivots(rows, logs, src, desc, stop_at)
 
     monkeypatch.setattr(linalg, "fq_rank", counted)
-    monkeypatch.setattr(linalg, "sparse_rank", counted_sparse)
+    monkeypatch.setattr(linalg, "fq_pivots", within)
+    monkeypatch.setattr(linalg, "sparse_pivots", counted_sparse)
     return ranked
 
 
@@ -990,16 +995,16 @@ def test_sampling_ranks_sparse_operators_on_lists(p, r, e_max, monkeypatch):
     monkeypatch.setattr(linalg, "int_row_reduce", refuse)
     routes = []
 
-    def record(rows, desc, stop_at=None, _route=linalg.sparse_rank):
-        routes.append(("sparse_rank", desc.deg > 1))
-        return _route(rows, desc, stop_at)
+    def record(rows, logs, src, desc, stop_at=None, _route=linalg.sparse_pivots):
+        routes.append(("sparse_pivots", desc.deg > 1))
+        return _route(rows, logs, src, desc, stop_at)
 
-    monkeypatch.setattr(linalg, "sparse_rank", record)
+    monkeypatch.setattr(linalg, "sparse_pivots", record)
     desc = support_sample(mod, e_max)
     assert len(desc.sampled) == sum(len(support._new_points(spec.base, r, e)[0])
                                     for e in range(1, e_max + 1))
     # Zech logs over F_p and over its extensions alike
-    assert set(routes) == {("sparse_rank", False), ("sparse_rank", True)}
+    assert set(routes) == {("sparse_pivots", False), ("sparse_pivots", True)}
 
 
 class _NoNumpy:
@@ -1023,8 +1028,11 @@ def test_point_tester_route_per_module_and_field(monkeypatch):
     fields_ = [support._sampling_field(spec.base, e) for e in (1, 2, 4)]
     points = {K: [pt.codes for pt in support._new_points(spec.base, 3, K.deg)[0]]
               for K in fields_}
+    # the freeness test of each module calls fq_pivots once, before any point
+    reps.free_blocks(sparse)
+    reps.free_blocks(dense)
     calls = []
-    for name in ("sparse_combination", "fq_rank"):
+    for name in ("sparse_pivots", "fq_rank"):
         def record(*args, _name=name, _route=getattr(linalg, name), **kwargs):
             calls.append(_name)
             return _route(*args, **kwargs)
@@ -1034,13 +1042,14 @@ def test_point_tester_route_per_module_and_field(monkeypatch):
         oracle = _block_point_tester(sparse, K)
         calls.clear()
         tester = support._point_tester(sparse, K)
-        assert calls == ["sparse_combination"]
+        assert calls == []
         with monkeypatch.context() as m:
             for module in (support, linalg, fields):
                 m.setattr(module, "np", _NoNumpy())
             verdicts[K] = [tester(codes) for codes in points[K]]
         assert verdicts[K] == [oracle(codes) for codes in points[K]], K
-        assert calls == ["sparse_combination"]  # and no fq_rank
+        # one sum and elimination on rows of dicts per point, and no fq_rank
+        assert calls == ["sparse_pivots"] * len(points[K])
         calls.clear()
         tester = support._point_tester(dense, K)
         assert calls == []
@@ -1051,19 +1060,20 @@ def test_point_tester_route_per_module_and_field(monkeypatch):
     def refuse(desc):
         raise AssertionError(f"Zech tables built for {desc}")
 
-    # the sparse route's tables (linalg._sparse_arithmetic) are cached, so
-    # both they and the Zech tables they come from are refused past F_8
-    for module, name in ((linalg, "_sparse_arithmetic"), (fields, "zech_tables")):
-        monkeypatch.setattr(module, name, lambda desc, _build=getattr(module, name):
-                            refuse(desc) if desc.order > 8 else _build(desc))
+    # the sparse route's tables (linalg._zech_steps and linalg.code_logs)
+    # are cached, so both they and the Zech tables they come from are
+    # refused past F_8
+    for module, name in ((linalg, "_zech_steps"), (linalg, "code_logs"),
+                         (fields, "zech_tables")):
+        monkeypatch.setattr(module, name, lambda *args, _build=getattr(module, name):
+                            refuse(args[-1]) if args[-1].order > 8 else _build(*args))
     monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
     for K in fields_:
         calls.clear()
         tester = support._point_tester(sparse, K)
         assert [tester(codes) for codes in points[K]] == verdicts[K]
-        sparse_route = K.order <= 8
-        assert calls == (["sparse_combination"] if sparse_route
-                         else ["fq_rank"] * len(points[K])), K
+        route = "sparse_pivots" if K.order <= 8 else "fq_rank"
+        assert calls == [route] * len(points[K]), K
 
 
 def test_partition_is_kept_off_modules_of_dimension_prime_to_p():
@@ -1199,26 +1209,37 @@ def test_free_blocks_agree_on_the_formulas():
 def test_no_row_of_a_free_block_is_ranked_at_a_point(monkeypatch):
     # every rank of N(a) the samplers take has the rows of the blocks that
     # are not free, and only those, and every rank of the generic scan has
-    # the rows of exactly one of them; an all-free module is ranked nowhere
-    seen = []
-    fq_rank, sparse_rank = linalg.fq_rank, linalg.sparse_rank
+    # the rows of exactly one of them; an all-free module is ranked nowhere.
+    # The sparse route leaves out the rows that no Z_i reaches
+    seen, inside = [], []
+    fq_rank, sparse_pivots = linalg.fq_rank, linalg.sparse_pivots
 
     def dense(coeffs, desc, stop_at=None):
         seen.append(("fq_rank", coeffs.shape[0], coeffs.shape[1], None))
-        return fq_rank(coeffs, desc, stop_at)
+        inside.append(True)
+        try:
+            return fq_rank(coeffs, desc, stop_at)
+        finally:
+            inside.pop()
 
-    def sparse(rows, desc, stop_at=None):
-        seen.append(("sparse_rank", len(rows), None, {c for row in rows for c in row}))
-        return sparse_rank(rows, desc, stop_at)
+    def sparse(rows, logs, src, desc, stop_at=None):
+        if not inside:  # not a route of fq_rank
+            columns = {c for terms in rows for _, pairs in terms for c, _ in pairs}
+            seen.append(("sparse_pivots", len(rows), None, columns))
+        return sparse_pivots(rows, logs, src, desc, stop_at)
 
     monkeypatch.setattr(linalg, "fq_rank", dense)
-    monkeypatch.setattr(linalg, "sparse_rank", sparse)
+    monkeypatch.setattr(linalg, "sparse_pivots", sparse)
     routes = set()
     for mod, e_max, dim in _free_sum_cases():
         flags = reps.free_blocks(mod)
         freed = {i for b, free in zip(reps.blocks(mod), flags) if free for i in b}
         live = [set(b) for b, free in zip(reps.blocks(mod), flags) if not free]
         assert len(freed) == dim
+        reached = {a for a in range(mod.n) if mod.stack[:, a].any()}
+
+        def ranked(route, block):
+            return len(block) if route == "fq_rank" else len(block & reached)
         with monkeypatch.context() as m:
             m.setattr(support, "generic_in_support", lambda mod, budget: False)
             seen.clear()
@@ -1233,15 +1254,16 @@ def test_no_row_of_a_free_block_is_ranked_at_a_point(monkeypatch):
         assert sampled and seen, mod
         for route, rows, cols, columns in sampled:
             routes.add(route)
-            assert rows == mod.n - dim and cols in (None, rows), (mod, route)
+            assert rows == ranked(route, set(range(mod.n)) - freed), (mod, route)
+            assert cols in (None, rows), (mod, route)
             assert not (columns or set()) & freed, (mod, route)
         for route, rows, cols, columns in seen:
             routes.add(("generic", route))
             assert cols in (None, rows), (mod, route)
-            assert any(rows == len(b) and (columns or set()) <= b for b in live), (
-                mod, route)
-    assert routes == {"fq_rank", "sparse_rank", ("generic", "fq_rank"),
-                      ("generic", "sparse_rank")}
+            assert any(rows == ranked(route, b) and (columns or set()) <= b
+                       for b in live), (mod, route)
+    assert routes == {"fq_rank", "sparse_pivots", ("generic", "fq_rank"),
+                      ("generic", "sparse_pivots")}
 
 
 def test_generic_budget_counts_the_blocks_that_are_not_free(monkeypatch):
