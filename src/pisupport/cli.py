@@ -2,9 +2,10 @@
 
 Module arguments are either paths to module files or library names
 (trivial, free:g, jordan:u, klein-Mn:n / klein-MN); trivial and free:g
-take the algebra from --p/--r/--flavors (--r 2 when not given), jordan:u
-is a module over r = 1 with the primitive flavor and takes --p alone, and
-the Klein family takes none of them; verify runs over the group flavor.
+take the algebra from --p/--r/--flavors (--p 2 and --r 2 when not given),
+jordan:u is a module over r = 1 with the primitive flavor and takes --p
+alone (2 when not given), and the Klein family and module files take none
+of them; verify runs over the group flavor, at --p 2 --r 2 by default.
 An explicit flag value that the module or command is not over is a usage
 error.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input error,
@@ -33,7 +34,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_algebra_flags(p):
-        p.add_argument("--p", type=int, default=2)
+        p.add_argument("--p", type=int, default=None)
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--flavors", type=str, default=None,
                        help="comma list, e.g. group,primitive")
@@ -83,7 +84,7 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     add_algebra_flags(p)
-    p.set_defaults(r=2)
+    p.set_defaults(p=2, r=2)
 
     p = sub.add_parser("demo", help="worked examples")
     p.add_argument("example", choices=("klein",))
@@ -96,14 +97,10 @@ def _flavors(args):
     return tuple(f.strip() for f in args.flavors.split(",")) if args.flavors else None
 
 
-def _algebra_spec(args):
-    return reps.make_spec(args.p, 2 if args.r is None else args.r, flavors=_flavors(args))
-
-
 def _refuse_flags(args, subject, spec, flags=("p", "r", "flavors")):
     """Usage error when an explicit value of one of ``flags`` differs from
-    that of ``spec``, the algebra ``subject`` is over (--p has a default, so
-    it is always explicit)."""
+    that of ``spec``, the algebra ``subject`` is over; a flag not given is
+    None and refuses nothing."""
     given = dict(p=args.p, r=args.r, flavors=args.flavors and ",".join(_flavors(args)))
     fixed = dict(p=spec.p, r=spec.r, flavors=",".join(spec.flavors))
     if any(given[flag] not in (None, fixed[flag]) for flag in flags):
@@ -114,19 +111,22 @@ def _refuse_flags(args, subject, spec, flags=("p", "r", "flavors")):
 def _load_module(target, args):
     if library.is_library_name(target):
         spec = None
-        head = target.partition(":")[0]
+        head, p = target.partition(":")[0], 2 if args.p is None else args.p
         if head == "jordan":
-            spec = reps.make_spec(args.p, 1, flavors=(reps.PRIMITIVE,))
+            spec = reps.make_spec(p, 1, flavors=(reps.PRIMITIVE,))
             _refuse_flags(args, f"{target} is a module over", spec, ("r", "flavors"))
         elif head in ("trivial", "free"):
-            spec = _algebra_spec(args)
+            spec = reps.make_spec(p, 2 if args.r is None else args.r,
+                                  flavors=_flavors(args))
         else:  # the Klein family
             _refuse_flags(args, f"{target} is a module over", library.klein_spec())
         return library.build(target, spec)
     if not os.path.exists(target):
         raise FileNotFoundError(f"no module file {target!r}")
     with open(target, encoding="utf-8") as handle:
-        return modfile.parse_module_file(handle.read())
+        mod = modfile.parse_module_file(handle.read())
+    _refuse_flags(args, f"{target} is a module over", mod.spec)
+    return mod
 
 
 def _parse_point(mod, text):

@@ -270,17 +270,12 @@ def _nonzero_patterns(mod):
 
 def free_blocks(mod):
     """For each block of mod (blocks), in their order, whether the direct
-    summand on it is free.  The blocks are tested only when there are at
-    least two and p divides the dimension of each, all together by one
-    elimination (_free_on); every other flag is False, so a module of one
-    block takes no rank here.  Freeness does not change under field
-    extension, so base_change (and so coinduced) and renamed carry the
-    flags.  Found on first use and kept on the module."""
+    summand on it is free: every block, a module of one block included, is
+    tested by the same elimination (_free_on), all together.  Freeness does
+    not change under field extension, so base_change (and so coinduced) and
+    renamed carry the flags.  Found on first use and kept on the module."""
     if mod._free is None:
-        parts, p = blocks(mod), mod.spec.p
-        test = len(parts) > 1 and not any(len(block) % p for block in parts)
-        object.__setattr__(mod, "_free",
-                           _free_on(mod, parts) if test else (False,) * len(parts))
+        object.__setattr__(mod, "_free", _free_on(mod, blocks(mod)))
     return mod._free
 
 

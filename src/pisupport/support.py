@@ -32,8 +32,9 @@ over a proper subfield and skipped, and every other point is grouped with
 its conjugates, so that each closed point is decided once.  A point is
 carried as its element codes (ProjPoint.codes) from enumeration to
 report, and repeated enumerations share the same points and orbits.
-Every sampler checks the enumeration and then the generic scan against
-the budget and the degree cap before it tests a point.
+Every sampler checks the enumeration against the budget and the degree
+cap before it tests a point, and the generic scan checks its own plan
+where it runs, before it ranks a point of its own.
 
 The generic-point verdict refers to the generic point of P^{r-1} on the
 chart a_1 = 1, i.e. the rank of N(s) over the rational function field in
@@ -57,13 +58,14 @@ n - n/p, so it puts every point, and the generic point, in the support,
 and nothing is ranked.  A free block is a projective summand, and the
 support is an invariant of the stable module category, where projectives
 are zero: supp(M + P) = supp M (Friedlander and Pevtsova, Duke Math. J.
-139, 2007).  On a module of several blocks whose dimensions p all
-divides, each block of dimension a multiple of p^r is tested for freeness
-once, by Nakayama (reps.free_blocks), and base change and coinduction
-carry the flags.  N(a) restricted to a free block is free at every point,
-of rank n_c - n_c/p, so the point tester ranks N(a) on the other blocks
-only, n' rows and columns against n' - n'/p, and a module of free blocks
-alone is out everywhere with no rank.  The blocks left are ranked
+139, 2007).  On a module whose blocks all have dimensions p divides, each
+block of dimension a multiple of p^r, the one block of a module of one
+block included, is tested for freeness once, by Nakayama
+(reps.free_blocks), and base change and coinduction carry the flags.
+N(a) restricted to a free block is free at every point, of rank
+n_c - n_c/p, so the point tester ranks N(a) on the other blocks only, n'
+rows and columns against n' - n'/p, and a module of free blocks alone is
+out everywhere with no rank.  The blocks left are ranked
 together, once per point: on rows of dicts the elimination never mixes
 blocks anyway, and on the numpy route one pipeline of numpy calls costs
 less than one per block.  The generic verdict uses
@@ -74,8 +76,9 @@ not free, scanned over its own field by the point tester cut to that
 block's rows and columns, up to the first block that is generically in; a
 module of free blocks alone has an empty plan and is out.  The samplers
 and the formula checks read the sample first: a sampled point out puts the
-generic point out, with no scan.  The guard before any of this counts the
-same plan, so it refuses a call exactly when the plan is too large.
+generic point out, with no scan.  Otherwise the scan counts its plan
+against the budget and the degree cap before its first point, so it
+refuses a call exactly when the plan it would run is too large.
 
 The support ideal is generated by the (n/p)-minors of N(s)^{p-1} over the
 polynomial ring in s_1..s_r.  When a block has dimension prime to p, the
@@ -257,7 +260,8 @@ def _point_tester(mod, K, block=None):
     n_c - n_c/p to the rank of N(a) = sum a_i Z_i wherever it is taken: the
     tester ranks N(a) on the rows and columns of the other blocks only
     (_kept), n' of them, and decides rank < n' - n'/p, stopping at
-    n' - n'/p; when every block is free it is constant "out".  No power of
+    n' - n'/p; when every block is free, a module of one free block
+    included, it is constant "out" and ranks nothing.  No power of
     N(a) is formed (see the module docstring).  The route is chosen once
     per (module, field), by the rule of linalg.sparse_route on the union of
     the nonzero patterns of the Z_i.  On the sparse route the nonzero
@@ -267,12 +271,12 @@ def _point_tester(mod, K, block=None):
     eliminates it, the base's codes embedded into K by one table per field
     pair (linalg.code_logs), and the number of pivots is the rank, with no
     numpy call.  Otherwise the stack of mod over its base, cut to the
-    kept rows and columns once, and the coordinates of the a_i over K
-    (linalg.element_coords) give N(a) over K in one contraction
-    (linalg.coeff_combination, as in pipoints.restrict), and linalg.fq_rank
-    ranks it.  The tests check both routes against the rank of N(a)^{p-1}
-    of the whole module on the ne x ne block matrix over F_p at every
-    sampled point.
+    kept rows and columns once (not at all when they are every index), and
+    the coordinates of the a_i over K (linalg.element_coords) give N(a)
+    over K in one contraction (linalg.coeff_combination, as in
+    pipoints.restrict), and linalg.fq_rank ranks it.  The tests check both
+    routes against the rank of N(a)^{p-1} of the whole module on the
+    ne x ne block matrix over F_p at every sampled point.
     """
     p, n = mod.spec.p, mod.n
     kept = _kept(mod) if block is None else block
@@ -300,14 +304,11 @@ def _point_tester(mod, K, block=None):
 
 def _kept(mod):
     """The basis indices, ascending, on which the point tester ranks N(a):
-    those of the blocks that _live_blocks gives, every index when no block
-    is free, and None when it gives None (every point is then in the
-    support)."""
+    those of the blocks that _live_blocks gives, and None when it gives None
+    (every point is then in the support)."""
     live = _live_blocks(mod)
     if live is None:
         return None
-    if len(live) == len(reps.blocks(mod)):
-        return range(mod.n)
     return sorted(i for block in live for i in block)
 
 
@@ -370,10 +371,10 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
         yield from _new_points(base, r, e)[0]
 
 
-def _check_enumeration(base, r, e_max, budget, scanned=()):
-    """Check e_max >= 1, the enumeration for e <= e_max and then the
-    generic scan of each module in ``scanned`` against the budget and the
-    degree cap, so that a sampler fails before it tests a point."""
+def _check_enumeration(base, r, e_max, budget):
+    """Check e_max >= 1 and the enumeration for e <= e_max against the
+    budget and the degree cap, so that a sampler fails before it tests a
+    point.  The generic scan is checked where it runs (_generic_scan)."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     size = enumeration_size(base, r, e_max)
@@ -382,8 +383,6 @@ def _check_enumeration(base, r, e_max, budget, scanned=()):
             f"enumeration of {size} coordinate tuples exceeds budget {budget}"
         )
     _check_degree(base, e_max, "sampling")
-    for mod in scanned:
-        _generic_scan(mod, budget)
 
 
 @lru_cache(maxsize=32)
@@ -435,7 +434,8 @@ def _sampled(spec, degrees, make_decider):
     base of spec, which is that of every module decide ranks, a cosupport
     included: its tester over K is that of the module over the base (see
     cosupport_sample).  The callers check the budget and the degree cap
-    first (_check_enumeration)."""
+    first: the samplers by _check_enumeration, the generic scan by
+    _generic_scan."""
     for e in degrees:
         points, first = _new_points(spec.base, spec.r, e)
         if not points:
@@ -467,7 +467,7 @@ def _sample(mod, e_max, budget):
     sampled point (for a cosupport, that of the coinduced module over K),
     and the generic verdict of mod (for a cosupport, the
     finite-dimensional fallback)."""
-    _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget, [mod])
+    _check_enumeration(mod.spec.base, mod.spec.r, e_max, budget)
     desc = SupportDescription(module=mod, e_max=e_max)
     desc.sampled.update(_sampled(mod.spec, range(1, e_max + 1),
                                  lambda K: _point_tester(mod, K)))
@@ -491,21 +491,18 @@ def _generic_scan(mod, budget):
     """The plan of the scan that decides the generic verdict of mod: for
     each block that is not free (_live_blocks), the pair (block, degrees),
     degrees the divisors of its own relative degree e from
-    _generic_scan_degree.  None when no rank can change the verdict: n = 0,
-    p does not divide n, or some block has dimension prime to p.  An empty
-    plan, every block free, is "out".  Raises BudgetExceeded when the plan
-    visits more than ``budget`` tuples in all (_tuple_count), or when the
-    largest e of the plan is past the degree cap.  It reads the block sizes
-    and the freeness flags only, and builds no summand."""
-    n, p, r = mod.n, mod.spec.p, mod.spec.r
-    if n == 0 or n % p:
-        return None
-    base = mod.spec.base
-    if not base.is_finite:
-        raise ValueError("generic sampling needs a finite base field")
+    _generic_scan_degree.  None when _live_blocks gives None: every point is
+    in.  An empty plan, every block free or none at all, is "out", on any
+    base.  Raises BudgetExceeded when the plan visits more than ``budget``
+    tuples in all (_tuple_count), or when the largest e of the plan is past
+    the degree cap.  It reads the block sizes and the freeness flags only,
+    and builds no summand."""
     live = _live_blocks(mod)
     if live is None:
         return None
+    base, p, r = mod.spec.base, mod.spec.p, mod.spec.r
+    if live and not base.is_finite:
+        raise ValueError("generic sampling needs a finite base field")
     plan = [(block, _divisors(_generic_scan_degree(base, p, len(block))))
             for block in live]
     size = sum(_tuple_count(base, r, degrees) for _, degrees in plan)
@@ -534,12 +531,12 @@ def generic_in_support(mod, budget=DEFAULT_ENUM_BUDGET) -> bool:
     _sampled over the divisors of e, smallest field first, by the point
     tester of the whole module cut to that block, and its scan stops at its
     first point out.  The plan stops at the first block that is in.
-    Raises BudgetExceeded before any point is ranked when the plan visits
-    more than ``budget`` tuples.
+    Raises BudgetExceeded before any point of the scan is ranked when the
+    plan visits more than ``budget`` tuples, or past the degree cap.
     """
     plan = _generic_scan(mod, budget)
     if plan is None:
-        return mod.n > 0  # the zero module has empty support
+        return True
     return any(all(verdict for _, verdict in _sampled(
         mod.spec, degrees, lambda K, block=block: _point_tester(mod, K, block)))
         for block, degrees in plan)
@@ -716,10 +713,12 @@ def verify_dade(mod, e_max, budget=DEFAULT_ENUM_BUDGET) -> DadeReport:
     """Freeness oracle against emptiness of the sampled support plus the
     generic verdict.  Disagreement would falsify the projectivity detection
     statement at desk scale; none is expected.  Both sides use the same
-    Nakayama test where a sum has several blocks (reps.free_blocks): the
-    samplers leave its free blocks out, so for them "free => empty" rests
-    on that test, and it is the point ranks of the other blocks, and of
-    modules of one block, that the statement checks."""
+    Nakayama test (reps.free_blocks on each block, reps.is_free on the whole
+    module): the samplers leave free blocks out, a module of one free block
+    included, so for them "free => empty" rests on that test, and it is the
+    point ranks of the blocks that are not free that the statement checks.
+    The tests rank free modules at every sampled point against the block
+    matrix oracle."""
     sample = support_sample(mod, e_max, budget)
     free = reps.is_free(mod)
     agree = free == sample.is_empty()
@@ -781,10 +780,9 @@ def _verify_formula(kind, build, m, n, e_max, budget) -> FormulaReport:
     if m.spec != n.spec:
         raise ValueError("modules over different algebras")
     base, r = m.spec.base, m.spec.r
-    # the guards fire before the n*m-dimensional product is built
+    # the guard fires before the n*m-dimensional product is built
     _check_enumeration(base, r, e_max, budget)
     t = build(m, n)
-    _check_enumeration(base, r, e_max, budget, [t, m, n])
 
     def make_decider(K):
         tl, tm, tr = (_point_tester(x, K) for x in (t, m, n))
@@ -792,10 +790,12 @@ def _verify_formula(kind, build, m, n, e_max, budget) -> FormulaReport:
 
     rows = [(pt, lhs, rhs) for pt, (lhs, rhs)
             in _sampled(m.spec, range(1, e_max + 1), make_decider)]
-    # a support is closed, and the lhs is a support or, for a cosupport,
-    # that of a base change: a sampled point out puts the generic point out
+    # a support is closed, and each side is a support, or an intersection
+    # of two, or for a cosupport that of a base change: a sampled point out
+    # of a side puts that side's generic point out, with no scan
     g_lhs = all(lhs for _, lhs, _ in rows) and generic_in_support(t, budget)
-    g_rhs = generic_in_support(m, budget) and generic_in_support(n, budget)
+    g_rhs = (all(rhs for _, _, rhs in rows) and generic_in_support(m, budget)
+             and generic_in_support(n, budget))
     return FormulaReport(kind, t, rows, g_lhs, g_rhs)
 
 

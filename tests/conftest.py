@@ -17,6 +17,7 @@ from pisupport import (
     linalg,
     make_field,
     reps,
+    support,
     trivial_module,
 )
 from pisupport.support import enumerate_points
@@ -168,6 +169,20 @@ def _dense_full_support(spec, g, rng):
     mod = mixed(mod, rng)
     assert len(reps.blocks(mod)) == 1
     return mod
+
+
+def _record_testers(monkeypatch):
+    """Wrap support._point_tester and return the list of the ``block``
+    arguments it is built with: None for the tester of a sampled point, a
+    block's indices for a tester of the generic scan."""
+    built, tester = [], support._point_tester
+
+    def record(mod, K, block=None):
+        built.append(block)
+        return tester(mod, K, block)
+
+    monkeypatch.setattr(support, "_point_tester", record)
+    return built
 
 
 def _direct_sum(mods):

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from pisupport.cli import run_command
 from pisupport.library import klein_truncation
 from pisupport.modfile import emit_module_file, parse_module_file
+from pisupport.reps import make_spec
+
+from conftest import _dense_full_support, _record_testers
 
 
 def run(*argv):
@@ -151,18 +156,30 @@ def test_input_error_exit_three():
     assert code == 3 and "AllCoefficientsZero" in err
 
 
-def test_support_generic_degree_cap_fails_before_sampling(monkeypatch):
-    # klein-M4 is one block of dimension 8 and needs a generic field F_{2^3},
-    # past a cap of 2; no point of the sample is tested before the failure
-    from pisupport import fields, support
+def _dense_full_support_file(tmp_path, p, r, g):
+    """A module file of conftest._dense_full_support(spec, g): one block,
+    in the support at every point, the generic point included."""
+    mod = _dense_full_support(make_spec(p, r), g, random.Random(f"dense:{p}:{r}:{g}"))
+    path = tmp_path / f"dense_p{p}_r{r}_g{g}.mod"
+    path.write_text(emit_module_file(mod))
+    return str(path)
 
+
+def test_support_generic_degree_cap_fails_before_sampling(monkeypatch, tmp_path):
+    # trivial^2 + free:2 in a dense basis is one block of dimension 10, in
+    # at every sampled point, and its generic scan needs F_{2^3}, past a cap
+    # of 2: the cap fires after the sample and before any scan point
+    from pisupport import fields
+
+    path = _dense_full_support_file(tmp_path, 2, 2, 2)
     with monkeypatch.context() as m:
         m.setattr(fields, "MAX_EXTENSION_DEGREE", 2)
-        m.setattr(support, "_point_tester", None)
-        code, out, err = run("support", "klein-M4")
+        built = _record_testers(m)
+        code, out, err = run("support", path, "--sample-degree", "1")
     assert code == 3 and out == ""
     assert err == ("error: BudgetExceeded: generic scan needs extension "
                    "degree 3 over F_2, past the cap 2\n")
+    assert built == [None]  # the sample over F_2, and no tester of the scan
     # free:128 (n = 512, whose whole scan would need F_{2^9}) is 128 blocks
     # of dimension 4, each decided over F_4: the first point of P^1(F_2) is
     # out of the support, so the generic point is out
@@ -171,18 +188,28 @@ def test_support_generic_degree_cap_fails_before_sampling(monkeypatch):
     assert out.splitlines()[-1] == "generic out"
 
 
-def test_support_of_one_free_block_past_the_budget_fails_before_sampling(monkeypatch):
-    # free:1 at p = 2, r = 5 is one block of dimension 32, which the
-    # Nakayama test of free blocks does not take: its generic scan needs
-    # P^4(F_{2^5}), 31 + 1082401 tuples, so the guard fires before a point
-    from pisupport import support
-
-    monkeypatch.setattr(support, "_point_tester", None)
+def test_support_of_one_free_block_past_the_budget_fails_before_sampling(
+        monkeypatch, tmp_path):
+    # free:1 at p = 2, r = 5 is one free block of dimension 32, whose
+    # generic scan of P^4(F_{2^5}) would visit 31 + 1082401 tuples: the
+    # Nakayama test of free blocks finds it free, so every point is out
+    # with no rank, and the sample puts the generic point out with no scan
+    built = _record_testers(monkeypatch)
     code, out, err = run("support", "free:1", "--p", "2", "--r", "5",
+                         "--sample-degree", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "generic out"
+    assert built == [None]
+    # trivial^2 + free:1 in a dense basis is one block of dimension 34, in
+    # at every sampled point, with a plan over the same fields: the guard
+    # fails the call after the sample and before the first scan point
+    built.clear()
+    code, out, err = run("support", _dense_full_support_file(tmp_path, 2, 5, 1),
                          "--sample-degree", "1")
     assert code == 3 and out == ""
     assert err == ("error: BudgetExceeded: generic scan of 1082432 points "
                    "exceeds budget 200000\n")
+    assert built == [None]
 
 
 def test_internal_error_exit_four(monkeypatch):

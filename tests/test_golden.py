@@ -57,7 +57,7 @@ CLI_CASES = {
     **{
         f"verify_p{p}_r{r}_trials2": ["verify", "--trials", "2", "--p", str(p),
                                       "--r", str(r)]
-        for p, r in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2))
+        for p, r in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (2, 5))
     },
 }
 
@@ -188,6 +188,15 @@ def _matrix_argvs():
          "primitive,primitive"],
         ["verify", "--trials", "1", "--p", "3", "--r", "2", "--flavors", "group,group"],
     ]
+    # a module file takes the algebra it is over, and refuses other flags
+    argvs += [
+        ["check", "tests/golden/coinduced_f9_rel2.modrep", "--p", "5", "--r", "7",
+         "--flavors", "primitive"],
+        ["check", "tests/golden/coinduced_f9_rel2.modrep", "--p", "3", "--r", "2",
+         "--flavors", "group,group"],
+    ]
+    # each suite's trial 0 at p = 2, r = 7 is decided with no generic scan
+    argvs.append(["verify", "--trials", "1", "--p", "2", "--r", "7"])
     return argvs
 
 

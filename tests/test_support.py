@@ -59,6 +59,7 @@ from conftest import (
     _covering_lines,
     _dense_full_support,
     _direct_sum,
+    _record_testers,
     conjugated,
     mixed,
     monomial,
@@ -444,18 +445,25 @@ def test_budget_guard():
         support_sample(trivial_module(KLEIN), 30)
 
 
+def _dense_p2_r3():
+    """trivial^2 + free:1 at p=2, r=3 in a dense basis: one block of
+    dimension 10, in at every point, decided by P^2(F_8): its scan visits
+    the 7 tuples over F_2 and the 73 over F_8, 80 in all."""
+    return _dense_full_support(make_spec(2, 3), 1, random.Random("dense-p2-r3"))
+
+
 def test_generic_scan_budget_fires_from_grid_size(monkeypatch):
-    # free:1 with p=2, r=3 is decided by P^2(F_8): the scan visits the 7
-    # tuples over F_2 and the 73 over F_8, 80 in all
-    free = free_module(make_spec(2, 3), 1)
+    mod = _dense_p2_r3()
     with monkeypatch.context() as m:
         m.setattr(support, "_point_tester", None)  # the scan never starts
         with pytest.raises(BudgetExceeded, match="80 points"):
-            generic_in_support(free, budget=79)
+            generic_in_support(mod, budget=79)
     for sample in (support_sample, cosupport_sample):
         with pytest.raises(BudgetExceeded, match="80 points"):
-            sample(free, 1, budget=10)
-    assert not generic_in_support(free, budget=80)
+            sample(mod, 1, budget=10)
+    assert generic_in_support(mod, budget=80)
+    # free:1 is one free block: an empty plan, out within any budget
+    assert not generic_in_support(free_module(make_spec(2, 3), 1), budget=0)
 
 
 def test_sampling_past_degree_cap_fails_before_any_point(monkeypatch):
@@ -840,14 +848,67 @@ SAMPLERS = {
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_samplers_check_the_generic_scan_before_any_point(sampler, monkeypatch):
-    # free:1 with p=2, r=3: 7 points over F_2, a generic scan of the 7 + 73
-    # tuples of P^2(F_2) and P^2(F_8)
+    # _dense_p2_r3: 7 points over F_2, all in, then a generic scan of 80
+    # tuples; with the trivial module, the tensor and Hom modules are the
+    # module itself.  The scan is checked before its first point, and the
+    # enumeration before the first sampled point
+    mod = _dense_p2_r3()
+    with monkeypatch.context() as m:
+        built = _record_testers(m)
+        with pytest.raises(BudgetExceeded, match="generic scan of 80 points"):
+            SAMPLERS[sampler](mod, 1, 10)
+    assert built and not any(block is not None for block in built)
     monkeypatch.setattr(support, "_point_tester", None)
-    free = free_module(make_spec(2, 3), 1)
-    with pytest.raises(BudgetExceeded, match="generic scan of 80 points"):
-        SAMPLERS[sampler](free, 1, 10)
     with pytest.raises(BudgetExceeded, match="enumeration of 28 coordinate tuples"):
-        SAMPLERS[sampler](free, 2, 10)  # the enumeration is checked first
+        SAMPLERS[sampler](mod, 2, 10)
+
+
+def _square_zero_module():
+    """z_i = [[0, 0], [A_i, 0]] at p=2, r=2 with A(a) = diag(a_1, a_2,
+    a_1 + a_2), in a dense basis: one block of dimension 6, in at each point
+    of P^1(F_2), where A(a) is singular, and generically out.  Its plan
+    scans P^1(F_2) and P^1(F_4), 3 + 5 = 8 tuples."""
+    ints = np.zeros((2, 6, 6), dtype=np.int64)
+    for i, diagonal in enumerate(((1, 0, 1), (0, 1, 1))):
+        ints[i, 3:, :3] = np.diag(diagonal)
+    mod = mixed(reps.from_ints(KLEIN, ints), random.Random("square-zero"))
+    assert len(reps.blocks(mod)) == 1
+    return mod
+
+
+def _verdicts(result):
+    """(sampled verdicts, generic verdicts) of a SupportDescription, or of a
+    FormulaReport on both sides."""
+    if hasattr(result, "sampled"):
+        return list(result.sampled.values()), [result.generic]
+    return ([v for _, lhs, rhs in result.points for v in (lhs, rhs)],
+            [result.generic_lhs, result.generic_rhs])
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_generic_scan_guard_fires_after_the_sample(sampler, monkeypatch):
+    # a sample all in leaves the verdict to the scan, whose guard fires
+    # before its first point; a sampled point out decides "generic out",
+    # and no plan is counted, however large.  With the trivial module, the
+    # tensor and Hom modules are the module itself, and each side of a
+    # formula reads its own sample
+    mod = _square_zero_module()
+    with monkeypatch.context() as m:
+        built = _record_testers(m)
+        with pytest.raises(BudgetExceeded,
+                           match="generic scan of 8 points exceeds budget 7"):
+            SAMPLERS[sampler](mod, 1, 7)
+    # the three sampled points were ranked, and no point of the scan
+    assert built and not any(block is not None for block in built)
+    sampled, generic = _verdicts(SAMPLERS[sampler](mod, 1, 8))
+    assert all(sampled) and len(sampled) in (3, 6) and not any(generic)
+    # klein-M4 is one block of dimension 8, out at [1:0], whose plan scans
+    # P^1(F_2) and P^1(F_8), 3 + 9 = 12 tuples, past a budget of 11
+    klein = klein_truncation(4)
+    with pytest.raises(BudgetExceeded, match="generic scan of 12 points"):
+        generic_in_support(klein, budget=11)
+    sampled, generic = _verdicts(SAMPLERS[sampler](klein, 1, 11))
+    assert not all(sampled) and not any(generic)
 
 
 @pytest.mark.parametrize("e_max", [0, -1])
@@ -1125,9 +1186,10 @@ def _free_sum_cases():
     F_3 and F_4 at r = 2, 3, in a permuted monomial basis, each with the
     dimension of its free summands: shift blocks plus free:1, two free:1
     around a shift block, and sums of free blocks alone, one of them in a
-    dense basis.  At r = 2 a dense trivial^p + free:1 (one block, in the
-    support everywhere) plus free:1 adds a case that the point tester ranks
-    in numpy, and whose generic point is in."""
+    dense basis, and free:1 alone, as it is and in a dense basis.  At r = 2
+    a dense trivial^p + free:1 (one block, in the support everywhere) plus
+    free:1 adds a case that the point tester ranks in numpy, and whose
+    generic point is in."""
     rng = random.Random("free-blocks")
     cases = []
     for base, e_max2, e_max3 in ((F2, 3, 2), (F3, 2, 1), (F4, 2, 1)):
@@ -1138,7 +1200,8 @@ def _free_sum_cases():
             mods = [(direct_sum(shifts, free), size),
                     (_direct_sum([free, shift_block(spec, 1, rng), free]), 2 * size),
                     (free_module(spec, 2), 2 * size),
-                    (direct_sum(mixed(free, rng), free), 2 * size)]
+                    (direct_sum(mixed(free, rng), free), 2 * size),
+                    (free, size), (mixed(free, rng), size)]
             if r == 2:
                 mods.append((direct_sum(_dense_full_support(spec, 1, rng), free), size))
             cases += [(monomial(mod, rng)[0], e_max, dim) for mod, dim in mods]
@@ -1301,17 +1364,21 @@ def test_generic_budget_counts_the_blocks_that_are_not_free(monkeypatch):
 
 
 def test_freeness_is_tested_once_per_module_over_the_base(monkeypatch):
-    # one elimination for the blocks of dimension a multiple of p^r, over the
-    # base, carried by base change, coinduction and renaming; a module of
-    # one block, or with a block of dimension prime to p, takes none.  The
-    # samplers start with the base field, over which the coinduced module is
-    # the module itself, so that the later fields' coinduced modules carry
-    # the flags found there
+    # one elimination for the blocks of dimension a multiple of p^r whose
+    # nonzero rows and columns of [Z_1 | ... | Z_r] both reach n_c - n_c/p^r,
+    # a module of one block included, over the base, carried by base
+    # change, coinduction and renaming; a module with a block of dimension
+    # prime to p is in everywhere, and the samplers test no freeness.  The
+    # samplers start with the base field, over which the coinduced module
+    # is the module itself, so that the later fields' coinduced modules
+    # carry the flags found there.  A call of _generator_ranks with no part
+    # takes no elimination and is not counted
     ranks = []
     nakayama = reps._generator_ranks
 
     def counted(mod, parts):
-        ranks.append((mod.spec.base, [len(part) for part in parts]))
+        if parts:
+            ranks.append((mod.spec.base, [len(part) for part in parts]))
         return nakayama(mod, parts)
 
     monkeypatch.setattr(reps, "_generator_ranks", counted)
@@ -1319,10 +1386,19 @@ def test_freeness_is_tested_once_per_module_over_the_base(monkeypatch):
     spec = make_spec(2, 3)
     parts = [shift_block(spec, 1, rng), shift_block(spec, 2, rng), free_module(spec, 1)]
     mod = monomial(_direct_sum(parts), rng)[0]
-    for single in (klein_truncation(4), mixed(mod, rng),
-                   direct_sum(mod, trivial_module(spec))):
+    # klein-M4 is one block of dimension 8 = 2 * 2^2, with 4 nonzero rows,
+    # short of the 6 of a free module; mixed(mod) is one block of
+    # dimension 14, not a multiple of 8; free:1 in a dense basis is one
+    # block of dimension 8, ranked once and free
+    free = mixed(free_module(spec, 1), rng)
+    for single, expected, flags in ((klein_truncation(4), [], (False,)),
+                                    (mixed(mod, rng), [], (False,)),
+                                    (free, [(F2, [8])], (True,))):
         support_sample(single, 1)
-        assert ranks == [] and not any(reps.free_blocks(single))
+        assert ranks == expected and reps.free_blocks(single) == flags
+        ranks.clear()
+    support_sample(direct_sum(mod, trivial_module(spec)), 1)
+    assert ranks == []
     cosupport_sample(mod, 2)
     support_sample(mod, 2)
     assert ranks == [(F2, [8])]  # 2 and 4 are not multiples of 8
@@ -1334,6 +1410,14 @@ def test_freeness_is_tested_once_per_module_over_the_base(monkeypatch):
                     base_change(mod, make_field(2, vars=("t",)))):
         assert changed._free is flags
     assert ranks == [(F2, [8])]
+
+
+def test_zero_module_is_generically_out_on_every_base():
+    # no block, so an empty plan: "out" with no scan, over a function
+    # field as over a finite field
+    for base in (F2, make_field(2, vars=("t",))):
+        zero = reps.from_ints(make_spec(2, 2, base=base), np.zeros((2, 0, 0), dtype=np.int64))
+        assert zero.n == 0 and generic_in_support(zero, budget=0) is False
 
 
 
