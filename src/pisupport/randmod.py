@@ -28,7 +28,7 @@ def _cyclic_block(rng, spec, max_dim):
     for z in toeplitz:
         for d in range(vmin, q):
             z[range(d, q), range(q - d)] = rng.randrange(spec.p)
-    return reps.from_ints(spec, toeplitz, _checked=True)
+    return reps.from_ints(spec, toeplitz)
 
 
 def random_module(rng, spec, max_dim=24, force_free=False) -> reps.ModuleRep:

@@ -78,7 +78,12 @@ class ModuleRep:
     read and kept; over a function field ``stack`` is None and Z the boxed
     matrices.  Its partition into blocks (see blocks), which of them are
     free (see free_blocks) and its nonzero entries (see nonzero_codes) are
-    kept once found."""
+    kept once found.
+
+    A module given here from outside is validated (validate) and raises
+    ValidationError when it is not one; ``_checked=True`` skips that, and
+    only the package's own constructions pass it, whose formulas prove
+    their outputs valid when their inputs are."""
 
     __slots__ = ("spec", "n", "stack", "_Z", "name", "_blocks", "_free", "_nonzeros")
 
@@ -112,11 +117,10 @@ class ModuleRep:
         object.__setattr__(self, "_blocks", _blocks)
         object.__setattr__(self, "_free", _free)
         object.__setattr__(self, "_nonzeros", None)
-        if not _checked:
-            violations = validate(self)
-            if violations:
-                kind, where = violations[0]
-                raise ValidationError(f"{kind} violated at {where}")
+        violations = [] if _checked else validate(self)
+        if violations:
+            kind, where = violations[0]
+            raise ValidationError(f"{kind} violated at {where}")
 
     @property
     def Z(self):
@@ -171,20 +175,21 @@ def validate(mod):
 # Basic constructions
 
 
-def from_ints(spec, ints, **kwargs) -> ModuleRep:
+def from_ints(spec, ints, name=None) -> ModuleRep:
     """The module whose Z_i has entry (a, b) the integer ints[i, a, b] mod p,
     from an (r, n, n) integer array: over a finite base coordinate 0 of the
-    stack, and over a function field Matrix.from_ints.  ``kwargs`` go to
-    ModuleRep."""
+    stack, and over a function field Matrix.from_ints.  It builds the
+    package's constant modules, each valid by construction, so it does not
+    validate: the caller's array must hold commuting p-nilpotent
+    generators."""
     base = spec.base
-    if not base.is_finite:
-        return ModuleRep(spec, [Matrix.from_ints(base, z) for z in ints], **kwargs)
-    return ModuleRep(spec, linalg.int_coeffs(ints, base), **kwargs)
+    Z = (linalg.int_coeffs(ints, base) if base.is_finite
+         else [Matrix.from_ints(base, z) for z in ints])
+    return ModuleRep(spec, Z, name=name, _checked=True)
 
 
 def trivial_module(spec) -> ModuleRep:
-    return from_ints(spec, np.zeros((spec.r, 1, 1), dtype=np.int64), name="trivial",
-                     _checked=True)
+    return from_ints(spec, np.zeros((spec.r, 1, 1), dtype=np.int64), name="trivial")
 
 
 def free_module(spec, g) -> ModuleRep:
@@ -204,7 +209,7 @@ def free_module(spec, g) -> ModuleRep:
         stride = p ** (r - 1 - i)
         src = x[x // stride % p < p - 1]
         ints[i, src + stride, src] = 1
-    return from_ints(spec, ints, name=f"free:{g}", _checked=True)
+    return from_ints(spec, ints, name=f"free:{g}")
 
 
 def jordan_block_module(spec, u) -> ModuleRep:
@@ -214,7 +219,7 @@ def jordan_block_module(spec, u) -> ModuleRep:
     if not 1 <= u <= spec.p:
         raise BlockTooBig(f"block size {u} outside 1..{spec.p}")
     shift = np.eye(u, k=-1, dtype=np.int64)
-    return from_ints(spec, shift[None], name=f"jordan:{u}", _checked=True)
+    return from_ints(spec, shift[None], name=f"jordan:{u}")
 
 
 def direct_sum(a, b) -> ModuleRep:
@@ -299,9 +304,24 @@ def nonzero_codes(mod):
 
 
 # ---------------------------------------------------------------------------
-# Hopf constructions.  These are genuine computations whose outputs are
-# re-validated: commutativity and p-nilpotence of the results exercise the
-# comultiplication and antipode formulas.
+# Hopf constructions.  Their outputs are valid when their inputs are, so
+# they are not validated again (validate runs on what comes in: module
+# files and direct ModuleRep calls).  For modules with generators X and Y:
+# - tensor: the X_i(x)1 and 1(x)Y_j all commute, and every z_i is a
+#   polynomial in them, so the z_i commute.  Primitive flavor:
+#   (X(x)1 + 1(x)Y)^p = X^p(x)1 + 1(x)Y^p = 0 in characteristic p.  Group
+#   flavor: 1 + z_i = (1 + X_i)(x)(1 + Y_i), whose p-th power is
+#   (1 + X_i^p)(x)(1 + Y_i^p) = 1, so z_i^p = (1 + z_i)^p - 1 = 0.
+# - dual: -X^T and ((I + X)^{p-1})^T - I = ((I + X)^{-1})^T - I are
+#   transposes of polynomials in the commuting X_i, so they commute, and
+#   they are p-nilpotent: X^p = 0 and ((I + X)^{-1})^p = I.  Hom(a, b) is
+#   b (x) dual(a), so it is a tensor product of valid modules.
+# - Klein M_n (library.klein_truncation): both generators map the u-block
+#   into the v-block and kill the v-block, so every product of two
+#   generators is 0.
+# - direct sums, base change and renaming keep each identity Z_i Z_j =
+#   Z_j Z_i and Z_i^p = 0: block by block, or under a ring embedding of
+#   the entries.
 
 
 def tensor(a, b) -> ModuleRep:
@@ -323,11 +343,11 @@ def _tensor(spec, x, y):
                   for z in (x, y))
         gens = linalg.coeff_kron(x, iy, base) + linalg.coeff_kron(ix, y, base)
         gens[group] += linalg.coeff_kron(x[group], y[group], base)
-        return ModuleRep(spec, gens % spec.p)
+        return ModuleRep(spec, gens % spec.p, _checked=True)
     ix, iy = (Matrix.identity(base, z[0].rows) for z in (x, y))
     mats = [linalg.kron(x[i], iy) + linalg.kron(ix, y[i]) for i in range(spec.r)]
     return ModuleRep(spec, [m + linalg.kron(x[i], y[i]) if i in group else m
-                            for i, m in enumerate(mats)])
+                            for i, m in enumerate(mats)], _checked=True)
 
 
 def hom(a, b) -> ModuleRep:

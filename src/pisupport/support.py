@@ -364,19 +364,23 @@ def enumerate_points(base, r, e_max, budget=DEFAULT_ENUM_BUDGET):
     points only (nothing already rational over a proper subfield), as
     ProjPoints whose field is pt.desc, in the order of _new_points: by
     degree, then by the position of the leading 1, then by codes.  Raises
-    ValueError for e_max < 1, and BudgetExceeded, on the first step, when
-    more than ``budget`` tuples would be visited."""
+    ValueError for e_max < 1 or a base that is not finite, and
+    BudgetExceeded, on the first step, when more than ``budget`` tuples
+    would be visited."""
     _check_enumeration(base, r, e_max, budget)
     for e in range(1, e_max + 1):
         yield from _new_points(base, r, e)[0]
 
 
 def _check_enumeration(base, r, e_max, budget):
-    """Check e_max >= 1 and the enumeration for e <= e_max against the
+    """Check e_max >= 1, a finite base (a function field has no finite
+    extension to sample), and the enumeration for e <= e_max against the
     budget and the degree cap, so that a sampler fails before it tests a
     point.  The generic scan is checked where it runs (_generic_scan)."""
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
+    if not base.is_finite:
+        raise ValueError("sampling needs a finite base field")
     size = enumeration_size(base, r, e_max)
     if size > budget:
         raise BudgetExceeded(

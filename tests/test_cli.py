@@ -3,9 +3,10 @@ import random
 import pytest
 
 from pisupport.cli import run_command
+from pisupport.fields import make_field
 from pisupport.library import klein_truncation
 from pisupport.modfile import emit_module_file, parse_module_file
-from pisupport.reps import make_spec
+from pisupport.reps import free_module, make_spec
 
 from conftest import _dense_full_support, _record_testers
 
@@ -210,6 +211,16 @@ def test_support_of_one_free_block_past_the_budget_fails_before_sampling(
     assert err == ("error: BudgetExceeded: generic scan of 1082432 points "
                    "exceeds budget 200000\n")
     assert built == [None]
+
+
+def test_support_sample_of_a_function_field_module_is_an_input_error(tmp_path):
+    # a module file over F_2(t) has no finite field of points to sample
+    spec = make_spec(2, 2, base=make_field(2, vars=("t",)))
+    path = tmp_path / "free_f2t.mod"
+    path.write_text(emit_module_file(free_module(spec, 1)))
+    code, out, err = run("support", str(path), "--sample-degree", "1")
+    assert code == 3 and out == ""
+    assert err == "error: ValueError: sampling needs a finite base field\n"
 
 
 def test_internal_error_exit_four(monkeypatch):

@@ -41,8 +41,8 @@ from pisupport.linalg import (
 )
 
 from conftest import (
-    F2, F3, F4, F5, F9, F2S, chain_base_change, chain_flatness_certificate, chain_hom,
-    chain_image, chain_tensor, chain_validate, conjugated, mixed, shift_block,
+    F2, F3, F4, F5, F9, F2S, F3S, chain_base_change, chain_flatness_certificate,
+    chain_hom, chain_image, chain_tensor, chain_validate, conjugated, mixed, shift_block,
 )
 from test_golden import _ideal_module
 
@@ -307,27 +307,34 @@ def _perturbed_point(spec, K, rng):
 @pytest.mark.parametrize("flavor", FLAVORS)
 @pytest.mark.parametrize("base", STACK_BASES, ids=STACK_IDS)
 def test_tensor_and_hom_stacks_match_matrix_chains(base, flavor):
-    # every ordered pair of the panel, the zero module included
+    # every ordered pair of the panel, the zero module included; the
+    # constructions do not validate their outputs, so the test does
     spec = _stack_spec(base, flavor)
     panel = _panel(spec, random.Random(f"stack-hopf:{base}:{flavor}"))
     for a, b in itertools.product(panel, repeat=2):
-        _assert_stack(tensor(a, b), chain_tensor(a, b))
-        _assert_stack(hom(a, b), chain_hom(a, b))
+        for build, chain in ((tensor, chain_tensor), (hom, chain_hom)):
+            built = build(a, b)
+            _assert_stack(built, chain(a, b))
+            assert validate(built) == []
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_function_field_tensor_and_hom_match_matrix_chains(flavor):
-    # over F_2(s) the generators stay boxed and the constructions are
-    # Matrix arithmetic; hom is the tensor product with the dual there too
-    spec = _stack_spec(F2S, flavor)
-    rng = random.Random(f"function-field-hopf:{flavor}")
-    s = FieldElement.variable(F2S, "s")
-    block = conjugated(shift_block(spec, 1, rng), rng, scale=s)
-    panel = [block, direct_sum(trivial_module(spec), block), free_module(spec, 0)]
-    for a, b in itertools.product(panel, repeat=2):
-        for build, chain in ((tensor, chain_tensor), (hom, chain_hom)):
-            built = build(a, b)
-            assert built.stack is None and list(built.Z) == chain(a, b)
+    # over F_2(s) and F_3(s) the generators stay boxed and the
+    # constructions are Matrix arithmetic; hom is the tensor product with
+    # the dual there too.  At p = 2 the group antipode (I + Z)^{p-1} - I is
+    # Z itself, so only F_3(s) tells it from -Z
+    for base in (F2S, F3S):
+        spec = _stack_spec(base, flavor)
+        rng = random.Random(f"function-field-hopf:{base}:{flavor}")
+        s = FieldElement.variable(base, "s")
+        block = conjugated(shift_block(spec, 1, rng), rng, scale=s)
+        panel = [block, direct_sum(trivial_module(spec), block), free_module(spec, 0)]
+        for a, b in itertools.product(panel, repeat=2):
+            for build, chain in ((tensor, chain_tensor), (hom, chain_hom)):
+                built = build(a, b)
+                assert built.stack is None and list(built.Z) == chain(a, b)
+                assert validate(built) == []
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

@@ -34,6 +34,7 @@ from pisupport.errors import (
     ValidationError,
 )
 from pisupport.library import klein_truncation
+from pisupport.modfile import emit_module_file, parse_module_file
 from pisupport.randmod import _cyclic_block, random_module
 
 from conftest import (
@@ -403,6 +404,40 @@ def test_hopf_outputs_validate(rng):
             b = random_module(rng, spec, max_dim=4)
             assert validate(tensor(a, b)) == []
             assert validate(hom(a, b)) == []
+
+
+# the bases of the trust test, and a refinement of each for base change
+TRUST_BASES = {F2: F4, F3: F9, F4: canonical_extension(2, 4),
+               F9: canonical_extension(3, 4), F2S: make_field(2, vars=("s", "u"))}
+
+
+@pytest.mark.parametrize("base", TRUST_BASES, ids=["F2", "F3", "F4", "F9", "F2S"])
+def test_constructions_never_validate_and_inputs_do(base, monkeypatch):
+    # the package's constructions are valid by their formulas (the comment
+    # above reps.tensor) and run no validate; a direct ModuleRep call and a
+    # module file still do
+    def refuse(mod):
+        raise AssertionError(f"validate ran on {mod!r}")
+
+    monkeypatch.setattr(reps, "validate", refuse)
+    target = TRUST_BASES[base]
+    spec = make_spec(base.p, 2, flavors=(GROUP, PRIMITIVE), base=base)
+    rng = random.Random(f"trust:{base}")
+    trivial_module(spec)
+    jordan_block_module(make_spec(base.p, 1, base=base), base.p)
+    klein = klein_truncation(3)
+    if base.p == 2:
+        base_change(klein, base)
+    a, b = free_module(spec, 1), random_module(rng, spec, max_dim=6)
+    mods = [a, b, direct_sum(a, b), tensor(a, b), hom(b, a), dual(b),
+            base_change(b, target), b.renamed("b")]
+    if base.is_finite:
+        mods.append(coinduced(b, target))
+    assert all(isinstance(mod, ModuleRep) for mod in mods)
+    with pytest.raises(AssertionError, match="validate ran"):
+        ModuleRep(spec, b.Z)
+    with pytest.raises(AssertionError, match="validate ran"):
+        parse_module_file(emit_module_file(b))
 
 
 # ---------------------------------------------------------------------------

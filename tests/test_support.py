@@ -919,6 +919,18 @@ def test_samplers_reject_e_max_below_one(sampler, e_max):
         SAMPLERS[sampler](klein_truncation(2), e_max)
 
 
+def test_samplers_refuse_a_function_field_base():
+    # F_2(t) has no finite extension to enumerate points over: each
+    # sampler says so before it counts a tuple
+    spec = make_spec(2, 2, base=make_field(2, vars=("t",)))
+    one = trivial_module(spec)
+    for mod in (one, free_module(spec, 1), direct_sum(one, one)):
+        for sample in (support_sample, cosupport_sample,
+                       lambda mod, e_max: next(enumerate_points(mod.spec.base, 2, e_max))):
+            with pytest.raises(ValueError, match="^sampling needs a finite base field$"):
+                sample(mod, 1)
+
+
 @pytest.mark.parametrize("formula, product", [(verify_tensor_formula, "tensor"),
                                               (verify_hom_formula, "hom")],
                          ids=["tensor", "hom"])
