@@ -57,13 +57,6 @@ class NotFlat(ExactAlgebraError, ValueError):
     pass
 
 
-class FlatnessFailure(ExactAlgebraError, RuntimeError):
-    """A point with nonzero linear part failed its flatness certificate.
-
-    Cannot happen for the algebras in scope; raised defensively.
-    """
-
-
 class ZeroLinearPart(ExactAlgebraError, ValueError):
     pass
 

@@ -2,9 +2,12 @@
 
 A point stores the linear coefficients of its image polynomial together
 with any higher-order terms (total degree >= 2, all exponents <= p-1, zero
-constant term).  Flatness is certified at construction: the image must act
-on the rank-one free module with all Jordan blocks of size p, which is
-exactly freeness of the restricted regular representation.
+constant term).  An image with a nonzero linear part is flat by proof (see
+the comment above make_linear), so only make_general on an image with a
+zero linear part runs the flatness certificate: the image must act on the
+rank-one free module with all Jordan blocks of size p, which is exactly
+freeness of the restricted regular representation.  is_flat runs the same
+certificate on demand.
 """
 
 from functools import lru_cache, reduce
@@ -16,7 +19,6 @@ from . import fields, linalg, reps
 from .errors import (
     AllCoefficientsZero,
     FieldMismatch,
-    FlatnessFailure,
     NotARefinement,
     NotFlat,
     ZeroLinearPart,
@@ -25,7 +27,7 @@ from .fields import FieldElement, embed
 
 
 class PiPoint:
-    """A certified-flat point; construct via make_linear / make_general."""
+    """A flat point; construct via make_linear / make_general."""
 
     __slots__ = ("spec", "K", "linear", "higher")
 
@@ -131,7 +133,27 @@ def _image_matrix(spec, K, linear, higher, mod):
             words.append(linalg.from_columns(cols, base.deg)[None])
             coeffs.append(coeff.as_scalar())
         stack = np.concatenate(words)
-    return linalg.from_coeff_array(K, linalg.coeff_combination(stack, base, K, coeffs))
+    return linalg.Matrix._from_coeffs(K, linalg.coeff_combination(stack, base, K, coeffs))
+
+
+# A point is flat when A_K is free over the image of K[t]/(t^p).  Every
+# image with a nonzero linear part is, by the proof below, so of the
+# constructors only make_general on a zero linear part runs the certificate.
+#
+# One algebra.  Every flavor acts through the same algebra
+# A = K[z]/(z_i^p); a flavor changes only the coalgebra.
+#
+# Linear points.  Take l = sum a_i z_i != 0.  Pick C in GL_r(K) whose first
+# row is a, and set y = Cz.  Then y_j^p = sum_k C_jk^p z_k^p = 0, so
+# A = K[y]/(y_j^p).  This is free over K[y_1]/(y_1^p), with the monomials in
+# y_2..y_r as a basis.
+#
+# Higher terms.  Take u = l + h with h in rad^2.  The map y_1 -> y_1 + h,
+# y_j -> y_j (j >= 2) is an algebra automorphism: (y_1 + h)^p = h^p = 0, and
+# the map is the identity on rad/rad^2.  So A is free over K[u]/(u^p).
+#
+# Base extension.  A_L = A_K (x)_K L keeps the same basis, which covers
+# base_extend.
 
 
 def make_linear(spec, K, coeffs) -> PiPoint:
@@ -143,24 +165,24 @@ def make_linear(spec, K, coeffs) -> PiPoint:
         raise ValueError(f"expected {spec.r} coefficients")
     if not any(coeffs):
         raise AllCoefficientsZero("linear image must be nonzero")
-    if not flatness_certificate(spec, K, coeffs, {}):
-        raise FlatnessFailure("nonzero linear image failed its certificate")
     return PiPoint(spec, K, coeffs, {})
 
 
 def make_general(spec, K, image) -> PiPoint:
-    """Point with an arbitrary zero-constant-term image polynomial, accepted
-    only when the flatness certificate holds."""
+    """Point with an arbitrary zero-constant-term image polynomial.  With a
+    nonzero linear part it is flat by proof; with a zero one it is accepted
+    only when the flatness certificate holds, which rejects z_1 z_2 and the
+    empty image."""
     if not fields.refines(K, spec.base):
         raise NotARefinement(f"{K} does not refine {spec.base}")
     linear, higher = _split_image(spec, K, image)
-    if not flatness_certificate(spec, K, linear, higher):
+    if not any(linear) and not flatness_certificate(spec, K, linear, higher):
         raise NotFlat("image fails the flatness certificate")
     return PiPoint(spec, K, linear, higher)
 
 
 def is_flat(point) -> bool:
-    """Re-run the flatness certificate on the point's own image."""
+    """Run the flatness certificate on the point's own image."""
     return flatness_certificate(point.spec, point.K, point.linear, point.higher)
 
 
@@ -211,8 +233,6 @@ def base_extend(point, target) -> PiPoint:
         raise NotARefinement(f"{target} does not refine {point.K}")
     linear = [embed(a, target) for a in point.linear]
     higher = {e: embed(c, target) for e, c in point.higher.items()}
-    if not flatness_certificate(point.spec, target, linear, higher):
-        raise FlatnessFailure("flatness lost under base extension")
     return PiPoint(point.spec, target, linear, higher)
 
 

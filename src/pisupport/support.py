@@ -103,11 +103,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fields, linalg, pipoints, reps
-from .errors import (
-    BudgetExceeded,
-    DimensionTooLarge,
-    NotARefinement,
-)
+from .errors import BudgetExceeded, DimensionTooLarge
 
 DEFAULT_ENUM_BUDGET = 200_000
 DEFAULT_IDEAL_MAX_DIM = 12
@@ -336,12 +332,10 @@ def _has_block_prime_to_p(mod):
 
 
 def _sampling_field(base, e):
-    """Extension of the base of relative degree e with canonical defining
-    polynomial; the base must embed into it."""
-    K = fields.canonical_extension(base.p, base.deg * e)
-    if not fields.refines(K, base):
-        raise NotARefinement("base does not embed into the sampling field")
-    return K
+    """Extension of the finite base of relative degree e with canonical
+    defining polynomial.  The base embeds into it, since F_{p^{de}} contains
+    F_{p^d}; both callers refuse a function-field base first."""
+    return fields.canonical_extension(base.p, base.deg * e)
 
 
 def enumeration_size(base, r, e_max):

@@ -22,7 +22,9 @@ from pisupport import (
     make_linear,
     make_spec,
     free_module,
+    pipoints,
     restrict,
+    support,
     trivial_module,
 )
 from pisupport.errors import (
@@ -33,9 +35,11 @@ from pisupport.errors import (
     ZeroLinearPart,
 )
 from pisupport.library import klein_truncation
+from pisupport.pipoints import _split_image, flatness_certificate
 from pisupport.randmod import random_module
+from pisupport.verify import suite_flat
 
-from conftest import F2, F2S, F4, conjugated
+from conftest import F2, F2S, F2SU, F4, F9, conjugated
 
 KLEIN = make_spec(2, 2)
 P3R3 = make_spec(3, 3)
@@ -298,3 +302,72 @@ def test_constructors_always_flat(rng):
         if not any(coeffs):
             coeffs[0] = 1
         assert is_flat(make_linear(KLEIN, K, coeffs))
+
+
+class Certified(Exception):
+    """Raised in place of the flatness certificate, to see who reaches it."""
+
+
+def test_constructors_certify_only_a_zero_linear_part(monkeypatch):
+    # a nonzero linear part is flat by proof (the comment above
+    # pipoints.make_linear): no constructor certifies it, while make_general
+    # on a zero linear part, is_flat and the flat suite still do
+    def certify(spec, K, linear, higher):
+        raise Certified
+
+    monkeypatch.setattr(pipoints, "flatness_certificate", certify)
+    P3R2 = make_spec(3, 2)
+    s = FieldElement.variable(F2S, "s")
+    for spec, K, coeffs in [(KLEIN, F2, [1, 0]), (KLEIN, F4, [0, 1]),
+                            (P3R2, F9, [1, 2]), (KLEIN, F2S, [1, s])]:
+        make_linear(spec, K, coeffs)
+    for spec in (KLEIN, P3R3):
+        generic_point(spec)
+    pt = next(support.enumerate_points(F2, 2, 1))
+    support.point_pi(KLEIN, pt)
+    bent = make_general(KLEIN, F2, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    linear_part(bent)
+    base_extend(make_linear(KLEIN, F2, [1, 1]), F4)
+    base_extend(make_linear(KLEIN, F2S, [1, s]), F2SU)
+    with pytest.raises(Certified):
+        make_general(KLEIN, F2, {(1, 1): 1})
+    with pytest.raises(Certified):
+        is_flat(bent)
+    with pytest.raises(Certified):
+        suite_flat(random.Random(1), KLEIN, 1)
+
+
+# (p, r, [K:F_p]) for the exhaustive oracle: 8 + 64 + 128 + 6,561 images
+ORACLE_CASES = [(2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1)]
+
+
+def test_certificate_holds_exactly_on_a_nonzero_linear_part():
+    # every image built from the monomials of total degree >= 1 with
+    # exponents below p; the package relies only on "nonzero implies flat",
+    # and make_general still certifies a zero linear part
+    for p, r, deg in ORACLE_CASES:
+        spec = make_spec(p, r)
+        K = fields.canonical_extension(p, deg)
+        scalars = [FieldElement.from_scalar(K, K.sfrom_code(c)) for c in range(K.order)]
+        words = [e for e in itertools.product(range(p), repeat=r) if sum(e) >= 1]
+        for codes in itertools.product(range(K.order), repeat=len(words)):
+            image = {e: scalars[c] for e, c in zip(words, codes) if c}
+            linear, higher = _split_image(spec, K, image)
+            assert flatness_certificate(spec, K, linear, higher) == any(linear), image
+
+
+def test_certificate_over_a_function_field():
+    s = FieldElement.variable(F2S, "s")
+    one = FieldElement.one(F2S)
+    cases = [
+        (KLEIN, {(1, 0): s, (0, 1): s + one}),
+        (KLEIN, {(0, 1): s * s, (1, 1): s + one}),
+        (KLEIN, {(1, 0): s, (0, 1): s, (1, 1): one}),
+        (KLEIN, {(1, 1): s}),
+        (KLEIN, {}),
+        (make_spec(2, 3), {(1, 0, 0): s, (0, 1, 1): one}),
+        (make_spec(2, 3), {(0, 1, 1): s, (1, 1, 0): s + one}),
+    ]
+    for spec, image in cases:
+        linear, higher = _split_image(spec, F2S, image)
+        assert flatness_certificate(spec, F2S, linear, higher) == any(linear), image
