@@ -7,7 +7,8 @@ the comment above make_linear), so only make_general on an image with a
 zero linear part runs the flatness certificate: the image must act on the
 rank-one free module with all Jordan blocks of size p, which is exactly
 freeness of the restricted regular representation.  is_flat runs the same
-certificate on demand.
+certificate on demand.  free_restriction decides this and every other
+projectivity verdict at a point.
 """
 
 from functools import lru_cache, reduce
@@ -93,9 +94,35 @@ def _split_image(spec, K, image):
 
 def flatness_certificate(spec, K, linear, higher) -> bool:
     """Jordan type of the image acting on the rank-one free module over K
-    is [p,...,p]; equivalently the restricted regular module is free."""
+    is [p,...,p]; equivalently the restricted regular module is free.  Over
+    a finite K this is one rank of the image's operator (free_restriction),
+    with no power of it formed."""
     op = _image_matrix(spec, K, linear, higher, _regular_module(spec))
-    return linalg.is_full(op, spec.p)
+    return free_restriction(op, spec.p)
+
+
+# Every projectivity verdict at a point reads N itself.  The image u of t
+# has zero constant term, so u = sum c_alpha z^alpha with alpha != 0.  A is
+# commutative of characteristic p, so u^p = sum c_alpha^p z^(p alpha) = 0 in
+# A = K[z]/(z_i^p), for every flavor.  So N^p = 0 on every module the
+# package holds: modules from outside are validated, and constructions are
+# valid by proof.  Then N has n - rank N Jordan blocks, each of size at
+# most p, and the restriction is free when all of them have size p, that
+# is when p divides n and rank N = n - n/p (Carlson, J. Algebra 85, 1983).
+
+
+def free_restriction(op, p) -> bool:
+    """Is the restriction whose operator is ``op`` (the matrix that restrict
+    returns) free over K[t]/(t^p)?  Over a finite K one rank of N decides
+    it, stopped at n - n/p (see the proof above), with no power of N formed
+    and no nilpotence checked; over a function field linalg.is_full decides
+    it, where ranking N measured no faster than ranking N^(p-1)."""
+    desc, n = op.desc, op.rows
+    if not desc.is_finite:
+        return linalg.is_full(op, p)
+    target = n - n // p
+    return n % p == 0 and linalg.fq_rank(linalg.coeff_array(op), desc,
+                                         stop_at=target) == target
 
 
 @lru_cache(maxsize=None)

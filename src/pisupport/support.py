@@ -11,11 +11,11 @@ basis its generators are those of M with their entries embedded into K
 (reps.coinduced), so the samplers decide it by the tester of M over K,
 with no coinduced module built; in_cosupport builds it.  Every such rank
 is taken over the point's field F_q on Zech logarithms, a prime field
-included: in_support and in_cosupport decide from the definition,
-through the restricted operator and its Jordan type (linalg.fq_rank),
-the module read over its own base (pipoints.restrict), and
-sampling and the generic scan use _point_tester, which ranks N(a) itself
-and forms no power of it; for sparse generators linalg.sparse_pivots sums
+included: in_support and in_cosupport decide from the definition, by
+one rank of the restricted operator (pipoints.free_restriction), the
+module read over its own base (pipoints.restrict), and
+sampling and the generic scan use _point_tester; neither forms a power
+of N(a).  In the tester, for sparse generators linalg.sparse_pivots sums
 each row of N(a) from the generators' row-major nonzero entries
 (reps.nonzero_codes) as it eliminates it, by the route rule of
 linalg.sparse_route.  The ne x ne block matrix over F_p is
@@ -215,8 +215,9 @@ def _glex_generator_key(gen):
 def in_support(mod, point) -> bool:
     """Definition-level verdict: restrict the module along the point, over
     the point's field (pipoints.restrict reads the module over its own
-    base), and test for non-projectivity."""
-    return not linalg.is_full(pipoints.restrict(point, mod), mod.spec.p)
+    base), and test for non-projectivity (pipoints.free_restriction: over
+    a finite field, rank N(a) < n - n/p, with no power of N(a) formed)."""
+    return not pipoints.free_restriction(pipoints.restrict(point, mod), mod.spec.p)
 
 
 def in_cosupport(mod, point) -> bool:

@@ -70,6 +70,15 @@ def boxed_ints(desc, ints):
     return Matrix(desc, [[FieldElement.from_int(desc, c) for c in row] for row in ints])
 
 
+def from_coeff_array(desc, coeffs):
+    """Matrix over the finite ``desc`` from an (n, m, e) coordinate array,
+    which is copied reduced mod p."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if not desc.is_finite or coeffs.ndim != 3 or coeffs.shape[2] != desc.deg:
+        raise ValueError(f"coordinate array of shape {coeffs.shape} over {desc}")
+    return Matrix._from_coeffs(desc, coeffs % desc.p)
+
+
 def conjugated(mod, rng, scale=None):
     """The module in a seeded basis Z -> P Z P^-1, P = I + L with L strictly
     lower triangular, so that entries leave the prime field when the base is
@@ -312,7 +321,7 @@ def _coinduced_by_trace_pairing(mod, target):
     for i in range(mod.spec.r):
         x = sol[:, i * n : (i + 1) * n].reshape(d, n, eb, n)
         x = x.transpose(1, 3, 0, 2).reshape(n, n, d * eb)
-        mats.append(linalg.from_coeff_array(target, (x @ B.T) % p))
+        mats.append(from_coeff_array(target, (x @ B.T) % p))
     spec = mod.spec.with_base(target)
     return reps.ModuleRep(spec, mats, name=mod.name)
 
@@ -369,7 +378,7 @@ def chain_hom(a, b):
 
 def chain_base_change(mod, target):
     emb = linalg.embedding_matrix(mod.spec.base, target)
-    return [linalg.from_coeff_array(target, linalg.coeff_array(m) @ emb) for m in mod.Z]
+    return [from_coeff_array(target, linalg.coeff_array(m) @ emb) for m in mod.Z]
 
 
 def chain_image(K, linear, higher, Z):

@@ -34,7 +34,6 @@ from pisupport.pipoints import flatness_certificate
 from pisupport.linalg import (
     block_diag,
     coeff_array,
-    from_coeff_array,
     hstack,
     kron,
     vstack,
@@ -42,7 +41,8 @@ from pisupport.linalg import (
 
 from conftest import (
     F2, F3, F4, F5, F9, F2S, F3S, chain_base_change, chain_flatness_certificate,
-    chain_hom, chain_image, chain_tensor, chain_validate, conjugated, mixed, shift_block,
+    chain_hom, chain_image, chain_tensor, chain_validate, conjugated, from_coeff_array, mixed,
+    shift_block,
 )
 from test_golden import _ideal_module
 

@@ -197,6 +197,8 @@ def _matrix_argvs():
     ]
     # each suite's trial 0 at p = 2, r = 7 is decided with no generic scan
     argvs.append(["verify", "--trials", "1", "--p", "2", "--r", "7"])
+    # A = F_2[z]/(z^2) has no monomial of degree >= 2 to perturb a point by
+    argvs.append(["verify", "--trials", "1", "--p", "2", "--r", "1"])
     return argvs
 
 

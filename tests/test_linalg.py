@@ -25,7 +25,6 @@ from pisupport.linalg import (
     element_codes,
     fq_pivots,
     fq_rank,
-    from_coeff_array,
     int_rank,
     int_row_reduce,
     sparse_pivots,
@@ -33,7 +32,8 @@ from pisupport.linalg import (
 from pisupport.reps import ModuleRep, make_spec
 
 from conftest import (
-    F2, F3, F5, F4, F9, F2S, F3S, F2SU, TOWERS, boxed_ints, conjugated, int_solve,
+    F2, F3, F5, F4, F9, F2S, F3S, F2SU, TOWERS, boxed_ints, conjugated, from_coeff_array,
+    int_solve,
 )
 
 

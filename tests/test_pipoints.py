@@ -37,7 +37,7 @@ from pisupport.errors import (
 from pisupport.library import klein_truncation
 from pisupport.pipoints import _split_image, flatness_certificate
 from pisupport.randmod import random_module
-from pisupport.verify import suite_flat
+from pisupport.verify import _random_higher_terms, suite_flat, verify_suites
 
 from conftest import F2, F2S, F2SU, F4, F9, conjugated
 
@@ -371,3 +371,97 @@ def test_certificate_over_a_function_field():
     for spec, image in cases:
         linear, higher = _split_image(spec, F2S, image)
         assert flatness_certificate(spec, F2S, linear, higher) == any(linear), image
+
+
+class Powered(Exception):
+    """Raised in place of linalg.coeff_powers, to see who forms powers."""
+
+
+# (p, base degree): the bases F_2, F_3, F_4 and F_9
+POLICY_BASES = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("p,deg", POLICY_BASES, ids=["F2", "F3", "F4", "F9"])
+def test_verdicts_at_points_form_no_power(p, deg, monkeypatch):
+    # N^p = 0 by proof (the comment above pipoints.free_restriction), so a
+    # verdict over a finite field ranks N itself and forms no power of it
+    spec = make_spec(p, 2, base=fields.canonical_extension(p, deg))
+    rng = random.Random(f"no-power:{p}:{deg}")
+    mods = [random_module(rng, spec, max_dim=12) for _ in range(3)]
+    mods.append(direct_sum(mods[0], free_module(spec, 1)))
+    L = fields.canonical_extension(p, 2 * deg)
+
+    def powers(coeffs, desc, k):
+        raise Powered
+
+    monkeypatch.setattr(linalg, "coeff_powers", powers)
+    for K in (spec.base, L):
+        for higher in (False, True):
+            point = make_general(spec, K, _random_image(rng, spec, K, higher))
+            assert is_flat(point)
+            for mod in mods:
+                support.in_support(mod, point)
+                support.in_cosupport(mod, point)
+    with pytest.raises(NotFlat):
+        make_general(spec, L, {(1, 1): 1})
+    if deg == 1:
+        for suite in ("perturb", "flat"):
+            code, lines = verify_suites(1, 3, p, 2, suite=suite)
+            assert code == 0, lines
+
+
+# (p, r) for the differential against linalg.is_full
+DIFFERENTIAL_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p,r", DIFFERENTIAL_CASES,
+                         ids=[f"p{p}r{r}" for p, r in DIFFERENTIAL_CASES])
+def test_free_restriction_matches_is_full(p, r):
+    # seeded modules with a free summand, with a trivial summand (a block of
+    # dimension prime to p, so p need not divide n), and both, at linear and
+    # bent points over F_p and F_{p^2}; both verdicts must occur
+    spec = make_spec(p, r)
+    rng = random.Random(f"free-restriction:{p}:{r}")
+    free, line = free_module(spec, 1), trivial_module(spec)
+    mods = [free, direct_sum(free, line)]
+    for k in range(6):
+        mod = random_module(rng, spec, max_dim=12, force_free=(k == 0))
+        mods += [mod, direct_sum(mod, free), direct_sum(mod, line)]
+    assert any(mod.n % p for mod in mods)
+    seen = set()
+    for K in (fields.canonical_extension(p, 1), fields.canonical_extension(p, 2)):
+        for higher in (False, True):
+            point = make_general(spec, K, _random_image(rng, spec, K, higher))
+            for mod in mods:
+                op = restrict(point, mod)
+                verdict = pipoints.free_restriction(op, p)
+                assert verdict == is_full(op, p), (mod.name, point)
+                seen.add(verdict)
+    assert seen == {False, True}
+
+
+def test_free_restriction_over_a_function_field_is_is_full(monkeypatch):
+    # over a function field the verdict stays with linalg.is_full
+    calls = []
+
+    def counted(mat, p):
+        calls.append(mat.desc)
+        return is_full(mat, p)
+
+    monkeypatch.setattr(linalg, "is_full", counted)
+    point = generic_point(KLEIN)
+    for mod in (free_module(KLEIN, 1), klein_truncation(2), trivial_module(KLEIN)):
+        want = not is_full(restrict(point, mod), 2)
+        assert support.in_support(mod, point) == want
+    assert calls == [point.K] * 3
+
+
+def test_perturb_suite_where_no_higher_term_exists():
+    # A = F_2[z]/(z^2) has no monomial of degree >= 2: no term is drawn, so
+    # each trial compares the point with itself and the rng is not touched
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert _random_higher_terms(rng, make_spec(2, 1), F2) == {}
+    assert rng.getstate() == state
+    code, lines = verify_suites(1, 3, 2, 1)
+    assert code == 0 and "suite perturb: 3 passed, 0 failed" in lines, lines

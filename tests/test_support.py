@@ -61,6 +61,7 @@ from conftest import (
     _direct_sum,
     _record_testers,
     conjugated,
+    from_coeff_array,
     mixed,
     monomial,
     shift_block,
@@ -329,7 +330,7 @@ def test_point_tester_ranks_n_against_the_power_oracle(p):
             verdict = fast(pt.codes)
             assert verdict == block(pt.codes), (mod.name, K, pt.codes)
             op = sum(_scaled(z, a) for z, a in zip(over_k.stack, pt.coords)) % p
-            parts = linalg.jordan_type(linalg.from_coeff_array(K, op), p).parts
+            parts = linalg.jordan_type(from_coeff_array(K, op), p).parts
             assert verdict == (len(parts) > n // p)
             sizes.update(parts)
             short_by_one += len(parts) == n // p + 1
