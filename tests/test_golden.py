@@ -1,4 +1,4 @@
-"""Golden transcripts: CLI stdout and coinduced module files, byte for byte.
+"""Golden transcripts: CLI stdout and module files, byte for byte.
 
 Each file under ``tests/golden/`` is the exact output of one command or one
 coinduction recorded from a known-good tree.  A refactor that changes any
@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,16 @@ CLI_CASES = {
                                       "--r", str(r)]
         for p, r in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (2, 5))
     },
+}
+
+# module files that the CLI writes for tensor, Hom and dual: the group
+# flavor, the primitive flavor, both, and a base F_81 of degree 4
+CONSTRUCTION_CASES = {
+    "tensor_klein-M2_klein-M3": ["tensor", "klein-M2", "klein-M3"],
+    "hom_jordan2_jordan3_p3": ["hom", "jordan:2", "jordan:3", "--p", "3"],
+    "hom_free1_trivial_p3_r2_mixed": ["hom", "free:1", "trivial", "--p", "3", "--r", "2",
+                                      "--flavors", "primitive,group"],
+    "dual_coinduced_f9_rel2": ["dual", GOLDEN / "coinduced_f9_rel2.modrep"],
 }
 
 # (p, base degree, relative degree, max module dimension)
@@ -219,6 +230,15 @@ def _cli_text(name):
     return f"exit {code}\n{out}"
 
 
+def _construction_text(name):
+    """The module file that CONSTRUCTION_CASES[name] writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.modrep"
+        code, out, err = run_command([*map(str, CONSTRUCTION_CASES[name]), "-o", str(path)])
+        assert (code, err) == (0, "")
+        return path.read_text(encoding="utf-8")
+
+
 def _coinduced_text(name):
     p, base_deg, rel, max_dim = COINDUCED_CASES[name]
     base = fields.canonical_extension(p, base_deg)
@@ -299,6 +319,8 @@ def _sample_text(name):
 def _render(name):
     if name in CLI_CASES:
         return name + ".txt", _cli_text(name)
+    if name in CONSTRUCTION_CASES:
+        return name + ".modrep", _construction_text(name)
     if name in IDEAL_CASES:
         return name + ".txt", _ideal_text(name)
     if name in DENSE_IDEAL_CASES:
@@ -308,8 +330,8 @@ def _render(name):
     return name + ".modrep", _coinduced_text(name)
 
 
-CASES = [*CLI_CASES, *COINDUCED_CASES, *IDEAL_CASES, *DENSE_IDEAL_CASES, *SAMPLE_CASES,
-         *COVERING_CASES]
+CASES = [*CLI_CASES, *CONSTRUCTION_CASES, *COINDUCED_CASES, *IDEAL_CASES,
+         *DENSE_IDEAL_CASES, *SAMPLE_CASES, *COVERING_CASES]
 
 
 @pytest.mark.parametrize("name", CASES)
