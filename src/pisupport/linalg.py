@@ -360,18 +360,38 @@ def coeff_powers(coeffs, desc, k):
     return out
 
 
+#: entries coeff_kron reduces at a time, so that the quotients stay in
+#: cache; numpy floor-divides by a scalar with a multiply and a shift
+#: (libdivide), several times faster than its remainder
+REDUCE_CHUNK = 1 << 14
+
+
 def coeff_kron(x, y, desc):
     """Kronecker products of (..., a, b, e) and (..., c, d, e) arrays,
-    broadcast over their leading axes: (..., a*c, b*d, e) arrays reduced
-    mod p, index (i, j) at i*c + j.  Over F_p the outer products of the
-    residues."""
+    broadcast over their leading axes: C-contiguous (..., a*c, b*d, e)
+    arrays reduced mod p, index (i, j) at i*c + j.  One product the size of
+    the output, reduced in place; over F_p the outer products of the
+    residues, formed without the coordinate axis of size 1, and over F_2
+    already residues."""
     a, b, e = x.shape[-3:]
     c, d = y.shape[-3:-1]
+    p = desc.p
+    # order="C": with a transposed operand numpy would lay the product out
+    # like it, and the flat view below would be a copy
     if e == 1:
-        prod = x[..., :, None, :, None, :] * y[..., None, :, None, :, :]
+        prod = np.multiply(x[..., :, None, :, None, 0], y[..., None, :, None, :, 0],
+                           order="C")[..., None]
     else:  # coordinates of x_ik * y_jl = (sum_c x_ikc W^c) y_jl
-        prod = np.einsum("...ikc,cab,...jlb->...ijkla", x, companion_powers(desc), y)
-    return prod.reshape(*prod.shape[:-5], a * c, b * d, e) % desc.p
+        prod = np.einsum("...ikc,cab,...jlb->...ijkla", x, companion_powers(desc), y,
+                         order="C")
+    if e > 1 or p > 2:
+        flat = prod.reshape(-1)
+        for start in range(0, flat.size, REDUCE_CHUNK):
+            part = flat[start:start + REDUCE_CHUNK]
+            quotient = part // p
+            quotient *= p
+            part -= quotient
+    return prod.reshape(*prod.shape[:-5], a * c, b * d, e)
 
 
 #: float64 carries every integer below 2^53 exactly

@@ -309,13 +309,16 @@ def nonzero_codes(mod):
 # files and direct ModuleRep calls).  For modules with generators X and Y:
 # - tensor: the X_i(x)1 and 1(x)Y_j all commute, and every z_i is a
 #   polynomial in them, so the z_i commute.  Primitive flavor:
-#   (X(x)1 + 1(x)Y)^p = X^p(x)1 + 1(x)Y^p = 0 in characteristic p.  Group
-#   flavor: 1 + z_i = (1 + X_i)(x)(1 + Y_i), whose p-th power is
+#   z_i = X_i(x)1 + 1(x)Y_i, and (X(x)1 + 1(x)Y)^p = X^p(x)1 + 1(x)Y^p = 0 in
+#   characteristic p.  Group flavor: z_i = g_i - 1 with g_i grouplike, which
+#   acts on a tensor product as g_i(x)g_i, so the code builds
+#   1 + z_i = (1 + X_i)(x)(1 + Y_i), whose p-th power is
 #   (1 + X_i^p)(x)(1 + Y_i^p) = 1, so z_i^p = (1 + z_i)^p - 1 = 0.
 # - dual: -X^T and ((I + X)^{p-1})^T - I = ((I + X)^{-1})^T - I are
 #   transposes of polynomials in the commuting X_i, so they commute, and
 #   they are p-nilpotent: X^p = 0 and ((I + X)^{-1})^p = I.  Hom(a, b) is
-#   b (x) dual(a), so it is a tensor product of valid modules.
+#   b (x) dual(a), so it is a tensor product of valid modules, and the
+#   factor of a group generator's dual in it is ((I + X_i)^{p-1})^T.
 # - Klein M_n (library.klein_truncation): both generators map the u-block
 #   into the v-block and kill the v-block, so every product of two
 #   generators is 0.
@@ -328,26 +331,63 @@ def tensor(a, b) -> ModuleRep:
     """Tensor product; basis (i,j) -> i*dim(b) + j."""
     if a.spec != b.spec:
         raise SpecMismatch("tensor needs matching algebra specs")
-    return _tensor(a.spec, *((a.Z, b.Z) if a.stack is None else (a.stack, b.stack)))
+    return _tensor(a.spec, _factors(a), _factors(b))
+
+
+def _group(spec):
+    return [i for i, f in enumerate(spec.flavors) if f == GROUP]
+
+
+def _factors(mod):
+    """The factors of mod's generators in a tensor product (_tensor): 1 + Z_i
+    for a group generator and Z_i for a primitive one, a stack over a
+    finite base and Matrix otherwise."""
+    group = _group(mod.spec)
+    if mod.stack is None:
+        one = Matrix.identity(mod.spec.base, mod.n)
+        return [one + z if i in group else z for i, z in enumerate(mod.Z)]
+    return _add_identity(mod.stack.copy(), group, 1, mod.spec.p)
+
+
+def _add_identity(stack, gens, s, p):
+    """Add s times the identity to the generators gens of a writable stack
+    reduced mod p, in place: only coordinate 0 of the diagonal changes, so
+    only it is reduced again."""
+    d = np.arange(stack.shape[1])
+    at = (np.asarray(gens, dtype=np.intp)[:, None], d, d, 0)
+    stack[at] = (stack[at] + s) % p
+    return stack
 
 
 def _tensor(spec, x, y):
-    """The tensor product of modules with generators x and y, stacks over a
-    finite base and Matrix otherwise: z_i acts as z_i(x)1 + 1(x)z_i, plus
-    z_i(x)z_i for the group flavor.  Stacks take batched Kronecker
-    products (linalg.coeff_kron), of every generator at once."""
-    base = spec.base
-    group = [i for i, f in enumerate(spec.flavors) if f == GROUP]
-    if isinstance(x, np.ndarray):
-        ix, iy = (linalg.int_coeffs(np.eye(z.shape[1], dtype=np.int64), base)
-                  for z in (x, y))
-        gens = linalg.coeff_kron(x, iy, base) + linalg.coeff_kron(ix, y, base)
-        gens[group] += linalg.coeff_kron(x[group], y[group], base)
-        return ModuleRep(spec, gens % spec.p, _checked=True)
-    ix, iy = (Matrix.identity(base, z[0].rows) for z in (x, y))
-    mats = [linalg.kron(x[i], iy) + linalg.kron(ix, y[i]) for i in range(spec.r)]
-    return ModuleRep(spec, [m + linalg.kron(x[i], y[i]) if i in group else m
-                            for i, m in enumerate(mats)], _checked=True)
+    """The tensor product of modules from the factors x and y of their
+    generators (_factors), stacks over a finite base and Matrix otherwise:
+    a group generator acts as (1 + X_i)(x)(1 + Y_i) - 1, a primitive one as
+    X_i(x)1 + 1(x)Y_i.  On stacks one batched Kronecker product
+    (linalg.coeff_kron) gives every group generator, with 1 subtracted on
+    its diagonal, and a primitive generator is X_i and Y_i written into its
+    blocks, with no product."""
+    group = _group(spec)
+    if not isinstance(x, np.ndarray):
+        ix, iy = (Matrix.identity(spec.base, z[0].rows) for z in (x, y))
+        one = Matrix.identity(spec.base, ix.rows * iy.rows)
+        return ModuleRep(spec, [linalg.kron(x[i], y[i]) - one if i in group
+                                else linalg.kron(x[i], iy) + linalg.kron(ix, y[i])
+                                for i in range(spec.r)], _checked=True)
+    p, e, a, c = spec.p, spec.base.deg, x.shape[1], y.shape[1]
+    kron = _add_identity(linalg.coeff_kron(x[group], y[group], spec.base),
+                         range(len(group)), -1, p)
+    if len(group) == spec.r:
+        return ModuleRep(spec, kron, _checked=True)
+    gens = np.zeros((spec.r, a, c, a, c, e), dtype=np.int64)
+    gens[group] = kron.reshape(len(group), a, c, a, c, e)
+    ia, ic = np.arange(a), np.arange(c)
+    for i in set(range(spec.r)) - set(group):
+        # axes (row of x, row of y, column of x, column of y): X_i(x)1 where
+        # the y indices agree, plus 1(x)Y_i where the x indices do
+        gens[i][:, ic, :, ic] = x[i]
+        gens[i][ia, :, ia] = (gens[i][ia, :, ia] + y[i]) % p
+    return ModuleRep(spec, gens.reshape(spec.r, a * c, a * c, e), _checked=True)
 
 
 def hom(a, b) -> ModuleRep:
@@ -359,21 +399,22 @@ def hom(a, b) -> ModuleRep:
       group:     f -> (I + Z_b) f (I + Z_a)^{p-1} - f
     This is the tensor product of b with the dual of a, on which z_i acts
     as the transpose of its antipode: -Z_i^T, or ((I + Z_i)^{p-1})^T - I.
+    The group factor ((I + Z_i)^{p-1})^T goes to _tensor as it is.
     """
     if a.spec != b.spec:
         raise SpecMismatch("hom needs matching algebra specs")
     spec, p = a.spec, a.spec.p
-    group = [i for i, f in enumerate(spec.flavors) if f == GROUP]
+    group = _group(spec)
     if a.stack is None:
         ia = Matrix.identity(spec.base, a.n)
-        dual = [(ia + z).power(p - 1).transpose() - ia if i in group else -z.transpose()
-                for i, z in enumerate(a.Z)]
-        return _tensor(spec, b.Z, dual)
-    x, ia = a.stack, linalg.int_coeffs(np.eye(a.n, dtype=np.int64), spec.base)
-    dual = -x.swapaxes(1, 2)
-    right = linalg.coeff_powers((ia + x[group]) % p, spec.base, p - 1)[-1]
-    dual[group] = right.swapaxes(1, 2) - ia
-    return _tensor(spec, b.stack, dual % p)
+        factor = [(ia + z).power(p - 1).transpose() if i in group else -z.transpose()
+                  for i, z in enumerate(a.Z)]
+        return _tensor(spec, _factors(b), factor)
+    factor = -a.stack.swapaxes(1, 2) % p
+    if group:
+        unipotent = _add_identity(a.stack[group], range(len(group)), 1, p)
+        factor[group] = linalg.coeff_powers(unipotent, spec.base, p - 1)[-1].swapaxes(1, 2)
+    return _tensor(spec, _factors(b), factor)
 
 
 def dual(mod) -> ModuleRep:

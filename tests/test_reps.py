@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,75 @@ def test_constructions_never_validate_and_inputs_do(base, monkeypatch):
         ModuleRep(spec, b.Z)
     with pytest.raises(AssertionError, match="validate ran"):
         parse_module_file(emit_module_file(b))
+
+
+LAYOUT_FLAVORS = {
+    "group": (GROUP, GROUP),
+    "primitive": (PRIMITIVE, PRIMITIVE),
+    "mixed": (PRIMITIVE, GROUP, PRIMITIVE),
+}
+
+
+@pytest.mark.parametrize("flavor", LAYOUT_FLAVORS)
+@pytest.mark.parametrize("base", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_hopf_stacks_are_c_contiguous_read_only_residues(base, flavor):
+    # the Kronecker products are edited in place through explicit indices;
+    # an operand laid out as a transpose must not leave a copy or a
+    # strided view behind
+    spec = make_spec(base.p, len(LAYOUT_FLAVORS[flavor]), flavors=LAYOUT_FLAVORS[flavor],
+                     base=base)
+    rng = random.Random(f"layout:{base}:{flavor}")
+    a = random_module(rng, spec, max_dim=4)
+    b = direct_sum(random_module(rng, spec, max_dim=3), trivial_module(spec))
+    zero = free_module(spec, 0)
+    mods = [tensor(a, b), tensor(b, a), hom(a, b), hom(b, a), dual(a), dual(b),
+            tensor(zero, a), hom(zero, b), hom(a, zero), dual(zero)]
+    for mod in mods:
+        stack = mod.stack
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        assert stack.dtype == np.int64
+        assert ((0 <= stack) & (stack < base.p)).all()
+    assert [mod.n for mod in mods] == [a.n * b.n] * 4 + [a.n, b.n] + [0] * 4
+
+
+def test_group_generators_take_one_kronecker_product(monkeypatch):
+    # 1 + z_i = (1 + X_i)(x)(1 + Y_i): every group generator of a tensor,
+    # Hom or dual module comes from one batched coeff_kron
+    calls, kron = [], linalg.coeff_kron
+
+    def count(x, y, desc):
+        calls.append(x.shape[0])
+        return kron(x, y, desc)
+
+    monkeypatch.setattr(linalg, "coeff_kron", count)
+    spec = make_spec(3, 3)
+    m = random_module(random.Random("one-kron"), spec, max_dim=5)
+    free = free_module(spec, 1)
+    for build in (lambda: tensor(m, free), lambda: hom(m, free), lambda: dual(m)):
+        calls.clear()
+        build()
+        assert calls == [3]
+
+
+@pytest.mark.parametrize("p,r", [(3, 3), (2, 6)])
+def test_hopf_constructions_peak_near_their_output(p, r):
+    # the product is the output, reduced in place: no further output-sized
+    # sums or copies
+    spec = make_spec(p, r)
+    rng = random.Random(f"peak:{p}:{r}")
+    m = random_module(rng, spec, max_dim=6)
+    while m.n < 3:
+        m = random_module(rng, spec, max_dim=6)
+    free = free_module(spec, 1)
+    for build in (lambda: hom(free, m), lambda: hom(m, free), lambda: tensor(m, free)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = build()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.stack.nbytes
 
 
 # ---------------------------------------------------------------------------
