@@ -32,7 +32,9 @@ over a base field (reps.nonzero_codes) and one Zech log per coefficient,
 sums the row into a dict {column: value} as it inserts it, reading the
 codes through one code-to-log table per field pair (code_logs, from
 embedding_matrix), and touches only nonzero entries, with no numpy call;
-fq_pivots hands it a matrix as one generator with coefficient 1.
+fq_pivots hands it a matrix as one generator with coefficient 1, and
+pipoints.free_at each word of a point's higher terms as one more
+generator, its rows composed from the generators' by sparse_product.
 Denser matrices are eliminated in numpy.  fq_pivots eliminates the block
 matrix only past ZECH_MAX_ORDER, where the tables would outweigh the
 elimination, over a prime field too; below it nothing eliminates on
@@ -745,6 +747,45 @@ def sparse_pivots(rows, logs, src, desc, stop_at=None):
                     else:
                         row[j] = red[x + z]
     return pivots
+
+
+@lru_cache(maxsize=None)
+def _log_codes(desc):
+    """Tuple over the Zech logs in [0, q - 1] of the finite field ``desc``:
+    the element code of g^k, and 0 at q - 1; the inverse of
+    code_logs(desc, desc)."""
+    return tuple(fields.zech_tables(desc)[0].tolist())
+
+
+def sparse_product(left, right, desc):
+    """Rows of the product L R over the finite field ``desc`` (q <=
+    ZECH_MAX_ORDER) of two matrices given as sparse rows the way
+    reps.nonzero_codes gives a generator's: row a is the list of
+    (column, element code) pairs of its nonzero entries, in no particular
+    order.  Row a of L R is sum_b L[a, b] R[b], summed in Zech logs into a
+    dict {column: log}, g^x + g^t = g^(x + zech[t - x]) through the index
+    tables of _zech_steps, entries that cancel dropped; no dense row is
+    formed."""
+    log, code = code_logs(desc, desc), _log_codes(desc)
+    red, zech, m, _ = _zech_steps(desc)
+    out = []
+    for pairs in left:
+        row = {}
+        for b, y in pairs:
+            f = log[y]
+            for c, v in right[b]:
+                t = f + log[v]
+                x = row.get(c)
+                if x is None:
+                    row[c] = red[t]
+                else:
+                    z = zech[t - x]
+                    if z == m:
+                        del row[c]
+                    else:
+                        row[c] = red[x + z]
+        out.append([(c, code[x]) for c, x in row.items()])
+    return out
 
 
 def _log_pivots_numpy(logs, desc, stop_at):

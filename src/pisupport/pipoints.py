@@ -7,8 +7,19 @@ the comment above make_linear), so only make_general on an image with a
 zero linear part runs the flatness certificate: the image must act on the
 rank-one free module with all Jordan blocks of size p, which is exactly
 freeness of the restricted regular representation.  is_flat runs the same
-certificate on demand.  free_restriction decides this and every other
-projectivity verdict at a point.
+certificate on demand.
+
+Two routes decide whether a restriction is projective, and give the same
+verdict.  free_at decides it on the module's nonzero entries over its own
+base: the operator N of the image is a sum of terms, the generators and
+the words Z^alpha of the higher terms composed on sparse rows, which one
+elimination sums and ranks, with no dense word formed.  The flatness
+certificate (and through it is_flat and make_general) and the perturb
+suite of verify use it.  restrict forms N as a matrix over the point's
+field and free_restriction ranks it: the reference route, which
+support.in_support and in_cosupport (the definition-level oracle of the
+point tester), jordan and free_at itself over a function field or a field
+past linalg.ZECH_MAX_ORDER take.
 """
 
 from functools import lru_cache, reduce
@@ -94,11 +105,11 @@ def _split_image(spec, K, image):
 
 def flatness_certificate(spec, K, linear, higher) -> bool:
     """Jordan type of the image acting on the rank-one free module over K
-    is [p,...,p]; equivalently the restricted regular module is free.  Over
-    a finite K this is one rank of the image's operator (free_restriction),
-    with no power of it formed."""
-    op = _image_matrix(spec, K, linear, higher, _regular_module(spec))
-    return free_restriction(op, spec.p)
+    is [p,...,p]; equivalently the restricted regular module is free.  It
+    is the verdict of free_at on that module: one rank of the image's
+    operator, summed from the module's nonzero entries and the words of
+    the higher terms, with no power of it formed."""
+    return _free_at(spec, K, linear, higher, _regular_module(spec))
 
 
 # Every projectivity verdict at a point reads N itself.  The image u of t
@@ -123,6 +134,81 @@ def free_restriction(op, p) -> bool:
     target = n - n // p
     return n % p == 0 and linalg.fq_rank(linalg.coeff_array(op), desc,
                                          stop_at=target) == target
+
+
+def _free_at(spec, K, linear, higher, mod):
+    """free_at for the image with coefficients ``linear`` and ``higher``,
+    for a field K that refines mod's base.  N = sum_i a_i Z_i +
+    sum_alpha c_alpha Z^alpha is a sum of terms: each Z_i with its nonzero
+    entries over the base (reps.nonzero_codes) and each word Z^alpha of a
+    higher term, composed on those rows (_words).  The route rule
+    (linalg.sparse_route) reads the union of the terms' nonzero positions,
+    counted as the point tester counts its pattern.  On the sparse route
+    every row of N is its terms, each with the Zech log of its coefficient
+    in K, which linalg.sparse_pivots sums as it eliminates; on the dense
+    route the terms' entries are scattered into N's (n, n, e) coordinate
+    array over K, each through its term's table of c times every element
+    of the base embedded into K, and linalg.fq_rank ranks it.  Both stop at
+    n - n/p (see the proof above free_restriction).  A function field, or
+    a field past linalg.ZECH_MAX_ORDER, takes restrict's route."""
+    p, n = spec.p, mod.n
+    if n % p:
+        return False
+    if not K.is_finite or K.order > linalg.ZECH_MAX_ORDER:
+        return free_restriction(_image_matrix(spec, K, linear, higher, mod), p)
+    target, base = n - n // p, mod.spec.base
+    rows, size = reps.nonzero_codes(mod)
+    coeffs = list(linear)
+    for coeff, word in _words(mod, higher):  # one more term in each row it reaches
+        rows = [terms + [(len(coeffs), pairs)] if pairs else terms
+                for terms, pairs in zip(rows, word)]
+        coeffs.append(coeff)
+    if len(coeffs) > len(linear):  # words add positions to the generators' pattern
+        size = sum(len({j for _, pairs in terms for j, _ in pairs}) for terms in rows)
+    if linalg.sparse_route(K, size, n):
+        log = linalg.code_logs(K, K)
+        logs = [log[K.sto_code(c.as_scalar())] if c else None for c in coeffs]
+        return len(linalg.sparse_pivots(rows, logs, base, K, target)) == target
+    images = linalg.element_coords(np.arange(base.order), base) @ \
+        linalg.embedding_matrix(base, K) % p
+    coords = np.array([c.as_scalar() for c in coeffs], dtype=np.int64)
+    tables = images @ fields.scalar_matrix(K, coords).swapaxes(1, 2) % p
+    a, j, k, x = np.array([(a, j, k, x) for a, terms in enumerate(rows)
+                           for k, pairs in terms for j, x in pairs]).T
+    acc = np.zeros((n, n, K.deg), dtype=np.int64)
+    np.add.at(acc, (a, j), tables[k, x])
+    return linalg.fq_rank(acc % p, K, stop_at=target) == target
+
+
+def _words(mod, higher):
+    """(c_alpha, rows) for each higher term whose coefficient and word are
+    not 0 on mod: the rows of Z^alpha over mod's base as reps.nonzero_codes
+    gives a generator's, composed on sparse rows (linalg.sparse_product),
+    never dense.  Z^alpha is Z_i Z^(alpha - e_i) for the first i with
+    alpha_i > 0, and the words of one image share the shorter words they
+    pass through."""
+    if not higher:
+        return []
+    n, base = mod.n, mod.spec.base
+    gens = [[()] * n for _ in range(mod.spec.r)]
+    for a, terms in enumerate(reps.nonzero_codes(mod)[0]):
+        for i, pairs in terms:
+            gens[i][a] = pairs
+    done = {tuple(int(j == i) for j in range(mod.spec.r)): rows
+            for i, rows in enumerate(gens)}
+    out = []
+    for exps, coeff in higher.items():
+        chain = []
+        while exps not in done:
+            i = next(i for i, e in enumerate(exps) if e)
+            chain.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        for key, i in reversed(chain):
+            done[key] = linalg.sparse_product(gens[i], done[exps], base)
+            exps = key
+        if coeff and any(done[exps]):
+            out.append((coeff, done[exps]))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -213,15 +299,29 @@ def is_flat(point) -> bool:
     return flatness_certificate(point.spec, point.K, point.linear, point.higher)
 
 
-def restrict(point, mod) -> linalg.Matrix:
-    """Matrix over the point's field K of the image polynomial acting on
-    K (x) mod, for a module over any base that K refines; the module is
-    read over its own base (see _image_matrix)."""
+def _check_module(point, mod):
+    """Raise unless mod is over the point's algebra and K refines its base."""
     if mod.spec.p != point.spec.p or mod.spec.r != point.spec.r:
         raise FieldMismatch("module algebra does not match the point")
     if not fields.refines(point.K, mod.spec.base):
         raise NotARefinement(f"{point.K} does not refine {mod.spec.base}")
+
+
+def restrict(point, mod) -> linalg.Matrix:
+    """Matrix over the point's field K of the image polynomial acting on
+    K (x) mod, for a module over any base that K refines; the module is
+    read over its own base (see _image_matrix)."""
+    _check_module(point, mod)
     return _image_matrix(point.spec, point.K, point.linear, point.higher, mod)
+
+
+def free_at(point, mod) -> bool:
+    """Is the restriction of mod along the point free over K[t]/(t^p)?
+    The verdict of free_restriction(restrict(point, mod), p), for a module
+    over any base that K refines, decided on mod's nonzero entries with no
+    dense word and no contraction formed (see _free_at)."""
+    _check_module(point, mod)
+    return _free_at(point.spec, point.K, point.linear, point.higher, mod)
 
 
 def linear_part(point) -> PiPoint:

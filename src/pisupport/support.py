@@ -15,7 +15,11 @@ included: in_support and in_cosupport decide from the definition, by
 one rank of the restricted operator (pipoints.free_restriction), the
 module read over its own base (pipoints.restrict), and
 sampling and the generic scan use _point_tester; neither forms a power
-of N(a).  In the tester, for sparse generators linalg.sparse_pivots sums
+of N(a).  in_support keeps restrict's dense operator on purpose: it is
+the oracle that the tests compare the point tester with, while
+pipoints.free_at, which decides the verdicts of the flatness certificate
+and of the perturb suite, sums N from the same nonzero entries as the
+tester.  In the tester, for sparse generators linalg.sparse_pivots sums
 each row of N(a) from the generators' row-major nonzero entries
 (reps.nonzero_codes) as it eliminates it, by the route rule of
 linalg.sparse_route.  The ne x ne block matrix over F_p is

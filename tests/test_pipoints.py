@@ -6,6 +6,7 @@ import pytest
 
 from pisupport import (
     FieldElement,
+    Matrix,
     base_change,
     base_extend,
     direct_sum,
@@ -39,7 +40,17 @@ from pisupport.pipoints import _split_image, flatness_certificate
 from pisupport.randmod import random_module
 from pisupport.verify import _random_higher_terms, suite_flat, verify_suites
 
-from conftest import F2, F2S, F2SU, F4, F9, conjugated
+from conftest import (
+    F2,
+    F2S,
+    F2SU,
+    F4,
+    F9,
+    chain_base_change,
+    chain_image,
+    conjugated,
+    mixed,
+)
 
 KLEIN = make_spec(2, 2)
 P3R3 = make_spec(3, 3)
@@ -416,10 +427,11 @@ DIFFERENTIAL_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]
 
 @pytest.mark.parametrize("p,r", DIFFERENTIAL_CASES,
                          ids=[f"p{p}r{r}" for p, r in DIFFERENTIAL_CASES])
-def test_free_restriction_matches_is_full(p, r):
+def test_free_restriction_matches_is_full(p, r, monkeypatch):
     # seeded modules with a free summand, with a trivial summand (a block of
-    # dimension prime to p, so p need not divide n), and both, at linear and
-    # bent points over F_p and F_{p^2}; both verdicts must occur
+    # dimension prime to p, so p need not divide n), and both, some in a
+    # dense basis, at linear and bent points over F_p and F_{p^2}; free_at
+    # gives the same verdict on both of its routes; both verdicts must occur
     spec = make_spec(p, r)
     rng = random.Random(f"free-restriction:{p}:{r}")
     free, line = free_module(spec, 1), trivial_module(spec)
@@ -427,8 +439,12 @@ def test_free_restriction_matches_is_full(p, r):
     for k in range(6):
         mod = random_module(rng, spec, max_dim=12, force_free=(k == 0))
         mods += [mod, direct_sum(mod, free), direct_sum(mod, line)]
+        mods.append(mixed(direct_sum(mod, free) if k % 2 else mod, rng))
     assert any(mod.n % p for mod in mods)
-    seen = set()
+    routes, route = [], linalg.sparse_route
+    monkeypatch.setattr(linalg, "sparse_route",
+                        lambda *args: routes.append(route(*args)) or routes[-1])
+    seen, taken = set(), set()
     for K in (fields.canonical_extension(p, 1), fields.canonical_extension(p, 2)):
         for higher in (False, True):
             point = make_general(spec, K, _random_image(rng, spec, K, higher))
@@ -437,7 +453,137 @@ def test_free_restriction_matches_is_full(p, r):
                 verdict = pipoints.free_restriction(op, p)
                 assert verdict == is_full(op, p), (mod.name, point)
                 seen.add(verdict)
+                routes.clear()
+                assert pipoints.free_at(point, mod) == verdict, (mod.name, point)
+                taken.update(routes[:1])  # free_at's own route; none when p does not divide n
     assert seen == {False, True}
+    assert taken == {False, True}
+
+
+def test_free_at_takes_the_reference_route_past_the_zech_bound(monkeypatch):
+    # past ZECH_MAX_ORDER, and over a function field, free_at hands the
+    # point to restrict's operator and free_restriction
+    spec = make_spec(3, 2)
+    rng = random.Random("zech-bound")
+    lines = _padded(trivial_module(spec))
+    mods = [free_module(spec, 1), lines, mixed(direct_sum(lines, free_module(spec, 1)), rng)]
+    mods += [mixed(_padded(random_module(rng, spec, max_dim=9)), rng) for _ in range(2)]
+    points = [make_general(spec, F9, _random_image(rng, spec, F9, higher))
+              for higher in (False, True)]
+    calls, image = [], pipoints._image_matrix
+    monkeypatch.setattr(pipoints, "_image_matrix",
+                        lambda *args: calls.append(args[1]) or image(*args))
+    monkeypatch.setattr(linalg, "ZECH_MAX_ORDER", 8)
+    seen = set()
+    for point in points:
+        for mod in mods:
+            want = pipoints.free_restriction(restrict(point, mod), 3)
+            del calls[:]
+            assert pipoints.free_at(point, mod) == want
+            assert calls == [F9]
+            seen.add(want)
+    assert seen == {False, True}
+    point = generic_point(KLEIN)
+    for mod in (free_module(KLEIN, 1), klein_truncation(2)):
+        want = pipoints.free_restriction(restrict(point, mod), 2)
+        del calls[:]
+        assert pipoints.free_at(point, mod) == want
+        assert calls == [point.K]
+
+
+def _padded(mod):
+    """mod plus trivial lines up to a dimension that p divides, so that a
+    verdict forms the operator."""
+    while mod.n % mod.spec.p:
+        mod = direct_sum(mod, trivial_module(mod.spec))
+    return mod
+
+
+def _element(desc, code):
+    return FieldElement.from_scalar(desc, desc.sfrom_code(int(code)))
+
+
+def _summed_rows(rows, logs, src, K):
+    """The matrix over K whose row a is the sum of the terms (i, pairs) of
+    rows[a], as linalg.sparse_pivots takes them, each with the coefficient
+    g^logs[i], added up in FieldElement arithmetic."""
+    exp, n = fields.zech_tables(K)[0], len(rows)
+    out = [[FieldElement.zero(K)] * n for _ in range(n)]
+    for a, terms in enumerate(rows):
+        for i, pairs in terms:
+            if logs[i] is not None:
+                c = _element(K, exp[logs[i]])
+                for j, y in pairs:
+                    out[a][j] = out[a][j] + c * fields.embed(_element(src, y), K)
+    return Matrix(K, out)
+
+
+@pytest.mark.parametrize("p,deg", POLICY_BASES, ids=["F2", "F3", "F4", "F9"])
+def test_free_at_sums_the_image_operator(p, deg, monkeypatch):
+    # both routes of free_at hand on exactly the operator of the image,
+    # words of the higher terms included: the sparse route's rows summed,
+    # and the dense route's coordinate array, equal chain_image entry for
+    # entry; no verdict could see a word dropped or mis-scaled
+    r = 3 if p == 2 else 2
+    base = fields.canonical_extension(p, deg)
+    spec = make_spec(p, r, base=base)
+    rng = random.Random(f"operator:{p}:{deg}")
+    seeded = _padded(random_module(rng, spec, max_dim=10))
+    mods = [free_module(spec, 1), direct_sum(seeded, free_module(spec, 1)), mixed(seeded, rng)]
+    quad = {tuple(int(i < 2) for i in range(r)): 1}  # z_1 z_2, with no linear part
+    got = {}
+
+    def sparse(rows, logs, src, desc, stop_at=None):
+        got["op"] = _summed_rows(rows, logs, src, desc)
+        return {}
+
+    def dense(coeffs, desc, stop_at=None):
+        got["op"] = coeffs
+        return 0
+
+    monkeypatch.setattr(linalg, "sparse_pivots", sparse)
+    monkeypatch.setattr(linalg, "fq_rank", dense)
+    words = 0
+    for K in (base, fields.canonical_extension(p, 2 * deg)):
+        for image in (_random_image(rng, spec, K, False), _random_image(rng, spec, K, True),
+                      quad):
+            linear, higher = _split_image(spec, K, image)
+            for mod in mods:
+                want = chain_image(K, linear, higher, chain_base_change(mod, K))
+                words += any(len(w) for _, w in pipoints._words(mod, higher))
+                for sparse_route in (True, False):
+                    monkeypatch.setattr(linalg, "sparse_route",
+                                        lambda *args, route=sparse_route: route)
+                    got.clear()
+                    pipoints._free_at(spec, K, linear, higher, mod)
+                    if sparse_route:
+                        assert got["op"] == want, (mod.name, image)
+                    else:
+                        assert np.array_equal(got["op"], linalg.coeff_array(want)), (
+                            mod.name, image)
+    assert words
+
+
+class Dense(Exception):
+    """Raised in place of a dense word or restriction."""
+
+
+def test_perturb_and_flat_form_no_dense_word(monkeypatch):
+    # verdicts at points with higher terms are decided on the module's
+    # nonzero entries (pipoints.free_at): the perturb and flat suites, the
+    # certificate and make_general form no restriction and no block matrix
+    def dense(*args):
+        raise Dense
+
+    monkeypatch.setattr(pipoints, "_image_matrix", dense)
+    monkeypatch.setattr(linalg, "blockify", dense)
+    for p in (2, 3):
+        for suite in ("perturb", "flat"):
+            code, lines = verify_suites(1, 5, p, 3, suite=suite)
+            assert code == 0, lines
+    assert is_flat(make_linear(P3R3, F9, [1, 0, 2]))
+    with pytest.raises(NotFlat):
+        make_general(P3R3, P3R3.base, {(1, 1, 0): 1})
 
 
 def test_free_restriction_over_a_function_field_is_is_full(monkeypatch):
